@@ -9,7 +9,12 @@ over sphere modes n <= nmax. In this orthonormal basis
     H(lambda) = diag(T) + lambda W,  T_nm = (n^2 + m^2) pi^2 / 2,
 
 where W collects -Z times the one-particle 1/r couplings and the electron
-pair repulsion through monopole Slater integrals. The ground eigenvalue is a
+pair repulsion through monopole Slater integrals. W is gathered, upper
+triangle first and then mirrored so it is exactly symmetric, from the
+Coulomb table's checked s-wave block for nmax (`CoulombTable.s_wave_block`):
+index arrays built from the configurations pick each central and Slater
+integral, so the integrals are computed once per table and nmax however
+often W is assembled. The ground eigenvalue is a
 variational upper bound on the true ground energy within the subspace, and
 the coefficient of |11> is the overlap with the free-particle ground state.
 """
@@ -21,12 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import CoulombTable, PairIntegralKey, get_table
+from .coulomb import CoulombTable, get_table, mode_pair_index
 from .errors import ConvergenceError, ValidationError
-from .sphere import ModeIndex
 
 RESIDUAL_TOL = 1e-10
+# 1,176 configurations and an 11 MB W; assembly grows as nmax^4
+MAX_NMAX = 48
 _EPS2_LAMBDA_MAX = 0.2
+
+
+def _check_nmax(nmax) -> None:
+    if isinstance(nmax, bool) or not isinstance(nmax, int) or not 1 <= nmax <= MAX_NMAX:
+        raise ValidationError(f"nmax must be an integer in [1, {MAX_NMAX}], got {nmax!r}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +48,7 @@ class CiBasis:
     configurations: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if isinstance(self.nmax, bool) or not isinstance(self.nmax, int) or self.nmax < 1:
-            raise ValidationError(f"nmax must be a positive integer, got {self.nmax!r}")
+        _check_nmax(self.nmax)
         expected = self.nmax * (self.nmax + 1) // 2
         if len(self.configurations) != expected:
             raise ValidationError(
@@ -58,8 +68,7 @@ class CiBasis:
 
     @classmethod
     def up_to(cls, nmax: int) -> "CiBasis":
-        if isinstance(nmax, bool) or not isinstance(nmax, int) or nmax < 1:
-            raise ValidationError(f"nmax must be a positive integer, got {nmax!r}")
+        _check_nmax(nmax)
         configs = tuple((n, m) for n in range(1, nmax + 1) for m in range(n, nmax + 1))
         return cls(nmax=nmax, configurations=configs)
 
@@ -111,34 +120,25 @@ def interaction_matrix(z: float, basis: CiBasis, table: CoulombTable | None = No
     z, _ = _check_z_lambda(z, 0.0)
     if table is None:
         table = get_table()
-    modes = {n: ModeIndex(0, n) for n in range(1, basis.nmax + 1)}
-
-    def central(n: int, p: int) -> float:
-        return table.central_expectation(modes[n], modes[p])
-
-    def slater(a: int, c: int, b: int, d: int) -> float:
-        # coordinate-1 couples u_a u_c, coordinate-2 couples u_b u_d
-        return table.slater_radial(
-            PairIntegralKey(bra=(modes[a], modes[b]), ket=(modes[c], modes[d]))
-        )
-
-    size = len(basis)
-    w = np.zeros((size, size))
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for i, (n, m) in enumerate(basis.configurations):
-        n_nm = 0.5 if n == m else inv_sqrt2
-        for j in range(i, size):
-            p, q = basis.configurations[j]
-            n_pq = 0.5 if p == q else inv_sqrt2
-            pre = 2.0 * n_nm * n_pq
-            att = (
-                (central(n, p) if m == q else 0.0)
-                + (central(m, q) if n == p else 0.0)
-                + (central(n, q) if m == p else 0.0)
-                + (central(m, p) if n == q else 0.0)
-            )
-            rep = slater(n, p, m, q) + slater(n, q, m, p)
-            w[i, j] = w[j, i] = pre * (-z * att + rep)
+    central, slater = table.s_wave_block(basis.nmax)
+    pair = mode_pair_index(basis.nmax)
+    # 0-based modes: row i of W is configuration (n, m), column j is (p, q)
+    config = np.array(basis.configurations) - 1
+    norm = np.where(config[:, 0] == config[:, 1], 0.5, 1.0 / math.sqrt(2.0))
+    i, j = np.triu_indices(len(basis))
+    n, m = config[i].T
+    p, q = config[j].T
+    pre = 2.0 * norm[i] * norm[j]
+    att = (
+        np.where(m == q, central[n, p], 0.0)
+        + np.where(n == p, central[m, q], 0.0)
+        + np.where(m == p, central[n, q], 0.0)
+        + np.where(n == q, central[m, p], 0.0)
+    )
+    # coordinate 1 couples u_n u_p (or u_n u_q), coordinate 2 the other two
+    rep = slater[pair[n, p], pair[m, q]] + slater[pair[n, q], pair[m, p]]
+    w = np.empty((len(basis), len(basis)))
+    w[i, j] = w[j, i] = pre * (-z * att + rep)
     return w
 
 

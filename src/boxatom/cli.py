@@ -2,8 +2,9 @@
 
 Numbers are printed with 10 significant digits; CSV output carries
 `# key=value` metadata lines ahead of the column header so a file stays
-reproducible on its own. Exit codes: 0 success, 2 validation error,
-3 numerical-convergence error.
+reproducible on its own. Exit codes: 0 success, 2 validation error
+(including an output file that cannot be written), 3 numerical-convergence
+error.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class RunConfig:
                 f"quadrature points must lie in [{MIN_POINTS}, {MAX_POINTS}], "
                 f"got {self.quadrature_points}"
             )
-        if self.ci_nmax < 1:
-            raise ValidationError(f"nmax must be >= 1, got {self.ci_nmax}")
+        if not 1 <= self.ci_nmax <= ci.MAX_NMAX:
+            raise ValidationError(f"nmax must lie in [1, {ci.MAX_NMAX}], got {self.ci_nmax}")
 
     @property
     def lambda_grid(self) -> list[float]:
@@ -454,8 +455,13 @@ def main(argv: list[str] | None = None) -> int:
         if config.output_path is None:
             sys.stdout.write(text)
         else:
-            with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            try:
+                with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValidationError(
+                    f"cannot write {config.output_path}: {exc.strerror or exc}"
+                ) from None
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

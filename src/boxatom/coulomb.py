@@ -7,10 +7,17 @@ at the monopole, so every two-particle element reduces to the radial kernel
     R0(ab;cd) = T(u_a u_c, u_b u_d) + T(u_b u_d, u_a u_c),
     T(F, G)   = int_0^1 dr1 F(r1)/r1 int_0^r1 dr2 G(r2).
 
-Every integral is evaluated at the table's rule size n and again at 2n;
-disagreement beyond 1e-9 raises ConvergenceError instead of caching an
-under-resolved number. Caches use atomic insert-if-absent, so a table can be
-shared across threads.
+Single integrals (`central_expectation`, `slater_radial`) are evaluated one
+at a time. The CI matrix instead takes every s-wave integral it needs for
+modes 1..nmax from one block per nmax (`s_wave_block`): with weighted outer
+profiles O[k] = w1 u_a u_c / r1 and cumulative inner profiles
+I[k] = int_0^r1 u_b u_d over mode pairs k = (a <= c), the central matrix is
+the row sum of O and the Slater matrix is O I^T + I O^T.
+
+Every integral, single or in a block, is evaluated at the table's rule size
+n and again at 2n, and a block is compared elementwise; disagreement beyond
+1e-9 raises ConvergenceError instead of caching an under-resolved number.
+Caches use atomic insert-if-absent, so a table can be shared across threads.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ DEFAULT_POINTS = 200
 MIN_POINTS = 16
 MAX_POINTS = 512
 AGREEMENT_TOL = 1e-9
+# outer nodes per inner-profile batch in s_wave_block: its scratch memory is
+# a few 64 x nmax x points arrays, never a (pairs x points x points) tensor
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -44,6 +54,17 @@ class PairIntegralKey:
                 raise ValidationError(f"{side} must be a pair of ModeIndex, got {pair!r}")
         if isinstance(self.multipole, bool) or not isinstance(self.multipole, int) or self.multipole < 0:
             raise ValidationError(f"multipole must be a nonnegative integer, got {self.multipole!r}")
+
+
+def mode_pair_index(nmax: int) -> np.ndarray:
+    """Row of the s-wave Slater matrix for each mode pair: index[a-1, c-1] = index[c-1, a-1].
+
+    Pairs a <= c are numbered in np.triu_indices(nmax) order.
+    """
+    first, second = np.triu_indices(nmax)
+    index = np.empty((nmax, nmax), dtype=np.intp)
+    index[first, second] = index[second, first] = np.arange(len(first))
+    return index
 
 
 def _require_s_wave(*modes: ModeIndex) -> None:
@@ -103,6 +124,28 @@ class _Grid:
             + np.dot(self.pair_outer(pair2), self.pair_inner(pair1))
         )
 
+    def s_wave_block(self, nmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """Central matrix over modes 1..nmax and Slater matrix over their pairs.
+
+        Mode pairs k = (a <= c) are numbered as in mode_pair_index. Nothing is
+        cached here, and no per-mode array on the n x n inner grid is kept.
+        """
+        modes = [build_radial_mode(ModeIndex(0, n)) for n in range(1, nmax + 1)]
+        first, second = np.triu_indices(nmax)
+        values = np.stack([u(self.r1) for u in modes])
+        outer = self.w1 * values[first] * values[second] / self.r1
+        inner = np.empty_like(outer)
+        for start in range(0, len(self.r1), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            u = np.stack([mode(self.r2[rows]) for mode in modes], axis=1)  # (rows, mode, node)
+            products = (self.w2[rows, None, :] * u) @ u.transpose(0, 2, 1)
+            inner[:, rows] = products[:, first, second].T
+        central = np.empty((nmax, nmax))
+        central[first, second] = central[second, first] = outer.sum(axis=1)
+        # O I^T + I O^T written as A + A^T, which is exactly symmetric
+        half = outer @ inner.T
+        return central, half + half.T
+
 
 class CoulombTable:
     """Cached s-wave Coulomb integrals at a fixed quadrature resolution."""
@@ -118,6 +161,7 @@ class CoulombTable:
         self._grids = (_Grid(self.points), _Grid(2 * self.points))
         self._central: dict = {}
         self._slater: dict = {}
+        self._blocks: dict = {}
 
     def _checked(self, what, coarse: float, fine: float) -> float:
         if abs(coarse - fine) > AGREEMENT_TOL:
@@ -127,6 +171,35 @@ class CoulombTable:
                 f"increase the quadrature resolution"
             )
         return coarse
+
+    def s_wave_block(self, nmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every s-wave integral of modes 1..nmax, checked at n against 2n and cached.
+
+        Returns read-only (C, R): C[a-1, c-1] = int u_a u_c / r dr, and
+        R[k, k'] = R0(ab;cd) for mode pairs k = (a, c), k' = (b, d) numbered
+        as in mode_pair_index(nmax).
+        """
+        if isinstance(nmax, bool) or not isinstance(nmax, (int, np.integer)) or nmax < 1:
+            raise ValidationError(f"nmax must be a positive integer, got {nmax!r}")
+        nmax = int(nmax)
+        got = self._blocks.get(nmax)
+        if got is None:
+            coarse, fine = (grid.s_wave_block(nmax) for grid in self._grids)
+            modes = list(range(1, nmax + 1))
+            first, second = np.triu_indices(nmax)
+            pairs = list(zip((first + 1).tolist(), (second + 1).tolist()))
+            for what, labels, low, high in (
+                ("central_expectation for modes", modes, coarse[0], fine[0]),
+                ("slater_radial for mode pairs", pairs, coarse[1], fine[1]),
+            ):
+                # the worst entry passes only if every entry does
+                i, j = np.unravel_index(np.argmax(np.abs(low - high)), low.shape)
+                self._checked(f"{what} {labels[i]} and {labels[j]} (nmax={nmax} block)",
+                              float(low[i, j]), float(high[i, j]))
+            for array in coarse:
+                array.setflags(write=False)
+            got = self._blocks.setdefault(nmax, coarse)
+        return got
 
     def central_expectation(self, a: ModeIndex, b: ModeIndex) -> float:
         """One-particle matrix element int u_a u_b / r dr; exact 0 when l_a != l_b."""

@@ -1,12 +1,14 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is deliberately written without the package's production
-paths: the entire cosine integral comes from its even series, roots from
+paths: the entire cosine integral comes from its even series (summed in
+60-digit decimals, so it stays exact where float terms would cancel), roots from
 plain bisection on closed-form Bessel expressions, and the symmetrized CI
 matrix from a brute-force product-basis projection.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -14,16 +16,24 @@ from boxatom import ModeIndex, PairIntegralKey
 
 
 def cin_series(x: float) -> float:
-    """Cin(x) = sum_{k>=1} (-1)^(k+1) x^(2k) / (2k (2k)!), summed to convergence."""
-    total = 0.0
-    term = 1.0  # x^(2k) / (2k)! tracked incrementally
-    for k in range(1, 200):
-        term = term * x * x / ((2 * k - 1) * (2 * k))
-        contribution = (-1) ** (k + 1) * term / (2 * k)
-        total += contribution
-        if abs(contribution) < 1e-18 * max(1.0, abs(total)):
-            break
-    return total
+    """Cin(x) = sum_{k>=1} (-1)^(k+1) x^(2k) / (2k (2k)!), summed to convergence.
+
+    The terms peak near e^x / sqrt(2 pi x), so the sum runs in 60-digit
+    decimals from the exact value of x; the result is then good to a float
+    ulp for every x up to about 80.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(x)
+        total = Decimal(0)
+        term = Decimal(1)  # x^(2k) / (2k)! tracked incrementally
+        for k in range(1, 400):
+            term = term * x * x / ((2 * k - 1) * (2 * k))
+            contribution = (-1) ** (k + 1) * term / (2 * k)
+            total += contribution
+            if abs(contribution) < Decimal("1e-30") * max(1, abs(total)):
+                break
+        return float(total)
 
 
 def bisect(f, a: float, b: float, tol: float = 1e-13) -> float:

@@ -6,6 +6,7 @@ import pytest
 from boxatom import (
     CiBasis,
     CiSolution,
+    CoulombTable,
     ModeIndex,
     build_hamiltonian,
     ground_state,
@@ -16,6 +17,7 @@ from boxatom import (
     second_order_sum_over_states,
     solve_ground,
 )
+from boxatom.ci import MAX_NMAX
 from boxatom.errors import ConvergenceError, ValidationError
 
 from oracles import product_basis_hamiltonian
@@ -35,6 +37,13 @@ class TestBasis:
     def test_bad_nmax(self, bad):
         with pytest.raises(ValidationError):
             CiBasis.up_to(bad)
+
+    def test_nmax_bound(self):
+        assert len(CiBasis.up_to(MAX_NMAX)) == 1176
+        with pytest.raises(ValidationError):
+            CiBasis.up_to(MAX_NMAX + 1)
+        with pytest.raises(ValidationError, match="nmax"):
+            CiBasis(nmax=MAX_NMAX + 1, configurations=())
 
     def test_tampered_configurations_rejected(self):
         with pytest.raises(ValidationError):
@@ -76,7 +85,7 @@ class TestMatrixAssembly:
         w = interaction_matrix(2.0, CiBasis.up_to(6), table)
         assert w[0, 0] == pytest.approx(EPS1_CLAMPED, abs=1e-10)
 
-    @pytest.mark.parametrize("nmax", [2, 3])
+    @pytest.mark.parametrize("nmax", [2, 3, 4, 5])
     def test_matches_product_basis_projection(self, nmax, table):
         # brute-force oracle: project the full product-basis Hamiltonian
         # onto the symmetric subspace and compare entrywise
@@ -84,6 +93,13 @@ class TestMatrixAssembly:
         ours = build_hamiltonian(z, lam, CiBasis.up_to(nmax), table)
         oracle = product_basis_hamiltonian(nmax, z, lam, table)
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
+
+    def test_underresolved_table_raises(self):
+        # the CI path keeps the n-against-2n quadrature check
+        with pytest.raises(ConvergenceError) as err:
+            interaction_matrix(2.0, CiBasis.up_to(10), CoulombTable(16))
+        message = str(err.value)
+        assert "16" in message and "32" in message
 
     @pytest.mark.parametrize("z,lam", [(0.0, 1.0), (-2.0, 1.0), (2.0, -0.1), (2.0, math.nan)])
     def test_bad_charge_or_coupling(self, z, lam, table):

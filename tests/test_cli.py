@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from boxatom.cli import main
+from boxatom import CoulombTable, ci, cli, coulomb
+from boxatom.cli import RunConfig, main
+from boxatom.errors import ValidationError
 
 
 def run(capsys, *args):
@@ -70,6 +72,13 @@ class TestCoeffs:
             for column in ("prefactor", "integral", "value"):
                 token = row[column]
                 assert f"{float(token):.10g}" == token
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "coeffs", "he-clamped", "-o", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and str(target) in err
+        assert not target.exists()
 
     def test_file_output_matches_stdout(self, capsys, tmp_path):
         _, stdout_text, _ = run(capsys, "coeffs", "he-clamped")
@@ -168,6 +177,37 @@ class TestCiScan:
         code, _, err = run(capsys, "ci-scan", "he-clamped", "--nmax", "10", "--quad-points", "16")
         assert code == 3
         assert "error:" in err
+
+    def test_nmax_above_bound_rejected(self):
+        # validator only: a scan this large is never started
+        with pytest.raises(ValidationError, match="nmax"):
+            RunConfig(command="ci-scan", system_path="he-clamped", lambda_min=0.1,
+                      lambda_max=2.0, steps=20, quadrature_points=200,
+                      ci_nmax=ci.MAX_NMAX + 1, output_format="csv", output_path=None)
+
+    def test_scan_computes_block_once(self, capsys, monkeypatch):
+        # three W builds per scan share one checked block: one profile build
+        # per grid (n and 2n), and no per-integral Slater calls beyond eps1's
+        fresh = CoulombTable(points=200)
+        monkeypatch.setattr(cli, "get_table", lambda points: fresh)
+        grids, slater_keys = [], []
+        build_block = coulomb._Grid.s_wave_block
+        single = CoulombTable.slater_radial
+
+        def counted_block(grid, nmax):
+            grids.append((len(grid.r1), nmax))
+            return build_block(grid, nmax)
+
+        def counted_single(table, key):
+            slater_keys.append(key)
+            return single(table, key)
+
+        monkeypatch.setattr(coulomb._Grid, "s_wave_block", counted_block)
+        monkeypatch.setattr(CoulombTable, "slater_radial", counted_single)
+        code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "5", "--steps", "3")
+        assert code == 0
+        assert grids == [(200, 5), (400, 5)]
+        assert len(slater_keys) == 1
 
 
 class TestNuclearMotion:

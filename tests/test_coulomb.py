@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from boxatom import CoulombTable, ModeIndex, PairIntegralKey, build_radial_mode, gauss_legendre, get_table, integrate_square
+from boxatom.coulomb import mode_pair_index
 from boxatom.errors import ConvergenceError, UnsupportedModeError, ValidationError
 
 from oracles import cin_series
@@ -34,9 +35,10 @@ class TestCentralExpectation:
         assert got == pytest.approx(cin_series(3.0 * math.pi) - cin_series(math.pi), abs=1e-11)
 
     def test_high_diagonal_frozen(self, table):
-        # the naive Cin series cancels catastrophically by x = 10 pi, so the
-        # independent check here is the library special function instead
+        # a float Cin series would cancel catastrophically by x = 10 pi; the
+        # oracle sums in decimals, and the library function is a second route
         got = table.central_expectation(mode(5), mode(5))
+        assert got == pytest.approx(cin_series(10.0 * math.pi), abs=1e-10)
         assert got == pytest.approx(cin_scipy(10.0 * math.pi), abs=1e-10)
         assert got == pytest.approx(4.025537815849732, abs=1e-9)
 
@@ -117,6 +119,50 @@ class TestSlaterRadial:
     def test_key_validation(self):
         with pytest.raises(ValidationError):
             PairIntegralKey(bra=(mode(1),), ket=(mode(1), mode(1)))
+
+
+class TestSWaveBlock:
+    NMAX = 8
+
+    def test_central_matches_cin_closed_form(self, table):
+        # u_a u_c = cos(|a-c| pi r) - cos((a+c) pi r), so C = Cin((a+c)pi) - Cin(|a-c|pi)
+        central, _ = table.s_wave_block(self.NMAX)
+        for a in range(1, self.NMAX + 1):
+            for c in range(1, self.NMAX + 1):
+                exact = cin_series((a + c) * math.pi) - cin_series(abs(a - c) * math.pi)
+                assert central[a - 1, c - 1] == pytest.approx(exact, abs=1e-12)
+
+    def test_slater_matches_single_integrals(self, table):
+        _, slater = table.s_wave_block(self.NMAX)
+        index = mode_pair_index(self.NMAX)
+        pairs = [(a, c) for a in range(1, self.NMAX + 1) for c in range(a, self.NMAX + 1)]
+        assert sorted(index[a - 1, c - 1] for a, c in pairs) == list(range(len(pairs)))
+        assert slater.shape == (len(pairs), len(pairs))
+        for a, c in pairs:
+            for b, d in pairs:
+                key = PairIntegralKey(bra=(mode(a), mode(b)), ket=(mode(c), mode(d)))
+                got = slater[index[a - 1, c - 1], index[b - 1, d - 1]]
+                assert got == pytest.approx(table.slater_radial(key), abs=1e-13)
+
+    def test_symmetric_cached_and_read_only(self, table):
+        central, slater = table.s_wave_block(self.NMAX)
+        np.testing.assert_array_equal(central, central.T)
+        np.testing.assert_array_equal(slater, slater.T)
+        again = table.s_wave_block(self.NMAX)
+        assert again[0] is central and again[1] is slater
+        with pytest.raises(ValueError):
+            slater[0, 0] = 0.0
+
+    def test_underresolved_block_names_both_grids(self):
+        with pytest.raises(ConvergenceError) as err:
+            CoulombTable(points=16).s_wave_block(10)
+        message = str(err.value)
+        assert "16" in message and "32" in message and "nmax=10" in message
+
+    @pytest.mark.parametrize("nmax", [0, -1, 2.0, True])
+    def test_bad_nmax(self, nmax, table):
+        with pytest.raises(ValidationError):
+            table.s_wave_block(nmax)
 
 
 class TestResolutionGuard:
