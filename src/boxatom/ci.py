@@ -170,8 +170,10 @@ def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray, float]:
     coeff = eigenvectors[:, 0].copy()
     if coeff[0] < 0:
         coeff = -coeff
-    residual = float(np.linalg.norm(h @ coeff - energy * coeff))
-    if residual > RESIDUAL_TOL:
+    # entries beyond ~1e154 overflow the norm; a non-finite residual fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(h @ coeff - energy * coeff))
+    if not residual <= RESIDUAL_TOL:
         raise ConvergenceError(
             f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} "
             f"on {h.shape[0]}x{h.shape[0]} matrix"
@@ -208,7 +210,10 @@ def overlap_scan(z: float, lambdas, basis: CiBasis,
     interaction = interaction_matrix(z, basis, table)
     out = []
     for lam in lams:
-        energy, coeff, residual = ground_state(kinetic + lam * interaction)
+        # an overflowing lambda * W is reported by ground_state as non-finite
+        with np.errstate(over="ignore"):
+            matrix = kinetic + lam * interaction
+        energy, coeff, residual = ground_state(matrix)
         out.append(
             CiSolution(lam=lam, energy=energy, coefficients=coeff,
                        overlap0=min(abs(float(coeff[0])), 1.0), residual=residual)
@@ -216,16 +221,15 @@ def overlap_scan(z: float, lambdas, basis: CiBasis,
     return out
 
 
+def _sum_over_states(kinetic: np.ndarray, interaction: np.ndarray) -> float:
+    # only configuration (1,1) has n^2+m^2 = 2, so no vanishing denominators
+    return float(np.sum(interaction[1:, 0] ** 2 / (kinetic[0] - kinetic[1:])))
+
+
 def second_order_sum_over_states(z: float, basis: CiBasis,
                                  table: CoulombTable | None = None) -> float:
     """In-subspace sum-over-states eps2 = sum_k |W_k0|^2 / (T_0 - T_k)."""
-    kinetic = kinetic_diagonal(basis)
-    interaction = interaction_matrix(z, basis, table)
-    # only configuration (1,1) has n^2+m^2 = 2, so no vanishing denominators
-    total = 0.0
-    for k in range(1, len(basis)):
-        total += interaction[k, 0] ** 2 / (kinetic[0] - kinetic[k])
-    return total
+    return _sum_over_states(kinetic_diagonal(basis), interaction_matrix(z, basis, table))
 
 
 def second_order_estimate(z: float, basis: CiBasis, lambda_grid,
@@ -251,9 +255,10 @@ def second_order_estimate(z: float, basis: CiBasis, lambda_grid,
     if table is None:
         table = get_table()
 
-    kinetic = np.diag(kinetic_diagonal(basis))
+    diagonal = kinetic_diagonal(basis)
+    kinetic = np.diag(diagonal)
     interaction = interaction_matrix(z, basis, table)
-    eps0 = kinetic[0, 0]
+    eps0 = diagonal[0]
     eps1 = interaction[0, 0]
     lams_arr = np.array(lams)
     remainders = np.array(
@@ -266,7 +271,7 @@ def second_order_estimate(z: float, basis: CiBasis, lambda_grid,
             "second-order fit is ill-conditioned; use a smaller lambda range with more points"
         )
     fitted = float(coeffs[0])
-    reference = second_order_sum_over_states(z, basis, table)
+    reference = _sum_over_states(diagonal, interaction)
     if abs(fitted - reference) > 0.02 * abs(reference):
         raise ConvergenceError(
             f"second-order fit {fitted:.6e} and sum-over-states {reference:.6e} "

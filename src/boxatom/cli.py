@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -41,6 +42,8 @@ from .system import (
 
 ENV_QUAD_POINTS = "BOXATOM_QUAD_POINTS"
 DEFAULT_QUAD_POINTS = 200
+# the lambda grid is built from --steps, so it is bounded before any allocation
+MAX_STEPS = 10_000
 
 PRESETS = {
     "he-clamped": lambda: helium_system(clamped_nucleus=True),
@@ -61,8 +64,11 @@ class RunConfig:
     output_path: str | None
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {self.steps}")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise ValidationError(f"steps must lie in [1, {MAX_STEPS}], got {self.steps}")
+        for name, value in (("lambda-min", self.lambda_min), ("lambda-max", self.lambda_max)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.lambda_min <= 0:
             raise ValidationError(f"lambda-min must be positive, got {self.lambda_min}")
         if self.lambda_max < self.lambda_min:

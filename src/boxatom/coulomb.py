@@ -1,4 +1,4 @@
-"""Coulomb matrix elements between sphere modes, cached and self-checked.
+"""Coulomb matrix elements between sphere modes, cached and checked.
 
 Between s-wave pair states the multipole expansion of 1/r12 truncates exactly
 at the monopole, so every two-particle element reduces to the radial kernel
@@ -14,10 +14,21 @@ profiles O[k] = w1 u_a u_c / r1 and cumulative inner profiles
 I[k] = int_0^r1 u_b u_d over mode pairs k = (a <= c), the central matrix is
 the row sum of O and the Slater matrix is O I^T + I O^T.
 
-Every integral, single or in a block, is evaluated at the table's rule size
-n and again at 2n, and a block is compared elementwise; disagreement beyond
-1e-9 raises ConvergenceError instead of caching an under-resolved number.
-Caches use atomic insert-if-absent, so a table can be shared across threads.
+Every s-wave integral, single or in a block, is also known exactly. With
+p = |a-c| and q = a+c, u_a u_c = cos(p pi r) - cos(q pi r), so
+
+    int u_a u_c / r dr = Cin(q pi) - Cin(p pi),
+    T(cos m pi r, cos s pi r) = J[m, s]
+        = [Si((s+m) pi) + sgn(s-m) Si(|s-m| pi)] / (2 s pi)   (s >= 1),
+    J[m, 0] = delta_m0,
+
+and T(u_a u_c, u_b u_d) is a four-term sum of J. Each quadrature value is
+compared with its closed form, a block elementwise; a gap beyond 1e-9
+raises ConvergenceError instead of caching an under-resolved number. The
+returned and cached values are the quadrature's, so the rule size stays
+meaningful. Only `central_expectation` with l > 0 has no closed form; it is
+checked against the rule at twice the points instead. Caches use atomic
+insert-if-absent, so a table can be shared across threads.
 """
 
 from __future__ import annotations
@@ -38,6 +49,9 @@ AGREEMENT_TOL = 1e-9
 # outer nodes per inner-profile batch in s_wave_block: its scratch memory is
 # a few 64 x nmax x points arrays, never a (pairs x points x points) tensor
 _BLOCK_ROWS = 64
+# Gauss-Legendre points per panel [j pi, (j+1) pi] of the Si/Cin tables; both
+# integrands are entire, so the panel rule is exact to rounding
+_PANEL_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -73,6 +87,50 @@ def _require_s_wave(*modes: ModeIndex) -> None:
             raise UnsupportedModeError(
                 f"two-particle integrals are restricted to s-wave modes (l = 0); got {m}"
             )
+
+
+@lru_cache(maxsize=None)
+def _si_cin_table(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    # Si(x) = int_0^x sin t / t dt and Cin(x) = int_0^x (1 - cos t) / t dt,
+    # summed panel by panel; each panel is summed on its own and the running
+    # sum is sequential, so an entry does not depend on the table's length
+    rule = gauss_legendre(_PANEL_POINTS)
+    t = np.pi * (np.arange(panels)[:, None] + 0.5 * (rule.nodes + 1.0))
+    w = 0.5 * np.pi * rule.weights
+    # 1 - cos t written as 2 sin^2(t/2), which does not cancel near t = 0
+    tables = tuple(
+        np.concatenate([[0.0], np.cumsum(np.sum(w * f / t, axis=1))])
+        for f in (np.sin(t), 2.0 * np.sin(0.5 * t) ** 2)
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _si_cin_pi(jmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Si(j pi) and Cin(j pi) (DLMF 6.2) for j = 0..jmax at least.
+
+    Built on first use, never at import; a larger jmax builds a longer
+    table, at least 64 panels and a power of two, so few are ever built.
+    """
+    return _si_cin_table(max(64, 1 << (int(jmax) - 1).bit_length()))
+
+
+def _closed_forms(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact central integrals and Slater matrix for s-wave mode pairs.
+
+    Pair k has u_a u_c = cos(p[k] pi r) - cos(q[k] pi r), that is p = c - a
+    and q = a + c for a <= c. Returns the central integral of each pair and
+    R[k, k'] = R0 for coordinate-1 pair k and coordinate-2 pair k'.
+    """
+    top = int(q.max())
+    si, cin = _si_cin_pi(2 * top)
+    m, s = np.ogrid[: top + 1, : top + 1]
+    # kernel[m, s] = T(cos m pi r, cos s pi r)
+    kernel = (si[s + m] + np.sign(s - m) * si[np.abs(s - m)]) / (2.0 * np.pi * np.maximum(s, 1))
+    kernel[:, 0] = m[:, 0] == 0
+    half = kernel[np.ix_(p, p)] - kernel[np.ix_(p, q)] - kernel[np.ix_(q, p)] + kernel[np.ix_(q, q)]
+    return cin[q] - cin[p], half + half.T
 
 
 class _Grid:
@@ -158,47 +216,57 @@ class CoulombTable:
                 f"quadrature points must lie in [{MIN_POINTS}, {MAX_POINTS}], got {points}"
             )
         self.points = int(points)
-        self._grids = (_Grid(self.points), _Grid(2 * self.points))
+        self._grid = _Grid(self.points)
+        self._fine: _Grid | None = None  # 2n points, only for l > 0 central integrals
         self._central: dict = {}
         self._slater: dict = {}
         self._blocks: dict = {}
 
-    def _checked(self, what, coarse: float, fine: float) -> float:
-        if abs(coarse - fine) > AGREEMENT_TOL:
-            raise ConvergenceError(
-                f"{what} disagrees between {self.points} and {2 * self.points} quadrature "
-                f"points by {abs(coarse - fine):.3e} (tolerance {AGREEMENT_TOL:.0e}); "
-                f"increase the quadrature resolution"
+    def _checked(self, what, value: float, reference: float, against: str = "its closed form") -> float:
+        gap = abs(value - reference)
+        if not gap <= AGREEMENT_TOL:
+            advice = (
+                f"try {min(2 * self.points, MAX_POINTS)} quadrature points"
+                if self.points < MAX_POINTS
+                else f"{MAX_POINTS} quadrature points is the most a table supports"
             )
-        return coarse
+            raise ConvergenceError(
+                f"{what} at {self.points} quadrature points differs from {against} "
+                f"by {gap:.3e} (tolerance {AGREEMENT_TOL:.0e}); {advice}"
+            )
+        return value
 
     def s_wave_block(self, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every s-wave integral of modes 1..nmax, checked at n against 2n and cached.
+        """Every s-wave integral of modes 1..nmax, checked against closed forms and cached.
 
         Returns read-only (C, R): C[a-1, c-1] = int u_a u_c / r dr, and
         R[k, k'] = R0(ab;cd) for mode pairs k = (a, c), k' = (b, d) numbered
-        as in mode_pair_index(nmax).
+        as in mode_pair_index(nmax). Both are the table's quadrature values;
+        every entry must lie within 1e-9 of its Si/Cin closed form.
         """
         if isinstance(nmax, bool) or not isinstance(nmax, (int, np.integer)) or nmax < 1:
             raise ValidationError(f"nmax must be a positive integer, got {nmax!r}")
         nmax = int(nmax)
         got = self._blocks.get(nmax)
         if got is None:
-            coarse, fine = (grid.s_wave_block(nmax) for grid in self._grids)
-            modes = list(range(1, nmax + 1))
+            block = self._grid.s_wave_block(nmax)
             first, second = np.triu_indices(nmax)
+            exact_central, exact_slater = _closed_forms(second - first, first + second + 2)
+            central = np.empty((nmax, nmax))
+            central[first, second] = central[second, first] = exact_central
+            modes = list(range(1, nmax + 1))
             pairs = list(zip((first + 1).tolist(), (second + 1).tolist()))
-            for what, labels, low, high in (
-                ("central_expectation for modes", modes, coarse[0], fine[0]),
-                ("slater_radial for mode pairs", pairs, coarse[1], fine[1]),
+            for what, labels, value, exact in (
+                ("central_expectation for modes", modes, block[0], central),
+                ("slater_radial for mode pairs", pairs, block[1], exact_slater),
             ):
                 # the worst entry passes only if every entry does
-                i, j = np.unravel_index(np.argmax(np.abs(low - high)), low.shape)
+                i, j = np.unravel_index(np.argmax(np.abs(value - exact)), value.shape)
                 self._checked(f"{what} {labels[i]} and {labels[j]} (nmax={nmax} block)",
-                              float(low[i, j]), float(high[i, j]))
-            for array in coarse:
+                              float(value[i, j]), float(exact[i, j]))
+            for array in block:
                 array.setflags(write=False)
-            got = self._blocks.setdefault(nmax, coarse)
+            got = self._blocks.setdefault(nmax, block)
         return got
 
     def central_expectation(self, a: ModeIndex, b: ModeIndex) -> float:
@@ -210,11 +278,17 @@ class CoulombTable:
         key = (min(a, b), max(a, b))
         got = self._central.get(key)
         if got is None:
-            value = self._checked(
-                f"central_expectation{key}",
-                self._grids[0].central(key),
-                self._grids[1].central(key),
-            )
+            what = f"central_expectation{key}"
+            if a.l == 0:
+                _, cin = _si_cin_pi(a.n + b.n)
+                exact = float(cin[a.n + b.n] - cin[abs(a.n - b.n)])
+                value = self._checked(what, self._grid.central(key), exact)
+            else:
+                # no closed form for l > 0: compare with the rule at twice the points
+                if self._fine is None:
+                    self._fine = _Grid(2 * self.points)
+                value = self._checked(what, self._grid.central(key), self._fine.central(key),
+                                      f"the {2 * self.points}-point rule")
             got = self._central.setdefault(key, value)
         return got
 
@@ -239,11 +313,9 @@ class CoulombTable:
         canon = (min(pair1, pair2), max(pair1, pair2))
         got = self._slater.get(canon)
         if got is None:
-            value = self._checked(
-                f"slater_radial{canon}",
-                self._grids[0].slater(*canon),
-                self._grids[1].slater(*canon),
-            )
+            p, q = np.array([[c.n - a.n, a.n + c.n] for a, c in canon]).T
+            value = self._checked(f"slater_radial{canon}", self._grid.slater(*canon),
+                                  float(_closed_forms(p, q)[1][0, 1]))
             got = self._slater.setdefault(canon, value)
         return got
 

@@ -228,7 +228,9 @@ def energy_curve(system: DimensionlessSystem, occupation, lambdas,
     """Physical energy curve E(lambda) = eps0/lambda^2 + eps1/lambda.
 
     Energies are in units of the system's energy prefactor (hartree for an
-    electron reference); rc_bohr = lambda * a.
+    electron reference); rc_bohr = lambda * a. A lambda whose energy, energy
+    times the prefactor, or rc_bohr leaves the float range is a
+    ValidationError.
     """
     coeffs = epsilon1(system, occupation, table)
     points = []
@@ -236,13 +238,14 @@ def energy_curve(system: DimensionlessSystem, occupation, lambdas,
         lam = float(lam)
         if not math.isfinite(lam) or lam <= 0:
             raise ValidationError(f"lambda values must be positive, got {lam!r}")
-        points.append(
-            EnergyCurvePoint(
-                lam=lam,
-                rc_bohr=lam * system.length_scale_a,
-                energy=coeffs.eps0 / lam**2 + coeffs.eps1 / lam,
-            )
-        )
+        try:
+            energy = coeffs.eps0 / lam**2 + coeffs.eps1 / lam
+        except (ZeroDivisionError, OverflowError):  # lam**2 underflows to 0 or overflows
+            energy = math.inf
+        rc_bohr = lam * system.length_scale_a
+        if not all(math.isfinite(x) for x in (energy, energy * system.energy_prefactor, rc_bohr)):
+            raise ValidationError(f"the energy at lambda={lam!r} is outside the float range")
+        points.append(EnergyCurvePoint(lam=lam, rc_bohr=rc_bohr, energy=energy))
     return points
 
 

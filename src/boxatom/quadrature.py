@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Callers may legitimately ask for 512 points; the coulomb module's
-# self-check then needs the doubled rule.
+# Callers may legitimately ask for 512 points; the doubled rule serves only
+# the coulomb module's check of l > 0 central integrals, which have no closed
+# form.
 MAX_POINTS = 1024
 
 

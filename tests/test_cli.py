@@ -186,8 +186,9 @@ class TestCiScan:
                       ci_nmax=ci.MAX_NMAX + 1, output_format="csv", output_path=None)
 
     def test_scan_computes_block_once(self, capsys, monkeypatch):
-        # three W builds per scan share one checked block: one profile build
-        # per grid (n and 2n), and no per-integral Slater calls beyond eps1's
+        # the W builds of a scan share one checked block: one profile build on
+        # the table's own grid (the check is against closed forms, not a 2n
+        # grid), and no per-integral Slater calls beyond eps1's
         fresh = CoulombTable(points=200)
         monkeypatch.setattr(cli, "get_table", lambda points: fresh)
         grids, slater_keys = [], []
@@ -206,8 +207,37 @@ class TestCiScan:
         monkeypatch.setattr(CoulombTable, "slater_radial", counted_single)
         code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "5", "--steps", "3")
         assert code == 0
-        assert grids == [(200, 5), (400, 5)]
+        assert grids == [(200, 5)]
         assert len(slater_keys) == 1
+
+    def test_scan_builds_interaction_twice(self, capsys, monkeypatch):
+        # once for the lambda scan, once for the eps2 fit and its reference sum
+        calls = []
+        build = ci.interaction_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].nmax)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ci, "interaction_matrix", counted)
+        code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "5", "--steps", "3")
+        assert code == 0
+        assert calls == [5, 5]
+
+    @pytest.mark.filterwarnings("error")  # a leaked numpy warning would be a second line
+    def test_overflowing_lambda_exits_3_with_one_line(self, capsys):
+        # residual of a 1e300-scaled eigenpair overflows; it must fail, not warn
+        code, out, err = run(capsys, "ci-scan", "he-clamped", "--nmax", "4",
+                             "--lambda-min", "1e300", "--lambda-max", "1e300", "--steps", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")  # a leaked numpy warning would be a second line
+    def test_lambda_times_w_overflow_exits_2_with_one_line(self, capsys):
+        code, _, err = run(capsys, "ci-scan", "he-clamped", "--nmax", "4",
+                           "--lambda-min", "1e308", "--lambda-max", "1e308", "--steps", "1")
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestNuclearMotion:
@@ -275,6 +305,33 @@ class TestArgumentAndInputErrors:
         assert code == 2
         code, _, err = run(capsys, "curve", "he-clamped", "--steps", "0")
         assert code == 2
+
+    @pytest.mark.filterwarnings("error")  # a leaked numpy warning would be a second line
+    @pytest.mark.parametrize("args", [
+        ("--lambda-min", "1e-320", "--steps", "2"),  # lambda**2 underflows to 0
+        ("--lambda-min", "1e-160", "--lambda-max", "1e-160", "--steps", "1"),  # energy overflows
+        ("--lambda-max", "inf"),
+        ("--lambda-min", "nan"),
+        ("--lambda-min", "1e308", "--lambda-max", "1e308", "--steps", "1"),  # lambda**2 overflows
+    ])
+    def test_extreme_lambda_exits_2_with_one_line(self, capsys, args):
+        code, out, err = run(capsys, "curve", "he-clamped", *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_steps_bound(self):
+        # validator only: no grid of that size is ever built
+        def config(steps):
+            return RunConfig(command="curve", system_path="he-clamped", lambda_min=0.1,
+                             lambda_max=2.0, steps=steps, quadrature_points=200,
+                             ci_nmax=8, output_format="csv", output_path=None)
+
+        assert len(config(cli.MAX_STEPS).lambda_grid) == cli.MAX_STEPS
+        assert cli.MAX_STEPS >= 4000  # the longest curve the benchmark asks for
+        with pytest.raises(ValidationError, match="steps"):
+            config(cli.MAX_STEPS + 1)
+        with pytest.raises(ValidationError, match="steps"):
+            config(10**12)
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from boxatom import CoulombTable, ModeIndex, PairIntegralKey, build_radial_mode, gauss_legendre, get_table, integrate_square
+from boxatom import CoulombTable, ModeIndex, PairIntegralKey, build_radial_mode, ci, coulomb, gauss_legendre, get_table, integrate_square
 from boxatom.coulomb import mode_pair_index
 from boxatom.errors import ConvergenceError, UnsupportedModeError, ValidationError
 
@@ -169,6 +172,93 @@ class TestSWaveBlock:
     def test_bad_nmax(self, nmax, table):
         with pytest.raises(ValidationError):
             table.s_wave_block(nmax)
+
+
+class TestClosedForms:
+    JMAX = 4 * ci.MAX_NMAX
+
+    def test_tables_match_scipy(self):
+        si, cin = coulomb._si_cin_pi(self.JMAX)
+        assert si[0] == cin[0] == 0.0
+        for j in range(1, self.JMAX + 1):
+            x = j * math.pi
+            assert si[j] == pytest.approx(scipy_special.sici(x)[0], abs=1e-13)
+            assert cin[j] == pytest.approx(cin_scipy(x), abs=1e-13)
+
+    def test_tables_match_series_oracles(self):
+        # the 60-digit series lose accuracy far beyond 16 pi
+        si, cin = coulomb._si_cin_pi(16)
+        for j in range(1, 17):
+            assert si[j] == pytest.approx(si_series(j * math.pi), abs=1e-13)
+            assert cin[j] == pytest.approx(cin_series(j * math.pi), abs=1e-13)
+
+    def test_tables_grow_without_changing_entries(self):
+        short, long = coulomb._si_cin_pi(8), coulomb._si_cin_pi(300)
+        assert len(short[0]) == 65 and len(long[0]) == 513
+        for a, b in zip(short, long):
+            np.testing.assert_array_equal(a, b[: len(a)])
+
+    def test_tables_not_built_at_import(self):
+        code = ("import boxatom.cli, boxatom.coulomb as c; "
+                "assert c._si_cin_table.cache_info().currsize == 0")
+        src = os.path.dirname(os.path.dirname(coulomb.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
+
+    def test_block_matches_quadrature(self, table):
+        nmax = 24
+        first, second = np.triu_indices(nmax)
+        central, slater = coulomb._closed_forms(second - first, first + second + 2)
+        got_central, got_slater = table.s_wave_block(nmax)
+        np.testing.assert_allclose(got_central[first, second], central, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_slater, slater, rtol=0, atol=1e-12)
+
+    def test_pair_closed_form(self):
+        # pair(1,1) = 2 - [Si(2pi) - Si(4pi)/2]/pi, from u_1^2 = 1 - cos(2 pi r)
+        _, slater = coulomb._closed_forms(np.array([0]), np.array([2]))
+        exact = 2.0 - (si_series(2.0 * math.pi) - si_series(4.0 * math.pi) / 2.0) / math.pi
+        assert slater[0, 0] == pytest.approx(exact, abs=1e-14)
+
+    @pytest.mark.parametrize("part,entry,label", [
+        (0, (2, 5), "modes 3 and 6"),
+        (1, (3, 7), "mode pairs (1, 4) and (1, 8)"),
+    ])
+    def test_block_check_names_one_perturbed_entry(self, monkeypatch, part, entry, label):
+        build = coulomb._Grid.s_wave_block
+
+        def tampered(grid, nmax):
+            block = build(grid, nmax)
+            block[part][entry] += 1e-8
+            return block
+
+        monkeypatch.setattr(coulomb._Grid, "s_wave_block", tampered)
+        with pytest.raises(ConvergenceError) as err:
+            CoulombTable(200).s_wave_block(8)
+        message = str(err.value)
+        assert label in message and "closed form" in message and "nmax=8" in message
+
+    @pytest.mark.parametrize("method,call", [
+        ("central", lambda t: t.central_expectation(mode(2), mode(3))),
+        ("slater", lambda t: t.pair_expectation(mode(1), mode(2))),
+    ])
+    def test_single_check_catches_perturbation(self, monkeypatch, method, call):
+        quadrature = getattr(coulomb._Grid, method)
+        monkeypatch.setattr(coulomb._Grid, method, lambda grid, *a: quadrature(grid, *a) + 1e-8)
+        with pytest.raises(ConvergenceError, match="closed form"):
+            call(CoulombTable(200))
+
+    def test_s_wave_paths_never_build_the_doubled_rule(self, monkeypatch):
+        sizes = []
+        rule = coulomb.gauss_legendre
+        monkeypatch.setattr(coulomb, "gauss_legendre", lambda n: sizes.append(n) or rule(n))
+        fresh = CoulombTable(200)
+        fresh.s_wave_block(6)
+        fresh.central_expectation(mode(2), mode(3))
+        fresh.pair_expectation(mode(1), mode(4))
+        assert 200 in sizes and 400 not in sizes
+        # l > 0 central integrals have no closed form and keep the n-against-2n check
+        fresh.central_expectation(ModeIndex(1, 2), ModeIndex(1, 2))
+        assert 400 in sizes
 
 
 class TestResolutionGuard:
