@@ -146,7 +146,11 @@ def build_hamiltonian(z: float, lam: float, basis: CiBasis,
                       table: CoulombTable | None = None) -> np.ndarray:
     """H(lambda) = diag(T) + lambda W; exactly symmetric."""
     z, lam = _check_z_lambda(z, lam)
-    return np.diag(kinetic_diagonal(basis)) + lam * interaction_matrix(z, basis, table)
+    kinetic = np.diag(kinetic_diagonal(basis))
+    interaction = interaction_matrix(z, basis, table)
+    # an overflowing lambda * W is reported by ground_state as non-finite
+    with np.errstate(over="ignore"):
+        return kinetic + lam * interaction
 
 
 def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -182,15 +186,18 @@ def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray, float]:
     return energy, coeff, residual
 
 
+def _solution(lam: float, hamiltonian: np.ndarray) -> CiSolution:
+    energy, coeff, residual = ground_state(hamiltonian)
+    # |c_11| can exceed 1 by rounding in the normalized eigenvector
+    return CiSolution(lam=lam, energy=energy, coefficients=coeff,
+                      overlap0=min(abs(float(coeff[0])), 1.0), residual=residual)
+
+
 def solve_ground(z: float, lam: float, basis: CiBasis,
                  table: CoulombTable | None = None) -> CiSolution:
     """Assemble H(lambda) and package its ground state as a CiSolution."""
     z, lam = _check_z_lambda(z, lam)
-    energy, coeff, residual = ground_state(build_hamiltonian(z, lam, basis, table))
-    # |c_11| can exceed 1 by rounding in the normalized eigenvector
-    overlap0 = min(abs(float(coeff[0])), 1.0)
-    return CiSolution(lam=lam, energy=energy, coefficients=coeff,
-                      overlap0=overlap0, residual=residual)
+    return _solution(lam, build_hamiltonian(z, lam, basis, table))
 
 
 def overlap_scan(z: float, lambdas, basis: CiBasis,
@@ -213,11 +220,7 @@ def overlap_scan(z: float, lambdas, basis: CiBasis,
         # an overflowing lambda * W is reported by ground_state as non-finite
         with np.errstate(over="ignore"):
             matrix = kinetic + lam * interaction
-        energy, coeff, residual = ground_state(matrix)
-        out.append(
-            CiSolution(lam=lam, energy=energy, coefficients=coeff,
-                       overlap0=min(abs(float(coeff[0])), 1.0), residual=residual)
-        )
+        out.append(_solution(lam, matrix))
     return out
 
 

@@ -1,5 +1,6 @@
 """Command-line front end: system definitions in, coefficient tables out.
 
+Each command builds one `Report`, which `render` writes as CSV or JSON.
 Numbers are printed with 10 significant digits; CSV output carries
 `# key=value` metadata lines ahead of the column header so a file stays
 reproducible on its own. Exit codes: 0 success, 2 validation error
@@ -16,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .perturbation import (
 )
 from .system import (
     DimensionlessSystem,
-    Particle,
     SystemDefinition,
     helium_system,
     load_system,
@@ -88,34 +88,73 @@ class RunConfig:
         return [float(x) for x in np.linspace(self.lambda_min, self.lambda_max, self.steps)]
 
 
+@dataclass(frozen=True)
+class Report:
+    """What one command prints, stated once; `render` writes it as CSV or JSON.
+
+    JSON lists `rows` under `rows_name`, one object per row keyed by `columns`;
+    only nuclear-motion has `sections` (its clamped and moving variants).
+    """
+
+    meta: list[tuple[str, object]]
+    columns: tuple[str, ...] = ()
+    rows: list[list[object]] = field(default_factory=list)
+    rows_name: str = "rows"
+    sections: dict[str, Report] = field(default_factory=dict)
+
+
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if value is None:
+        return "none"
     if isinstance(value, float):
         return f"{value:.10g}"
     return str(value)
 
 
-def _round10(value: float) -> float:
-    return float(f"{float(value):.10g}")
+def _json_value(value):
+    # floats keep the 10 significant digits CSV prints; None, ints and strings pass
+    return float(f"{value:.10g}") if isinstance(value, float) else value
 
 
-def _csv_document(metadata: list[tuple[str, object]], header: list[str],
-                  rows: list[list[object]]) -> str:
+def _json_object(report: Report) -> dict:
+    obj = {key: _json_value(value) for key, value in report.meta}
+    if report.columns:
+        # round all cells in one pass; zip(columns, cells) then takes len(columns) per row
+        cells = iter([_json_value(cell) for row in report.rows for cell in row])
+        obj[report.rows_name] = [dict(zip(report.columns, cells)) for _ in report.rows]
+    for name, section in report.sections.items():
+        obj[name] = _json_object(section)
+    return obj
+
+
+def render(config: RunConfig, report: Report) -> str:
+    """The report as a CSV or JSON document, after the shared run head."""
+    head = [
+        ("command", config.command),
+        ("system", config.system_path),
+        ("quadrature_points", config.quadrature_points),
+    ]
+    if config.output_format == "json":
+        return json.dumps(dict(head) | _json_object(report), indent=2) + "\n"
+    # JSON nests each section after the report's own metadata; CSV flattens it:
+    # section metadata follows the head with keys prefixed `<section>_`, and
+    # section rows follow one another under a leading `variant` column
+    meta = head + [
+        (f"{name}_{key}", value)
+        for name, section in report.sections.items() for key, value in section.meta
+    ] + report.meta
+    columns, rows = report.columns, report.rows
+    if report.sections:
+        columns = ("variant", *next(iter(report.sections.values())).columns)
+        rows = [[name, *row] for name, section in report.sections.items() for row in section.rows]
     buf = io.StringIO()
-    for key, value in metadata:
+    for key, value in meta:
         buf.write(f"# {key}={_fmt(value)}\n")
     # term labels contain commas, so rows go through a real CSV writer
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(columns)
     writer.writerows([_fmt(cell) for cell in row] for row in rows)
     return buf.getvalue()
-
-
-def _json_document(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _resolve_system(name: str) -> SystemDefinition:
@@ -141,104 +180,47 @@ def _resolve_quad_points(flag_value: int | None) -> int:
         raise ValidationError(f"{ENV_QUAD_POINTS} must be an integer, got {raw!r}") from None
 
 
-def _breakdown_rows(coeffs: PerturbationCoefficients) -> list[list[object]]:
-    return [
-        [t.label, t.kind, t.prefactor, t.integral, t.value]
-        for t in coeffs.breakdown
-    ]
+def _breakdown_report(coeffs: PerturbationCoefficients, *meta: tuple[str, object]) -> Report:
+    return Report(
+        meta=[*meta, ("eps0", coeffs.eps0), ("eps1", coeffs.eps1)],
+        columns=("term", "kind", "prefactor", "integral", "value"),
+        rows=[[t.label, t.kind, t.prefactor, t.integral, t.value] for t in coeffs.breakdown],
+        rows_name="breakdown",
+    )
 
 
-def _breakdown_json(coeffs: PerturbationCoefficients) -> list[dict]:
-    return [
-        {
-            "term": t.label,
-            "kind": t.kind,
-            "prefactor": _round10(t.prefactor),
-            "integral": _round10(t.integral),
-            "value": _round10(t.value),
-        }
-        for t in coeffs.breakdown
-    ]
-
-
-def cmd_coeffs(config: RunConfig) -> str:
+def cmd_coeffs(config: RunConfig) -> Report:
     definition = _resolve_system(config.system_path)
     system = nondimensionalize(definition)
     table = get_table(config.quadrature_points)
     coeffs = epsilon1(system, ground_occupation(system), table)
-    meta = [
-        ("command", "coeffs"),
-        ("system", config.system_path),
-        ("quadrature_points", config.quadrature_points),
+    return _breakdown_report(
+        coeffs,
         ("lambda", system.lam),
         ("a_bohr", system.length_scale_a),
         ("energy_prefactor_hartree", system.energy_prefactor),
-        ("eps0", coeffs.eps0),
-        ("eps1", coeffs.eps1),
-    ]
-    if config.output_format == "json":
-        return _json_document(
-            {
-                "command": "coeffs",
-                "system": config.system_path,
-                "quadrature_points": config.quadrature_points,
-                "lambda": _round10(system.lam),
-                "a_bohr": _round10(system.length_scale_a),
-                "energy_prefactor_hartree": _round10(system.energy_prefactor),
-                "eps0": _round10(coeffs.eps0),
-                "eps1": _round10(coeffs.eps1),
-                "breakdown": _breakdown_json(coeffs),
-            }
-        )
-    return _csv_document(
-        meta, ["term", "kind", "prefactor", "integral", "value"], _breakdown_rows(coeffs)
     )
 
 
-def cmd_curve(config: RunConfig) -> str:
+def cmd_curve(config: RunConfig) -> Report:
     definition = _resolve_system(config.system_path)
     system = nondimensionalize(definition)
     table = get_table(config.quadrature_points)
     occupation = ground_occupation(system)
     coeffs = epsilon1(system, occupation, table)
     points = energy_curve(system, occupation, config.lambda_grid, table)
-    turnover = turnover_lambda(coeffs)
-    meta = [
-        ("command", "curve"),
-        ("system", config.system_path),
-        ("quadrature_points", config.quadrature_points),
-        ("a_bohr", system.length_scale_a),
-        ("energy_prefactor_hartree", system.energy_prefactor),
-        ("eps0", coeffs.eps0),
-        ("eps1", coeffs.eps1),
-        ("turnover_lambda", "none" if turnover is None else turnover),
-    ]
-    rows = [
-        [p.lam, p.rc_bohr, system.energy_prefactor * p.energy]
-        for p in points
-    ]
-    if config.output_format == "json":
-        return _json_document(
-            {
-                "command": "curve",
-                "system": config.system_path,
-                "quadrature_points": config.quadrature_points,
-                "a_bohr": _round10(system.length_scale_a),
-                "energy_prefactor_hartree": _round10(system.energy_prefactor),
-                "eps0": _round10(coeffs.eps0),
-                "eps1": _round10(coeffs.eps1),
-                "turnover_lambda": None if turnover is None else _round10(turnover),
-                "points": [
-                    {
-                        "lambda": _round10(row[0]),
-                        "rc_bohr": _round10(row[1]),
-                        "energy_hartree": _round10(row[2]),
-                    }
-                    for row in rows
-                ],
-            }
-        )
-    return _csv_document(meta, ["lambda", "rc_bohr", "energy_hartree"], rows)
+    return Report(
+        meta=[
+            ("a_bohr", system.length_scale_a),
+            ("energy_prefactor_hartree", system.energy_prefactor),
+            ("eps0", coeffs.eps0),
+            ("eps1", coeffs.eps1),
+            ("turnover_lambda", turnover_lambda(coeffs)),
+        ],
+        columns=("lambda", "rc_bohr", "energy_hartree"),
+        rows=[[p.lam, p.rc_bohr, system.energy_prefactor * p.energy] for p in points],
+        rows_name="points",
+    )
 
 
 def _ci_charge(system: DimensionlessSystem) -> float:
@@ -265,7 +247,7 @@ def _ci_charge(system: DimensionlessSystem) -> float:
 _EPS2_FIT_GRID = tuple(float(x) for x in np.linspace(0.02, 0.2, 10))
 
 
-def cmd_ci_scan(config: RunConfig) -> str:
+def cmd_ci_scan(config: RunConfig) -> Report:
     if config.ci_nmax < 4:
         raise ValidationError(
             f"ci-scan needs nmax >= 4 for the second-order estimate, got {config.ci_nmax}"
@@ -278,48 +260,20 @@ def cmd_ci_scan(config: RunConfig) -> str:
     coeffs = epsilon1(system, ground_occupation(system), table)
     solutions = ci.overlap_scan(z, sorted(config.lambda_grid), basis, table)
     eps2 = ci.second_order_estimate(z, basis, _EPS2_FIT_GRID, table)
-    meta = [
-        ("command", "ci-scan"),
-        ("system", config.system_path),
-        ("quadrature_points", config.quadrature_points),
-        ("nmax", config.ci_nmax),
-        ("z", z),
-        ("eps0", coeffs.eps0),
-        ("eps1", coeffs.eps1),
-        ("s_limited_eps2", eps2),
-    ]
-    rows = [
-        [s.lam, s.energy, coeffs.eps0 + coeffs.eps1 * s.lam, s.overlap0]
-        for s in solutions
-    ]
-    if config.output_format == "json":
-        return _json_document(
-            {
-                "command": "ci-scan",
-                "system": config.system_path,
-                "quadrature_points": config.quadrature_points,
-                "nmax": config.ci_nmax,
-                "z": _round10(z),
-                "eps0": _round10(coeffs.eps0),
-                "eps1": _round10(coeffs.eps1),
-                "s_limited_eps2": _round10(eps2),
-                "rows": [
-                    {
-                        "lambda": _round10(row[0]),
-                        "energy_ci": _round10(row[1]),
-                        "energy_first_order": _round10(row[2]),
-                        "overlap0": _round10(row[3]),
-                    }
-                    for row in rows
-                ],
-            }
-        )
-    return _csv_document(
-        meta, ["lambda", "energy_ci", "energy_first_order", "overlap0"], rows
+    return Report(
+        meta=[
+            ("nmax", config.ci_nmax),
+            ("z", z),
+            ("eps0", coeffs.eps0),
+            ("eps1", coeffs.eps1),
+            ("s_limited_eps2", eps2),
+        ],
+        columns=("lambda", "energy_ci", "energy_first_order", "overlap0"),
+        rows=[[s.lam, s.energy, coeffs.eps0 + coeffs.eps1 * s.lam, s.overlap0] for s in solutions],
     )
 
 
-def _nuclear_variants(definition: SystemDefinition) -> tuple[SystemDefinition, SystemDefinition]:
+def _nuclear_variants(definition: SystemDefinition) -> dict[str, SystemDefinition]:
     system = nondimensionalize(definition)
     heavy = [i for i, p in enumerate(system.particles) if abs(p.q_prime) > 1.0]
     if len(heavy) != 1:
@@ -332,67 +286,28 @@ def _nuclear_variants(definition: SystemDefinition) -> tuple[SystemDefinition, S
         raise ValidationError("reference particle cannot be the nucleus")
 
     def variant(clamped: bool) -> SystemDefinition:
-        particles = tuple(
-            Particle(mass=p.mass, charge=p.charge, clamped=clamped if i == nucleus else p.clamped)
-            for i, p in enumerate(definition.particles)
-        )
-        return SystemDefinition(
-            particles=particles, reference=definition.reference,
-            rc_bohr=definition.rc_bohr, lam=definition.lam,
-        )
+        particles = list(definition.particles)
+        particles[nucleus] = replace(particles[nucleus], clamped=clamped)
+        return replace(definition, particles=tuple(particles))
 
-    return variant(True), variant(False)
+    return {"clamped": variant(True), "moving": variant(False)}
 
 
-def cmd_nuclear_motion(config: RunConfig) -> str:
-    definition = _resolve_system(config.system_path)
-    clamped_def, moving_def = _nuclear_variants(definition)
+def cmd_nuclear_motion(config: RunConfig) -> Report:
+    variants = _nuclear_variants(_resolve_system(config.system_path))
     table = get_table(config.quadrature_points)
-    variants = {}
-    for name, defn in (("clamped", clamped_def), ("moving", moving_def)):
-        system = nondimensionalize(defn)
-        variants[name] = epsilon1(system, ground_occupation(system), table)
-    report = nuclear_motion_report(variants["clamped"], variants["moving"])
-    meta = [
-        ("command", "nuclear-motion"),
-        ("system", config.system_path),
-        ("quadrature_points", config.quadrature_points),
-        ("clamped_eps0", report.clamped.eps0),
-        ("clamped_eps1", report.clamped.eps1),
-        ("moving_eps0", report.moving.eps0),
-        ("moving_eps1", report.moving.eps1),
-        ("kinetic_shift", report.kinetic_shift),
-        ("potential_shift", report.potential_shift),
-        ("dominant", report.dominant),
-    ]
-    rows = [
-        ["clamped", *row] for row in _breakdown_rows(report.clamped)
-    ] + [
-        ["moving", *row] for row in _breakdown_rows(report.moving)
-    ]
-    if config.output_format == "json":
-        return _json_document(
-            {
-                "command": "nuclear-motion",
-                "system": config.system_path,
-                "quadrature_points": config.quadrature_points,
-                "kinetic_shift": _round10(report.kinetic_shift),
-                "potential_shift": _round10(report.potential_shift),
-                "dominant": report.dominant,
-                "clamped": {
-                    "eps0": _round10(report.clamped.eps0),
-                    "eps1": _round10(report.clamped.eps1),
-                    "breakdown": _breakdown_json(report.clamped),
-                },
-                "moving": {
-                    "eps0": _round10(report.moving.eps0),
-                    "eps1": _round10(report.moving.eps1),
-                    "breakdown": _breakdown_json(report.moving),
-                },
-            }
-        )
-    return _csv_document(
-        meta, ["variant", "term", "kind", "prefactor", "integral", "value"], rows
+    coeffs = {}
+    for name, definition in variants.items():
+        system = nondimensionalize(definition)
+        coeffs[name] = epsilon1(system, ground_occupation(system), table)
+    report = nuclear_motion_report(coeffs["clamped"], coeffs["moving"])
+    return Report(
+        meta=[
+            ("kinetic_shift", report.kinetic_shift),
+            ("potential_shift", report.potential_shift),
+            ("dominant", report.dominant),
+        ],
+        sections={name: _breakdown_report(eps) for name, eps in coeffs.items()},
     )
 
 
@@ -404,8 +319,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    # usage errors end in one `error:` line like all input errors, even when an
+    # argument holds a line break; subparsers are built from this class too
+    def error(self, message):
+        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boxatom",
         description="Strong-confinement expansions for charged particles in a spherical box.",
         epilog=f"Presets usable in place of a system file: {', '.join(sorted(PRESETS))}. "
@@ -457,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        text = _COMMANDS[config.command](config)
+        text = render(config, _COMMANDS[config.command](config))
         if config.output_path is None:
             sys.stdout.write(text)
         else:
@@ -468,12 +390,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValidationError(
                     f"cannot write {config.output_path}: {exc.strerror or exc}"
                 ) from None
-    except ValidationError as exc:
+    except (ValidationError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, ConvergenceError) else 2
     return 0
 
 

@@ -186,6 +186,12 @@ class TestSolveGround:
         with pytest.raises(ValidationError):
             CiSolution(lam=1.0, energy=0.0, coefficients=np.array([1.0, 0.0]), overlap0=0.5, residual=1.0)
 
+    @pytest.mark.filterwarnings("error")  # lambda * W overflowing must not warn on its way out
+    def test_overflowing_lambda_raises_without_warning(self, table):
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve_ground(2.0, 1e308, CiBasis.up_to(4), table)
+        assert np.isinf(build_hamiltonian(2.0, 1e308, CiBasis.up_to(4), table)).any()
+
 
 class TestOverlapScan:
     GRID = [1e-6, 0.01, 0.1, 0.5, 1.0, 2.0]

@@ -1,7 +1,12 @@
+import contextlib
 import csv
+import io
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxatom import CoulombTable, ci, cli, coulomb
 from boxatom.cli import RunConfig, main
@@ -32,6 +37,31 @@ TWO_ELECTRONS = {
     "reference": 0,
     "rc_bohr": 1.0,
 }
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_SYSTEMS = {
+    "he-clamped": "he-clamped",
+    "he-moving": "he-moving",
+    # four light particles (three electrons and a muon) around a moving Z=3 nucleus
+    "muonic-lithium": "tests/golden/muonic-lithium.json",
+}
+GOLDEN_CASES = [
+    (f"{command}_{label}", [command, system])
+    for command in ("coeffs", "curve", "nuclear-motion")
+    for label, system in GOLDEN_SYSTEMS.items()
+] + [("ci-scan_he-clamped_nmax4_steps3", ["ci-scan", "he-clamped", "--nmax", "4", "--steps", "3"])]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name, args", GOLDEN_CASES, ids=[name for name, _ in GOLDEN_CASES])
+def test_golden_stdout(capsys, monkeypatch, name, args, fmt):
+    # the system path is printed verbatim, so it is given relative to the repo root
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    monkeypatch.delenv("BOXATOM_QUAD_POINTS", raising=False)
+    code, out, err = run(capsys, *args, "--format", fmt)
+    assert code == 0 and err == ""
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 class TestCoeffs:
@@ -336,6 +366,60 @@ class TestArgumentAndInputErrors:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate", "he-clamped"])
+
+    @pytest.mark.parametrize("args", [
+        ["curve", "he-clamped", "--steps", "abc"],
+        ["curve", "he-clamped", "--lambda-min", "-inf"],  # read as an option, so no value
+        ["ci-scan", "he-clamped", "--nmax", "x"],
+        ["coeffs"],
+        ["coeffs", "he-clamped", "--format", "xml"],
+        ["coeffs", "he-clamped", "stray\nargument"],  # echoed back, line break and all
+    ])
+    def test_usage_error_is_one_line(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--help"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert captured.out.startswith("usage: boxatom curve")
+
+
+# every flag the parser knows except -o, which would write files; ci-scan is
+# left out because its work grows as nmax**4 (its bound is checked above)
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["csv", "json", "he-clamped", "-1", "0", "1e-320", "1e308", "inf", "nan"]),
+    st.integers(-20, 600).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=8),
+)
+FUZZ_ARGV = st.builds(
+    lambda command, system, flags: [command, system, *(token for pair in flags for token in pair)],
+    st.sampled_from(["coeffs", "curve", "nuclear-motion"]),
+    st.sampled_from(["he-clamped", "he-moving", str(GOLDEN / "muonic-lithium.json"), "nosuch"]),
+    st.lists(st.tuples(st.sampled_from(["--quad-points", "--format", "--lambda-min",
+                                        "--lambda-max", "--steps", "--nmax"]), FUZZ_VALUES),
+             max_size=4),
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a leaked numpy warning would be a second line
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=FUZZ_ARGV)
+def test_fuzzed_arguments_exit_0_2_or_3_with_at_most_one_line(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
 
 
 class TestQuadPointsEnvironment:
