@@ -26,12 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import CoulombTable, get_table, mode_pair_index
+from .coulomb import MAX_NMAX, CoulombTable, get_table, mode_pair_index
 from .errors import ConvergenceError, ValidationError
 
 RESIDUAL_TOL = 1e-10
-# 1,176 configurations and an 11 MB W; assembly grows as nmax^4
-MAX_NMAX = 48
 _EPS2_LAMBDA_MAX = 0.2
 
 
@@ -146,8 +144,10 @@ def build_hamiltonian(z: float, lam: float, basis: CiBasis,
                       table: CoulombTable | None = None) -> np.ndarray:
     """H(lambda) = diag(T) + lambda W; exactly symmetric."""
     z, lam = _check_z_lambda(z, lam)
-    kinetic = np.diag(kinetic_diagonal(basis))
-    interaction = interaction_matrix(z, basis, table)
+    return _hamiltonian(np.diag(kinetic_diagonal(basis)), lam, interaction_matrix(z, basis, table))
+
+
+def _hamiltonian(kinetic: np.ndarray, lam: float, interaction: np.ndarray) -> np.ndarray:
     # an overflowing lambda * W is reported by ground_state as non-finite
     with np.errstate(over="ignore"):
         return kinetic + lam * interaction
@@ -215,13 +215,7 @@ def overlap_scan(z: float, lambdas, basis: CiBasis,
         table = get_table()
     kinetic = np.diag(kinetic_diagonal(basis))
     interaction = interaction_matrix(z, basis, table)
-    out = []
-    for lam in lams:
-        # an overflowing lambda * W is reported by ground_state as non-finite
-        with np.errstate(over="ignore"):
-            matrix = kinetic + lam * interaction
-        out.append(_solution(lam, matrix))
-    return out
+    return [_solution(lam, _hamiltonian(kinetic, lam, interaction)) for lam in lams]
 
 
 def _sum_over_states(kinetic: np.ndarray, interaction: np.ndarray) -> float:

@@ -319,11 +319,15 @@ _COMMANDS = {
 }
 
 
+def _error_line(message) -> str:
+    # every error ends in one `error:` line, even when the message holds a line break
+    return f"error: {' '.join(str(message).splitlines())}\n"
+
+
 class _Parser(argparse.ArgumentParser):
-    # usage errors end in one `error:` line like all input errors, even when an
-    # argument holds a line break; subparsers are built from this class too
+    # usage errors are reported like every other error; subparsers use this class too
     def error(self, message):
-        self.exit(2, f"error: {' '.join(message.splitlines())}\n")
+        self.exit(2, _error_line(message))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -391,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"cannot write {config.output_path}: {exc.strerror or exc}"
                 ) from None
     except (ValidationError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(_error_line(exc))
         return 3 if isinstance(exc, ConvergenceError) else 2
     return 0
 

@@ -7,14 +7,15 @@ at the monopole, so every two-particle element reduces to the radial kernel
     R0(ab;cd) = T(u_a u_c, u_b u_d) + T(u_b u_d, u_a u_c),
     T(F, G)   = int_0^1 dr1 F(r1)/r1 int_0^r1 dr2 G(r2).
 
-Single integrals (`central_expectation`, `slater_radial`) are evaluated one
-at a time. The CI matrix instead takes every s-wave integral it needs for
-modes 1..nmax from one block per nmax (`s_wave_block`): with weighted outer
-profiles O[k] = w1 u_a u_c / r1 and cumulative inner profiles
-I[k] = int_0^r1 u_b u_d over mode pairs k = (a <= c), the central matrix is
-the row sum of O and the Slater matrix is O I^T + I O^T.
+Every s-wave integral is computed in one block per nmax <= MAX_NMAX
+(`s_wave_block`): with weighted outer profiles O[k] = w1 u_a u_c / r1 and
+cumulative inner profiles I[k] = int_0^r1 u_b u_d over mode pairs
+k = (a <= c), the central matrix is the row sum of O and the Slater matrix
+is O I^T + I O^T. A single integral is the entry of the block whose nmax is
+its largest mode number, never of a larger block, so its value does not
+depend on what a shared table computed before.
 
-Every s-wave integral, single or in a block, is also known exactly. With
+Every s-wave integral is also known exactly. With
 p = |a-c| and q = a+c, u_a u_c = cos(p pi r) - cos(q pi r), so
 
     int u_a u_c / r dr = Cin(q pi) - Cin(p pi),
@@ -22,13 +23,13 @@ p = |a-c| and q = a+c, u_a u_c = cos(p pi r) - cos(q pi r), so
         = [Si((s+m) pi) + sgn(s-m) Si(|s-m| pi)] / (2 s pi)   (s >= 1),
     J[m, 0] = delta_m0,
 
-and T(u_a u_c, u_b u_d) is a four-term sum of J. Each quadrature value is
-compared with its closed form, a block elementwise; a gap beyond 1e-9
-raises ConvergenceError instead of caching an under-resolved number. The
-returned and cached values are the quadrature's, so the rule size stays
-meaningful. Only `central_expectation` with l > 0 has no closed form; it is
-checked against the rule at twice the points instead. Caches use atomic
-insert-if-absent, so a table can be shared across threads.
+and T(u_a u_c, u_b u_d) is a four-term sum of J. A block is compared with
+its closed forms elementwise; a gap beyond 1e-9 raises ConvergenceError
+instead of caching an under-resolved block. The returned and cached values
+are the quadrature's, so the rule size stays meaningful. Only
+`central_expectation` with l > 0 has no closed form; it is checked against
+the rule at twice the points instead. Caches use atomic insert-if-absent,
+so a table can be shared across threads.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ DEFAULT_POINTS = 200
 MIN_POINTS = 16
 MAX_POINTS = 512
 AGREEMENT_TOL = 1e-9
+# largest mode number of an s-wave block: 1,176 mode pairs and an 11 MB
+# Slater matrix; a block grows as nmax^4
+MAX_NMAX = 48
 # outer nodes per inner-profile batch in s_wave_block: its scratch memory is
 # a few 64 x nmax x points arrays, never a (pairs x points x points) tensor
 _BLOCK_ROWS = 64
@@ -70,23 +74,18 @@ class PairIntegralKey:
             raise ValidationError(f"multipole must be a nonnegative integer, got {self.multipole!r}")
 
 
+@lru_cache(maxsize=None)
 def mode_pair_index(nmax: int) -> np.ndarray:
     """Row of the s-wave Slater matrix for each mode pair: index[a-1, c-1] = index[c-1, a-1].
 
-    Pairs a <= c are numbered in np.triu_indices(nmax) order.
+    Pairs a <= c are numbered in np.triu_indices(nmax) order. The array is
+    shared and read-only.
     """
     first, second = np.triu_indices(nmax)
     index = np.empty((nmax, nmax), dtype=np.intp)
     index[first, second] = index[second, first] = np.arange(len(first))
+    index.setflags(write=False)
     return index
-
-
-def _require_s_wave(*modes: ModeIndex) -> None:
-    for m in modes:
-        if m.l != 0:
-            raise UnsupportedModeError(
-                f"two-particle integrals are restricted to s-wave modes (l = 0); got {m}"
-            )
 
 
 @lru_cache(maxsize=None)
@@ -134,53 +133,16 @@ def _closed_forms(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 class _Grid:
-    """Triangle quadrature grid with per-mode and per-pair node-value caches."""
+    """Triangle quadrature grid; it caches nothing."""
 
     def __init__(self, points: int):
         rule = gauss_legendre(points)
         self.r1, self.w1, self.r2, self.w2 = triangle_grid(rule)
-        self._outer: dict[ModeIndex, np.ndarray] = {}
-        self._inner: dict[ModeIndex, np.ndarray] = {}
-        self._pair_outer: dict[tuple[ModeIndex, ModeIndex], np.ndarray] = {}
-        self._pair_inner: dict[tuple[ModeIndex, ModeIndex], np.ndarray] = {}
 
-    def _mode_outer(self, mode: ModeIndex) -> np.ndarray:
-        got = self._outer.get(mode)
-        if got is None:
-            got = self._outer.setdefault(mode, build_radial_mode(mode)(self.r1))
-        return got
-
-    def _mode_inner(self, mode: ModeIndex) -> np.ndarray:
-        got = self._inner.get(mode)
-        if got is None:
-            got = self._inner.setdefault(mode, build_radial_mode(mode)(self.r2))
-        return got
-
-    def pair_outer(self, pair: tuple[ModeIndex, ModeIndex]) -> np.ndarray:
-        # weighted outer profile w1 * u_a * u_c / r1, ready for the dot product
-        got = self._pair_outer.get(pair)
-        if got is None:
-            vals = self.w1 * self._mode_outer(pair[0]) * self._mode_outer(pair[1]) / self.r1
-            got = self._pair_outer.setdefault(pair, vals)
-        return got
-
-    def pair_inner(self, pair: tuple[ModeIndex, ModeIndex]) -> np.ndarray:
-        # cumulative inner integrals int_0^{r1_i} u_b u_d dr2 for every outer node
-        got = self._pair_inner.get(pair)
-        if got is None:
-            vals = np.sum(self.w2 * self._mode_inner(pair[0]) * self._mode_inner(pair[1]), axis=1)
-            got = self._pair_inner.setdefault(pair, vals)
-        return got
-
-    def central(self, pair: tuple[ModeIndex, ModeIndex]) -> float:
-        # int u_a u_b / r dr; the pair_outer profile already carries weights and 1/r
-        return float(np.sum(self.pair_outer(pair)))
-
-    def slater(self, pair1: tuple[ModeIndex, ModeIndex], pair2: tuple[ModeIndex, ModeIndex]) -> float:
-        return float(
-            np.dot(self.pair_outer(pair1), self.pair_inner(pair2))
-            + np.dot(self.pair_outer(pair2), self.pair_inner(pair1))
-        )
+    def central(self, a: ModeIndex, b: ModeIndex) -> float:
+        # int u_a u_b / r dr on the outer rule
+        ua, ub = build_radial_mode(a)(self.r1), build_radial_mode(b)(self.r1)
+        return float(np.sum(self.w1 * ua * ub / self.r1))
 
     def s_wave_block(self, nmax: int) -> tuple[np.ndarray, np.ndarray]:
         """Central matrix over modes 1..nmax and Slater matrix over their pairs.
@@ -218,8 +180,7 @@ class CoulombTable:
         self.points = int(points)
         self._grid = _Grid(self.points)
         self._fine: _Grid | None = None  # 2n points, only for l > 0 central integrals
-        self._central: dict = {}
-        self._slater: dict = {}
+        self._central: dict = {}  # l > 0 only
         self._blocks: dict = {}
 
     def _checked(self, what, value: float, reference: float, against: str = "its closed form") -> float:
@@ -244,8 +205,8 @@ class CoulombTable:
         as in mode_pair_index(nmax). Both are the table's quadrature values;
         every entry must lie within 1e-9 of its Si/Cin closed form.
         """
-        if isinstance(nmax, bool) or not isinstance(nmax, (int, np.integer)) or nmax < 1:
-            raise ValidationError(f"nmax must be a positive integer, got {nmax!r}")
+        if isinstance(nmax, bool) or not isinstance(nmax, (int, np.integer)) or not 1 <= nmax <= MAX_NMAX:
+            raise ValidationError(f"nmax must be an integer in [1, {MAX_NMAX}], got {nmax!r}")
         nmax = int(nmax)
         got = self._blocks.get(nmax)
         if got is None:
@@ -275,20 +236,16 @@ class CoulombTable:
             raise ValidationError("central_expectation takes two ModeIndex arguments")
         if a.l != b.l:
             return 0.0  # angular orthogonality, not an error
+        if a.l == 0:
+            return float(self.s_wave_block(max(a.n, b.n))[0][a.n - 1, b.n - 1])
         key = (min(a, b), max(a, b))
         got = self._central.get(key)
         if got is None:
-            what = f"central_expectation{key}"
-            if a.l == 0:
-                _, cin = _si_cin_pi(a.n + b.n)
-                exact = float(cin[a.n + b.n] - cin[abs(a.n - b.n)])
-                value = self._checked(what, self._grid.central(key), exact)
-            else:
-                # no closed form for l > 0: compare with the rule at twice the points
-                if self._fine is None:
-                    self._fine = _Grid(2 * self.points)
-                value = self._checked(what, self._grid.central(key), self._fine.central(key),
-                                      f"the {2 * self.points}-point rule")
+            # no closed form for l > 0: compare with the rule at twice the points
+            if self._fine is None:
+                self._fine = _Grid(2 * self.points)
+            value = self._checked(f"central_expectation{key}", self._grid.central(*key),
+                                  self._fine.central(*key), f"the {2 * self.points}-point rule")
             got = self._central.setdefault(key, value)
         return got
 
@@ -296,7 +253,6 @@ class CoulombTable:
         """Ground-type repulsion element: u_a^2 and u_b^2 against 1/max(r1, r2)."""
         if not isinstance(a, ModeIndex) or not isinstance(b, ModeIndex):
             raise ValidationError("pair_expectation takes two ModeIndex arguments")
-        _require_s_wave(a, b)
         return self.slater_radial(PairIntegralKey(bra=(a, b), ket=(a, b)))
 
     def slater_radial(self, key: PairIntegralKey) -> float:
@@ -307,17 +263,16 @@ class CoulombTable:
             raise UnsupportedModeError(
                 f"only the multipole-0 channel is implemented; got multipole={key.multipole}"
             )
-        _require_s_wave(*key.bra, *key.ket)
-        pair1 = (min(key.bra[0], key.ket[0]), max(key.bra[0], key.ket[0]))
-        pair2 = (min(key.bra[1], key.ket[1]), max(key.bra[1], key.ket[1]))
-        canon = (min(pair1, pair2), max(pair1, pair2))
-        got = self._slater.get(canon)
-        if got is None:
-            p, q = np.array([[c.n - a.n, a.n + c.n] for a, c in canon]).T
-            value = self._checked(f"slater_radial{canon}", self._grid.slater(*canon),
-                                  float(_closed_forms(p, q)[1][0, 1]))
-            got = self._slater.setdefault(canon, value)
-        return got
+        for m in (*key.bra, *key.ket):
+            if m.l != 0:
+                raise UnsupportedModeError(
+                    f"two-particle integrals are restricted to s-wave modes (l = 0); got {m}"
+                )
+        (a, b), (c, d) = key.bra, key.ket
+        nmax = max(a.n, b.n, c.n, d.n)
+        _, slater = self.s_wave_block(nmax)  # validates nmax before the index is built
+        index = mode_pair_index(nmax)
+        return float(slater[index[a.n - 1, c.n - 1], index[b.n - 1, d.n - 1]])
 
 
 @lru_cache(maxsize=8)

@@ -140,7 +140,8 @@ def _has_degenerate_partner(weights: list[float], ns: list[int], rel_tol: float)
         if pos == last:
             if remaining < w[pos] - tol:
                 return False
-            guess = int(round(math.sqrt(remaining / w[pos])))
+            # rounding in the running sum can leave remaining a little below zero
+            guess = int(round(math.sqrt(max(remaining, 0.0) / w[pos])))
             for m in (guess - 1, guess, guess + 1):
                 if m >= 1 and abs(w[pos] * m * m - remaining) <= tol:
                     if differs(assign + [m]):

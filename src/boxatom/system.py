@@ -16,12 +16,19 @@ from .errors import ValidationError
 
 # nuclear mass used for the helium presets, in electron masses
 HELIUM_NUCLEAR_MASS = 7296.300
+# particles per system file: N particles give up to N(N-1)/2 pair terms, and
+# the degeneracy search in epsilon1 recurses once per free particle
+MAX_PARTICLES = 100
+# bound on mass and |charge| and their inverses, in electron units: it keeps
+# the length and energy scales, every ratio to the reference particle and
+# every coefficient sum far inside the float range
+MAX_MAGNITUDE = 1e50
 
 
 def _require_finite(name: str, value) -> float:
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None
     if not math.isfinite(out):
         raise ValidationError(f"{name} must be finite, got {out!r}")
@@ -41,8 +48,9 @@ class Particle:
         object.__setattr__(self, "charge", _require_finite("charge", self.charge))
         if self.mass <= 0:
             raise ValidationError(f"mass must be positive, got {self.mass}")
-        if self.charge == 0:
-            raise ValidationError("charge must be nonzero")
+        for name, value in (("mass", self.mass), ("|charge|", abs(self.charge))):
+            if not 1 / MAX_MAGNITUDE <= value <= MAX_MAGNITUDE:
+                raise ValidationError(f"{name} must lie in [{1 / MAX_MAGNITUDE:g}, {MAX_MAGNITUDE:g}], got {value}")
         if not isinstance(self.clamped, bool):
             raise ValidationError(f"clamped must be a boolean, got {self.clamped!r}")
 
@@ -104,8 +112,9 @@ class DimensionlessSystem:
     energy_prefactor: float
 
     def __post_init__(self):
-        if self.lam <= 0 or self.length_scale_a <= 0 or self.energy_prefactor <= 0:
-            raise ValidationError("lam, length scale and energy prefactor must be positive")
+        scales = (self.lam, self.length_scale_a, self.energy_prefactor)
+        if not all(0 < x < math.inf for x in scales):
+            raise ValidationError("lam, length scale and energy prefactor must be positive and finite")
         if not any(p.m_prime == 1.0 and p.q_prime == 1.0 and not p.clamped for p in self.particles):
             raise ValidationError("no free reference particle with m' = q' = 1")
         if sum(p.clamped for p in self.particles) > 1:
@@ -144,7 +153,9 @@ def nondimensionalize(definition: SystemDefinition) -> DimensionlessSystem:
 
 
 _PARTICLE_KEYS = {"mass", "charge", "clamped"}
-_SYSTEM_KEYS = {"particles", "reference", "rc_bohr"}
+_REQUIRED_KEYS = {"particles", "reference"}
+# exactly one of the box-size keys; SystemDefinition enforces that
+_SYSTEM_KEYS = _REQUIRED_KEYS | {"rc_bohr", "lam"}
 
 
 def system_from_dict(data: dict) -> SystemDefinition:
@@ -154,12 +165,14 @@ def system_from_dict(data: dict) -> SystemDefinition:
     unknown = set(data) - _SYSTEM_KEYS
     if unknown:
         raise ValidationError(f"unknown system field(s): {', '.join(sorted(unknown))}")
-    missing = _SYSTEM_KEYS - set(data)
+    missing = _REQUIRED_KEYS - set(data)
     if missing:
         raise ValidationError(f"missing system field(s): {', '.join(sorted(missing))}")
     raw = data["particles"]
     if not isinstance(raw, list) or not raw:
         raise ValidationError("particles must be a non-empty list")
+    if len(raw) > MAX_PARTICLES:
+        raise ValidationError(f"a system holds at most {MAX_PARTICLES} particles, got {len(raw)}")
     particles = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict):
@@ -169,18 +182,13 @@ def system_from_dict(data: dict) -> SystemDefinition:
             raise ValidationError(f"particles[{i}]: unknown field(s) {', '.join(sorted(unknown))}")
         if "mass" not in entry or "charge" not in entry:
             raise ValidationError(f"particles[{i}]: mass and charge are required")
-        clamped = entry.get("clamped", False)
-        if not isinstance(clamped, bool):
-            raise ValidationError(f"particles[{i}].clamped must be a boolean")
         try:
-            particles.append(Particle(mass=entry["mass"], charge=entry["charge"], clamped=clamped))
+            particles.append(Particle(mass=entry["mass"], charge=entry["charge"],
+                                      clamped=entry.get("clamped", False)))
         except ValidationError as exc:
             raise ValidationError(f"particles[{i}]: {exc}") from None
-    if isinstance(data["reference"], bool) or not isinstance(data["reference"], int):
-        raise ValidationError(f"reference must be an integer, got {data['reference']!r}")
-    return SystemDefinition(
-        particles=tuple(particles), reference=data["reference"], rc_bohr=data["rc_bohr"]
-    )
+    return SystemDefinition(particles=tuple(particles), reference=data["reference"],
+                            rc_bohr=data.get("rc_bohr"), lam=data.get("lam"))
 
 
 def load_system(path: str) -> SystemDefinition:
@@ -190,10 +198,8 @@ def load_system(path: str) -> SystemDefinition:
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read system file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"invalid JSON in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    except (ValueError, RecursionError) as exc:  # syntax, not UTF-8, overlong int, too deep
+        raise ValidationError(f"invalid JSON in {path}: {exc}") from None
     return system_from_dict(data)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from boxatom import CoulombTable, ci, cli, coulomb
 from boxatom.cli import RunConfig, main
 from boxatom.errors import ValidationError
+from boxatom.system import MAX_PARTICLES
 
 
 def run(capsys, *args):
@@ -37,6 +38,13 @@ TWO_ELECTRONS = {
     "reference": 0,
     "rc_bohr": 1.0,
 }
+
+
+def crowd(count):
+    """count - 1 identical electrons around a clamped nucleus."""
+    electrons = [{"mass": 1.0, "charge": -1.0}] * (count - 1)
+    return {"particles": electrons + [{"mass": 7296.3, "charge": 2.0, "clamped": True}],
+            "reference": 0, "rc_bohr": 1.0}
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -218,7 +226,8 @@ class TestCiScan:
     def test_scan_computes_block_once(self, capsys, monkeypatch):
         # the W builds of a scan share one checked block: one profile build on
         # the table's own grid (the check is against closed forms, not a 2n
-        # grid), and no per-integral Slater calls beyond eps1's
+        # grid), after eps1's nmax-1 block for its ground-mode integrals, and
+        # no per-integral Slater calls beyond eps1's
         fresh = CoulombTable(points=200)
         monkeypatch.setattr(cli, "get_table", lambda points: fresh)
         grids, slater_keys = [], []
@@ -237,7 +246,7 @@ class TestCiScan:
         monkeypatch.setattr(CoulombTable, "slater_radial", counted_single)
         code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "5", "--steps", "3")
         assert code == 0
-        assert grids == [(200, 5)]
+        assert grids == [(200, 1), (200, 5)]
         assert len(slater_keys) == 1
 
     def test_scan_builds_interaction_twice(self, capsys, monkeypatch):
@@ -322,6 +331,51 @@ class TestArgumentAndInputErrors:
         path.write_text(json.dumps(payload))
         code, _, err = run(capsys, "coeffs", str(path))
         assert code == 2 and "colour" in err
+
+    def test_line_break_in_message_is_one_line(self, capsys, tmp_path):
+        path = tmp_path / "key.json"
+        path.write_text(json.dumps(dict(TWO_ELECTRONS, **{"bad\nkey": 1})))
+        code, out, err = run(capsys, "coeffs", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: unknown system field(s): bad key\n"
+
+    def test_deeply_nested_json_exits_2_with_one_line(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "coeffs", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid JSON") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("count", [MAX_PARTICLES + 1, 1500])
+    def test_too_many_particles_exits_2_with_one_line(self, capsys, tmp_path, count):
+        path = tmp_path / "crowd.json"
+        path.write_text(json.dumps(crowd(count)))
+        code, out, err = run(capsys, "coeffs", str(path))
+        assert code == 2 and out == ""
+        assert "at most" in err and len(err.splitlines()) == 1
+
+    def test_particle_bound_still_runs(self, capsys, tmp_path):
+        count = MAX_PARTICLES
+        path = tmp_path / "crowd.json"
+        path.write_text(json.dumps(crowd(count)))
+        code, out, err = run(capsys, "coeffs", str(path))
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        free = count - 1
+        assert len(rows) == free + free * (free - 1) // 2 + free  # kinetic, pair, central
+
+    def test_lam_file_matches_rc_bohr_file(self, capsys, tmp_path):
+        # for an electron reference a = 1 bohr, so lam = 1 is rc_bohr = 1
+        out = {}
+        for key in ("rc_bohr", "lam"):
+            doc = {k: v for k, v in TWO_ELECTRONS.items() if k != "rc_bohr"} | {key: 1.0}
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps(doc))
+            code, out[key], err = run(capsys, "coeffs", str(path))
+            assert code == 0 and err == ""
+        rc_lines, lam_lines = out["rc_bohr"].splitlines(), out["lam"].splitlines()
+        assert rc_lines[1].startswith("# system=") and lam_lines[1].startswith("# system=")
+        assert rc_lines[:1] + rc_lines[2:] == lam_lines[:1] + lam_lines[2:]
 
     @pytest.mark.parametrize("points", ["8", "1000"])
     def test_quad_points_out_of_range(self, capsys, points):

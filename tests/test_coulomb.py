@@ -242,8 +242,16 @@ class TestClosedForms:
         ("slater", lambda t: t.pair_expectation(mode(1), mode(2))),
     ])
     def test_single_check_catches_perturbation(self, monkeypatch, method, call):
-        quadrature = getattr(coulomb._Grid, method)
-        monkeypatch.setattr(coulomb._Grid, method, lambda grid, *a: quadrature(grid, *a) + 1e-8)
+        # a single integral is an entry of its block, so the block check guards it
+        part = ("central", "slater").index(method)
+        build = coulomb._Grid.s_wave_block
+
+        def tampered(grid, nmax):
+            block = build(grid, nmax)
+            block[part][...] += 1e-8
+            return block
+
+        monkeypatch.setattr(coulomb._Grid, "s_wave_block", tampered)
         with pytest.raises(ConvergenceError, match="closed form"):
             call(CoulombTable(200))
 
@@ -259,6 +267,51 @@ class TestClosedForms:
         # l > 0 central integrals have no closed form and keep the n-against-2n check
         fresh.central_expectation(ModeIndex(1, 2), ModeIndex(1, 2))
         assert 400 in sizes
+
+
+class TestSingleFromBlock:
+    def test_single_equals_block_entry_at_its_largest_mode(self):
+        fresh = CoulombTable(200)
+        key = PairIntegralKey(bra=(mode(1), mode(3)), ket=(mode(2), mode(4)))
+        index = mode_pair_index(4)
+        assert fresh.slater_radial(key) == fresh.s_wave_block(4)[1][index[0, 1], index[2, 3]]
+        index = mode_pair_index(3)
+        assert fresh.pair_expectation(mode(2), mode(3)) == fresh.s_wave_block(3)[1][index[1, 1], index[2, 2]]
+        assert fresh.central_expectation(mode(3), mode(1)) == fresh.s_wave_block(3)[0][2, 0]
+
+    def test_single_never_reads_a_larger_block(self):
+        # a larger block may differ in the last bits, so a single value must
+        # not depend on which blocks the table built before
+        fresh, warmed = CoulombTable(200), CoulombTable(200)
+        warmed.s_wave_block(24)
+        assert fresh.pair_expectation(mode(1), mode(2)) == warmed.pair_expectation(mode(1), mode(2))
+        key = PairIntegralKey(bra=(mode(1), mode(1)), ket=(mode(1), mode(2)))
+        assert fresh.slater_radial(key) == warmed.slater_radial(key)
+        assert fresh.central_expectation(mode(1), mode(2)) == warmed.central_expectation(mode(1), mode(2))
+
+    def test_mode_pair_index_is_shared_and_read_only(self):
+        index = mode_pair_index(5)
+        assert mode_pair_index(5) is index
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+
+    def test_nmax_bound_checked_before_any_build(self, monkeypatch):
+        # a mode number far beyond the bound must not even size an index array;
+        # the spies only record, so a wrong order cannot allocate anything
+        built = []
+        monkeypatch.setattr(coulomb._Grid, "s_wave_block", lambda grid, nmax: built.append(nmax))
+        monkeypatch.setattr(coulomb, "mode_pair_index", lambda nmax: built.append(nmax))
+        fresh = CoulombTable(200)
+        with pytest.raises(ValidationError, match="nmax"):
+            fresh.s_wave_block(coulomb.MAX_NMAX + 1)
+        with pytest.raises(ValidationError, match="nmax"):
+            fresh.pair_expectation(mode(coulomb.MAX_NMAX + 1), mode(1))
+        with pytest.raises(ValidationError, match="nmax"):
+            fresh.slater_radial(PairIntegralKey(bra=(mode(1), mode(1)), ket=(mode(10**9), mode(1))))
+        with pytest.raises(ValidationError, match="nmax"):
+            fresh.central_expectation(mode(1), mode(coulomb.MAX_NMAX + 1))
+        assert built == []
+        assert ci.MAX_NMAX == coulomb.MAX_NMAX == 48
 
 
 class TestResolutionGuard:

@@ -79,6 +79,16 @@ class TestEpsilon1Breakdown:
         assert len(coeffs.kinetic_terms) == 2
         assert len(coeffs.interaction_terms) == 3
 
+    def test_very_heavy_free_particle_does_not_break_degeneracy_search(self, table):
+        # the running energy sum at the heaviest particle rounds to just below
+        # zero; the search may call the occupation degenerate, but not crash
+        particles = (Particle(1.0, -1.0), Particle(7.0, -1.0), Particle(1.8014398509481984e16, -1.0))
+        system = nondimensionalize(SystemDefinition(particles=particles, reference=0, rc_bohr=0.5))
+        try:
+            epsilon1(system, ground_occupation(system), table)
+        except ValidationError as exc:
+            assert "degenerate" in str(exc)
+
     def test_clamped_helium_values(self, table):
         system = clamped_he()
         coeffs = epsilon1(system, ground_occupation(system), table)
