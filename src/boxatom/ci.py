@@ -22,53 +22,33 @@ the coefficient of |11> is the overlap with the free-particle ground state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coulomb import MAX_NMAX, CoulombTable, get_table, mode_pair_index
+from .coulomb import MAX_NMAX, CoulombTable, check_nmax, get_table, mode_pair_index
 from .errors import ConvergenceError, ValidationError
 
 RESIDUAL_TOL = 1e-10
 _EPS2_LAMBDA_MAX = 0.2
 
 
-def _check_nmax(nmax) -> None:
-    if isinstance(nmax, bool) or not isinstance(nmax, int) or not 1 <= nmax <= MAX_NMAX:
-        raise ValidationError(f"nmax must be an integer in [1, {MAX_NMAX}], got {nmax!r}")
-
-
 @dataclass(frozen=True)
 class CiBasis:
-    """Ordered symmetrized configurations {n, m}, 1 <= n <= m <= nmax."""
+    """Symmetrized configurations {n, m}, 1 <= n <= m <= nmax, ordered by n then m."""
 
     nmax: int
-    configurations: tuple[tuple[int, int], ...]
+    configurations: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
-        _check_nmax(self.nmax)
-        expected = self.nmax * (self.nmax + 1) // 2
-        if len(self.configurations) != expected:
-            raise ValidationError(
-                f"basis must hold {expected} configurations for nmax={self.nmax}, "
-                f"got {len(self.configurations)}"
-            )
-        if self.configurations[0] != (1, 1):
-            raise ValidationError("configuration (1, 1) must come first")
-        seen = set()
-        for cfg in self.configurations:
-            n, m = cfg
-            if not 1 <= n <= m <= self.nmax:
-                raise ValidationError(f"configuration {cfg} violates 1 <= n <= m <= nmax")
-            if cfg in seen:
-                raise ValidationError(f"duplicate configuration {cfg}")
-            seen.add(cfg)
+        nmax = check_nmax(self.nmax)
+        object.__setattr__(self, "nmax", nmax)
+        object.__setattr__(self, "configurations",
+                           tuple((n, m) for n in range(1, nmax + 1) for m in range(n, nmax + 1)))
 
     @classmethod
     def up_to(cls, nmax: int) -> "CiBasis":
-        _check_nmax(nmax)
-        configs = tuple((n, m) for n in range(1, nmax + 1) for m in range(n, nmax + 1))
-        return cls(nmax=nmax, configurations=configs)
+        return cls(nmax)
 
     def __len__(self) -> int:
         return len(self.configurations)
@@ -211,8 +191,6 @@ def overlap_scan(z: float, lambdas, basis: CiBasis,
             raise ValidationError(f"lambda values must be positive, got {lam!r}")
     if any(b < a for a, b in zip(lams, lams[1:])):
         raise ValidationError("lambda grid must be sorted ascending")
-    if table is None:
-        table = get_table()
     kinetic = np.diag(kinetic_diagonal(basis))
     interaction = interaction_matrix(z, basis, table)
     return [_solution(lam, _hamiltonian(kinetic, lam, interaction)) for lam in lams]
@@ -249,8 +227,6 @@ def second_order_estimate(z: float, basis: CiBasis, lambda_grid,
             )
     if len(set(lams)) < 2:
         raise ValidationError("fit grid needs at least two distinct lambda values")
-    if table is None:
-        table = get_table()
 
     diagonal = kinetic_diagonal(basis)
     kinetic = np.diag(diagonal)
@@ -259,7 +235,7 @@ def second_order_estimate(z: float, basis: CiBasis, lambda_grid,
     eps1 = interaction[0, 0]
     lams_arr = np.array(lams)
     remainders = np.array(
-        [ground_state(kinetic + lam * interaction)[0] - eps0 - eps1 * lam for lam in lams]
+        [ground_state(_hamiltonian(kinetic, lam, interaction))[0] - eps0 - eps1 * lam for lam in lams]
     )
     design = np.column_stack([lams_arr**2, lams_arr**3])
     coeffs, _, rank, singular = np.linalg.lstsq(design, remainders, rcond=None)

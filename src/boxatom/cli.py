@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ci
-from .coulomb import MAX_POINTS, MIN_POINTS, get_table
+from .coulomb import MAX_POINTS, MIN_POINTS, check_nmax, get_table
 from .errors import ConvergenceError, ValidationError
 from .perturbation import (
     PerturbationCoefficients,
@@ -80,8 +80,7 @@ class RunConfig:
                 f"quadrature points must lie in [{MIN_POINTS}, {MAX_POINTS}], "
                 f"got {self.quadrature_points}"
             )
-        if not 1 <= self.ci_nmax <= ci.MAX_NMAX:
-            raise ValidationError(f"nmax must lie in [1, {ci.MAX_NMAX}], got {self.ci_nmax}")
+        check_nmax(self.ci_nmax)
 
     @property
     def lambda_grid(self) -> list[float]:

@@ -26,10 +26,10 @@ p = |a-c| and q = a+c, u_a u_c = cos(p pi r) - cos(q pi r), so
 and T(u_a u_c, u_b u_d) is a four-term sum of J. A block is compared with
 its closed forms elementwise; a gap beyond 1e-9 raises ConvergenceError
 instead of caching an under-resolved block. The returned and cached values
-are the quadrature's, so the rule size stays meaningful. Only
-`central_expectation` with l > 0 has no closed form; it is checked against
-the rule at twice the points instead. Caches use atomic insert-if-absent,
-so a table can be shared across threads.
+are the quadrature's, so the rule size stays meaningful. Every integral is
+between s-wave modes (l = 0); any other mode raises UnsupportedModeError.
+The block cache uses atomic insert-if-absent, so a table can be shared
+across threads.
 """
 
 from __future__ import annotations
@@ -40,12 +40,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, UnsupportedModeError, ValidationError
-from .quadrature import gauss_legendre, triangle_grid
+from .quadrature import MAX_POINTS, gauss_legendre, triangle_grid
 from .sphere import ModeIndex, build_radial_mode
 
 DEFAULT_POINTS = 200
 MIN_POINTS = 16
-MAX_POINTS = 512
 AGREEMENT_TOL = 1e-9
 # largest mode number of an s-wave block: 1,176 mode pairs and an 11 MB
 # Slater matrix; a block grows as nmax^4
@@ -64,14 +63,18 @@ class PairIntegralKey:
 
     bra: tuple[ModeIndex, ModeIndex]
     ket: tuple[ModeIndex, ModeIndex]
-    multipole: int = 0
 
     def __post_init__(self):
         for side, pair in (("bra", self.bra), ("ket", self.ket)):
             if len(pair) != 2 or not all(isinstance(m, ModeIndex) for m in pair):
                 raise ValidationError(f"{side} must be a pair of ModeIndex, got {pair!r}")
-        if isinstance(self.multipole, bool) or not isinstance(self.multipole, int) or self.multipole < 0:
-            raise ValidationError(f"multipole must be a nonnegative integer, got {self.multipole!r}")
+
+
+def check_nmax(nmax) -> int:
+    """nmax as an int in [1, MAX_NMAX]; anything else is a ValidationError."""
+    if isinstance(nmax, bool) or not isinstance(nmax, (int, np.integer)) or not 1 <= nmax <= MAX_NMAX:
+        raise ValidationError(f"nmax must be an integer in [1, {MAX_NMAX}], got {nmax!r}")
+    return int(nmax)
 
 
 @lru_cache(maxsize=None)
@@ -81,6 +84,7 @@ def mode_pair_index(nmax: int) -> np.ndarray:
     Pairs a <= c are numbered in np.triu_indices(nmax) order. The array is
     shared and read-only.
     """
+    nmax = check_nmax(nmax)
     first, second = np.triu_indices(nmax)
     index = np.empty((nmax, nmax), dtype=np.intp)
     index[first, second] = index[second, first] = np.arange(len(first))
@@ -139,11 +143,6 @@ class _Grid:
         rule = gauss_legendre(points)
         self.r1, self.w1, self.r2, self.w2 = triangle_grid(rule)
 
-    def central(self, a: ModeIndex, b: ModeIndex) -> float:
-        # int u_a u_b / r dr on the outer rule
-        ua, ub = build_radial_mode(a)(self.r1), build_radial_mode(b)(self.r1)
-        return float(np.sum(self.w1 * ua * ub / self.r1))
-
     def s_wave_block(self, nmax: int) -> tuple[np.ndarray, np.ndarray]:
         """Central matrix over modes 1..nmax and Slater matrix over their pairs.
 
@@ -179,11 +178,9 @@ class CoulombTable:
             )
         self.points = int(points)
         self._grid = _Grid(self.points)
-        self._fine: _Grid | None = None  # 2n points, only for l > 0 central integrals
-        self._central: dict = {}  # l > 0 only
         self._blocks: dict = {}
 
-    def _checked(self, what, value: float, reference: float, against: str = "its closed form") -> float:
+    def _checked(self, what, value: float, reference: float) -> float:
         gap = abs(value - reference)
         if not gap <= AGREEMENT_TOL:
             advice = (
@@ -192,7 +189,7 @@ class CoulombTable:
                 else f"{MAX_POINTS} quadrature points is the most a table supports"
             )
             raise ConvergenceError(
-                f"{what} at {self.points} quadrature points differs from {against} "
+                f"{what} at {self.points} quadrature points differs from its closed form "
                 f"by {gap:.3e} (tolerance {AGREEMENT_TOL:.0e}); {advice}"
             )
         return value
@@ -205,9 +202,7 @@ class CoulombTable:
         as in mode_pair_index(nmax). Both are the table's quadrature values;
         every entry must lie within 1e-9 of its Si/Cin closed form.
         """
-        if isinstance(nmax, bool) or not isinstance(nmax, (int, np.integer)) or not 1 <= nmax <= MAX_NMAX:
-            raise ValidationError(f"nmax must be an integer in [1, {MAX_NMAX}], got {nmax!r}")
-        nmax = int(nmax)
+        nmax = check_nmax(nmax)
         got = self._blocks.get(nmax)
         if got is None:
             block = self._grid.s_wave_block(nmax)
@@ -230,48 +225,32 @@ class CoulombTable:
             got = self._blocks.setdefault(nmax, block)
         return got
 
+    def _block_for(self, what: str, modes: tuple) -> tuple[np.ndarray, np.ndarray]:
+        # the one s-wave rule: the block whose nmax is the largest mode number
+        for m in modes:
+            if not isinstance(m, ModeIndex):
+                raise ValidationError(f"{what} takes ModeIndex arguments, got {m!r}")
+            if m.l != 0:
+                raise UnsupportedModeError(f"{what} is restricted to s-wave modes (l = 0); got {m}")
+        return self.s_wave_block(max(m.n for m in modes))
+
     def central_expectation(self, a: ModeIndex, b: ModeIndex) -> float:
-        """One-particle matrix element int u_a u_b / r dr; exact 0 when l_a != l_b."""
-        if not isinstance(a, ModeIndex) or not isinstance(b, ModeIndex):
-            raise ValidationError("central_expectation takes two ModeIndex arguments")
-        if a.l != b.l:
-            return 0.0  # angular orthogonality, not an error
-        if a.l == 0:
-            return float(self.s_wave_block(max(a.n, b.n))[0][a.n - 1, b.n - 1])
-        key = (min(a, b), max(a, b))
-        got = self._central.get(key)
-        if got is None:
-            # no closed form for l > 0: compare with the rule at twice the points
-            if self._fine is None:
-                self._fine = _Grid(2 * self.points)
-            value = self._checked(f"central_expectation{key}", self._grid.central(*key),
-                                  self._fine.central(*key), f"the {2 * self.points}-point rule")
-            got = self._central.setdefault(key, value)
-        return got
+        """One-particle matrix element int u_a u_b / r dr between s-wave modes."""
+        central, _ = self._block_for("central_expectation", (a, b))
+        return float(central[a.n - 1, b.n - 1])
 
     def pair_expectation(self, a: ModeIndex, b: ModeIndex) -> float:
         """Ground-type repulsion element: u_a^2 and u_b^2 against 1/max(r1, r2)."""
-        if not isinstance(a, ModeIndex) or not isinstance(b, ModeIndex):
-            raise ValidationError("pair_expectation takes two ModeIndex arguments")
         return self.slater_radial(PairIntegralKey(bra=(a, b), ket=(a, b)))
 
     def slater_radial(self, key: PairIntegralKey) -> float:
         """Monopole Slater integral R0(ab;cd) for s-wave modes."""
         if not isinstance(key, PairIntegralKey):
             raise ValidationError("slater_radial takes a PairIntegralKey")
-        if key.multipole != 0:
-            raise UnsupportedModeError(
-                f"only the multipole-0 channel is implemented; got multipole={key.multipole}"
-            )
-        for m in (*key.bra, *key.ket):
-            if m.l != 0:
-                raise UnsupportedModeError(
-                    f"two-particle integrals are restricted to s-wave modes (l = 0); got {m}"
-                )
         (a, b), (c, d) = key.bra, key.ket
-        nmax = max(a.n, b.n, c.n, d.n)
-        _, slater = self.s_wave_block(nmax)  # validates nmax before the index is built
-        index = mode_pair_index(nmax)
+        # validates nmax before the index is built
+        central, slater = self._block_for("slater_radial", (a, b, c, d))
+        index = mode_pair_index(len(central))
         return float(slater[index[a.n - 1, c.n - 1], index[b.n - 1, d.n - 1]])
 
 

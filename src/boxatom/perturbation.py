@@ -134,27 +134,36 @@ def _has_degenerate_partner(weights: list[float], ns: list[int], rel_tol: float)
             got.setdefault(wi, []).append(mi)
         return any(sorted(v) != groups[k] for k, v in got.items())
 
+    # depth-first over the modes of every position but the last, on an
+    # explicit stack: assign[pos] is the mode tried last at pos, and
+    # left[pos] the energy left for positions pos..last
     last = len(w) - 1
-
-    def search(pos: int, remaining: float, assign: list[int]) -> bool:
+    assign = [0] * len(w)
+    left = [target] * len(w)
+    pos = 0
+    while pos >= 0:
         if pos == last:
-            if remaining < w[pos] - tol:
-                return False
-            # rounding in the running sum can leave remaining a little below zero
-            guess = int(round(math.sqrt(max(remaining, 0.0) / w[pos])))
-            for m in (guess - 1, guess, guess + 1):
-                if m >= 1 and abs(w[pos] * m * m - remaining) <= tol:
-                    if differs(assign + [m]):
-                        return True
-            return False
-        m = 1
-        while w[pos] * m * m + suffix_min[pos + 1] <= remaining + tol:
-            if search(pos + 1, remaining - w[pos] * m * m, assign + [m]):
+            # every m >= 1 with |w m^2 - left| <= tol; they form one run of integers
+            low = math.sqrt(max(left[pos] - tol, 0.0) / w[pos])
+            high = math.sqrt(max(left[pos] + tol, 0.0) / w[pos])
+            # at most one m reproduces the base multiset, so two fits suffice
+            if high - low > 3:
                 return True
-            m += 1
-        return False
-
-    return search(0, target, [])
+            fits = [m for m in range(max(1, int(low) - 1), int(high) + 2)
+                    if abs(w[pos] * m * m - left[pos]) <= tol]
+            if len(fits) > 1 or (fits and differs(assign[:pos] + fits)):
+                return True
+            pos -= 1
+            continue
+        m = assign[pos] + 1
+        if w[pos] * m * m + suffix_min[pos + 1] <= left[pos] + tol:
+            assign[pos] = m
+            left[pos + 1] = left[pos] - w[pos] * m * m
+            pos += 1
+            assign[pos] = 0
+        else:
+            pos -= 1
+    return False
 
 
 def epsilon1(system: DimensionlessSystem, occupation,

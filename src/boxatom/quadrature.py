@@ -3,7 +3,8 @@
 All radial integrals in the package go through these rules. The two-variable
 kernel 1/max(r1, r2) has a derivative kink on the diagonal, so the triangular
 integrator nests the rule with inner interval [0, r1]; each sub-integrand is
-then smooth and plain Gauss rules converge spectrally.
+then smooth and plain Gauss rules converge spectrally. A rule has at most
+MAX_POINTS = 512 nodes, which is also the finest Coulomb table resolution.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Callers may legitimately ask for 512 points; the doubled rule serves only
-# the coulomb module's check of l > 0 central integrals, which have no closed
-# form.
-MAX_POINTS = 1024
+MAX_POINTS = 512
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,8 +16,7 @@ from .errors import ValidationError
 
 # nuclear mass used for the helium presets, in electron masses
 HELIUM_NUCLEAR_MASS = 7296.300
-# particles per system file: N particles give up to N(N-1)/2 pair terms, and
-# the degeneracy search in epsilon1 recurses once per free particle
+# particles per system file: N particles give up to N(N-1)/2 pair terms
 MAX_PARTICLES = 100
 # bound on mass and |charge| and their inverses, in electron units: it keeps
 # the length and energy scales, every ratio to the reference particle and

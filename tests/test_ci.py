@@ -43,15 +43,7 @@ class TestBasis:
         with pytest.raises(ValidationError):
             CiBasis.up_to(MAX_NMAX + 1)
         with pytest.raises(ValidationError, match="nmax"):
-            CiBasis(nmax=MAX_NMAX + 1, configurations=())
-
-    def test_tampered_configurations_rejected(self):
-        with pytest.raises(ValidationError):
-            CiBasis(nmax=2, configurations=((1, 2), (1, 1), (2, 2)))
-        with pytest.raises(ValidationError):
-            CiBasis(nmax=2, configurations=((1, 1), (2, 1), (2, 2)))
-        with pytest.raises(ValidationError):
-            CiBasis(nmax=2, configurations=((1, 1), (2, 2)))
+            CiBasis(nmax=MAX_NMAX + 1)
 
 
 class TestMatrixAssembly:

@@ -354,6 +354,16 @@ class TestArgumentAndInputErrors:
         assert code == 2 and out == ""
         assert "at most" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("reference", [0, 1])
+    def test_heavy_degenerate_partner_exits_2_for_any_reference(self, capsys, tmp_path, reference):
+        masses = (1.0, 7.0, 1.8e16)
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps({"particles": [{"mass": m, "charge": -1.0} for m in masses],
+                                    "reference": reference, "rc_bohr": 0.5}))
+        code, out, err = run(capsys, "coeffs", str(path))
+        assert code == 2 and out == ""
+        assert "degenerate" in err and len(err.splitlines()) == 1
+
     def test_particle_bound_still_runs(self, capsys, tmp_path):
         count = MAX_PARTICLES
         path = tmp_path / "crowd.json"

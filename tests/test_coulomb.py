@@ -59,12 +59,13 @@ class TestCentralExpectation:
         assert table.central_expectation(mode(1), mode(3)) == table.central_expectation(mode(3), mode(1))
 
     def test_l_mismatch_is_exact_zero(self, table):
-        assert table.central_expectation(mode(1, l=0), ModeIndex(1, 1)) == 0.0
+        # every integral follows one s-wave rule: an l > 0 mode is unsupported
+        with pytest.raises(UnsupportedModeError):
+            table.central_expectation(mode(1, l=0), ModeIndex(1, 1))
 
     def test_matching_higher_l_is_supported(self, table):
-        # equal-l elements are legitimate one-particle integrals, not errors
-        got = table.central_expectation(ModeIndex(1, 1), ModeIndex(1, 1))
-        assert math.isfinite(got) and 0.0 < got < 4.0
+        with pytest.raises(UnsupportedModeError):
+            table.central_expectation(ModeIndex(1, 1), ModeIndex(1, 1))
 
 
 class TestPairExpectation:
@@ -120,10 +121,6 @@ class TestSlaterRadial:
         direct = integrate_square(kernel, gauss_legendre(320))
         key = PairIntegralKey(bra=(mode(1), mode(2)), ket=(mode(1), mode(3)))
         assert table.slater_radial(key) == pytest.approx(direct, abs=1e-10)
-
-    def test_multipole_beyond_monopole_rejected(self, table):
-        with pytest.raises(UnsupportedModeError):
-            table.slater_radial(PairIntegralKey(bra=(mode(1), mode(1)), ket=(mode(1), mode(1)), multipole=1))
 
     def test_key_validation(self):
         with pytest.raises(ValidationError):
@@ -264,9 +261,6 @@ class TestClosedForms:
         fresh.central_expectation(mode(2), mode(3))
         fresh.pair_expectation(mode(1), mode(4))
         assert 200 in sizes and 400 not in sizes
-        # l > 0 central integrals have no closed form and keep the n-against-2n check
-        fresh.central_expectation(ModeIndex(1, 2), ModeIndex(1, 2))
-        assert 400 in sizes
 
 
 class TestSingleFromBlock:
@@ -294,6 +288,12 @@ class TestSingleFromBlock:
         assert mode_pair_index(5) is index
         with pytest.raises(ValueError):
             index[0, 0] = 1
+
+    @pytest.mark.parametrize("bad", [coulomb.MAX_NMAX + 1, 0, True, 2.0])
+    def test_mode_pair_index_checks_nmax(self, bad):
+        mode_pair_index(1), mode_pair_index(2)  # cached entries must not answer True or 2.0
+        with pytest.raises(ValidationError, match="nmax"):
+            mode_pair_index(bad)
 
     def test_nmax_bound_checked_before_any_build(self, monkeypatch):
         # a mode number far beyond the bound must not even size an index array;

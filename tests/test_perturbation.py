@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxatom import (
     ModeIndex,
@@ -17,6 +19,7 @@ from boxatom import (
     turnover_lambda,
 )
 from boxatom.errors import UnsupportedModeError, ValidationError
+from boxatom.perturbation import _DEGENERACY_RTOL, _has_degenerate_partner
 
 from oracles import cin_series
 
@@ -155,6 +158,19 @@ class TestEpsilon1Breakdown:
         with pytest.raises(ValidationError, match="degenerate"):
             epsilon1(system, (ModeIndex(0, 1), ModeIndex(0, 7)), table)
 
+    @pytest.mark.parametrize("reference", [0, 1])
+    def test_very_heavy_free_particle_is_degenerate_for_any_reference(self, table, reference):
+        # mode 2 of the heavy particle lies about 1.5e-16 relative above eps0,
+        # inside the tolerance, whichever particle sets the scale
+        particles = (Particle(1.0, -1.0), Particle(7.0, -1.0), Particle(1.8014398509481984e16, -1.0))
+        system = nondimensionalize(SystemDefinition(particles=particles, reference=reference, rc_bohr=0.5))
+        with pytest.raises(ValidationError, match="degenerate"):
+            epsilon1(system, ground_occupation(system), table)
+
+    def test_search_is_not_recursive(self):
+        assert _has_degenerate_partner([1.0] * 1500, [1] * 1500, 1e-9) is False
+        assert _has_degenerate_partner([1.0] * 1500, [1] * 1499 + [7], 1e-9) is True
+
     def test_nondegenerate_excited_occupation_accepted(self, table):
         system = electrons_only(2)
         coeffs = epsilon1(system, (ModeIndex(0, 1), ModeIndex(0, 2)), table)
@@ -163,6 +179,25 @@ class TestEpsilon1Breakdown:
     def test_breakdown_sums_are_enforced(self):
         with pytest.raises(ValidationError):
             PerturbationCoefficients(eps0=1.0, eps1=0.5, breakdown=())
+
+
+MASSES = st.one_of(
+    st.floats(-50.0, 50.0).map(lambda e: min(max(10.0**e, 1e-50), 1e50)),
+    st.sampled_from([1.0, 7.0, 206.768283, 1836.15267343]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(masses=st.lists(MASSES, min_size=2, max_size=6))
+def test_ground_degeneracy_matches_oracle(masses):
+    # any occupation other than the ground one lifts some particle to mode 2
+    # or above, at least 3 w_min above eps0; rounding decides the band near tol
+    w = [1.0 / m for m in masses]
+    tol = _DEGENERACY_RTOL * math.fsum(w)
+    if 0.5 <= 3.0 * min(w) / tol <= 2.0:
+        return
+    expected = 3.0 * min(w) <= tol
+    assert _has_degenerate_partner(w, [1] * len(w), _DEGENERACY_RTOL) is expected
 
 
 class TestClampedLimit:
