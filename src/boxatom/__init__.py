@@ -9,6 +9,7 @@ configuration-interaction solver.
 
 from .ci import (
     CiBasis,
+    CiProblem,
     CiSolution,
     build_hamiltonian,
     ground_state,
@@ -72,6 +73,7 @@ __all__ = [
     "BoxatomError",
     "BreakdownTerm",
     "CiBasis",
+    "CiProblem",
     "CiSolution",
     "ConvergenceError",
     "CoulombTable",

@@ -257,8 +257,9 @@ def cmd_ci_scan(config: RunConfig) -> Report:
     table = get_table(config.quadrature_points)
     basis = ci.CiBasis.up_to(config.ci_nmax)
     coeffs = epsilon1(system, ground_occupation(system), table)
-    solutions = ci.overlap_scan(z, sorted(config.lambda_grid), basis, table)
-    eps2 = ci.second_order_estimate(z, basis, _EPS2_FIT_GRID, table)
+    problem = ci.CiProblem(z, basis, table)
+    solutions = problem.overlap_scan(sorted(config.lambda_grid))
+    eps2 = problem.second_order_estimate(_EPS2_FIT_GRID)
     return Report(
         meta=[
             ("nmax", config.ci_nmax),

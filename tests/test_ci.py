@@ -5,6 +5,7 @@ import pytest
 
 from boxatom import (
     CiBasis,
+    CiProblem,
     CiSolution,
     CoulombTable,
     ModeIndex,
@@ -17,6 +18,7 @@ from boxatom import (
     second_order_sum_over_states,
     solve_ground,
 )
+from boxatom import ci
 from boxatom.ci import MAX_NMAX
 from boxatom.errors import ConvergenceError, ValidationError
 
@@ -215,6 +217,115 @@ class TestOverlapScan:
             overlap_scan(2.0, [0.5, 0.1], basis, table)
         with pytest.raises(ValidationError):
             overlap_scan(2.0, [0.0, 0.5], basis, table)
+
+
+class TestCertifiedGroundState:
+    AGREEMENT_GRID = np.linspace(0.05, 3.0, 20)
+
+    @staticmethod
+    def _block_diagonal():
+        # block A (indices 0-3) holds the ground state, block B (4-7) lies above it
+        rng = np.random.RandomState(3)
+        h = np.zeros((8, 8))
+        for block, offset in ((slice(0, 4), 1.0), (slice(4, 8), 10.0)):
+            a = 0.1 * rng.standard_normal((4, 4))
+            h[block, block] = np.diag(offset + np.arange(4.0)) + (a + a.T)
+        return h
+
+    def test_certificate_rejects_a_ground_state_of_the_wrong_block(self, monkeypatch):
+        h = self._block_diagonal()
+        start = np.zeros(8)
+        start[4] = 1.0
+        # the diagonal preconditioner keeps every iterate in block B
+        energy, coeff = ci._davidson(h, start)
+        assert energy == pytest.approx(np.linalg.eigvalsh(h[4:, 4:])[0], abs=1e-12)
+        np.testing.assert_array_equal(coeff[:4], 0.0)
+        delta = ci._CERTIFICATE_SHIFT * (1.0 + abs(energy))
+        assert not ci._no_eigenvalue_below(h, energy - delta)
+        dense = []
+        monkeypatch.setattr(ci, "ground_state", lambda m: dense.append(m) or ground_state(m))
+        got, _, _ = ci._certified_ground_state(h, start)
+        assert len(dense) == 1
+        assert got == ground_state(h)[0]
+        assert got == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+
+    def test_certificate_accepts_the_true_ground_state(self):
+        h = self._block_diagonal()
+        start = np.zeros(8)
+        start[0] = 1.0
+        energy, _ = ci._davidson(h, start)
+        assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+        assert ci._no_eigenvalue_below(h, energy - ci._CERTIFICATE_SHIFT * (1.0 + abs(energy)))
+
+    @pytest.mark.parametrize("nmax", [4, 8, 12, 24])
+    def test_scan_agrees_with_dense_ground_state(self, nmax, table):
+        basis = CiBasis.up_to(nmax)
+        for z in (1.0, 2.0, 3.0, 4.0):
+            for s in overlap_scan(z, self.AGREEMENT_GRID, basis, table):
+                energy, coeff, _ = ground_state(build_hamiltonian(z, s.lam, basis, table))
+                assert s.energy == pytest.approx(energy, rel=1e-12, abs=0)
+                assert f"{s.energy:.10g}" == f"{energy:.10g}"
+                assert f"{s.overlap0:.10g}" == f"{min(abs(float(coeff[0])), 1.0):.10g}"
+                assert s.residual <= 1e-10
+
+    def test_every_row_is_certified_without_dense_fallback(self, table, monkeypatch):
+        def forbidden(matrix):
+            raise AssertionError("dense fallback used")
+
+        monkeypatch.setattr(ci, "ground_state", forbidden)
+        problem = CiProblem(2.0, CiBasis.up_to(40), table)
+        assert len(problem.overlap_scan(np.linspace(0.1, 2.0, 20))) == 20
+        assert problem.second_order_estimate(np.linspace(0.02, 0.2, 10)) < 0.0
+
+    def test_strong_coupling_falls_back_to_dense(self, table, monkeypatch):
+        # at Z = 1 and lambda 35-70 the nmax-24 Hamiltonian is far from
+        # diagonally dominant and Davidson misses its tolerance within the cap
+        dense = []
+        monkeypatch.setattr(ci, "ground_state", lambda m: dense.append(m) or ground_state(m))
+        basis = CiBasis.up_to(24)
+        scan = overlap_scan(1.0, np.linspace(35.0, 70.0, 8), basis, table)
+        assert len(dense) >= 1
+        for s in scan:
+            assert s.energy == pytest.approx(
+                ground_state(build_hamiltonian(1.0, s.lam, basis, table))[0], rel=1e-12, abs=0
+            )
+            assert s.residual <= 1e-10
+
+    def test_excited_state_trips_concavity_check(self, table, monkeypatch):
+        # a row that reports the first excited pair passes its own residual
+        # check but lies far above the neighbouring tangent lines
+        certified = ci._certified_ground_state
+        rows = []
+
+        def excited_third_row(matrix, start):
+            rows.append(matrix)
+            if len(rows) != 3:
+                return certified(matrix, start)
+            values, vectors = np.linalg.eigh(matrix)
+            coeff = vectors[:, 1] * np.sign(vectors[0, 1])
+            coeff.setflags(write=False)
+            return float(values[1]), coeff, float(np.linalg.norm(matrix @ coeff - values[1] * coeff))
+
+        monkeypatch.setattr(ci, "_certified_ground_state", excited_third_row)
+        with pytest.raises(ConvergenceError, match="concave"):
+            overlap_scan(2.0, np.linspace(0.1, 2.0, 6), CiBasis.up_to(6), table)
+
+    def test_energy_above_first_order_line_trips_concavity(self, table, monkeypatch):
+        # the exact lambda = 0 row makes eps0 + eps1 lambda one of the tangents
+        certified = ci._certified_ground_state
+
+        def raised(matrix, start):
+            energy, coeff, residual = certified(matrix, start)
+            return energy + 0.5, coeff, residual
+
+        monkeypatch.setattr(ci, "_certified_ground_state", raised)
+        with pytest.raises(ConvergenceError, match="tangent at lambda = 0"):
+            overlap_scan(2.0, [0.5], CiBasis.up_to(6), table)
+
+    def test_concavity_tolerates_rounding_on_a_tight_grid(self, table):
+        # tangent margins shrink to rounding when lambda steps are ~1e-14 apart
+        scan = overlap_scan(2.0, np.linspace(1.0, 1.0 + 1e-12, 20), CiBasis.up_to(8), table)
+        assert len(scan) == 20
 
 
 class TestSecondOrder:

@@ -249,8 +249,8 @@ class TestCiScan:
         assert grids == [(200, 1), (200, 5)]
         assert len(slater_keys) == 1
 
-    def test_scan_builds_interaction_twice(self, capsys, monkeypatch):
-        # once for the lambda scan, once for the eps2 fit and its reference sum
+    def test_scan_builds_interaction_once(self, capsys, monkeypatch):
+        # the lambda scan, the eps2 fit and its reference sum share one CiProblem
         calls = []
         build = ci.interaction_matrix
 
@@ -261,7 +261,7 @@ class TestCiScan:
         monkeypatch.setattr(ci, "interaction_matrix", counted)
         code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "5", "--steps", "3")
         assert code == 0
-        assert calls == [5, 5]
+        assert calls == [5]
 
     @pytest.mark.filterwarnings("error")  # a leaked numpy warning would be a second line
     def test_overflowing_lambda_exits_3_with_one_line(self, capsys):
