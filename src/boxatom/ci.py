@@ -46,8 +46,6 @@ _EPS2_LAMBDA_MAX = 0.2
 # Davidson stops below RESIDUAL_TOL, leaving room for the explicit recheck
 _DAVIDSON_TOL = 1e-11
 _DAVIDSON_MAX_ITER = 60
-# a subspace of this many vectors restarts from the current Ritz vector
-_DAVIDSON_RESTART = 24
 # preconditioner denominators diag(H) - theta are kept at least this large
 _MIN_DENOMINATOR = 1e-8
 # the certificate proves that no eigenvalue lies below E - _CERTIFICATE_SHIFT * (1 + |E|)
@@ -199,49 +197,51 @@ def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray, float]:
 
 
 def _davidson(h: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """Lowest Ritz pair of the subspace grown from `start`, or None if it stalls.
+    """Lowest Ritz pair of the subspace grown from `start`.
 
     Each correction is the residual times 1/(diag(h) - theta), orthogonalized
-    twice against the subspace; a full subspace collapses to the current Ritz
-    vector. Convergence means ||h c - theta c|| <= _DAVIDSON_TOL. Nothing here
-    proves that theta is the lowest eigenvalue of h.
+    twice against the subspace, which grows by one vector per iteration.
+    Convergence means ||h c - theta c|| <= _DAVIDSON_TOL. If the iteration
+    stalls or reaches its cap first, it returns the pair with the smallest
+    residual seen; None means no finite pair. Nothing here proves that theta
+    is the lowest eigenvalue of h.
     """
     size = h.shape[0]
     diagonal = h.diagonal()
-    space = np.empty((size, _DAVIDSON_RESTART))
-    image = np.empty((size, _DAVIDSON_RESTART))
+    space = np.empty((size, _DAVIDSON_MAX_ITER + 1))
+    image = np.empty((size, _DAVIDSON_MAX_ITER + 1))
     space[:, 0] = start / np.linalg.norm(start)
     image[:, 0] = h @ space[:, 0]
     k = 1
+    best, best_norm = None, math.inf
     for _ in range(_DAVIDSON_MAX_ITER):
         v, hv = space[:, :k], image[:, :k]
         projected = v.T @ hv
         if not np.all(np.isfinite(projected)):
-            return None
+            break
         values, vectors = np.linalg.eigh(projected)
         theta, y = float(values[0]), vectors[:, 0]
         coeff, h_coeff = v @ y, hv @ y
         residual = h_coeff - theta * coeff
-        if np.linalg.norm(residual) <= _DAVIDSON_TOL:
+        residual_norm = np.linalg.norm(residual)
+        if residual_norm <= _DAVIDSON_TOL:
             return theta, coeff
+        if residual_norm < best_norm:
+            best, best_norm = (theta, coeff), residual_norm
         denominator = diagonal - theta
         denominator[np.abs(denominator) < _MIN_DENOMINATOR] = _MIN_DENOMINATOR
         correction = residual / denominator
-        if k == _DAVIDSON_RESTART:
-            space[:, 0], image[:, 0] = coeff, h_coeff
-            k = 1
-            v = space[:, :1]
         scale = np.linalg.norm(correction)
         for _ in range(2):
             correction -= v @ (v.T @ correction)
         norm = np.linalg.norm(correction)
         # a correction inside the subspace adds nothing (nan fails here too)
         if not norm > 1e-8 * scale:
-            return None
+            break
         space[:, k] = correction / norm
         image[:, k] = h @ space[:, k]
         k += 1
-    return None
+    return best
 
 
 def _no_eigenvalue_below(h: np.ndarray, bound: float) -> bool:
@@ -260,23 +260,29 @@ def _certified_ground_state(matrix: np.ndarray, start: np.ndarray) -> tuple[floa
 
     The Davidson pair is kept only if its residual, recomputed from h,
     meets RESIDUAL_TOL and the Cholesky certificate shows that no eigenvalue
-    lies below E - _CERTIFICATE_SHIFT * (1 + |E|).
+    lies below E - _CERTIFICATE_SHIFT * (1 + |E|). A pair that misses
+    RESIDUAL_TOL gets one more Davidson run started from it: where ||h|| is
+    near 1e5 (lambda of a few hundred and up) rounding holds a long subspace's
+    residual near 1e-10, and a fresh subspace reaches a lower floor.
     """
     h = _checked_matrix(matrix)
     # near the overflow limit products turn non-finite; the checks below reject them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        found = _davidson(h, start)
-        if found is not None:
+        for _ in range(2):
+            found = _davidson(h, start)
+            if found is None:
+                break
             energy, coeff = found
             coeff = coeff / np.linalg.norm(coeff)
             if coeff[0] < 0:
                 coeff = -coeff
             residual = float(np.linalg.norm(h @ coeff - energy * coeff))
-            if residual <= RESIDUAL_TOL and _no_eigenvalue_below(
-                h, energy - _CERTIFICATE_SHIFT * (1.0 + abs(energy))
-            ):
-                coeff.setflags(write=False)
-                return energy, coeff, residual
+            if residual <= RESIDUAL_TOL:
+                if _no_eigenvalue_below(h, energy - _CERTIFICATE_SHIFT * (1.0 + abs(energy))):
+                    coeff.setflags(write=False)
+                    return energy, coeff, residual
+                break
+            start = coeff
     return ground_state(h)
 
 

@@ -3,12 +3,20 @@
 For box coupling lambda the dimensionless ground energy expands as
 eps(lambda) = eps0 + eps1*lambda + O(lambda^2), with
 
-    eps0 = sum_i x_{l_i,n_i}^2 / (2 m'_i)            over free particles,
-    eps1 = sum_{i<j free} q'_i q'_j <1/r_12>_ij
-         + sum_{i free} q'_i q'_c <1/r>_ii           against a clamped charge.
+    eps0 = sum_i pi^2 / (2 m'_i)                     over free particles,
+    eps1 = sum_{i<j free} q'_i q'_j <1/r_12>
+         + sum_{i free} q'_i q'_c <1/r>               against a clamped charge,
+
+with every integral taken in the (l=0, n=1) sphere ground mode.
 
 The physical energy at box radius R_c = lambda * a is
 E = prefactor * (eps0/lambda^2 + eps1/lambda + ...).
+
+Both coefficients are served for this ground occupation only; any other
+occupation is an UnsupportedModeError. An excited occupation of identical
+particles would need exchange: two electrons in modes (1, 2) split into
+J + K and J - K, and the direct integral J alone belongs to no state. That
+is out of scope.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .sphere import ModeIndex, mode_energy
 from .system import DimensionlessSystem
 
 _DEGENERACY_RTOL = 1e-9
+_GROUND_MODE = ModeIndex(0, 1)
 
 
 @dataclass(frozen=True)
@@ -84,10 +93,10 @@ class NuclearMotionReport:
 
 def ground_occupation(system: DimensionlessSystem) -> tuple[ModeIndex, ...]:
     """Every free particle in the (l=0, n=1) sphere ground mode."""
-    return tuple(ModeIndex(0, 1) for _ in system.free_particles)
+    return tuple(_GROUND_MODE for _ in system.free_particles)
 
 
-def _check_occupation(system: DimensionlessSystem, occupation) -> tuple[ModeIndex, ...]:
+def _check_occupation(system: DimensionlessSystem, occupation) -> None:
     occ = tuple(occupation)
     free = system.free_particles
     if len(occ) != len(free):
@@ -98,72 +107,30 @@ def _check_occupation(system: DimensionlessSystem, occupation) -> tuple[ModeInde
     for m in occ:
         if not isinstance(m, ModeIndex):
             raise ValidationError(f"occupation entries must be ModeIndex, got {m!r}")
-    return occ
+    for m in occ:
+        if m != _GROUND_MODE:
+            raise UnsupportedModeError(
+                "first-order coefficients cover the ground occupation only, every free "
+                f"particle in {_GROUND_MODE}; got {m}"
+            )
+
+
+def _ground_is_degenerate(system: DimensionlessSystem) -> bool:
+    """Does a distinct s-wave occupation lie within _DEGENERACY_RTOL of the ground eps0?
+
+    In units of pi^2/2 an s-wave occupation has eps0 = sum_i w_i n_i^2 with
+    w_i = 1/m'_i, so the ground one has sum_i w_i. Any other lifts some
+    particle to n >= 2, at least 3 w_i >= 3 min(w) higher, and lifting the
+    heaviest particle to n = 2 costs exactly that.
+    """
+    w = [1.0 / p.m_prime for p in system.free_particles]
+    return 3.0 * min(w) <= _DEGENERACY_RTOL * math.fsum(w)
 
 
 def epsilon0(system: DimensionlessSystem, occupation) -> float:
     """Zeroth-order coefficient: sum of free-particle sphere energies."""
-    occ = _check_occupation(system, occupation)
-    return math.fsum(mode_energy(idx, p.m_prime) for idx, p in zip(occ, system.free_particles))
-
-
-def _has_degenerate_partner(weights: list[float], ns: list[int], rel_tol: float) -> bool:
-    """Is there a distinct s-wave occupation with the same eps0?
-
-    Energies are sum_i w_i n_i^2 with w_i = 1/m'_i (units pi^2/2). Distinct
-    means the multiset of n differs within at least one equal-mass group.
-    """
-    order = sorted(range(len(weights)), key=lambda i: -weights[i])
-    w = [weights[i] for i in order]
-    base = [ns[i] for i in order]
-    target = math.fsum(wi * ni * ni for wi, ni in zip(w, base))
-    tol = rel_tol * target
-    suffix_min = [0.0] * (len(w) + 1)
-    for i in range(len(w) - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + w[i]
-
-    groups: dict[float, list[int]] = {}
-    for wi, ni in zip(w, base):
-        groups.setdefault(wi, []).append(ni)
-    for v in groups.values():
-        v.sort()
-
-    def differs(assign: list[int]) -> bool:
-        got: dict[float, list[int]] = {}
-        for wi, mi in zip(w, assign):
-            got.setdefault(wi, []).append(mi)
-        return any(sorted(v) != groups[k] for k, v in got.items())
-
-    # depth-first over the modes of every position but the last, on an
-    # explicit stack: assign[pos] is the mode tried last at pos, and
-    # left[pos] the energy left for positions pos..last
-    last = len(w) - 1
-    assign = [0] * len(w)
-    left = [target] * len(w)
-    pos = 0
-    while pos >= 0:
-        if pos == last:
-            # every m >= 1 with |w m^2 - left| <= tol; they form one run of integers
-            low = math.sqrt(max(left[pos] - tol, 0.0) / w[pos])
-            high = math.sqrt(max(left[pos] + tol, 0.0) / w[pos])
-            # at most one m reproduces the base multiset, so two fits suffice
-            if high - low > 3:
-                return True
-            fits = [m for m in range(max(1, int(low) - 1), int(high) + 2)
-                    if abs(w[pos] * m * m - left[pos]) <= tol]
-            if len(fits) > 1 or (fits and differs(assign[:pos] + fits)):
-                return True
-            pos -= 1
-            continue
-        m = assign[pos] + 1
-        if w[pos] * m * m + suffix_min[pos + 1] <= left[pos] + tol:
-            assign[pos] = m
-            left[pos + 1] = left[pos] - w[pos] * m * m
-            pos += 1
-            assign[pos] = 0
-        else:
-            pos -= 1
-    return False
+    _check_occupation(system, occupation)
+    return math.fsum(mode_energy(_GROUND_MODE, p.m_prime) for p in system.free_particles)
 
 
 def epsilon1(system: DimensionlessSystem, occupation,
@@ -175,45 +142,36 @@ def epsilon1(system: DimensionlessSystem, occupation,
     element against the clamped charge. Labels carry the particle indices of
     the full system.
     """
-    occ = _check_occupation(system, occupation)
+    _check_occupation(system, occupation)
     if table is None:
         table = get_table()
-    for m in occ:
-        if m.l != 0:
-            raise UnsupportedModeError(
-                f"first-order coefficients are restricted to s-wave occupations; got {m}"
-            )
-    free_ids = [i for i, p in enumerate(system.particles) if not p.clamped]
-    free = system.free_particles
-    if len(free) > 1 and _has_degenerate_partner(
-        [1.0 / p.m_prime for p in free], [m.n for m in occ], _DEGENERACY_RTOL
-    ):
+    if _ground_is_degenerate(system):
         raise ValidationError(
             "occupation is degenerate with a distinct s-wave occupation at this eps0; "
             "degenerate first-order treatment is not supported"
         )
+    free_ids = [i for i, p in enumerate(system.particles) if not p.clamped]
+    free = system.free_particles
 
     terms = []
-    for i, idx, p in zip(free_ids, occ, free):
-        e = mode_energy(idx, p.m_prime)
+    for i, p in zip(free_ids, free):
+        e = mode_energy(_GROUND_MODE, p.m_prime)
         terms.append(BreakdownTerm(f"kinetic[{i}]", "kinetic", 1.0, e, e))
+    pair = table.pair_expectation(_GROUND_MODE, _GROUND_MODE)
     for a in range(len(free)):
         for b in range(a + 1, len(free)):
             pref = free[a].q_prime * free[b].q_prime
-            integral = table.pair_expectation(occ[a], occ[b])
             terms.append(
-                BreakdownTerm(
-                    f"pair[{free_ids[a]},{free_ids[b]}]", "pair", pref, integral, pref * integral
-                )
+                BreakdownTerm(f"pair[{free_ids[a]},{free_ids[b]}]", "pair", pref, pair, pref * pair)
             )
     clamped = system.clamped_particle
     if clamped is not None:
         c_id = next(i for i, p in enumerate(system.particles) if p.clamped)
-        for i, idx, p in zip(free_ids, occ, free):
+        central = table.central_expectation(_GROUND_MODE, _GROUND_MODE)
+        for i, p in zip(free_ids, free):
             pref = p.q_prime * clamped.q_prime
-            integral = table.central_expectation(idx, idx)
             terms.append(
-                BreakdownTerm(f"central[{i},{c_id}]", "central", pref, integral, pref * integral)
+                BreakdownTerm(f"central[{i},{c_id}]", "central", pref, central, pref * central)
             )
 
     eps0 = math.fsum(t.value for t in terms if t.kind == "kinetic")

@@ -8,6 +8,7 @@ plain bisection on closed-form Bessel expressions, and the symmetrized CI
 matrix from a brute-force product-basis projection.
 """
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -54,6 +55,23 @@ def si_series(x: float) -> float:
                 break
             term = term * x * x / ((2 * k + 2) * (2 * k + 3))
         return float(total)
+
+
+def s_wave_ground_is_degenerate(weights, rel_tol: float) -> bool:
+    """Brute force: does another s-wave occupation lie within rel_tol of the ground one?
+
+    An occupation gives each particle a mode n_i >= 1 and has energy
+    sum_i w_i n_i^2 (units pi^2/2, w_i = 1/m'_i). Every occupation with n_i in
+    {1, 2}, not all 1, is tried: raising one particle to n = 2 is the
+    cheapest excitation, so an occupation with some n_i >= 3 lies higher
+    than one of these.
+    """
+    ground = math.fsum(weights)
+    for ns in itertools.product((1, 2), repeat=len(weights)):
+        energy = math.fsum(w * n * n for w, n in zip(weights, ns))
+        if 2 in ns and abs(energy - ground) <= rel_tol * ground:
+            return True
+    return False
 
 
 def bisect(f, a: float, b: float, tol: float = 1e-13) -> float:

@@ -257,6 +257,35 @@ class TestCertifiedGroundState:
         assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
         assert ci._no_eigenvalue_below(h, energy - ci._CERTIFICATE_SHIFT * (1.0 + abs(energy)))
 
+    def test_capped_davidson_returns_its_best_pair(self, monkeypatch):
+        # one iteration leaves only the start vector and its Rayleigh quotient
+        monkeypatch.setattr(ci, "_DAVIDSON_MAX_ITER", 1)
+        h = self._block_diagonal()
+        start = np.zeros(8)
+        start[0] = 1.0
+        energy, coeff = ci._davidson(h, start)
+        assert energy == h[0, 0]
+        np.testing.assert_array_equal(coeff, start)
+
+    def test_unconverged_pair_gets_one_fresh_run_from_its_vector(self, monkeypatch):
+        monkeypatch.setattr(ci, "_DAVIDSON_MAX_ITER", 1)
+        davidson = ci._davidson
+        starts, found = [], []
+
+        def recorded(h, start):
+            starts.append(np.array(start))
+            found.append(davidson(h, start))
+            return found[-1]
+
+        monkeypatch.setattr(ci, "_davidson", recorded)
+        h = self._block_diagonal()
+        start = np.zeros(8)
+        start[:4] = 0.5
+        energy, _, residual = ci._certified_ground_state(h, start)
+        assert len(starts) == 2
+        np.testing.assert_array_equal(starts[1], found[0][1] / np.linalg.norm(found[0][1]))
+        assert energy == ground_state(h)[0] and residual <= 1e-10
+
     @pytest.mark.parametrize("nmax", [4, 8, 12, 24])
     def test_scan_agrees_with_dense_ground_state(self, nmax, table):
         basis = CiBasis.up_to(nmax)
@@ -277,9 +306,19 @@ class TestCertifiedGroundState:
         assert len(problem.overlap_scan(np.linspace(0.1, 2.0, 20))) == 20
         assert problem.second_order_estimate(np.linspace(0.02, 0.2, 10)) < 0.0
 
-    def test_strong_coupling_falls_back_to_dense(self, table, monkeypatch):
+    def test_strong_coupling_scan_is_certified_without_dense_fallback(self, table, monkeypatch):
         # at Z = 1 and lambda 35-70 the nmax-24 Hamiltonian is far from
-        # diagonally dominant and Davidson misses its tolerance within the cap
+        # diagonally dominant, yet Davidson converges on every row within the cap
+        def forbidden(matrix):
+            raise AssertionError("dense fallback used")
+
+        monkeypatch.setattr(ci, "ground_state", forbidden)
+        assert len(overlap_scan(1.0, np.linspace(35.0, 70.0, 20), CiBasis.up_to(24), table)) == 20
+
+    def test_strong_coupling_falls_back_to_dense(self, table, monkeypatch):
+        # with the iteration cap cut to 2, Davidson misses its tolerance on
+        # every row of this strongly coupled scan
+        monkeypatch.setattr(ci, "_DAVIDSON_MAX_ITER", 2)
         dense = []
         monkeypatch.setattr(ci, "ground_state", lambda m: dense.append(m) or ground_state(m))
         basis = CiBasis.up_to(24)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxatom import (
@@ -19,9 +19,9 @@ from boxatom import (
     turnover_lambda,
 )
 from boxatom.errors import UnsupportedModeError, ValidationError
-from boxatom.perturbation import _DEGENERACY_RTOL, _has_degenerate_partner
+from boxatom.perturbation import _DEGENERACY_RTOL
 
-from oracles import cin_series
+from oracles import cin_series, s_wave_ground_is_degenerate
 
 
 def electrons_only(count, rc=1.0):
@@ -61,11 +61,6 @@ class TestEpsilon0:
             epsilon0(system, (ModeIndex(0, 1),))
         with pytest.raises(ValidationError):
             epsilon0(system, (ModeIndex(0, 1), "nope"))
-
-    def test_excited_occupation(self):
-        system = clamped_he()
-        got = epsilon0(system, (ModeIndex(0, 1), ModeIndex(0, 2)))
-        assert got == pytest.approx(5.0 * math.pi**2 / 2.0, abs=1e-11)
 
 
 class TestEpsilon1Breakdown:
@@ -138,25 +133,27 @@ class TestEpsilon1Breakdown:
         b = epsilon1(nondimensionalize(flipped), (ModeIndex(0, 1), ModeIndex(0, 1)), table)
         assert a.eps0 == b.eps0 and a.eps1 == b.eps1
 
-    def test_excited_occupation_wiring(self, table):
-        system = clamped_he()
-        occ = (ModeIndex(0, 1), ModeIndex(0, 2))
-        coeffs = epsilon1(system, occ, table)
-        by_label = {t.label: t for t in coeffs.breakdown}
-        assert by_label["pair[0,1]"].integral == table.pair_expectation(*occ)
-        assert by_label["central[0,2]"].integral == table.central_expectation(occ[0], occ[0])
-        assert by_label["central[1,2]"].integral == table.central_expectation(occ[1], occ[1])
-
     def test_non_s_wave_occupation_rejected(self, table):
         system = clamped_he()
         with pytest.raises(UnsupportedModeError):
             epsilon1(system, (ModeIndex(1, 1), ModeIndex(0, 1)), table)
 
-    def test_degenerate_occupation_rejected(self, table):
-        # 1^2 + 7^2 = 5^2 + 5^2, so (1,7) is degenerate with (5,5)
+    @pytest.mark.parametrize("function", ["epsilon0", "epsilon1", "energy_curve"])
+    @pytest.mark.parametrize("occupation", [
+        (ModeIndex(0, 1), ModeIndex(0, 2)),  # excited s-wave
+        (ModeIndex(0, 1), ModeIndex(1, 1)),  # l > 0
+        (ModeIndex(0, 1), ModeIndex(0, 7)),  # 1^2 + 7^2 = 5^2 + 5^2, degenerate with (5, 5)
+    ], ids=["excited", "p-wave", "degenerate"])
+    def test_only_the_ground_occupation_is_served(self, function, occupation, table):
+        # an excited pair of identical particles needs exchange (J +- K), not J alone
         system = electrons_only(2)
-        with pytest.raises(ValidationError, match="degenerate"):
-            epsilon1(system, (ModeIndex(0, 1), ModeIndex(0, 7)), table)
+        calls = {
+            "epsilon0": lambda: epsilon0(system, occupation),
+            "epsilon1": lambda: epsilon1(system, occupation, table),
+            "energy_curve": lambda: energy_curve(system, occupation, [1.0], table),
+        }
+        with pytest.raises(UnsupportedModeError, match="ground occupation only"):
+            calls[function]()
 
     @pytest.mark.parametrize("reference", [0, 1])
     def test_very_heavy_free_particle_is_degenerate_for_any_reference(self, table, reference):
@@ -166,15 +163,6 @@ class TestEpsilon1Breakdown:
         system = nondimensionalize(SystemDefinition(particles=particles, reference=reference, rc_bohr=0.5))
         with pytest.raises(ValidationError, match="degenerate"):
             epsilon1(system, ground_occupation(system), table)
-
-    def test_search_is_not_recursive(self):
-        assert _has_degenerate_partner([1.0] * 1500, [1] * 1500, 1e-9) is False
-        assert _has_degenerate_partner([1.0] * 1500, [1] * 1499 + [7], 1e-9) is True
-
-    def test_nondegenerate_excited_occupation_accepted(self, table):
-        system = electrons_only(2)
-        coeffs = epsilon1(system, (ModeIndex(0, 1), ModeIndex(0, 2)), table)
-        assert coeffs.eps0 == pytest.approx(5.0 * math.pi**2 / 2.0, abs=1e-11)
 
     def test_breakdown_sums_are_enforced(self):
         with pytest.raises(ValidationError):
@@ -189,15 +177,25 @@ MASSES = st.one_of(
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(masses=st.lists(MASSES, min_size=2, max_size=6))
-def test_ground_degeneracy_matches_oracle(masses):
-    # any occupation other than the ground one lifts some particle to mode 2
-    # or above, at least 3 w_min above eps0; rounding decides the band near tol
-    w = [1.0 / m for m in masses]
+# 3 w_min / tol is about 2.5 and 0.4: just outside the skipped band on each side
+@example(masses=[1.0, 1.2e9])
+@example(masses=[1.0, 7.5e9])
+def test_ground_degeneracy_matches_oracle(masses, table):
+    # the cheapest excitation lies 3 w_min above eps0 (units pi^2/2, w = 1/m');
+    # rounding decides the band near the tolerance
+    particles = tuple(Particle(mass=m, charge=-1.0) for m in masses)
+    system = nondimensionalize(SystemDefinition(particles=particles, reference=0, rc_bohr=1.0))
+    w = [1.0 / p.m_prime for p in system.free_particles]
     tol = _DEGENERACY_RTOL * math.fsum(w)
     if 0.5 <= 3.0 * min(w) / tol <= 2.0:
         return
-    expected = 3.0 * min(w) <= tol
-    assert _has_degenerate_partner(w, [1] * len(w), _DEGENERACY_RTOL) is expected
+    try:
+        epsilon1(system, ground_occupation(system), table)
+        degenerate = False
+    except ValidationError as exc:
+        assert "degenerate" in str(exc)
+        degenerate = True
+    assert degenerate is s_wave_ground_is_degenerate(w, _DEGENERACY_RTOL)
 
 
 class TestClampedLimit:
