@@ -19,14 +19,37 @@ variational upper bound on the true ground energy within the subspace, and
 the coefficient of |11> is the overlap with the free-particle ground state.
 
 `CiProblem` holds T and W for one charge and basis, so a scan and an eps2 fit
-share one W. In strong confinement H is strongly diagonally dominant, so each
-scan and fit point is solved with Davidson's method (E. R. Davidson,
-J. Comput. Phys. 17, 87 (1975)): preconditioner 1/(diag(H) - theta), started
-from |11> and then from the previous lambda's vector. The pair is kept only
-if its residual, recomputed from H, meets RESIDUAL_TOL and a Cholesky factor
-of H - (E - delta) I exists, which proves that no eigenvalue lies below
-E - delta. Otherwise the dense `ground_state` solves the point; it stays the
-reference. Scan energies must also be concave in lambda, checked against the
+share one W, checked once to be finite and exactly symmetric. A lambda whose
+bound max(T) + lambda max_i sum_j |W_ij| on ||H||_2 exceeds
+RESIDUAL_TOL / (10 eps), about 4.5e4, is a ValidationError: beyond it the
+residual tolerance is within rounding. In strong confinement H is strongly
+diagonally dominant, so each scan and fit point is solved with Davidson's
+method (E. R. Davidson, J. Comput. Phys. 17, 87 (1975)): preconditioner
+1/(diag(H) - theta), started from |11> and then from the previous lambda's
+whole subspace. H V = T V + lambda W V, so moving to the next lambda costs
+no product with W. A pair (theta, c) is kept only if its residual r,
+recomputed as T c + lambda (W c) - theta c, meets RESIDUAL_TOL, and only if
+the first of three tiers that succeeds proves it is the ground state:
+
+1. The interlacing floor. Let Q be every configuration but |11> and
+   f(lambda) = lambda_min(H_QQ(lambda)). By Cauchy interlacing
+   (B. N. Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, section
+   10.1) f bounds lambda_2(H) from below, and f is concave, being the
+   minimum of functions affine in lambda. So the chord between two points
+   where f is bounded from below bounds f between them. f(0) = min T_Q
+   exactly; a knot at lambda > 0 is one Davidson estimate of f there,
+   lowered by delta and proven by one Cholesky factor of H_QQ minus it. The
+   first knot is the grid's largest lambda, and a point the chord misses
+   gets a knot of its own; the knots stay on the problem, so the eps2 fit
+   reuses the scan's. If theta + r + delta lies below the chord, the
+   eigenvalue within r of theta lies below lambda_2, so it is the ground
+   energy and |E_0 - theta| <= r.
+2. A Cholesky factor of H - (theta - delta) I, which proves that no
+   eigenvalue lies below theta - delta.
+3. The dense `ground_state(H)`, which stays the reference.
+
+Here delta = _CERTIFICATE_SHIFT (1 + |theta|). H is formed only for tiers 2
+and 3. Scan energies must also be concave in lambda, checked against the
 Hellmann-Feynman tangent of every row.
 """
 
@@ -50,6 +73,8 @@ _DAVIDSON_MAX_ITER = 60
 _MIN_DENOMINATOR = 1e-8
 # the certificate proves that no eigenvalue lies below E - _CERTIFICATE_SHIFT * (1 + |E|)
 _CERTIFICATE_SHIFT = 1e-6
+# ||H||_2 above this bound puts eps ||H|| within a factor of 10 of RESIDUAL_TOL
+_NORM_LIMIT = RESIDUAL_TOL / (10.0 * np.finfo(float).eps)
 # rounding allowance of the concavity check, relative to the size of its terms
 _CONCAVITY_RTOL = 1e-12
 # pair comparisons held in memory at once by the concavity check
@@ -196,38 +221,78 @@ def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray, float]:
     return energy, coeff, residual
 
 
-def _davidson(h: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """Lowest Ritz pair of the subspace grown from `start`.
+class _Subspace:
+    """Orthonormal columns V with W V and the projections V^T diag(T) V and V^T W V.
 
-    Each correction is the residual times 1/(diag(h) - theta), orthogonalized
-    twice against the subspace, which grows by one vector per iteration.
-    Convergence means ||h c - theta c|| <= _DAVIDSON_TOL. If the iteration
-    stalls or reaches its cap first, it returns the pair with the smallest
-    residual seen; None means no finite pair. Nothing here proves that theta
-    is the lowest eigenvalue of h.
+    Neither projection depends on lambda, so V^T H(lambda) V costs no
+    product with W or with V when lambda changes, and a subspace grown at
+    one lambda starts the next. Appending a column costs one product with W
+    and two with V^T; the subspace holds at most _DAVIDSON_MAX_ITER + 1
+    columns.
     """
-    size = h.shape[0]
-    diagonal = h.diagonal()
-    space = np.empty((size, _DAVIDSON_MAX_ITER + 1))
-    image = np.empty((size, _DAVIDSON_MAX_ITER + 1))
-    space[:, 0] = start / np.linalg.norm(start)
-    image[:, 0] = h @ space[:, 0]
-    k = 1
+
+    def __init__(self, kinetic: np.ndarray, w: np.ndarray, vector: np.ndarray):
+        self.kinetic, self.w = kinetic, w
+        columns = _DAVIDSON_MAX_ITER + 1
+        self.basis = np.empty((len(kinetic), columns))
+        self.image = np.empty((len(kinetic), columns))
+        self.projected_t = np.empty((columns, columns))
+        self.projected_w = np.empty((columns, columns))
+        self.restart(vector)
+
+    @property
+    def full(self) -> bool:
+        return self.size == self.basis.shape[1]
+
+    def restart(self, vector: np.ndarray) -> None:
+        """Drop every column and start again from a unit vector."""
+        self.size = 0
+        self.append(vector)
+
+    def append(self, vector: np.ndarray) -> None:
+        """Add a unit vector orthogonal to the columns."""
+        k = self.size
+        self.basis[:, k] = vector
+        self.image[:, k] = self.w @ vector
+        v = self.basis[:, : k + 1]
+        # filled by rows and columns alike, so both projections are exactly symmetric
+        self.projected_t[k, : k + 1] = self.projected_t[: k + 1, k] = v.T @ (self.kinetic * vector)
+        self.projected_w[k, : k + 1] = self.projected_w[: k + 1, k] = v.T @ self.image[:, k]
+        self.size = k + 1
+
+
+def _davidson(lam: float, subspace: _Subspace) -> tuple[float, np.ndarray] | None:
+    """Lowest Ritz pair of H = diag(T) + lam W, grown from the subspace in place.
+
+    Each correction is the residual times 1/(diag(H) - theta), orthogonalized
+    twice against the subspace, which grows by one column per iteration.
+    The residual is T c + lam (W V) y - theta c with c = V y, so no product
+    with W is formed for it. Convergence means ||H c - theta c|| <=
+    _DAVIDSON_TOL. If the iteration stalls or fills the subspace first, it
+    returns the pair with the smallest residual seen; None means no finite
+    pair. The grown subspace is left to start the next lambda from. Nothing
+    here proves that theta is the lowest eigenvalue of H.
+    """
+    kinetic = subspace.kinetic
+    diagonal = kinetic + lam * subspace.w.diagonal()
     best, best_norm = None, math.inf
     for _ in range(_DAVIDSON_MAX_ITER):
-        v, hv = space[:, :k], image[:, :k]
-        projected = v.T @ hv
+        k = subspace.size
+        v = subspace.basis[:, :k]
+        projected = subspace.projected_t[:k, :k] + lam * subspace.projected_w[:k, :k]
         if not np.all(np.isfinite(projected)):
             break
         values, vectors = np.linalg.eigh(projected)
         theta, y = float(values[0]), vectors[:, 0]
-        coeff, h_coeff = v @ y, hv @ y
-        residual = h_coeff - theta * coeff
+        coeff = v @ y
+        residual = kinetic * coeff + lam * (subspace.image[:, :k] @ y) - theta * coeff
         residual_norm = np.linalg.norm(residual)
         if residual_norm <= _DAVIDSON_TOL:
             return theta, coeff
         if residual_norm < best_norm:
             best, best_norm = (theta, coeff), residual_norm
+        if subspace.full:
+            break
         denominator = diagonal - theta
         denominator[np.abs(denominator) < _MIN_DENOMINATOR] = _MIN_DENOMINATOR
         correction = residual / denominator
@@ -238,9 +303,7 @@ def _davidson(h: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray] | No
         # a correction inside the subspace adds nothing (nan fails here too)
         if not norm > 1e-8 * scale:
             break
-        space[:, k] = correction / norm
-        image[:, k] = h @ space[:, k]
-        k += 1
+        subspace.append(correction / norm)
     return best
 
 
@@ -255,35 +318,102 @@ def _no_eigenvalue_below(h: np.ndarray, bound: float) -> bool:
     return True
 
 
-def _certified_ground_state(matrix: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """`ground_state` by Davidson from `start`, falling back to the dense solve.
+def _certificate_shift(energy: float) -> float:
+    return _CERTIFICATE_SHIFT * (1.0 + abs(energy))
 
-    The Davidson pair is kept only if its residual, recomputed from h,
-    meets RESIDUAL_TOL and the Cholesky certificate shows that no eigenvalue
-    lies below E - _CERTIFICATE_SHIFT * (1 + |E|). A pair that misses
-    RESIDUAL_TOL gets one more Davidson run started from it: where ||h|| is
-    near 1e5 (lambda of a few hundred and up) rounding holds a long subspace's
-    residual near 1e-10, and a fresh subspace reaches a lower floor.
+
+class _InterlacingFloor:
+    """Certified lower bounds on lambda_2(H(lambda)): tier 1 of the module docstring.
+
+    `knots` maps lambda to a proven lower bound on f(lambda) =
+    lambda_min(H_QQ(lambda)); between two knots the chord lies below the
+    concave f, and beyond the last knot nothing is known. Each knot's
+    Davidson run starts from the previous knot's subspace.
     """
-    h = _checked_matrix(matrix)
-    # near the overflow limit products turn non-finite; the checks below reject them
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(2):
-            found = _davidson(h, start)
-            if found is None:
-                break
-            energy, coeff = found
-            coeff = coeff / np.linalg.norm(coeff)
-            if coeff[0] < 0:
-                coeff = -coeff
-            residual = float(np.linalg.norm(h @ coeff - energy * coeff))
-            if residual <= RESIDUAL_TOL:
-                if _no_eigenvalue_below(h, energy - _CERTIFICATE_SHIFT * (1.0 + abs(energy))):
-                    coeff.setflags(write=False)
-                    return energy, coeff, residual
-                break
-            start = coeff
-    return ground_state(h)
+
+    def __init__(self, kinetic: np.ndarray, w: np.ndarray):
+        self.kinetic, self.w = kinetic[1:], w[1:, 1:]
+        self.knots: dict[float, float] = {}
+        self.failed: set[float] = set()
+        if len(self.kinetic):
+            self.knots[0.0] = float(self.kinetic.min())
+            lowest = np.eye(1, len(self.kinetic), int(np.argmin(self.kinetic)))[0]
+            self.subspace = _Subspace(self.kinetic, self.w, lowest)
+
+    def chord(self, lam: float) -> float:
+        """The certified floor at lam, or -inf beyond the last knot."""
+        left = max(x for x in self.knots if x <= lam)
+        right = min((x for x in self.knots if x >= lam), default=None)
+        if right is None:
+            return -math.inf
+        if right == left:
+            return self.knots[lam]
+        t = (lam - left) / (right - left)
+        return (1.0 - t) * self.knots[left] + t * self.knots[right]
+
+    def reach(self, lam: float) -> None:
+        """Certify a knot at lam unless one lies at or beyond it."""
+        if self.knots and max(self.knots) < lam:
+            self.certify(lam)
+
+    def certify(self, lam: float) -> None:
+        """Try to add a knot at lam; a failed attempt is not repeated."""
+        if lam in self.knots or lam in self.failed:
+            return
+        found = _davidson(lam, self.subspace)
+        if found is not None:
+            theta, coeff = found
+            if self.subspace.full:
+                self.subspace.restart(coeff)
+            bound = theta - _certificate_shift(theta)
+            if _no_eigenvalue_below(_hamiltonian(self.kinetic, lam, self.w), bound):
+                self.knots[lam] = bound
+                return
+        self.failed.add(lam)
+
+    def exceeds(self, lam: float, value: float) -> bool:
+        """True if lambda_2(H(lam)) > value is proven, certifying a knot at lam if needed."""
+        if not self.knots:
+            return True  # a one-configuration H has no second eigenvalue
+        if self.chord(lam) > value:
+            return True
+        self.certify(lam)
+        return self.chord(lam) > value
+
+
+def _certified_ground_state(lam: float, subspace: _Subspace,
+                            floor: _InterlacingFloor) -> tuple[float, np.ndarray, float]:
+    """Ground state of H = diag(T) + lam W by Davidson from the subspace.
+
+    The pair must meet RESIDUAL_TOL, recomputed as T c + lam (W c) - theta c,
+    and then pass the floor or the Cholesky tier of the module docstring;
+    otherwise the dense `ground_state(H)` solves the point. A pair that
+    misses RESIDUAL_TOL gets one more Davidson run started from it alone: a
+    long subspace can hold the residual above the tolerance by rounding, or
+    be full. The subspace is left to start the next lambda from.
+    """
+    kinetic, w = subspace.kinetic, subspace.w
+    for _ in range(2):
+        found = _davidson(lam, subspace)
+        if found is None:
+            break
+        energy, coeff = found
+        coeff = coeff / np.linalg.norm(coeff)
+        if coeff[0] < 0:
+            coeff = -coeff
+        residual = float(np.linalg.norm(kinetic * coeff + lam * (w @ coeff) - energy * coeff))
+        if residual <= RESIDUAL_TOL:
+            delta = _certificate_shift(energy)
+            if floor.exceeds(lam, energy + residual + delta) or _no_eigenvalue_below(
+                _hamiltonian(kinetic, lam, w), energy - delta
+            ):
+                coeff.setflags(write=False)
+                return energy, coeff, residual
+            break
+        subspace.restart(coeff)
+    energy, coeff, residual = ground_state(_hamiltonian(kinetic, lam, w))
+    subspace.restart(coeff)
+    return energy, coeff, residual
 
 
 def _solution(lam: float, energy: float, coeff: np.ndarray, residual: float) -> CiSolution:
@@ -331,7 +461,9 @@ class CiProblem:
     """H(lambda) = diag(T) + lambda W for one charge, basis and table.
 
     T and W are built on first use and then shared, so a scan, an eps2 fit
-    and a sum over states on one problem assemble W once.
+    and a sum over states on one problem assemble W once; the fit also
+    reuses the scan's interlacing knots. The knots are solver state that a
+    scan updates, so threads should not share one problem.
     """
 
     z: float
@@ -347,17 +479,30 @@ class CiProblem:
 
     @cached_property
     def interaction(self) -> np.ndarray:
-        return interaction_matrix(self.z, self.basis, self.table)
+        return _checked_matrix(interaction_matrix(self.z, self.basis, self.table))
+
+    @cached_property
+    def _floor(self) -> _InterlacingFloor:
+        return _InterlacingFloor(self.kinetic, self.interaction)
+
+    def _norm_bound(self, lam: float) -> float:
+        """max(T) + lambda max_i sum_j |W_ij|, an upper bound on ||H(lambda)||_2."""
+        return float(self.kinetic.max()) + lam * float(np.abs(self.interaction).sum(axis=1).max())
 
     def _ground_states(self, lams: list[float]) -> list[tuple[float, np.ndarray, float]]:
-        # start from |11>, then from the previous lambda's vector
-        start = np.zeros(len(self.basis))
-        start[0] = 1.0
-        pairs = []
-        for lam in lams:
-            pairs.append(_certified_ground_state(_hamiltonian(self.kinetic, lam, self.interaction), start))
-            start = pairs[-1][1]
-        return pairs
+        top = max(lams)
+        bound = self._norm_bound(top)
+        if not bound <= _NORM_LIMIT:
+            raise ValidationError(
+                f"lambda = {top:.6g} is outside the CI solver's range: its bound "
+                f"max(T) + lambda max_i sum_j |W_ij| = {bound:.3e} on ||H||_2 exceeds "
+                f"RESIDUAL_TOL / (10 eps) = {_NORM_LIMIT:.3e}"
+            )
+        # the floor is certified at the largest lambda first; its chord from 0 covers the rest
+        self._floor.reach(top)
+        # start from |11>, then from the previous lambda's subspace
+        subspace = _Subspace(self.kinetic, self.interaction, np.eye(1, len(self.basis))[0])
+        return [_certified_ground_state(lam, subspace, self._floor) for lam in lams]
 
     def overlap_scan(self, lambdas) -> list[CiSolution]:
         """Ground-state solutions over an ascending positive lambda grid, checked for concavity."""

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxatom import (
     CiBasis,
@@ -232,19 +234,29 @@ class TestCertifiedGroundState:
             h[block, block] = np.diag(offset + np.arange(4.0)) + (a + a.T)
         return h
 
+    @staticmethod
+    def _subspace(h, start):
+        # H = diag(0) + 1.0 * h is h itself
+        return ci._Subspace(np.zeros(len(h)), h, start / np.linalg.norm(start))
+
+    @staticmethod
+    def _floor(h):
+        return ci._InterlacingFloor(np.zeros(len(h)), h)
+
     def test_certificate_rejects_a_ground_state_of_the_wrong_block(self, monkeypatch):
         h = self._block_diagonal()
         start = np.zeros(8)
         start[4] = 1.0
         # the diagonal preconditioner keeps every iterate in block B
-        energy, coeff = ci._davidson(h, start)
+        energy, coeff = ci._davidson(1.0, self._subspace(h, start))
         assert energy == pytest.approx(np.linalg.eigvalsh(h[4:, 4:])[0], abs=1e-12)
         np.testing.assert_array_equal(coeff[:4], 0.0)
         delta = ci._CERTIFICATE_SHIFT * (1.0 + abs(energy))
+        assert not self._floor(h).exceeds(1.0, energy + delta)
         assert not ci._no_eigenvalue_below(h, energy - delta)
         dense = []
         monkeypatch.setattr(ci, "ground_state", lambda m: dense.append(m) or ground_state(m))
-        got, _, _ = ci._certified_ground_state(h, start)
+        got, _, _ = ci._certified_ground_state(1.0, self._subspace(h, start), self._floor(h))
         assert len(dense) == 1
         assert got == ground_state(h)[0]
         assert got == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
@@ -253,9 +265,11 @@ class TestCertifiedGroundState:
         h = self._block_diagonal()
         start = np.zeros(8)
         start[0] = 1.0
-        energy, _ = ci._davidson(h, start)
+        energy, _ = ci._davidson(1.0, self._subspace(h, start))
         assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
-        assert ci._no_eigenvalue_below(h, energy - ci._CERTIFICATE_SHIFT * (1.0 + abs(energy)))
+        delta = ci._CERTIFICATE_SHIFT * (1.0 + abs(energy))
+        assert ci._no_eigenvalue_below(h, energy - delta)
+        assert self._floor(h).exceeds(1.0, energy + delta)
 
     def test_capped_davidson_returns_its_best_pair(self, monkeypatch):
         # one iteration leaves only the start vector and its Rayleigh quotient
@@ -263,7 +277,7 @@ class TestCertifiedGroundState:
         h = self._block_diagonal()
         start = np.zeros(8)
         start[0] = 1.0
-        energy, coeff = ci._davidson(h, start)
+        energy, coeff = ci._davidson(1.0, self._subspace(h, start))
         assert energy == h[0, 0]
         np.testing.assert_array_equal(coeff, start)
 
@@ -272,19 +286,42 @@ class TestCertifiedGroundState:
         davidson = ci._davidson
         starts, found = [], []
 
-        def recorded(h, start):
-            starts.append(np.array(start))
-            found.append(davidson(h, start))
+        def recorded(lam, subspace):
+            starts.append(subspace.basis[:, : subspace.size].copy())
+            found.append(davidson(lam, subspace))
             return found[-1]
 
         monkeypatch.setattr(ci, "_davidson", recorded)
         h = self._block_diagonal()
         start = np.zeros(8)
         start[:4] = 0.5
-        energy, _, residual = ci._certified_ground_state(h, start)
+        energy, _, residual = ci._certified_ground_state(1.0, self._subspace(h, start), self._floor(h))
         assert len(starts) == 2
-        np.testing.assert_array_equal(starts[1], found[0][1] / np.linalg.norm(found[0][1]))
+        np.testing.assert_array_equal(starts[1], (found[0][1] / np.linalg.norm(found[0][1]))[:, None])
         assert energy == ground_state(h)[0] and residual <= 1e-10
+
+    def test_excited_pair_falls_through_the_floor_and_cholesky_to_dense(self, table, monkeypatch):
+        # Davidson started on the exact first excited vector returns that pair
+        # with a tiny residual; the floor and the Cholesky tier must both reject it
+        problem = CiProblem(2.0, CiBasis.up_to(8), table)
+        lam = 1.0
+        h = build_hamiltonian(2.0, lam, problem.basis, table)
+        values, vectors = np.linalg.eigh(h)
+        subspace = ci._Subspace(problem.kinetic, problem.interaction, vectors[:, 1])
+        assert ci._davidson(lam, subspace)[0] == pytest.approx(values[1], abs=1e-10)
+        floor_verdicts, cholesky_verdicts, dense = [], [], []
+        exceeds, no_eigenvalue_below = ci._InterlacingFloor.exceeds, ci._no_eigenvalue_below
+        monkeypatch.setattr(ci._InterlacingFloor, "exceeds",
+                            lambda self, *a: floor_verdicts.append(exceeds(self, *a)) or floor_verdicts[-1])
+        monkeypatch.setattr(ci, "_no_eigenvalue_below",
+                            lambda *a: cholesky_verdicts.append(no_eigenvalue_below(*a)) or cholesky_verdicts[-1])
+        monkeypatch.setattr(ci, "ground_state", lambda m: dense.append(m) or ground_state(m))
+        subspace = ci._Subspace(problem.kinetic, problem.interaction, vectors[:, 1])
+        energy, coeff, residual = ci._certified_ground_state(lam, subspace, problem._floor)
+        # the first Cholesky certifies the floor's knot at lambda = 1, the second rejects the pair
+        assert floor_verdicts == [False] and cholesky_verdicts == [True, False] and len(dense) == 1
+        assert energy == pytest.approx(values[0], abs=1e-10) and residual <= 1e-10
+        assert values[0] < problem._floor.knots[lam] < values[1]
 
     @pytest.mark.parametrize("nmax", [4, 8, 12, 24])
     def test_scan_agrees_with_dense_ground_state(self, nmax, table):
@@ -333,31 +370,33 @@ class TestCertifiedGroundState:
     def test_excited_state_trips_concavity_check(self, table, monkeypatch):
         # a row that reports the first excited pair passes its own residual
         # check but lies far above the neighbouring tangent lines
-        certified = ci._certified_ground_state
+        solution = ci._solution
+        basis = CiBasis.up_to(6)
         rows = []
 
-        def excited_third_row(matrix, start):
-            rows.append(matrix)
+        def excited_third_row(lam, energy, coeff, residual):
+            rows.append(lam)
             if len(rows) != 3:
-                return certified(matrix, start)
+                return solution(lam, energy, coeff, residual)
+            matrix = build_hamiltonian(2.0, lam, basis, table)
             values, vectors = np.linalg.eigh(matrix)
             coeff = vectors[:, 1] * np.sign(vectors[0, 1])
-            coeff.setflags(write=False)
-            return float(values[1]), coeff, float(np.linalg.norm(matrix @ coeff - values[1] * coeff))
+            residual = float(np.linalg.norm(matrix @ coeff - values[1] * coeff))
+            return solution(lam, float(values[1]), coeff, residual)
 
-        monkeypatch.setattr(ci, "_certified_ground_state", excited_third_row)
+        monkeypatch.setattr(ci, "_solution", excited_third_row)
         with pytest.raises(ConvergenceError, match="concave"):
-            overlap_scan(2.0, np.linspace(0.1, 2.0, 6), CiBasis.up_to(6), table)
+            overlap_scan(2.0, np.linspace(0.1, 2.0, 6), basis, table)
+        assert len(rows) == 6
 
     def test_energy_above_first_order_line_trips_concavity(self, table, monkeypatch):
         # the exact lambda = 0 row makes eps0 + eps1 lambda one of the tangents
-        certified = ci._certified_ground_state
+        solution = ci._solution
 
-        def raised(matrix, start):
-            energy, coeff, residual = certified(matrix, start)
-            return energy + 0.5, coeff, residual
+        def raised(lam, energy, coeff, residual):
+            return solution(lam, energy + 0.5, coeff, residual)
 
-        monkeypatch.setattr(ci, "_certified_ground_state", raised)
+        monkeypatch.setattr(ci, "_solution", raised)
         with pytest.raises(ConvergenceError, match="tangent at lambda = 0"):
             overlap_scan(2.0, [0.5], CiBasis.up_to(6), table)
 
@@ -365,6 +404,76 @@ class TestCertifiedGroundState:
         # tangent margins shrink to rounding when lambda steps are ~1e-14 apart
         scan = overlap_scan(2.0, np.linspace(1.0, 1.0 + 1e-12, 20), CiBasis.up_to(8), table)
         assert len(scan) == 20
+
+
+class TestInterlacingFloor:
+    def test_floor_starts_at_the_lowest_excited_kinetic_energy(self, table):
+        floor = CiProblem(2.0, CiBasis.up_to(6), table)._floor
+        assert floor.knots == {0.0: 2.5 * math.pi**2}
+        assert floor.chord(0.0) == 2.5 * math.pi**2
+        assert floor.chord(0.5) == -math.inf  # nothing is known beyond the last knot
+
+    def test_one_configuration_has_no_second_eigenvalue(self, table):
+        problem = CiProblem(2.0, CiBasis.up_to(1), table)
+        assert problem._floor.exceeds(1.0, math.inf)
+        (solution,) = problem.overlap_scan([1.0])
+        assert solution.energy == pytest.approx(solve_ground(2.0, 1.0, CiBasis.up_to(1), table).energy,
+                                                rel=1e-14, abs=0)
+
+    def test_scan_and_fit_share_the_knots(self, table):
+        problem = CiProblem(2.0, CiBasis.up_to(12), table)
+        problem.overlap_scan(np.linspace(0.1, 2.0, 20))
+        knots = dict(problem._floor.knots)
+        problem.second_order_estimate(np.linspace(0.02, 0.2, 10))
+        assert problem._floor.knots == knots and 2.0 in knots
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(z=st.floats(0.5, 4.0), nmax=st.integers(4, 16), top=st.floats(1e-3, 3.0),
+       fraction=st.floats(1e-3, 1.0))
+def test_floor_never_exceeds_the_second_eigenvalue(table, z, nmax, top, fraction):
+    # every certified knot and every chord value lies below the dense lambda_2
+    basis = CiBasis.up_to(nmax)
+    floor = CiProblem(z, basis, table)._floor
+    lam = top * fraction
+    floor.reach(top)
+    floor.certify(lam)
+    assert top in floor.knots
+
+    def eigenvalue(x, block, index):
+        h = build_hamiltonian(z, x, basis, table)[block, block]
+        value = float(np.linalg.eigvalsh(h)[index])
+        return value + 1e-12 * (1.0 + abs(value))
+
+    def second(x):
+        return eigenvalue(x, slice(None), 1)
+
+    for knot, value in floor.knots.items():
+        # each knot bounds lambda_min(H_QQ), which interlacing puts below lambda_2
+        assert value <= eigenvalue(knot, slice(1, None), 0)
+        assert value <= second(knot)
+    for x in (lam, 0.5 * lam, 0.5 * (lam + top)):
+        assert floor.chord(x) <= second(x)
+
+
+class TestNormBound:
+    def test_rounding_bound_input_is_rejected(self, table):
+        # eps ||H|| near RESIDUAL_TOL made this verdict depend on the BLAS thread count
+        problem = CiProblem(3.0, CiBasis.up_to(12), table)
+        assert problem._norm_bound(2238.72113856834) == pytest.approx(3.086e5, rel=1e-3)
+        with pytest.raises(ValidationError, match=r"3\.086e\+05 on \|\|H\|\|_2 exceeds"):
+            problem.overlap_scan([2238.72113856834])
+
+    @pytest.mark.parametrize("z,nmax,lam,bound", [(1.0, 24, 70.0, 1.267e4), (4.0, 48, 3.0, 2.494e4)])
+    def test_strong_coupling_stays_inside(self, table, z, nmax, lam, bound):
+        got = CiProblem(z, CiBasis.up_to(nmax), table)._norm_bound(lam)
+        assert got == pytest.approx(bound, rel=1e-3) and got < ci._NORM_LIMIT
+
+    def test_bound_covers_the_spectral_norm(self, table):
+        problem = CiProblem(4.0, CiBasis.up_to(8), table)
+        for lam in (0.5, 30.0):
+            h = build_hamiltonian(4.0, lam, problem.basis, table)
+            assert np.linalg.norm(h, 2) <= problem._norm_bound(lam)
 
 
 class TestSecondOrder:

@@ -4,11 +4,12 @@ import io
 import json
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxatom import CoulombTable, ci, cli, coulomb
+from boxatom import CoulombTable, ci, cli, coulomb, sphere
 from boxatom.cli import RunConfig, main
 from boxatom.errors import ValidationError
 from boxatom.system import MAX_PARTICLES
@@ -263,13 +264,28 @@ class TestCiScan:
         assert code == 0
         assert calls == [5]
 
+    def test_nmax24_scan_pays_per_problem(self, capsys, monkeypatch):
+        # one interlacing knot certifies every scan and fit point: no Cholesky
+        # per point, and the mode profiles come from the recurrence
+        fresh = CoulombTable(points=200)
+        monkeypatch.setattr(cli, "get_table", lambda points: fresh)
+        factorizations, modes = [], []
+        cholesky, radial_init = np.linalg.cholesky, sphere.RadialMode.__init__
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorizations.append(a.shape) or cholesky(a))
+        monkeypatch.setattr(sphere.RadialMode, "__init__",
+                            lambda self, *a, **k: modes.append(a) or radial_init(self, *a, **k))
+        code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "24")
+        assert code == 0
+        assert 1 <= len(factorizations) <= 2 and modes == []
+
     @pytest.mark.filterwarnings("error")  # a leaked numpy warning would be a second line
-    def test_overflowing_lambda_exits_3_with_one_line(self, capsys):
-        # residual of a 1e300-scaled eigenpair overflows; it must fail, not warn
+    def test_overflowing_lambda_exits_2_with_one_line(self, capsys):
+        # ||H|| far beyond RESIDUAL_TOL / (10 eps) is outside the solver's domain
         code, out, err = run(capsys, "ci-scan", "he-clamped", "--nmax", "4",
                              "--lambda-min", "1e300", "--lambda-max", "1e300", "--steps", "1")
-        assert code == 3 and out == ""
+        assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "||H||_2" in err
 
     @pytest.mark.filterwarnings("error")  # a leaked numpy warning would be a second line
     def test_lambda_times_w_overflow_exits_2_with_one_line(self, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from boxatom import CoulombTable, ModeIndex, PairIntegralKey, build_radial_mode, ci, coulomb, gauss_legendre, get_table, integrate_square
+from boxatom.quadrature import triangle_grid
 from boxatom.coulomb import mode_pair_index
 from boxatom.errors import ConvergenceError, UnsupportedModeError, ValidationError
 
@@ -207,6 +208,27 @@ class TestClosedForms:
         first, second = np.triu_indices(nmax)
         central, slater = coulomb._closed_forms(second - first, first + second + 2)
         got_central, got_slater = table.s_wave_block(nmax)
+        np.testing.assert_allclose(got_central[first, second], central, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_slater, slater, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("points", [200, 512])
+    def test_profile_recurrence_tracks_the_sine(self, points):
+        # each u_n is within n^2 eps of sqrt(2) sin(n pi r) on the outer and the inner grid
+        r1, _, r2, _ = triangle_grid(gauss_legendre(points))
+        n = np.arange(1, 49)
+        for r in (r1, r2):
+            got = coulomb._s_wave_profiles(r, 48)
+            exact = np.stack([math.sqrt(2.0) * np.sin(k * np.pi * r) for k in n], axis=-2)
+            gap = np.abs(got - exact).max(axis=tuple(a for a in range(got.ndim) if a != got.ndim - 2))
+            assert np.all(gap <= n**2 * np.finfo(float).eps)
+            # u_1 is the sine itself, so the nmax-1 block keeps its bits
+            np.testing.assert_array_equal(got[..., 0, :], math.sqrt(2.0) * np.sin(1 * math.pi * r))
+
+    def test_finest_block_matches_closed_forms(self):
+        nmax = coulomb.MAX_NMAX
+        first, second = np.triu_indices(nmax)
+        central, slater = coulomb._closed_forms(second - first, first + second + 2)
+        got_central, got_slater = coulomb._Grid(512).s_wave_block(nmax)
         np.testing.assert_allclose(got_central[first, second], central, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_slater, slater, rtol=0, atol=1e-12)
 
