@@ -11,8 +11,13 @@ Every s-wave integral is computed in one block per nmax <= MAX_NMAX
 (`s_wave_block`): with weighted outer profiles O[k] = w1 u_a u_c / r1 and
 cumulative inner profiles I[k] = int_0^r1 u_b u_d over mode pairs
 k = (a <= c), the central matrix is the row sum of O and the Slater matrix
-is O I^T + I O^T. The mode profiles u_n(r) = sqrt(2) sin(n pi r) take one
-sine and one cosine per node; the rest follow from the Chebyshev recurrence
+is O I^T + I O^T. I is filled in batches of 16 outer nodes, each batch from
+its own rows of the inner grid (nodes r1 x_j and weights r1 w_j on [0, r1]),
+so the scratch memory is a few 16 x nmax x points arrays and no
+points x points array outlives one batch; a row's products do not depend on
+the batch it is in, so the batch size changes no bit. The mode profiles
+u_n(r) = sqrt(2) sin(n pi r) take one sine per node, and one cosine per node
+when nmax > 1; the rest follow from the Chebyshev recurrence
 u_{n+1} = 2 cos(pi r) u_n - u_{n-1} (DLMF 18.5(i)). A rounding error made
 at step j reaches u_n multiplied by U_{n-j-1}(cos pi r), at most n - j in
 size, and one in cos(pi r) by about sin(pi r) U'_{n-1}, at most of order n^2;
@@ -49,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, UnsupportedModeError, ValidationError
-from .quadrature import MAX_POINTS, gauss_legendre, triangle_grid
+from .quadrature import MAX_POINTS, gauss_legendre
 from .sphere import ModeIndex
 
 DEFAULT_POINTS = 200
@@ -59,8 +64,9 @@ AGREEMENT_TOL = 1e-9
 # Slater matrix; a block grows as nmax^4
 MAX_NMAX = 48
 # outer nodes per inner-profile batch in s_wave_block: its scratch memory is
-# a few 64 x nmax x points arrays, never a (pairs x points x points) tensor
-_BLOCK_ROWS = 64
+# a few 16 x nmax x points arrays (0.79 MB each at nmax 12 and 512 points,
+# which fits in L2), and no points x points array outlives one batch
+_BLOCK_ROWS = 16
 # Gauss-Legendre points per panel [j pi, (j+1) pi] of the Si/Cin tables; both
 # integrands are entire, so the panel rule is exact to rounding
 _PANEL_POINTS = 20
@@ -152,6 +158,8 @@ def _s_wave_profiles(r: np.ndarray, nmax: int) -> np.ndarray:
     twice_cos = np.multiply(np.pi, r)
     np.sin(twice_cos, out=out[..., 0, :])
     out[..., 0, :] *= math.sqrt(2.0)
+    if nmax == 1:
+        return out
     np.cos(twice_cos, out=twice_cos)
     twice_cos *= 2.0
     previous = 0.0
@@ -163,17 +171,18 @@ def _s_wave_profiles(r: np.ndarray, nmax: int) -> np.ndarray:
 
 
 class _Grid:
-    """Triangle quadrature grid; it caches nothing."""
+    """Gauss-Legendre rule mapped to [0, 1]; it caches nothing and keeps no inner grid."""
 
     def __init__(self, points: int):
         rule = gauss_legendre(points)
-        self.r1, self.w1, self.r2, self.w2 = triangle_grid(rule)
+        self.r1 = 0.5 * (rule.nodes + 1.0)
+        self.w1 = 0.5 * rule.weights
 
     def s_wave_block(self, nmax: int) -> tuple[np.ndarray, np.ndarray]:
         """Central matrix over modes 1..nmax and Slater matrix over their pairs.
 
         Mode pairs k = (a <= c) are numbered as in mode_pair_index. Nothing is
-        cached here, and no per-mode array on the n x n inner grid is kept.
+        cached here, and no array on the n x n inner grid is kept.
         """
         first, second = np.triu_indices(nmax)
         values = _s_wave_profiles(self.r1, nmax)
@@ -181,8 +190,10 @@ class _Grid:
         inner = np.empty_like(outer)
         for start in range(0, len(self.r1), _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            u = _s_wave_profiles(self.r2[rows], nmax)  # (rows, mode, node)
-            products = (self.w2[rows, None, :] * u) @ u.transpose(0, 2, 1)
+            # these rows of the inner grid are the products that
+            # quadrature.triangle_grid forms for them, so they have its bits
+            u = _s_wave_profiles(np.outer(self.r1[rows], self.r1), nmax)  # (rows, mode, node)
+            products = (np.outer(self.r1[rows], self.w1)[:, None, :] * u) @ u.transpose(0, 2, 1)
             inner[:, rows] = products[:, first, second].T
         central = np.empty((nmax, nmax))
         central[first, second] = central[second, first] = outer.sum(axis=1)

@@ -5,7 +5,9 @@ paths: the entire cosine integral comes from its even series and the sine
 integral from its odd series (both summed in 60-digit decimals, so they stay
 exact where float terms would cancel), roots from
 plain bisection on closed-form Bessel expressions, and the symmetrized CI
-matrix from a brute-force product-basis projection.
+matrix from a brute-force product-basis projection. The one exception is
+`s_wave_block_whole_grid`, which shares the mode profiles with `coulomb` and
+pins the bits of its batched grid instead.
 """
 
 import itertools
@@ -14,7 +16,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from boxatom import ModeIndex, PairIntegralKey
+from boxatom import ModeIndex, PairIntegralKey, coulomb, gauss_legendre
+from boxatom.quadrature import triangle_grid
 
 
 def cin_series(x: float) -> float:
@@ -129,3 +132,26 @@ def product_basis_hamiltonian(nmax: int, z: float, lam: float, table) -> np.ndar
         proj[k, prod.index((n, m))] += weight
         proj[k, prod.index((m, n))] += weight
     return proj @ h @ proj.T
+
+
+def s_wave_block_whole_grid(points: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """The s-wave block of the points-point rule, on the whole triangle grid in one batch.
+
+    The same operations as `coulomb._Grid.s_wave_block` in the same order,
+    but the inner grid comes from `triangle_grid` as one points x points
+    array and every row is in one batched product. A streamed block equals
+    this one bit for bit only if its per-row inner grid and batching change
+    no rounding.
+    """
+    r1, w1, r2, w2 = triangle_grid(gauss_legendre(points))
+    first, second = np.triu_indices(nmax)
+    values = coulomb._s_wave_profiles(r1, nmax)
+    outer = w1 * values[first] * values[second] / r1
+    u = coulomb._s_wave_profiles(r2, nmax)  # (row, mode, node)
+    products = (w2[:, None, :] * u) @ u.transpose(0, 2, 1)
+    inner = np.empty_like(outer)
+    inner[:, :] = products[:, first, second].T
+    central = np.empty((nmax, nmax))
+    central[first, second] = central[second, first] = outer.sum(axis=1)
+    half = outer @ inner.T
+    return central, half + half.T

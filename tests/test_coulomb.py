@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,7 @@ from boxatom.quadrature import triangle_grid
 from boxatom.coulomb import mode_pair_index
 from boxatom.errors import ConvergenceError, UnsupportedModeError, ValidationError
 
-from oracles import cin_series, si_series
+from oracles import cin_series, s_wave_block_whole_grid, si_series
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -231,6 +232,32 @@ class TestClosedForms:
         got_central, got_slater = coulomb._Grid(512).s_wave_block(nmax)
         np.testing.assert_allclose(got_central[first, second], central, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_slater, slater, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("points,nmax", [
+        (points, nmax) for points in (16, 200, 512) for nmax in (1, 2, 12)] + [(200, 24)])
+    def test_streamed_block_is_bit_identical_to_whole_grid(self, points, nmax):
+        # the printed 10-digit outputs depend on these bits
+        for got, want in zip(coulomb._Grid(points).s_wave_block(nmax),
+                             s_wave_block_whole_grid(points, nmax)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_grid_holds_only_the_mapped_rule(self):
+        grid = coulomb._Grid(512)
+        arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.size <= 512 for a in arrays)
+
+    @pytest.mark.parametrize("points,nmax", [(512, 12), (200, 24)])
+    def test_block_scratch_memory_is_small(self, points, nmax):
+        # a whole points x points inner grid with its 64-row batches peaked
+        # at 7.5 MB (512, 12) and 6.5 MB (200, 24)
+        grid = coulomb._Grid(points)
+        tracemalloc.start()
+        try:
+            grid.s_wave_block(nmax)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     def test_pair_closed_form(self):
         # pair(1,1) = 2 - [Si(2pi) - Si(4pi)/2]/pi, from u_1^2 = 1 - cos(2 pi r)
