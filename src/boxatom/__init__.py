@@ -20,7 +20,7 @@ from .ci import (
     second_order_sum_over_states,
     solve_ground,
 )
-from .coulomb import CoulombTable, PairIntegralKey, get_table
+from .coulomb import CoulombTable, get_table
 from .errors import (
     BoxatomError,
     ConvergenceError,
@@ -81,7 +81,6 @@ __all__ = [
     "EnergyCurvePoint",
     "ModeIndex",
     "NuclearMotionReport",
-    "PairIntegralKey",
     "Particle",
     "PerturbationCoefficients",
     "QuadratureRule",

@@ -48,7 +48,6 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -70,19 +69,6 @@ _BLOCK_ROWS = 16
 # Gauss-Legendre points per panel [j pi, (j+1) pi] of the Si/Cin tables; both
 # integrands are entire, so the panel rule is exact to rounding
 _PANEL_POINTS = 20
-
-
-@dataclass(frozen=True)
-class PairIntegralKey:
-    """Slater integral label: coordinate-1 couples bra[0]/ket[0], coordinate-2 bra[1]/ket[1]."""
-
-    bra: tuple[ModeIndex, ModeIndex]
-    ket: tuple[ModeIndex, ModeIndex]
-
-    def __post_init__(self):
-        for side, pair in (("bra", self.bra), ("ket", self.ket)):
-            if len(pair) != 2 or not all(isinstance(m, ModeIndex) for m in pair):
-                raise ValidationError(f"{side} must be a pair of ModeIndex, got {pair!r}")
 
 
 def check_nmax(nmax) -> int:
@@ -250,7 +236,7 @@ class CoulombTable:
             pairs = list(zip((first + 1).tolist(), (second + 1).tolist()))
             for what, labels, value, exact in (
                 ("central_expectation for modes", modes, block[0], central),
-                ("slater_radial for mode pairs", pairs, block[1], exact_slater),
+                ("Slater integral for mode pairs", pairs, block[1], exact_slater),
             ):
                 # the worst entry passes only if every entry does
                 i, j = np.unravel_index(np.argmax(np.abs(value - exact)), value.shape)
@@ -276,18 +262,11 @@ class CoulombTable:
         return float(central[a.n - 1, b.n - 1])
 
     def pair_expectation(self, a: ModeIndex, b: ModeIndex) -> float:
-        """Ground-type repulsion element: u_a^2 and u_b^2 against 1/max(r1, r2)."""
-        return self.slater_radial(PairIntegralKey(bra=(a, b), ket=(a, b)))
-
-    def slater_radial(self, key: PairIntegralKey) -> float:
-        """Monopole Slater integral R0(ab;cd) for s-wave modes."""
-        if not isinstance(key, PairIntegralKey):
-            raise ValidationError("slater_radial takes a PairIntegralKey")
-        (a, b), (c, d) = key.bra, key.ket
+        """Ground-type repulsion element R0(ab;ab): u_a^2 and u_b^2 against 1/max(r1, r2)."""
         # validates nmax before the index is built
-        central, slater = self._block_for("slater_radial", (a, b, c, d))
+        central, slater = self._block_for("pair_expectation", (a, b))
         index = mode_pair_index(len(central))
-        return float(slater[index[a.n - 1, c.n - 1], index[b.n - 1, d.n - 1]])
+        return float(slater[index[a.n - 1, a.n - 1], index[b.n - 1, b.n - 1]])
 
 
 @lru_cache(maxsize=8)

@@ -10,7 +10,7 @@ class ValidationError(BoxatomError):
 
 
 class UnsupportedModeError(BoxatomError):
-    """Requested feature outside the s-wave scope of the integral tables."""
+    """A mode beyond what is served: s-wave integrals, sphere modes l <= 1, ground occupations."""
 
 
 class ConvergenceError(BoxatomError):

@@ -1,4 +1,4 @@
-"""Radial eigenstates of a unit sphere with an impenetrable wall.
+"""Radial eigenstates of a unit sphere with an impenetrable wall, for l <= 1.
 
 A particle of scaled mass m' confined to r < 1 with a Dirichlet wall has
 eigenfunctions (spherical harmonic) x j_l(x_{l,n} r)/r and energies
@@ -8,9 +8,11 @@ Bessel function j_l. Everything here works with the radial factor
     u_{l,n}(r) = norm * r * j_l(x_{l,n} r),  int_0^1 u^2 dr = 1,
 
 so downstream Coulomb integrals are one-dimensional in each radial variable.
-The normalization follows from int_0^1 j_l(x r)^2 r^2 dr = j_{l+1}(x)^2 / 2
-at a zero x, giving norm = sqrt(2) / |j_{l+1}(x_{l,n})|. For l = 0 this
-reduces to u(r) = sqrt(2) sin(n pi r).
+Only l = 0 and l = 1 are served, with j_0(x) = sin x / x and
+j_1(x) = sin x / x^2 - cos x / x (DLMF 10.49.3). The zeros of j_0 are n pi,
+so u_{0,n}(r) = sqrt(2) sin(n pi r); those of j_1 are the roots of
+tan x = x, one in each (n pi, (n + 1/2) pi). Any l >= 2 raises
+UnsupportedModeError.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-
-_SERIES_TERM_LIMIT = 200
+from .errors import UnsupportedModeError, ValidationError
 
 
 @dataclass(frozen=True, order=True)
@@ -40,114 +40,56 @@ class ModeIndex:
                 raise ValidationError(f"mode {name} must be >= {low}, got {value}")
 
 
-def _double_factorial_odd(k: int) -> float:
-    # (2k+1)!! as a float; k stays small (k = l or l+1)
-    out = 1.0
-    for j in range(3, 2 * k + 2, 2):
-        out *= j
-    return out
+def _check_order(l) -> None:
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l < 0:
+        raise ValidationError(f"order l must be a nonnegative integer, got {l!r}")
+    if l > 1:
+        raise UnsupportedModeError(f"sphere modes are served for l <= 1 only; got l = {l}")
 
 
-def _jl_series(l: int, x: np.ndarray) -> np.ndarray:
-    # ascending series around 0; u ~ r^(l+1) smoothness comes from the x^l prefactor
+def _j1_series(x: np.ndarray) -> np.ndarray:
+    # j_1(x) = x/3 sum_k (-x^2/2)^k / (k! 5 7 ... (2k+3)); for |x| < 1 the
+    # first term left out, k = 9, is below 1.2e-18 of the sum
     z = -0.5 * x * x
-    term = np.ones_like(x)
-    acc = np.ones_like(x)
-    for k in range(1, _SERIES_TERM_LIMIT):
-        term = term * z / (k * (2 * l + 2 * k + 1))
+    term = acc = np.ones_like(x)
+    for k in range(1, 9):
+        term = term * z / (k * (2 * k + 3))
         acc = acc + term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(acc)):
-            break
-    return x**l / _double_factorial_odd(l) * acc
-
-
-def _jl_recurrence(l: int, x: np.ndarray) -> np.ndarray:
-    # upward recurrence j_{k+1} = (2k+1)/x j_k - j_{k-1}; stable for x >= l
-    j0 = np.sin(x) / x
-    if l == 0:
-        return j0
-    j1 = j0 / x - np.cos(x) / x
-    jm, jc = j0, j1
-    for k in range(2, l + 1):
-        jm, jc = jc, (2 * k - 1) / x * jc - jm
-    return jc
+    return x / 3.0 * acc
 
 
 def spherical_jl(l: int, x) -> np.ndarray | float:
-    """Spherical Bessel function j_l, series below x ~ max(1, l), recurrence above."""
-    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l < 0:
-        raise ValidationError(f"order l must be a nonnegative integer, got {l!r}")
+    """Spherical Bessel function j_0 or j_1; j_1 comes from its series below |x| = 1."""
+    _check_order(l)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    cut = max(1.0, float(l))
-    small = np.abs(arr) < cut
-    if np.any(small):
-        out[small] = _jl_series(l, arr[small])
-    if np.any(~small):
-        out[~small] = _jl_recurrence(l, arr[~small])
+    out = np.ones_like(arr)  # j_0(0) = 1; every other entry is overwritten
+    far = arr != 0.0 if l == 0 else np.abs(arr) >= 1.0
+    x_far = arr[far]
+    j0 = np.sin(x_far) / x_far
+    out[far] = j0 if l == 0 else j0 / x_far - np.cos(x_far) / x_far
+    if l == 1:
+        out[~far] = _j1_series(arr[~far])
     return float(out[0]) if scalar else out
 
 
-def _jl_prime(l: int, x: float) -> float:
-    if l == 0:
-        return -spherical_jl(1, x)
-    return spherical_jl(l - 1, x) - (l + 1) / x * spherical_jl(l, x)
-
-
-def _refine_zero(l: int, lo: float, hi: float) -> float:
-    # bisection to a narrow bracket, then Newton polish
-    f = lambda t: spherical_jl(l, t)
-    a, b = lo, hi
-    fa = f(a)
-    fb = f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0) == (fb > 0):
-        raise ValidationError(f"zero bracket for j_{l} on ({lo}, {hi}) lost its sign change")
-    while b - a > 1e-10:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    x = 0.5 * (a + b)
-    for _ in range(8):
-        step = f(x) / _jl_prime(l, x)
-        x_new = min(max(x - step, a), b)
-        if abs(x_new - x) <= 1e-15 * x:
-            return x_new
-        x = x_new
-    return x
-
-
-_zero_cache: dict[tuple[int, int], float] = {}
-
-
 def bessel_zero(l: int, n: int) -> float:
-    """nth positive zero of j_l, accurate to ~1 ulp.
-
-    Brackets come from the interlacing x_{l-1,n} < x_{l,n} < x_{l-1,n+1};
-    the l = 0 zeros seed the recursion from the brackets ((n-1/2)pi, (n+1/2)pi).
-    """
-    ModeIndex(l, n)  # validates both arguments
-    key = (int(l), int(n))
-    got = _zero_cache.get(key)
-    if got is not None:
-        return got
-    if key[0] == 0:
-        lo, hi = (key[1] - 0.5) * math.pi, (key[1] + 0.5) * math.pi
-    else:
-        lo, hi = bessel_zero(key[0] - 1, key[1]), bessel_zero(key[0] - 1, key[1] + 1)
-    root = _refine_zero(key[0], lo, hi)
-    # setdefault keeps the first inserted value if two threads race
-    return _zero_cache.setdefault(key, root)
+    """nth positive zero of j_l: n pi for l = 0, the root of tan x = x in (n pi, (n + 1/2) pi) for l = 1."""
+    _check_order(l)
+    ModeIndex(l, n)  # validates n
+    if l == 0:
+        return n * math.pi
+    # Newton on f = sin x - x cos x = x^2 j_1(x), f' = x sin x, from the right
+    # end of the bracket: between the root and that end f f'' > 0, so every
+    # iterate lies between the root and the one before
+    x = (n + 0.5) * math.pi
+    for _ in range(50):
+        step = (math.sin(x) - x * math.cos(x)) / (x * math.sin(x))
+        x -= step
+        if abs(step) <= 1e-15 * x:
+            break
+    return x
 
 
 def mode_energy(index: ModeIndex, m_prime: float) -> float:
@@ -176,7 +118,9 @@ class RadialMode:
 
 
 def build_radial_mode(index: ModeIndex) -> RadialMode:
-    """Construct the normalized mode for the given index."""
+    """Construct the normalized mode for the given index (l <= 1)."""
     zero = bessel_zero(index.l, index.n)
-    norm = math.sqrt(2.0) / abs(spherical_jl(index.l + 1, zero))
+    # int_0^1 j_l(x r)^2 r^2 dr = j_{l+1}(x)^2 / 2 at a zero x of j_l, and
+    # there j_2 = 3 j_1 / x - j_0 = -j_0 (DLMF 10.51.1)
+    norm = math.sqrt(2.0) / abs(spherical_jl(1 - index.l, zero))
     return RadialMode(index=index, zero=zero, norm=norm)

@@ -3,9 +3,11 @@
 Everything here is deliberately written without the package's production
 paths: the entire cosine integral comes from its even series and the sine
 integral from its odd series (both summed in 60-digit decimals, so they stay
-exact where float terms would cancel), roots from
-plain bisection on closed-form Bessel expressions, and the symmetrized CI
-matrix from a brute-force product-basis projection. The one exception is
+exact where float terms would cancel), the zeros of j_1 from plain bisection
+on its closed form, and the symmetrized CI matrix from a brute-force
+product-basis projection, whose Coulomb entries are read one by one from the
+table's checked s-wave block (`central_expectation` and `s_wave_block`
+through `mode_pair_index`). The one exception is
 `s_wave_block_whole_grid`, which shares the mode profiles with `coulomb` and
 pins the bits of its batched grid instead.
 """
@@ -16,7 +18,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from boxatom import ModeIndex, PairIntegralKey, coulomb, gauss_legendre
+from boxatom import ModeIndex, coulomb, gauss_legendre
 from boxatom.quadrature import triangle_grid
 
 
@@ -97,10 +99,6 @@ def j1_closed(x: float) -> float:
     return math.sin(x) / (x * x) - math.cos(x) / x
 
 
-def j2_closed(x: float) -> float:
-    return (3.0 / x**3 - 1.0 / x) * math.sin(x) - 3.0 / (x * x) * math.cos(x)
-
-
 def product_basis_hamiltonian(nmax: int, z: float, lam: float, table) -> np.ndarray:
     """Symmetric-subspace projection of the full product-basis Hamiltonian.
 
@@ -110,12 +108,15 @@ def product_basis_hamiltonian(nmax: int, z: float, lam: float, table) -> np.ndar
     """
     modes = {n: ModeIndex(0, n) for n in range(1, nmax + 1)}
     prod = [(n, m) for n in range(1, nmax + 1) for m in range(1, nmax + 1)]
+    _, block = table.s_wave_block(nmax)
+    index = coulomb.mode_pair_index(nmax)
 
     def central(n, p):
         return table.central_expectation(modes[n], modes[p])
 
     def slater(a, c, b, d):
-        return table.slater_radial(PairIntegralKey(bra=(modes[a], modes[b]), ket=(modes[c], modes[d])))
+        # R0(ab;cd): coordinate 1 couples a with c, coordinate 2 b with d
+        return block[index[a - 1, c - 1], index[b - 1, d - 1]]
 
     size = len(prod)
     h = np.zeros((size, size))

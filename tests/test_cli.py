@@ -228,27 +228,27 @@ class TestCiScan:
         # the W builds of a scan share one checked block: one profile build on
         # the table's own grid (the check is against closed forms, not a 2n
         # grid), after eps1's nmax-1 block for its ground-mode integrals, and
-        # no per-integral Slater calls beyond eps1's
+        # no per-integral repulsion calls beyond eps1's
         fresh = CoulombTable(points=200)
         monkeypatch.setattr(cli, "get_table", lambda points: fresh)
-        grids, slater_keys = [], []
+        grids, pairs = [], []
         build_block = coulomb._Grid.s_wave_block
-        single = CoulombTable.slater_radial
+        single = CoulombTable.pair_expectation
 
         def counted_block(grid, nmax):
             grids.append((len(grid.r1), nmax))
             return build_block(grid, nmax)
 
-        def counted_single(table, key):
-            slater_keys.append(key)
-            return single(table, key)
+        def counted_single(table, a, b):
+            pairs.append((a, b))
+            return single(table, a, b)
 
         monkeypatch.setattr(coulomb._Grid, "s_wave_block", counted_block)
-        monkeypatch.setattr(CoulombTable, "slater_radial", counted_single)
+        monkeypatch.setattr(CoulombTable, "pair_expectation", counted_single)
         code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "5", "--steps", "3")
         assert code == 0
         assert grids == [(200, 1), (200, 5)]
-        assert len(slater_keys) == 1
+        assert len(pairs) == 1
 
     def test_scan_builds_interaction_once(self, capsys, monkeypatch):
         # the lambda scan, the eps2 fit and its reference sum share one CiProblem

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from boxatom import CoulombTable, ModeIndex, PairIntegralKey, build_radial_mode, ci, coulomb, gauss_legendre, get_table, integrate_square
+from boxatom import CoulombTable, ModeIndex, build_radial_mode, ci, coulomb, gauss_legendre, get_table, integrate_square
 from boxatom.quadrature import triangle_grid
 from boxatom.coulomb import mode_pair_index
 from boxatom.errors import ConvergenceError, UnsupportedModeError, ValidationError
@@ -20,6 +20,14 @@ scipy_special = pytest.importorskip("scipy.special")
 
 def mode(n, l=0):
     return ModeIndex(l, n)
+
+
+def r0(table, a, b, c, d):
+    # R0(ab;cd), coordinate 1 coupling a with c and coordinate 2 b with d, read
+    # from the block whose nmax is its largest mode number
+    nmax = max(a, b, c, d)
+    index = mode_pair_index(nmax)
+    return table.s_wave_block(nmax)[1][index[a - 1, c - 1], index[b - 1, d - 1]]
 
 
 def cin_scipy(x):
@@ -88,18 +96,19 @@ class TestPairExpectation:
         assert table.pair_expectation(mode(1), mode(2)) == table.pair_expectation(mode(2), mode(1))
 
     def test_non_s_wave_rejected(self, table):
-        with pytest.raises(UnsupportedModeError):
+        with pytest.raises(UnsupportedModeError, match="pair_expectation"):
             table.pair_expectation(ModeIndex(1, 1), mode(1))
+        with pytest.raises(ValidationError, match="pair_expectation"):
+            table.pair_expectation(mode(1), (0, 1))
 
 
 class TestSlaterRadial:
     def test_diagonal_matches_pair(self, table):
-        key = PairIntegralKey(bra=(mode(1), mode(1)), ket=(mode(1), mode(1)))
-        assert table.slater_radial(key) == table.pair_expectation(mode(1), mode(1))
+        assert r0(table, 1, 1, 1, 1) == table.pair_expectation(mode(1), mode(1))
+        assert r0(table, 1, 3, 1, 3) == table.pair_expectation(mode(1), mode(3))
 
     def test_exchange_like_frozen(self, table):
-        key = PairIntegralKey(bra=(mode(1), mode(1)), ket=(mode(2), mode(2)))
-        assert table.slater_radial(key) == pytest.approx(0.2801282906379428, abs=1e-10)
+        assert r0(table, 1, 1, 2, 2) == pytest.approx(0.2801282906379428, abs=1e-10)
 
     def test_symmetry_group(self, table):
         # invariant under bra/ket swap within each slot and under slot exchange
@@ -107,9 +116,9 @@ class TestSlaterRadial:
             for b in range(1, 4):
                 for c in range(1, 4):
                     for d in range(1, 4):
-                        base = table.slater_radial(PairIntegralKey(bra=(mode(a), mode(b)), ket=(mode(c), mode(d))))
-                        swapped_within = table.slater_radial(PairIntegralKey(bra=(mode(c), mode(d)), ket=(mode(a), mode(b))))
-                        swapped_slots = table.slater_radial(PairIntegralKey(bra=(mode(b), mode(a)), ket=(mode(d), mode(c))))
+                        base = r0(table, a, b, c, d)
+                        swapped_within = r0(table, c, d, a, b)
+                        swapped_slots = r0(table, b, a, d, c)
                         assert base == swapped_within == swapped_slots
 
     def test_against_direct_square_quadrature(self, table):
@@ -121,12 +130,7 @@ class TestSlaterRadial:
             return ua(r1) * uc(r1) * ub(r2) * ud(r2) / np.maximum(r1, r2)
 
         direct = integrate_square(kernel, gauss_legendre(320))
-        key = PairIntegralKey(bra=(mode(1), mode(2)), ket=(mode(1), mode(3)))
-        assert table.slater_radial(key) == pytest.approx(direct, abs=1e-10)
-
-    def test_key_validation(self):
-        with pytest.raises(ValidationError):
-            PairIntegralKey(bra=(mode(1),), ket=(mode(1), mode(1)))
+        assert r0(table, 1, 2, 1, 3) == pytest.approx(direct, abs=1e-10)
 
 
 class TestSWaveBlock:
@@ -141,16 +145,16 @@ class TestSWaveBlock:
                 assert central[a - 1, c - 1] == pytest.approx(exact, abs=1e-12)
 
     def test_slater_matches_single_integrals(self, table):
-        _, slater = table.s_wave_block(self.NMAX)
+        _, block = table.s_wave_block(self.NMAX)
         index = mode_pair_index(self.NMAX)
         pairs = [(a, c) for a in range(1, self.NMAX + 1) for c in range(a, self.NMAX + 1)]
         assert sorted(index[a - 1, c - 1] for a, c in pairs) == list(range(len(pairs)))
-        assert slater.shape == (len(pairs), len(pairs))
+        assert block.shape == (len(pairs), len(pairs))
+        # each entry agrees with the same integral in the smaller block of its largest mode number
         for a, c in pairs:
             for b, d in pairs:
-                key = PairIntegralKey(bra=(mode(a), mode(b)), ket=(mode(c), mode(d)))
-                got = slater[index[a - 1, c - 1], index[b - 1, d - 1]]
-                assert got == pytest.approx(table.slater_radial(key), abs=1e-13)
+                got = block[index[a - 1, c - 1], index[b - 1, d - 1]]
+                assert got == pytest.approx(r0(table, a, b, c, d), abs=1e-13)
 
     def test_symmetric_cached_and_read_only(self, table):
         central, slater = table.s_wave_block(self.NMAX)
@@ -315,9 +319,8 @@ class TestClosedForms:
 class TestSingleFromBlock:
     def test_single_equals_block_entry_at_its_largest_mode(self):
         fresh = CoulombTable(200)
-        key = PairIntegralKey(bra=(mode(1), mode(3)), ket=(mode(2), mode(4)))
         index = mode_pair_index(4)
-        assert fresh.slater_radial(key) == fresh.s_wave_block(4)[1][index[0, 1], index[2, 3]]
+        assert fresh.pair_expectation(mode(4), mode(1)) == fresh.s_wave_block(4)[1][index[3, 3], index[0, 0]]
         index = mode_pair_index(3)
         assert fresh.pair_expectation(mode(2), mode(3)) == fresh.s_wave_block(3)[1][index[1, 1], index[2, 2]]
         assert fresh.central_expectation(mode(3), mode(1)) == fresh.s_wave_block(3)[0][2, 0]
@@ -328,8 +331,6 @@ class TestSingleFromBlock:
         fresh, warmed = CoulombTable(200), CoulombTable(200)
         warmed.s_wave_block(24)
         assert fresh.pair_expectation(mode(1), mode(2)) == warmed.pair_expectation(mode(1), mode(2))
-        key = PairIntegralKey(bra=(mode(1), mode(1)), ket=(mode(1), mode(2)))
-        assert fresh.slater_radial(key) == warmed.slater_radial(key)
         assert fresh.central_expectation(mode(1), mode(2)) == warmed.central_expectation(mode(1), mode(2))
 
     def test_mode_pair_index_is_shared_and_read_only(self):
@@ -356,7 +357,7 @@ class TestSingleFromBlock:
         with pytest.raises(ValidationError, match="nmax"):
             fresh.pair_expectation(mode(coulomb.MAX_NMAX + 1), mode(1))
         with pytest.raises(ValidationError, match="nmax"):
-            fresh.slater_radial(PairIntegralKey(bra=(mode(1), mode(1)), ket=(mode(10**9), mode(1))))
+            fresh.pair_expectation(mode(1), mode(10**9))
         with pytest.raises(ValidationError, match="nmax"):
             fresh.central_expectation(mode(1), mode(coulomb.MAX_NMAX + 1))
         assert built == []

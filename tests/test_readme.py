@@ -23,3 +23,10 @@ def test_readme_python_example_runs_cleanly(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
+
+
+def test_every_public_name_resolves():
+    # a deleted name must leave __all__ with it
+    missing = [name for name in boxatom.__all__ if not hasattr(boxatom, name)]
+    assert missing == []
+    assert len(set(boxatom.__all__)) == len(boxatom.__all__)
