@@ -52,7 +52,6 @@ from .sphere import (
     bessel_zero,
     build_radial_mode,
     mode_energy,
-    spherical_jl,
 )
 from .system import (
     HELIUM_NUCLEAR_MASS,
@@ -113,7 +112,6 @@ __all__ = [
     "second_order_estimate",
     "second_order_sum_over_states",
     "solve_ground",
-    "spherical_jl",
     "system_from_dict",
     "turnover_lambda",
 ]

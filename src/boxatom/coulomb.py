@@ -36,13 +36,14 @@ p = |a-c| and q = a+c, u_a u_c = cos(p pi r) - cos(q pi r), so
         = [Si((s+m) pi) + sgn(s-m) Si(|s-m| pi)] / (2 s pi)   (s >= 1),
     J[m, 0] = delta_m0,
 
-and T(u_a u_c, u_b u_d) is a four-term sum of J. A block is compared with
-its closed forms elementwise; a gap beyond 1e-9 raises ConvergenceError
-instead of caching an under-resolved block. The returned and cached values
-are the quadrature's, so the rule size stays meaningful. Every integral is
-between s-wave modes (l = 0); any other mode raises UnsupportedModeError.
-The block cache uses atomic insert-if-absent, so a table can be shared
-across threads.
+and T(u_a u_c, u_b u_d) is a four-term sum of J. Si(j pi) and Cin(j pi)
+come from one table of j <= 4 MAX_NMAX, built on first use. A block is
+compared with its closed forms elementwise; a gap beyond 1e-9 raises
+ConvergenceError instead of caching an under-resolved block. The returned
+and cached values are the quadrature's, so the rule size stays meaningful.
+Every integral is between s-wave modes (l = 0); any other mode raises
+UnsupportedModeError. The block cache uses atomic insert-if-absent, so a
+table can be shared across threads.
 """
 
 from __future__ import annotations
@@ -94,12 +95,16 @@ def mode_pair_index(nmax: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _si_cin_table(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    # Si(x) = int_0^x sin t / t dt and Cin(x) = int_0^x (1 - cos t) / t dt,
-    # summed panel by panel; each panel is summed on its own and the running
-    # sum is sequential, so an entry does not depend on the table's length
+def _si_cin_pi() -> tuple[np.ndarray, np.ndarray]:
+    """Si(j pi) and Cin(j pi) (DLMF 6.2) for j = 0..4 MAX_NMAX, the most _closed_forms reads.
+
+    Built on first use, never at import. Si(x) = int_0^x sin t / t dt and
+    Cin(x) = int_0^x (1 - cos t) / t dt are summed panel by panel over
+    [j pi, (j+1) pi]; each panel is summed on its own and the running sum is
+    sequential, so an entry does not depend on the table's length.
+    """
     rule = gauss_legendre(_PANEL_POINTS)
-    t = np.pi * (np.arange(panels)[:, None] + 0.5 * (rule.nodes + 1.0))
+    t = np.pi * (np.arange(4 * MAX_NMAX)[:, None] + 0.5 * (rule.nodes + 1.0))
     w = 0.5 * np.pi * rule.weights
     # 1 - cos t written as 2 sin^2(t/2), which does not cancel near t = 0
     tables = tuple(
@@ -111,15 +116,6 @@ def _si_cin_table(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _si_cin_pi(jmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Si(j pi) and Cin(j pi) (DLMF 6.2) for j = 0..jmax at least.
-
-    Built on first use, never at import; a larger jmax builds a longer
-    table, at least 64 panels and a power of two, so few are ever built.
-    """
-    return _si_cin_table(max(64, 1 << (int(jmax) - 1).bit_length()))
-
-
 def _closed_forms(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact central integrals and Slater matrix for s-wave mode pairs.
 
@@ -128,7 +124,7 @@ def _closed_forms(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     R[k, k'] = R0 for coordinate-1 pair k and coordinate-2 pair k'.
     """
     top = int(q.max())
-    si, cin = _si_cin_pi(2 * top)
+    si, cin = _si_cin_pi()
     m, s = np.ogrid[: top + 1, : top + 1]
     # kernel[m, s] = T(cos m pi r, cos s pi r)
     kernel = (si[s + m] + np.sign(s - m) * si[np.abs(s - m)]) / (2.0 * np.pi * np.maximum(s, 1))
@@ -156,36 +152,32 @@ def _s_wave_profiles(r: np.ndarray, nmax: int) -> np.ndarray:
     return out
 
 
-class _Grid:
-    """Gauss-Legendre rule mapped to [0, 1]; it caches nothing and keeps no inner grid."""
+def _quadrature_block(points: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Central matrix over modes 1..nmax and Slater matrix over their pairs, by the points-point rule.
 
-    def __init__(self, points: int):
-        rule = gauss_legendre(points)
-        self.r1 = 0.5 * (rule.nodes + 1.0)
-        self.w1 = 0.5 * rule.weights
-
-    def s_wave_block(self, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-        """Central matrix over modes 1..nmax and Slater matrix over their pairs.
-
-        Mode pairs k = (a <= c) are numbered as in mode_pair_index. Nothing is
-        cached here, and no array on the n x n inner grid is kept.
-        """
-        first, second = np.triu_indices(nmax)
-        values = _s_wave_profiles(self.r1, nmax)
-        outer = self.w1 * values[first] * values[second] / self.r1
-        inner = np.empty_like(outer)
-        for start in range(0, len(self.r1), _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            # these rows of the inner grid are the products that
-            # quadrature.triangle_grid forms for them, so they have its bits
-            u = _s_wave_profiles(np.outer(self.r1[rows], self.r1), nmax)  # (rows, mode, node)
-            products = (np.outer(self.r1[rows], self.w1)[:, None, :] * u) @ u.transpose(0, 2, 1)
-            inner[:, rows] = products[:, first, second].T
-        central = np.empty((nmax, nmax))
-        central[first, second] = central[second, first] = outer.sum(axis=1)
-        # O I^T + I O^T written as A + A^T, which is exactly symmetric
-        half = outer @ inner.T
-        return central, half + half.T
+    Mode pairs k = (a <= c) are numbered as in mode_pair_index. The outer
+    grid is the cached Gauss-Legendre rule mapped to [0, 1]. Nothing is
+    cached here, and no array on the points x points inner grid is kept.
+    """
+    rule = gauss_legendre(points)
+    r1 = 0.5 * (rule.nodes + 1.0)
+    w1 = 0.5 * rule.weights
+    first, second = np.triu_indices(nmax)
+    values = _s_wave_profiles(r1, nmax)
+    outer = w1 * values[first] * values[second] / r1
+    inner = np.empty_like(outer)
+    for start in range(0, points, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        # these rows of the inner grid are the products that
+        # quadrature.triangle_grid forms for them, so they have its bits
+        u = _s_wave_profiles(np.outer(r1[rows], r1), nmax)  # (rows, mode, node)
+        products = (np.outer(r1[rows], w1)[:, None, :] * u) @ u.transpose(0, 2, 1)
+        inner[:, rows] = products[:, first, second].T
+    central = np.empty((nmax, nmax))
+    central[first, second] = central[second, first] = outer.sum(axis=1)
+    # O I^T + I O^T written as A + A^T, which is exactly symmetric
+    half = outer @ inner.T
+    return central, half + half.T
 
 
 class CoulombTable:
@@ -199,7 +191,6 @@ class CoulombTable:
                 f"quadrature points must lie in [{MIN_POINTS}, {MAX_POINTS}], got {points}"
             )
         self.points = int(points)
-        self._grid = _Grid(self.points)
         self._blocks: dict = {}
 
     def _checked(self, what, value: float, reference: float) -> float:
@@ -227,7 +218,7 @@ class CoulombTable:
         nmax = check_nmax(nmax)
         got = self._blocks.get(nmax)
         if got is None:
-            block = self._grid.s_wave_block(nmax)
+            block = _quadrature_block(self.points, nmax)
             first, second = np.triu_indices(nmax)
             exact_central, exact_slater = _closed_forms(second - first, first + second + 2)
             central = np.empty((nmax, nmax))

@@ -10,7 +10,7 @@ class ValidationError(BoxatomError):
 
 
 class UnsupportedModeError(BoxatomError):
-    """A mode beyond what is served: s-wave integrals, sphere modes l <= 1, ground occupations."""
+    """A mode beyond what is served: s-wave integrals and radial modes, l <= 1 energies, ground occupations."""
 
 
 class ConvergenceError(BoxatomError):

@@ -62,14 +62,6 @@ class PerturbationCoefficients:
         if abs(pot - self.eps1) > 1e-12 * max(1.0, abs(self.eps1)):
             raise ValidationError("eps1 does not match the interaction breakdown sum")
 
-    @property
-    def kinetic_terms(self) -> tuple[BreakdownTerm, ...]:
-        return tuple(t for t in self.breakdown if t.kind == "kinetic")
-
-    @property
-    def interaction_terms(self) -> tuple[BreakdownTerm, ...]:
-        return tuple(t for t in self.breakdown if t.kind != "kinetic")
-
 
 @dataclass(frozen=True)
 class EnergyCurvePoint:

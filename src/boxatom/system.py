@@ -25,7 +25,10 @@ MAX_MAGNITUDE = 1e50
 
 
 def _require_finite(name: str, value) -> float:
+    # float() would also take a boolean or a numeric string
     try:
+        if isinstance(value, (bool, str)):
+            raise TypeError
         out = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must be a real number, got {value!r}") from None

@@ -138,7 +138,7 @@ def product_basis_hamiltonian(nmax: int, z: float, lam: float, table) -> np.ndar
 def s_wave_block_whole_grid(points: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     """The s-wave block of the points-point rule, on the whole triangle grid in one batch.
 
-    The same operations as `coulomb._Grid.s_wave_block` in the same order,
+    The same operations as `coulomb._quadrature_block` in the same order,
     but the inner grid comes from `triangle_grid` as one points x points
     array and every row is in one batched product. A streamed block equals
     this one bit for bit only if its per-row inner grid and batching change

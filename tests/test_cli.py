@@ -232,18 +232,18 @@ class TestCiScan:
         fresh = CoulombTable(points=200)
         monkeypatch.setattr(cli, "get_table", lambda points: fresh)
         grids, pairs = [], []
-        build_block = coulomb._Grid.s_wave_block
+        build_block = coulomb._quadrature_block
         single = CoulombTable.pair_expectation
 
-        def counted_block(grid, nmax):
-            grids.append((len(grid.r1), nmax))
-            return build_block(grid, nmax)
+        def counted_block(points, nmax):
+            grids.append((points, nmax))
+            return build_block(points, nmax)
 
         def counted_single(table, a, b):
             pairs.append((a, b))
             return single(table, a, b)
 
-        monkeypatch.setattr(coulomb._Grid, "s_wave_block", counted_block)
+        monkeypatch.setattr(coulomb, "_quadrature_block", counted_block)
         monkeypatch.setattr(CoulombTable, "pair_expectation", counted_single)
         code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "5", "--steps", "3")
         assert code == 0

@@ -181,7 +181,7 @@ class TestClosedForms:
     JMAX = 4 * ci.MAX_NMAX
 
     def test_tables_match_scipy(self):
-        si, cin = coulomb._si_cin_pi(self.JMAX)
+        si, cin = coulomb._si_cin_pi()
         assert si[0] == cin[0] == 0.0
         for j in range(1, self.JMAX + 1):
             x = j * math.pi
@@ -190,20 +190,21 @@ class TestClosedForms:
 
     def test_tables_match_series_oracles(self):
         # the 60-digit series lose accuracy far beyond 16 pi
-        si, cin = coulomb._si_cin_pi(16)
+        si, cin = coulomb._si_cin_pi()
         for j in range(1, 17):
             assert si[j] == pytest.approx(si_series(j * math.pi), abs=1e-13)
             assert cin[j] == pytest.approx(cin_series(j * math.pi), abs=1e-13)
 
-    def test_tables_grow_without_changing_entries(self):
-        short, long = coulomb._si_cin_pi(8), coulomb._si_cin_pi(300)
-        assert len(short[0]) == 65 and len(long[0]) == 513
-        for a, b in zip(short, long):
-            np.testing.assert_array_equal(a, b[: len(a)])
+    def test_tables_reach_the_largest_index_closed_forms_read(self):
+        # at nmax = MAX_NMAX, q = a + c reaches 2 MAX_NMAX and the kernel reads Si at 2 q
+        first, second = np.triu_indices(coulomb.MAX_NMAX)
+        largest = 2 * int((first + second + 2).max())
+        assert largest == 4 * coulomb.MAX_NMAX
+        assert all(len(table) == largest + 1 for table in coulomb._si_cin_pi())
 
     def test_tables_not_built_at_import(self):
         code = ("import boxatom.cli, boxatom.coulomb as c; "
-                "assert c._si_cin_table.cache_info().currsize == 0")
+                "assert c._si_cin_pi.cache_info().currsize == 0")
         src = os.path.dirname(os.path.dirname(coulomb.__file__))
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
@@ -233,7 +234,7 @@ class TestClosedForms:
         nmax = coulomb.MAX_NMAX
         first, second = np.triu_indices(nmax)
         central, slater = coulomb._closed_forms(second - first, first + second + 2)
-        got_central, got_slater = coulomb._Grid(512).s_wave_block(nmax)
+        got_central, got_slater = coulomb._quadrature_block(512, nmax)
         np.testing.assert_allclose(got_central[first, second], central, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_slater, slater, rtol=0, atol=1e-12)
 
@@ -241,23 +242,24 @@ class TestClosedForms:
         (points, nmax) for points in (16, 200, 512) for nmax in (1, 2, 12)] + [(200, 24)])
     def test_streamed_block_is_bit_identical_to_whole_grid(self, points, nmax):
         # the printed 10-digit outputs depend on these bits
-        for got, want in zip(coulomb._Grid(points).s_wave_block(nmax),
+        for got, want in zip(coulomb._quadrature_block(points, nmax),
                              s_wave_block_whole_grid(points, nmax)):
             np.testing.assert_array_equal(got, want)
 
-    def test_grid_holds_only_the_mapped_rule(self):
-        grid = coulomb._Grid(512)
-        arrays = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
-        assert arrays and all(a.size <= 512 for a in arrays)
+    def test_table_holds_no_array_outside_its_blocks(self):
+        fresh = CoulombTable(512)
+        fresh.s_wave_block(2)
+        assert vars(fresh).keys() == {"points", "_blocks"}
+        assert not any(isinstance(v, np.ndarray) for v in vars(fresh).values())
 
     @pytest.mark.parametrize("points,nmax", [(512, 12), (200, 24)])
     def test_block_scratch_memory_is_small(self, points, nmax):
         # a whole points x points inner grid with its 64-row batches peaked
         # at 7.5 MB (512, 12) and 6.5 MB (200, 24)
-        grid = coulomb._Grid(points)
+        gauss_legendre(points)  # the rule is cached; only the block's scratch is measured
         tracemalloc.start()
         try:
-            grid.s_wave_block(nmax)
+            coulomb._quadrature_block(points, nmax)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -274,14 +276,14 @@ class TestClosedForms:
         (1, (3, 7), "mode pairs (1, 4) and (1, 8)"),
     ])
     def test_block_check_names_one_perturbed_entry(self, monkeypatch, part, entry, label):
-        build = coulomb._Grid.s_wave_block
+        build = coulomb._quadrature_block
 
-        def tampered(grid, nmax):
-            block = build(grid, nmax)
+        def tampered(points, nmax):
+            block = build(points, nmax)
             block[part][entry] += 1e-8
             return block
 
-        monkeypatch.setattr(coulomb._Grid, "s_wave_block", tampered)
+        monkeypatch.setattr(coulomb, "_quadrature_block", tampered)
         with pytest.raises(ConvergenceError) as err:
             CoulombTable(200).s_wave_block(8)
         message = str(err.value)
@@ -294,14 +296,14 @@ class TestClosedForms:
     def test_single_check_catches_perturbation(self, monkeypatch, method, call):
         # a single integral is an entry of its block, so the block check guards it
         part = ("central", "slater").index(method)
-        build = coulomb._Grid.s_wave_block
+        build = coulomb._quadrature_block
 
-        def tampered(grid, nmax):
-            block = build(grid, nmax)
+        def tampered(points, nmax):
+            block = build(points, nmax)
             block[part][...] += 1e-8
             return block
 
-        monkeypatch.setattr(coulomb._Grid, "s_wave_block", tampered)
+        monkeypatch.setattr(coulomb, "_quadrature_block", tampered)
         with pytest.raises(ConvergenceError, match="closed form"):
             call(CoulombTable(200))
 
@@ -349,7 +351,7 @@ class TestSingleFromBlock:
         # a mode number far beyond the bound must not even size an index array;
         # the spies only record, so a wrong order cannot allocate anything
         built = []
-        monkeypatch.setattr(coulomb._Grid, "s_wave_block", lambda grid, nmax: built.append(nmax))
+        monkeypatch.setattr(coulomb, "_quadrature_block", lambda points, nmax: built.append(nmax))
         monkeypatch.setattr(coulomb, "mode_pair_index", lambda nmax: built.append(nmax))
         fresh = CoulombTable(200)
         with pytest.raises(ValidationError, match="nmax"):

@@ -74,8 +74,8 @@ class TestEpsilon1Breakdown:
         assert [t.prefactor for t in coeffs.breakdown] == [1.0, 1.0, 1.0, -2.0, -2.0]
         for t in coeffs.breakdown:
             assert t.value == t.prefactor * t.integral
-        assert len(coeffs.kinetic_terms) == 2
-        assert len(coeffs.interaction_terms) == 3
+        assert sum(t.kind == "kinetic" for t in coeffs.breakdown) == 2
+        assert sum(t.kind != "kinetic" for t in coeffs.breakdown) == 3
 
     def test_very_heavy_free_particle_does_not_break_degeneracy_search(self, table):
         # the running energy sum at the heaviest particle rounds to just below

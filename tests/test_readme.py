@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import boxatom
+from boxatom.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -30,3 +31,11 @@ def test_every_public_name_resolves():
     missing = [name for name in boxatom.__all__ if not hasattr(boxatom, name)]
     assert missing == []
     assert len(set(boxatom.__all__)) == len(boxatom.__all__)
+
+
+def test_readme_coeffs_transcript_matches_the_cli(capsys):
+    transcript = re.search(r"^\$ boxatom coeffs he-clamped\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.M | re.S)
+    assert transcript, "README has no coeffs he-clamped transcript"
+    assert main(["coeffs", "he-clamped"]) == 0
+    assert capsys.readouterr().out == transcript.group(1)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from boxatom import ModeIndex, RadialMode, bessel_zero, build_radial_mode, gauss_legendre, integrate, mode_energy, spherical_jl
+from boxatom import ModeIndex, RadialMode, bessel_zero, build_radial_mode, gauss_legendre, integrate, mode_energy
 from boxatom.errors import UnsupportedModeError, ValidationError
 
 from oracles import bisect, j1_closed
@@ -25,37 +26,25 @@ class TestModeIndex:
 
 class TestSphericalBessel:
     def test_matches_scipy_on_grid(self):
-        x = np.linspace(1e-3, 30.0, 301)
-        for l in range(2):
-            ref = scipy_special.spherical_jn(l, x)
-            got = spherical_jl(l, x)
+        # u_{0,n}(r) = sqrt(2) n pi r j_0(n pi r)
+        r = np.linspace(1e-3, 1.0, 301)
+        for n in range(1, 10):
+            x = n * math.pi * r
+            ref = math.sqrt(2.0) * x * scipy_special.spherical_jn(0, x)
+            got = build_radial_mode(ModeIndex(0, n))(r)
             np.testing.assert_allclose(got, ref, atol=1e-12, rtol=1e-12)
 
     def test_small_argument_series(self):
-        # leading behavior x^l / (2l+1)!!
-        for l, dfact in [(0, 1.0), (1, 3.0)]:
-            x = 1e-4
-            assert spherical_jl(l, x) == pytest.approx(x**l / dfact, rel=1e-7)
+        # leading behavior u_{0,n}(r) ~ sqrt(2) n pi r
+        r = 1e-5
+        for n in (1, 2, 7):
+            leading = math.sqrt(2.0) * n * math.pi * r
+            assert build_radial_mode(ModeIndex(0, n))(r) == pytest.approx(leading, rel=1e-7)
 
     def test_scalar_passthrough(self):
-        out = spherical_jl(0, 0.5)
+        out = build_radial_mode(ModeIndex(0, 1))(0.5)
         assert isinstance(out, float)
-        assert out == pytest.approx(math.sin(0.5) / 0.5, abs=1e-15)
-
-    def test_values_at_origin(self):
-        assert spherical_jl(0, 0.0) == 1.0 and spherical_jl(1, 0.0) == 0.0
-
-    def test_j1_series_meets_closed_form(self):
-        # the series serves |x| < 1 and the closed form the rest; neither side jumps
-        below, at = spherical_jl(1, np.array([np.nextafter(1.0, 0.0), 1.0]))
-        assert below == pytest.approx(at, rel=1e-15)
-        assert spherical_jl(1, -0.5) == -spherical_jl(1, 0.5)
-
-    def test_j1_small_argument_polynomial(self):
-        # the closed form cancels here; the series keeps full relative accuracy
-        x = np.geomspace(1e-8, 1e-2, 50)
-        leading = x / 3.0 * (1.0 - x**2 / 10.0 + x**4 / 280.0)
-        np.testing.assert_allclose(spherical_jl(1, x), leading, rtol=1e-12, atol=0)
+        assert out == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
 class TestZeros:
@@ -76,10 +65,10 @@ class TestZeros:
             assert bessel_zero(0, n) < bessel_zero(1, n) < bessel_zero(0, n + 1)
 
     def test_zeros_actually_vanish(self):
-        for l in range(2):
-            for n in range(1, 6):
-                x = bessel_zero(l, n)
-                assert abs(spherical_jl(l, x)) < 1e-12
+        for n in range(1, 6):
+            x = bessel_zero(0, n)
+            assert abs(math.sin(x) / x) < 1e-12
+            assert abs(j1_closed(bessel_zero(1, n))) < 1e-12
 
 
 class TestModeEnergy:
@@ -108,25 +97,24 @@ class TestRadialModes:
         assert u(0.5) == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
     def test_vanishes_at_wall(self):
-        for index in [ModeIndex(0, 1), ModeIndex(0, 4), ModeIndex(1, 1), ModeIndex(1, 3)]:
+        for index in [ModeIndex(0, 1), ModeIndex(0, 4), ModeIndex(0, 9)]:
             assert abs(build_radial_mode(index)(1.0)) < 1e-12
 
     def test_vanishes_at_origin(self):
-        for index in [ModeIndex(0, 2), ModeIndex(1, 1), ModeIndex(1, 4)]:
+        for index in [ModeIndex(0, 1), ModeIndex(0, 2), ModeIndex(0, 9)]:
             assert abs(build_radial_mode(index)(0.0)) < 1e-14
 
     def test_small_radius_behaves_like_power_law(self):
-        u = build_radial_mode(ModeIndex(1, 1))
+        u = build_radial_mode(ModeIndex(0, 3))
         vals = u(np.array([1e-6, 1e-8]))
         assert np.all(np.isfinite(vals))
         assert vals[0] > 0 and vals[1] > 0
-        # u ~ r^(l+1) near the origin, so the ratio tracks (r1/r2)^2
-        assert vals[0] / vals[1] == pytest.approx(1e4, rel=1e-4)
+        # u ~ r^(l+1) near the origin, so the ratio tracks r1/r2
+        assert vals[0] / vals[1] == pytest.approx(1e2, rel=1e-8)
 
-    @pytest.mark.parametrize("l", [0, 1])
-    def test_orthonormality(self, l):
+    def test_orthonormality(self):
         rule = gauss_legendre(200)
-        modes = [build_radial_mode(ModeIndex(l, n)) for n in range(1, 7)]
+        modes = [build_radial_mode(ModeIndex(0, n)) for n in range(1, 7)]
         for i, ui in enumerate(modes):
             for j, uj in enumerate(modes):
                 overlap = integrate(lambda r: ui(r) * uj(r), 0.0, 1.0, rule)
@@ -134,27 +122,28 @@ class TestRadialModes:
                 assert overlap == pytest.approx(expected, abs=1e-10)
 
     def test_radial_mode_fields(self):
-        u = build_radial_mode(ModeIndex(1, 2))
+        u = build_radial_mode(ModeIndex(0, 2))
         assert isinstance(u, RadialMode)
-        assert u.index == ModeIndex(1, 2)
-        assert u.zero == bessel_zero(1, 2)
-        assert u.norm > 0
+        assert u == RadialMode(ModeIndex(0, 2))
+        assert [f.name for f in dataclasses.fields(u)] == ["index"]
 
 
 class TestUnsupportedOrders:
     @pytest.mark.parametrize("call", [
-        lambda: spherical_jl(2, 1.0),
+        lambda: mode_energy(ModeIndex(2, 3), 0.5),
         lambda: bessel_zero(2, 1),
         lambda: mode_energy(ModeIndex(2, 1), 1.0),
-        lambda: build_radial_mode(ModeIndex(2, 1)),
     ])
     def test_l2_is_unsupported(self, call):
         with pytest.raises(UnsupportedModeError, match="l <= 1"):
             call()
 
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_radial_mode_is_s_wave_only(self, l):
+        with pytest.raises(UnsupportedModeError, match="l = 0 only"):
+            build_radial_mode(ModeIndex(l, 1))
+
     @pytest.mark.parametrize("l", [-1, 1.0, True])
     def test_bad_order_is_a_validation_error(self, l):
-        with pytest.raises(ValidationError):
-            spherical_jl(l, 1.0)
         with pytest.raises(ValidationError):
             bessel_zero(l, 1)

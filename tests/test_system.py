@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,6 +241,29 @@ class TestMagnitudeBound:
     def test_huge_integer_is_not_a_real_number(self):
         with pytest.raises(ValidationError, match="mass"):
             Particle(mass=10**400, charge=-1.0)
+
+    @pytest.mark.parametrize("mass,charge", [(True, -1.0), (1.0, "-1"), ("1", -1.0), (1.0, False)])
+    def test_boolean_or_string_is_not_a_real_number(self, mass, charge):
+        with pytest.raises(ValidationError, match="must be a real number"):
+            Particle(mass=mass, charge=charge)
+
+    def test_numpy_reals_are_accepted(self):
+        p = Particle(mass=np.float32(2.0), charge=np.int64(-1))
+        assert (p.mass, p.charge) == (2.0, -1.0)
+
+    @pytest.mark.parametrize("doc", [
+        {"particles": [{"mass": True, "charge": "-1"}, {"mass": 1, "charge": -1}], "reference": 1,
+         "rc_bohr": 1.0},
+        {"particles": [{"mass": 1, "charge": -1}], "reference": 0, "rc_bohr": "1.0"},
+        {"particles": [{"mass": 1, "charge": -1}], "reference": 0, "lam": True},
+    ])
+    def test_boolean_or_string_in_a_file_exits_2_with_one_line(self, tmp_path, capsys, doc):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["coeffs", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error:") and "must be a real number" in err
 
 
 # JSON-like documents: valid systems with extreme numbers, the same with one
