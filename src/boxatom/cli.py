@@ -1,6 +1,7 @@
 """Command-line front end: system definitions in, coefficient tables out.
 
-Each command builds one `Report`, which `render` writes as CSV or JSON.
+Each command builds one `Report`, which `write_report` writes as CSV or JSON
+to stdout or the `-o` file, row by row as it is formatted.
 Numbers are printed with 10 significant digits; CSV output carries
 `# key=value` metadata lines ahead of the column header so a file stays
 reproducible on its own. Exit codes: 0 success, 2 validation error
@@ -12,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -84,20 +85,23 @@ class RunConfig:
 
     @property
     def lambda_grid(self) -> list[float]:
-        return [float(x) for x in np.linspace(self.lambda_min, self.lambda_max, self.steps)]
+        return np.linspace(self.lambda_min, self.lambda_max, self.steps).tolist()
 
 
 @dataclass(frozen=True)
 class Report:
-    """What one command prints, stated once; `render` writes it as CSV or JSON.
+    """What one command prints, stated once; `write_report` writes it as CSV or JSON.
 
     JSON lists `rows` under `rows_name`, one object per row keyed by `columns`;
     only nuclear-motion has `sections` (its clamped and moving variants).
+    `rows` is any iterable of cell sequences and is read once, as it is
+    written. Keys are distinct across the run head, `meta`, `rows_name` and
+    `sections`.
     """
 
     meta: list[tuple[str, object]]
     columns: tuple[str, ...] = ()
-    rows: list[list[object]] = field(default_factory=list)
+    rows: Iterable[Sequence[object]] = ()
     rows_name: str = "rows"
     sections: dict[str, Report] = field(default_factory=dict)
 
@@ -110,31 +114,55 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    # floats keep the 10 significant digits CSV prints; None, ints and strings pass
-    return float(f"{value:.10g}") if isinstance(value, float) else value
+def _json_text(value) -> str:
+    # json.dumps's text for one value; floats keep the 10 significant digits CSV
+    # prints, and a finite one is its repr, as json.dumps prints it
+    if isinstance(value, float):
+        value = float(f"{value:.10g}")
+        if math.isfinite(value):
+            return repr(value)
+    return json.dumps(value)
 
 
-def _json_object(report: Report) -> dict:
-    obj = {key: _json_value(value) for key, value in report.meta}
+def _json_chunks(report: Report, depth: int) -> Iterator[str]:
+    """The report as an object, laid out as json.dumps(..., indent=2) lays it out at `depth`."""
+    pad = "\n" + "  " * (depth + 1)
+    opener = "{"
+    for key, value in report.meta:
+        yield f"{opener}{pad}{json.dumps(key)}: {_json_text(value)}"
+        opener = ","
     if report.columns:
-        # round all cells in one pass; zip(columns, cells) then takes len(columns) per row
-        cells = iter([_json_value(cell) for row in report.rows for cell in row])
-        obj[report.rows_name] = [dict(zip(report.columns, cells)) for _ in report.rows]
+        row_pad = pad + "  "
+        keys = [f"{row_pad}  {json.dumps(column)}: " for column in report.columns]
+        yield f"{opener}{pad}{json.dumps(report.rows_name)}: "
+        opener = "["
+        for row in report.rows:
+            cells = ",".join(key + _json_text(cell) for key, cell in zip(keys, row))
+            yield f"{opener}{row_pad}{{{cells}{row_pad}}}"
+            opener = ","
+        yield "[]" if opener == "[" else pad + "]"
+        opener = ","
     for name, section in report.sections.items():
-        obj[name] = _json_object(section)
-    return obj
+        yield f"{opener}{pad}{json.dumps(name)}: "
+        yield from _json_chunks(section, depth + 1)
+        opener = ","
+    yield "{}" if opener == "{" else "\n" + "  " * depth + "}"
 
 
-def render(config: RunConfig, report: Report) -> str:
-    """The report as a CSV or JSON document, after the shared run head."""
+def write_report(config: RunConfig, report: Report, out: TextIO) -> None:
+    """Write the report to `out` as a CSV or JSON document, after the shared run head.
+
+    Each row is formatted and written in turn, so no whole document is held.
+    """
     head = [
         ("command", config.command),
         ("system", config.system_path),
         ("quadrature_points", config.quadrature_points),
     ]
     if config.output_format == "json":
-        return json.dumps(dict(head) | _json_object(report), indent=2) + "\n"
+        out.writelines(_json_chunks(replace(report, meta=head + report.meta), 0))
+        out.write("\n")
+        return
     # JSON nests each section after the report's own metadata; CSV flattens it:
     # section metadata follows the head with keys prefixed `<section>_`, and
     # section rows follow one another under a leading `variant` column
@@ -145,15 +173,12 @@ def render(config: RunConfig, report: Report) -> str:
     columns, rows = report.columns, report.rows
     if report.sections:
         columns = ("variant", *next(iter(report.sections.values())).columns)
-        rows = [[name, *row] for name, section in report.sections.items() for row in section.rows]
-    buf = io.StringIO()
-    for key, value in meta:
-        buf.write(f"# {key}={_fmt(value)}\n")
+        rows = ((name, *row) for name, section in report.sections.items() for row in section.rows)
+    out.writelines(f"# {key}={_fmt(value)}\n" for key, value in meta)
     # term labels contain commas, so rows go through a real CSV writer
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_fmt(cell) for cell in row] for row in rows)
-    return buf.getvalue()
+    writer.writerows(map(_fmt, row) for row in rows)
 
 
 def _resolve_system(name: str) -> SystemDefinition:
@@ -183,7 +208,7 @@ def _breakdown_report(coeffs: PerturbationCoefficients, *meta: tuple[str, object
     return Report(
         meta=[*meta, ("eps0", coeffs.eps0), ("eps1", coeffs.eps1)],
         columns=("term", "kind", "prefactor", "integral", "value"),
-        rows=[[t.label, t.kind, t.prefactor, t.integral, t.value] for t in coeffs.breakdown],
+        rows=((t.label, t.kind, t.prefactor, t.integral, t.value) for t in coeffs.breakdown),
         rows_name="breakdown",
     )
 
@@ -217,7 +242,7 @@ def cmd_curve(config: RunConfig) -> Report:
             ("turnover_lambda", turnover_lambda(coeffs)),
         ],
         columns=("lambda", "rc_bohr", "energy_hartree"),
-        rows=[[p.lam, p.rc_bohr, system.energy_prefactor * p.energy] for p in points],
+        rows=((p.lam, p.rc_bohr, system.energy_prefactor * p.energy) for p in points),
         rows_name="points",
     )
 
@@ -269,7 +294,7 @@ def cmd_ci_scan(config: RunConfig) -> Report:
             ("s_limited_eps2", eps2),
         ],
         columns=("lambda", "energy_ci", "energy_first_order", "overlap0"),
-        rows=[[s.lam, s.energy, coeffs.eps0 + coeffs.eps1 * s.lam, s.overlap0] for s in solutions],
+        rows=((s.lam, s.energy, coeffs.eps0 + coeffs.eps1 * s.lam, s.overlap0) for s in solutions),
     )
 
 
@@ -383,13 +408,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        text = render(config, _COMMANDS[config.command](config))
+        # every value is computed, and every input checked, before the first byte is written
+        report = _COMMANDS[config.command](config)
         if config.output_path is None:
-            sys.stdout.write(text)
+            write_report(config, report, sys.stdout)
         else:
             try:
                 with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
+                    write_report(config, report, fh)
             except OSError as exc:
                 raise ValidationError(
                     f"cannot write {config.output_path}: {exc.strerror or exc}"

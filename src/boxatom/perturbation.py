@@ -63,7 +63,7 @@ class PerturbationCoefficients:
             raise ValidationError("eps1 does not match the interaction breakdown sum")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyCurvePoint:
     """One curve sample; energy is in units of the system's prefactor."""
 

@@ -25,9 +25,9 @@ MAX_MAGNITUDE = 1e50
 
 
 def _require_finite(name: str, value) -> float:
-    # float() would also take a boolean or a numeric string
+    # float() would also take a boolean (Python's or numpy's) or a numeric string or bytes
     try:
-        if isinstance(value, (bool, str)):
+        if isinstance(value, (bool, str, bytes, bytearray)) or getattr(value, "dtype", None) == bool:
             raise TypeError
         out = float(value)
     except (TypeError, ValueError, OverflowError):

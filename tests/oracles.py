@@ -9,10 +9,12 @@ product-basis projection, whose Coulomb entries are read one by one from the
 table's checked s-wave block (`central_expectation` and `s_wave_block`
 through `mode_pair_index`). The one exception is
 `s_wave_block_whole_grid`, which shares the mode profiles with `coulomb` and
-pins the bits of its batched grid instead.
+pins the bits of its batched grid instead. `json_document` is the CLI's JSON
+output as the standard library's encoder prints a document built whole.
 """
 
 import itertools
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -156,3 +158,26 @@ def s_wave_block_whole_grid(points: int, nmax: int) -> tuple[np.ndarray, np.ndar
     central[first, second] = central[second, first] = outer.sum(axis=1)
     half = outer @ inner.T
     return central, half + half.T
+
+
+def json_document(config, report) -> str:
+    """`json.dumps(doc, indent=2)` of a CLI report, its whole document built first.
+
+    The run head comes first, then the report's metadata, then its rows (one
+    object per row keyed by the columns) and its sections, nested the same
+    way. Floats are cut to the 10 significant digits the CSV prints.
+    """
+    def value(v):
+        return float(f"{v:.10g}") if isinstance(v, float) else v
+
+    def obj(rep):
+        doc = {key: value(v) for key, v in rep.meta}
+        if rep.columns:
+            doc[rep.rows_name] = [{c: value(v) for c, v in zip(rep.columns, row)} for row in rep.rows]
+        for name, section in rep.sections.items():
+            doc[name] = obj(section)
+        return doc
+
+    head = {"command": config.command, "system": config.system_path,
+            "quadrature_points": config.quadrature_points}
+    return json.dumps(head | obj(report), indent=2) + "\n"

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from boxatom import CoulombTable, ci, cli, coulomb, sphere
 from boxatom.cli import RunConfig, main
 from boxatom.errors import ValidationError
 from boxatom.system import MAX_PARTICLES
+from oracles import json_document
 
 
 def run(capsys, *args):
@@ -180,6 +182,94 @@ class TestCurve:
         assert float(meta["a_bohr"]) == pytest.approx(0.5)
         assert float(meta["energy_prefactor_hartree"]) == pytest.approx(2.0)
         assert float(rows[0]["rc_bohr"]) == pytest.approx(0.5)
+
+
+# every command, nuclear-motion's nested sections, a one-row curve, and a
+# repulsive system (PAIR) whose turnover is null and whose path needs escaping
+PAIR = 'pair "\u00e9".json'
+STREAMED_CASES = [
+    ["coeffs", "he-clamped"],
+    ["coeffs", "tests/golden/muonic-lithium.json"],
+    ["curve", "he-moving"],
+    ["curve", "he-clamped", "--steps", "1"],
+    ["curve", PAIR],
+    ["ci-scan", "he-clamped", "--nmax", "4", "--steps", "3"],
+    ["nuclear-motion", "he-clamped"],
+    ["nuclear-motion", "tests/golden/muonic-lithium.json"],
+]
+
+# names of at most 4 characters never collide with the run head's keys
+NAMES = st.text(max_size=4)
+VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+
+
+@st.composite
+def reports(draw, depth=0):
+    names = draw(st.lists(NAMES, unique=True, min_size=1, max_size=8))
+    rows_name, *names = names
+    split = draw(st.integers(0, len(names)))
+    keys, section_names = names[:split], names[split:] if depth == 0 else []
+    columns = tuple(draw(st.lists(NAMES, unique=True, max_size=3)))
+    rows = draw(st.lists(st.lists(VALUES, min_size=len(columns), max_size=len(columns)),
+                         max_size=3))
+    return cli.Report(
+        meta=[(key, draw(VALUES)) for key in keys], columns=columns, rows=rows,
+        rows_name=rows_name, sections={name: draw(reports(depth + 1)) for name in section_names})
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("args", STREAMED_CASES, ids=" ".join)
+    def test_json_matches_json_dumps(self, capsys, monkeypatch, tmp_path, args):
+        monkeypatch.chdir(GOLDEN.parent.parent)
+        (tmp_path / PAIR).write_text(json.dumps(TWO_ELECTRONS), encoding="utf-8")
+        argv = [*(str(tmp_path / PAIR) if arg == PAIR else arg for arg in args), "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        config = cli._config_from_args(cli._build_parser().parse_args(argv))
+        assert out == json_document(config, cli._COMMANDS[config.command](config))
+
+    @settings(max_examples=200, deadline=None)
+    @given(report=reports())
+    def test_any_report_matches_json_dumps(self, report):
+        config = RunConfig(command="coeffs", system_path="x\u00e9\"", lambda_min=1.0, lambda_max=1.0,
+                           steps=1, quadrature_points=200, ci_nmax=8, output_format="json",
+                           output_path=None)
+        out = io.StringIO()
+        cli.write_report(config, report, out)
+        assert out.getvalue() == json_document(config, report)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_long_curve_file_matches_stdout(self, capsys, tmp_path, fmt):
+        args = ["curve", "he-clamped", "--steps", str(cli.MAX_STEPS), "--format", fmt]
+        _, stdout_text, _ = run(capsys, *args)
+        target = tmp_path / f"curve.{fmt}"
+        code, out, err = run(capsys, *args, "-o", str(target))
+        assert code == 0 and out == "" and err == ""
+        assert target.read_bytes() == stdout_text.encode("utf-8")
+        rows = json.loads(stdout_text)["points"] if fmt == "json" else parse_csv(stdout_text)[1]
+        assert len(rows) == cli.MAX_STEPS
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_long_curve_memory_is_small(self, tmp_path, fmt):
+        # the whole document built before writing peaked at 2.9 MB (CSV) and
+        # 11.4 MB (JSON); the 10,000 curve points alone hold about 1.1 MB
+        args = ["curve", "he-clamped", "--format", fmt, "-o", str(tmp_path / f"curve.{fmt}")]
+        assert main([*args, "--steps", "1"]) == 0  # the table is cached; only the curve is measured
+        tracemalloc.start()
+        try:
+            code = main([*args, "--steps", str(cli.MAX_STEPS)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak <= 2 * 2**20
+
+    def test_failing_lambda_opens_no_output_file(self, capsys, tmp_path):
+        target = tmp_path / "curve.json"
+        code, out, err = run(capsys, "curve", "he-clamped", "--lambda-min", "1e-300",
+                             "--lambda-max", "1", "--steps", "3", "--format", "json",
+                             "-o", str(target))
+        assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert not target.exists()
 
 
 class TestCiScan:

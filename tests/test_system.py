@@ -247,6 +247,13 @@ class TestMagnitudeBound:
         with pytest.raises(ValidationError, match="must be a real number"):
             Particle(mass=mass, charge=charge)
 
+    @pytest.mark.parametrize("value", [b"1", bytearray(b"1"), np.True_],
+                             ids=["bytes", "bytearray", "numpy-bool"])
+    def test_bytes_or_numpy_boolean_is_not_a_real_number(self, value):
+        # float() takes each of them as 1.0
+        with pytest.raises(ValidationError, match="mass must be a real number"):
+            Particle(mass=value, charge=-1)
+
     def test_numpy_reals_are_accepted(self):
         p = Particle(mass=np.float32(2.0), charge=np.int64(-1))
         assert (p.mass, p.charge) == (2.0, -1.0)

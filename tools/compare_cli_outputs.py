@@ -5,8 +5,9 @@
 BASE_REV is a revision of the checkout that holds this script; `git archive`
 extracts it into a temporary directory. The invocations are the benchmark's,
 built by `perfbench/workloads.py`: the quick, ci-scan and ci-fine workloads for seeds
-1-3, plus `ci-scan he-clamped --nmax 40` and `ci-scan he-clamped --nmax 10
---quad-points 16` (which exits 3). Each runs as `python -m boxatom.cli`, one
+1-3, plus `ci-scan he-clamped --nmax 40`, `ci-scan he-clamped --nmax 10
+--quad-points 16` (which exits 3) and the longest outputs, `curve he-clamped
+--steps 10000` in CSV and in JSON. Each runs as `python -m boxatom.cli`, one
 at a time, once against the working tree's `src` and once against BASE_REV's,
 in the same directory with the same input files.
 
@@ -31,6 +32,8 @@ SEEDS = (1, 2, 3)
 EXTRA = (
     ["ci-scan", "he-clamped", "--nmax", "40"],
     ["ci-scan", "he-clamped", "--nmax", "10", "--quad-points", "16"],
+    ["curve", "he-clamped", "--steps", "10000"],
+    ["curve", "he-clamped", "--steps", "10000", "--format", "json"],
 )
 
 
