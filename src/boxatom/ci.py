@@ -12,9 +12,9 @@ where W collects -Z times the one-particle 1/r couplings and the electron
 pair repulsion through monopole Slater integrals. W is gathered, upper
 triangle first and then mirrored so it is exactly symmetric, from the
 Coulomb table's checked s-wave block for nmax (`CoulombTable.s_wave_block`):
-index arrays built from the configurations pick each central and Slater
-integral, so the integrals are computed once per table and nmax however
-often W is assembled. The ground eigenvalue is a
+index arrays built from the configurations, a band of rows at a time, pick
+each central and Slater integral, so the integrals are computed once per
+table and nmax however often W is assembled. The ground eigenvalue is a
 variational upper bound on the true ground energy within the subspace, and
 the coefficient of |11> is the overlap with the free-particle ground state.
 
@@ -49,8 +49,8 @@ the first of three tiers that succeeds proves it is the ground state:
 3. The dense `ground_state(H)`, which stays the reference.
 
 Here delta = _CERTIFICATE_SHIFT (1 + |theta|). H is formed only for tiers 2
-and 3. Scan energies must also be concave in lambda, checked against the
-Hellmann-Feynman tangent of every row.
+and 3, and tier 2 shifts it in place. Scan energies must also be concave in
+lambda, checked against the Hellmann-Feynman tangent of every row.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ _NORM_LIMIT = RESIDUAL_TOL / (10.0 * np.finfo(float).eps)
 _CONCAVITY_RTOL = 1e-12
 # pair comparisons held in memory at once by the concavity check
 _CONCAVITY_BLOCK = 1 << 18
+# configuration rows of W gathered at once: at most 32 x 1,176 entries at nmax 48
+_W_BAND_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -151,20 +153,26 @@ def interaction_matrix(z: float, basis: CiBasis, table: CoulombTable | None = No
     # 0-based modes: row i of W is configuration (n, m), column j is (p, q)
     config = np.array(basis.configurations) - 1
     norm = np.where(config[:, 0] == config[:, 1], 0.5, 1.0 / math.sqrt(2.0))
-    i, j = np.triu_indices(len(basis))
-    n, m = config[i].T
-    p, q = config[j].T
-    pre = 2.0 * norm[i] * norm[j]
-    att = (
-        np.where(m == q, central[n, p], 0.0)
-        + np.where(n == p, central[m, q], 0.0)
-        + np.where(m == p, central[n, q], 0.0)
-        + np.where(n == q, central[m, p], 0.0)
-    )
-    # coordinate 1 couples u_n u_p (or u_n u_q), coordinate 2 the other two
-    rep = slater[pair[n, p], pair[m, q]] + slater[pair[n, q], pair[m, p]]
-    w = np.empty((len(basis), len(basis)))
-    w[i, j] = w[j, i] = pre * (-z * att + rep)
+    size = len(basis)
+    w = np.empty((size, size))
+    for start in range(0, size, _W_BAND_ROWS):
+        # the upper triangle of a band of rows; every entry is the same
+        # elementwise expression of its own (i, j), so the band changes no bit
+        i, j = np.nonzero(np.arange(start, min(start + _W_BAND_ROWS, size))[:, None]
+                          <= np.arange(size))
+        i += start
+        n, m = config[i].T
+        p, q = config[j].T
+        pre = 2.0 * norm[i] * norm[j]
+        att = (
+            np.where(m == q, central[n, p], 0.0)
+            + np.where(n == p, central[m, q], 0.0)
+            + np.where(m == p, central[n, q], 0.0)
+            + np.where(n == q, central[m, p], 0.0)
+        )
+        # coordinate 1 couples u_n u_p (or u_n u_q), coordinate 2 the other two
+        rep = slater[pair[n, p], pair[m, q]] + slater[pair[n, q], pair[m, p]]
+        w[i, j] = w[j, i] = pre * (-z * att + rep)
     return w
 
 
@@ -307,9 +315,13 @@ def _davidson(lam: float, subspace: _Subspace) -> tuple[float, np.ndarray] | Non
     return best
 
 
-def _no_eigenvalue_below(h: np.ndarray, bound: float) -> bool:
-    """True if h - bound I has a Cholesky factor, which proves every eigenvalue exceeds bound."""
-    shifted = h.copy()
+def _no_eigenvalue_below(kinetic: np.ndarray, lam: float, w: np.ndarray, bound: float) -> bool:
+    """True if H - bound I, H = diag(kinetic) + lam w, has a Cholesky factor.
+
+    A factor proves every eigenvalue of H exceeds bound. H is a fresh array,
+    shifted in place; kinetic and w are not written.
+    """
+    shifted = _hamiltonian(kinetic, lam, w)
     shifted[np.diag_indices_from(shifted)] -= bound
     try:
         np.linalg.cholesky(shifted)
@@ -366,7 +378,7 @@ class _InterlacingFloor:
             if self.subspace.full:
                 self.subspace.restart(coeff)
             bound = theta - _certificate_shift(theta)
-            if _no_eigenvalue_below(_hamiltonian(self.kinetic, lam, self.w), bound):
+            if _no_eigenvalue_below(self.kinetic, lam, self.w, bound):
                 self.knots[lam] = bound
                 return
         self.failed.add(lam)
@@ -405,7 +417,7 @@ def _certified_ground_state(lam: float, subspace: _Subspace,
         if residual <= RESIDUAL_TOL:
             delta = _certificate_shift(energy)
             if floor.exceeds(lam, energy + residual + delta) or _no_eigenvalue_below(
-                _hamiltonian(kinetic, lam, w), energy - delta
+                kinetic, lam, w, energy - delta
             ):
                 coeff.setflags(write=False)
                 return energy, coeff, residual

@@ -5,8 +5,8 @@ to stdout or the `-o` file, row by row as it is formatted.
 Numbers are printed with 10 significant digits; CSV output carries
 `# key=value` metadata lines ahead of the column header so a file stays
 reproducible on its own. Exit codes: 0 success, 2 validation error
-(including an output file that cannot be written), 3 numerical-convergence
-error.
+(including an output file or a stdout that cannot be written), 3
+numerical-convergence error.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .coulomb import MAX_POINTS, MIN_POINTS, check_nmax, get_table
 from .errors import ConvergenceError, ValidationError
 from .perturbation import (
     PerturbationCoefficients,
-    energy_curve,
+    _curve_points,
     epsilon1,
     ground_occupation,
     nuclear_motion_report,
@@ -230,9 +230,8 @@ def cmd_curve(config: RunConfig) -> Report:
     definition = _resolve_system(config.system_path)
     system = nondimensionalize(definition)
     table = get_table(config.quadrature_points)
-    occupation = ground_occupation(system)
-    coeffs = epsilon1(system, occupation, table)
-    points = energy_curve(system, occupation, config.lambda_grid, table)
+    coeffs = epsilon1(system, ground_occupation(system), table)
+    points = _curve_points(system, coeffs, config.lambda_grid)
     return Report(
         meta=[
             ("a_bohr", system.length_scale_a),
@@ -403,6 +402,23 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _write_stdout(config: RunConfig, report: Report) -> None:
+    out = sys.stdout
+    if out is None:  # the process started with its stdout closed
+        raise ValidationError("cannot write stdout: it is closed")
+    try:
+        write_report(config, report, out)
+        out.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit; what is left in its
+        # buffer then goes to the null device instead of failing a second time
+        # (https://docs.python.org/3/library/signal.html#note-on-sigpipe)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        raise ValidationError(f"cannot write stdout: {exc.strerror or exc}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -411,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         # every value is computed, and every input checked, before the first byte is written
         report = _COMMANDS[config.command](config)
         if config.output_path is None:
-            write_report(config, report, sys.stdout)
+            _write_stdout(config, report)
         else:
             try:
                 with open(config.output_path, "w", encoding="utf-8", newline="") as fh:

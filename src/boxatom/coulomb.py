@@ -11,10 +11,10 @@ Every s-wave integral is computed in one block per nmax <= MAX_NMAX
 (`s_wave_block`): with weighted outer profiles O[k] = w1 u_a u_c / r1 and
 cumulative inner profiles I[k] = int_0^r1 u_b u_d over mode pairs
 k = (a <= c), the central matrix is the row sum of O and the Slater matrix
-is O I^T + I O^T. I is filled in batches of 16 outer nodes, each batch from
+is O I^T + I O^T. I is filled in batches of 8 outer nodes, each batch from
 its own rows of the inner grid (nodes r1 x_j and weights r1 w_j on [0, r1]),
-so the scratch memory is a few 16 x nmax x points arrays and no
-points x points array outlives one batch; a row's products do not depend on
+written into the same two 8 x nmax x points scratch arrays, so no
+points x points array exists at any time; a row's products do not depend on
 the batch it is in, so the batch size changes no bit. The mode profiles
 u_n(r) = sqrt(2) sin(n pi r) take one sine per node, and one cosine per node
 when nmax > 1; the rest follow from the Chebyshev recurrence
@@ -38,7 +38,9 @@ p = |a-c| and q = a+c, u_a u_c = cos(p pi r) - cos(q pi r), so
 
 and T(u_a u_c, u_b u_d) is a four-term sum of J. Si(j pi) and Cin(j pi)
 come from one table of j <= 4 MAX_NMAX, built on first use. A block is
-compared with its closed forms elementwise; a gap beyond 1e-9 raises
+compared with its closed forms elementwise, a band of Slater rows at a time,
+so the whole exact matrix is never built; the entry named is the one
+np.argmax of the whole gap would name, and a gap beyond 1e-9 raises
 ConvergenceError instead of caching an under-resolved block. The returned
 and cached values are the quadrature's, so the rule size stays meaningful.
 Every integral is between s-wave modes (l = 0); any other mode raises
@@ -64,9 +66,13 @@ AGREEMENT_TOL = 1e-9
 # Slater matrix; a block grows as nmax^4
 MAX_NMAX = 48
 # outer nodes per inner-profile batch in s_wave_block: its scratch memory is
-# a few 16 x nmax x points arrays (0.79 MB each at nmax 12 and 512 points,
-# which fits in L2), and no points x points array outlives one batch
-_BLOCK_ROWS = 16
+# two 8 x nmax x points arrays, allocated once per block (0.39 MB each at
+# nmax 12 and 512 points, 0.61 MB at nmax 48 and 200 points), and no
+# points x points array outlives one batch
+_BLOCK_ROWS = 8
+# Slater matrix rows compared with their closed forms at once by
+# s_wave_block: each array of a band holds 64 x 1,176 entries (0.6 MB) at nmax 48
+_CHECK_ROWS = 64
 # Gauss-Legendre points per panel [j pi, (j+1) pi] of the Si/Cin tables; both
 # integrands are entire, so the panel rule is exact to rounding
 _PANEL_POINTS = 20
@@ -96,7 +102,7 @@ def mode_pair_index(nmax: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _si_cin_pi() -> tuple[np.ndarray, np.ndarray]:
-    """Si(j pi) and Cin(j pi) (DLMF 6.2) for j = 0..4 MAX_NMAX, the most _closed_forms reads.
+    """Si(j pi) and Cin(j pi) (DLMF 6.2) for j = 0..4 MAX_NMAX, all that the closed forms read.
 
     Built on first use, never at import. Si(x) = int_0^x sin t / t dt and
     Cin(x) = int_0^x (1 - cos t) / t dt are summed panel by panel over
@@ -116,26 +122,62 @@ def _si_cin_pi() -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _closed_forms(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact central integrals and Slater matrix for s-wave mode pairs.
+def _closed_form_rows(p: np.ndarray, q: np.ndarray):
+    """A function of a slice of mode pairs giving those rows of the exact Slater matrix.
 
     Pair k has u_a u_c = cos(p[k] pi r) - cos(q[k] pi r), that is p = c - a
-    and q = a + c for a <= c. Returns the central integral of each pair and
-    R[k, k'] = R0 for coordinate-1 pair k and coordinate-2 pair k'.
+    and q = a + c for a <= c. Entry [k, k'] is R0 for coordinate-1 pair k and
+    coordinate-2 pair k': half[k, k'] + half[k', k], where half[k, k'] =
+    J[p, p'] - J[p, q'] - J[q, p'] + J[q, q'] is summed in that order. The
+    kernel's columns at p and q are gathered once, so a band of rows costs
+    eight row gathers.
     """
     top = int(q.max())
-    si, cin = _si_cin_pi()
+    si, _ = _si_cin_pi()
     m, s = np.ogrid[: top + 1, : top + 1]
     # kernel[m, s] = T(cos m pi r, cos s pi r)
     kernel = (si[s + m] + np.sign(s - m) * si[np.abs(s - m)]) / (2.0 * np.pi * np.maximum(s, 1))
     kernel[:, 0] = m[:, 0] == 0
-    half = kernel[np.ix_(p, p)] - kernel[np.ix_(p, q)] - kernel[np.ix_(q, p)] + kernel[np.ix_(q, q)]
-    return cin[q] - cin[p], half + half.T
+    at_p, at_q, mirror_p, mirror_q = kernel[:, p], kernel[:, q], kernel.T[:, p], kernel.T[:, q]
+
+    def rows(band: slice) -> np.ndarray:
+        pr, qr = p[band], q[band]
+        half = at_p[pr] - at_q[pr] - at_p[qr] + at_q[qr]
+        # [i, k'] of the mirror is half[k', k] for the band's pair k
+        return half + (mirror_p[pr] - mirror_p[qr] - mirror_q[pr] + mirror_q[qr])
+
+    return rows
 
 
-def _s_wave_profiles(r: np.ndarray, nmax: int) -> np.ndarray:
-    """u_n(r) = sqrt(2) sin(n pi r), n = 1..nmax, on a new second-to-last axis, by recurrence."""
-    out = np.empty(r.shape[:-1] + (nmax, r.shape[-1]))
+def _worst_gap(value: np.ndarray, exact_rows, band: int) -> tuple[int, int, float]:
+    """(i, j, exact[i, j]) of the entry np.argmax(|value - exact|) names, `band` rows at a time.
+
+    exact_rows(rows) gives those rows of the exact matrix, so the whole of it
+    is never built. As with np.argmax, the first NaN wins, and otherwise the
+    first of equal gaps.
+    """
+    columns = value.shape[1]
+    worst, found = -1.0, None
+    for start in range(0, len(value), band):
+        rows = slice(start, start + band)
+        exact = exact_rows(rows)
+        gap = np.abs(value[rows] - exact)
+        k = int(np.argmax(gap))
+        if gap.flat[k] > worst or math.isnan(gap.flat[k]):
+            worst, found = gap.flat[k], (start + k // columns, k % columns, float(exact.flat[k]))
+            if math.isnan(worst):
+                break
+    return found
+
+
+def _s_wave_profiles(r: np.ndarray, nmax: int, out: np.ndarray | None = None) -> np.ndarray:
+    """u_n(r) = sqrt(2) sin(n pi r), n = 1..nmax, on a new second-to-last axis, by recurrence.
+
+    Written into `out` when it is given, an array of shape
+    r.shape[:-1] + (nmax, r.shape[-1]).
+    """
+    if out is None:
+        out = np.empty(r.shape[:-1] + (nmax, r.shape[-1]))
     # in place, so that at most one node-sized array lives beside the profiles
     twice_cos = np.multiply(np.pi, r)
     np.sin(twice_cos, out=out[..., 0, :])
@@ -152,6 +194,30 @@ def _s_wave_profiles(r: np.ndarray, nmax: int) -> np.ndarray:
     return out
 
 
+def _inner_profiles(r1: np.ndarray, w1: np.ndarray, nmax: int) -> np.ndarray:
+    """I[k, i] = int_0^r1[i] u_a u_c for mode pairs k = (a <= c), by the rule on [0, r1[i]].
+
+    Every batch of _BLOCK_ROWS outer nodes is written into the same three
+    scratch arrays, which are freed on return.
+    """
+    first, second = np.triu_indices(nmax)
+    points = len(r1)
+    inner = np.empty((len(first), points))
+    u = np.empty((_BLOCK_ROWS, nmax, points))  # (row, mode, node)
+    weighted = np.empty_like(u)
+    products = np.empty((_BLOCK_ROWS, nmax, nmax))
+    for start in range(0, points, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        size = len(r1[rows])
+        # these rows of the inner grid are the products that
+        # quadrature.triangle_grid forms for them, so they have its bits
+        _s_wave_profiles(np.outer(r1[rows], r1), nmax, out=u[:size])
+        np.multiply(np.outer(r1[rows], w1)[:, None, :], u[:size], out=weighted[:size])
+        np.matmul(weighted[:size], u[:size].transpose(0, 2, 1), out=products[:size])
+        inner[:, rows] = products[:size, first, second].T
+    return inner
+
+
 def _quadrature_block(points: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Central matrix over modes 1..nmax and Slater matrix over their pairs, by the points-point rule.
 
@@ -164,15 +230,12 @@ def _quadrature_block(points: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     w1 = 0.5 * rule.weights
     first, second = np.triu_indices(nmax)
     values = _s_wave_profiles(r1, nmax)
-    outer = w1 * values[first] * values[second] / r1
-    inner = np.empty_like(outer)
-    for start in range(0, points, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        # these rows of the inner grid are the products that
-        # quadrature.triangle_grid forms for them, so they have its bits
-        u = _s_wave_profiles(np.outer(r1[rows], r1), nmax)  # (rows, mode, node)
-        products = (np.outer(r1[rows], w1)[:, None, :] * u) @ u.transpose(0, 2, 1)
-        inner[:, rows] = products[:, first, second].T
+    # w1 * u_a * u_c / r1, evaluated left to right in place
+    outer = values[first]
+    np.multiply(w1, outer, out=outer)
+    outer *= values[second]
+    outer /= r1
+    inner = _inner_profiles(r1, w1, nmax)
     central = np.empty((nmax, nmax))
     central[first, second] = central[second, first] = outer.sum(axis=1)
     # O I^T + I O^T written as A + A^T, which is exactly symmetric
@@ -220,19 +283,20 @@ class CoulombTable:
         if got is None:
             block = _quadrature_block(self.points, nmax)
             first, second = np.triu_indices(nmax)
-            exact_central, exact_slater = _closed_forms(second - first, first + second + 2)
+            p, q = second - first, first + second + 2
+            _, cin = _si_cin_pi()
             central = np.empty((nmax, nmax))
-            central[first, second] = central[second, first] = exact_central
+            central[first, second] = central[second, first] = cin[q] - cin[p]
             modes = list(range(1, nmax + 1))
             pairs = list(zip((first + 1).tolist(), (second + 1).tolist()))
-            for what, labels, value, exact in (
-                ("central_expectation for modes", modes, block[0], central),
-                ("Slater integral for mode pairs", pairs, block[1], exact_slater),
+            for what, labels, value, exact_rows in (
+                ("central_expectation for modes", modes, block[0], central.__getitem__),
+                ("Slater integral for mode pairs", pairs, block[1], _closed_form_rows(p, q)),
             ):
                 # the worst entry passes only if every entry does
-                i, j = np.unravel_index(np.argmax(np.abs(value - exact)), value.shape)
+                i, j, exact = _worst_gap(value, exact_rows, _CHECK_ROWS)
                 self._checked(f"{what} {labels[i]} and {labels[j]} (nmax={nmax} block)",
-                              float(value[i, j]), float(exact[i, j]))
+                              float(value[i, j]), exact)
             for array in block:
                 array.setflags(write=False)
             got = self._blocks.setdefault(nmax, block)

@@ -192,7 +192,12 @@ def energy_curve(system: DimensionlessSystem, occupation, lambdas,
     times the prefactor, or rc_bohr leaves the float range is a
     ValidationError.
     """
-    coeffs = epsilon1(system, occupation, table)
+    return _curve_points(system, epsilon1(system, occupation, table), lambdas)
+
+
+def _curve_points(system: DimensionlessSystem, coeffs: PerturbationCoefficients,
+                  lambdas) -> list[EnergyCurvePoint]:
+    """energy_curve from coefficients already computed for the system."""
     points = []
     for lam in lambdas:
         lam = float(lam)

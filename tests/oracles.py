@@ -7,10 +7,13 @@ exact where float terms would cancel), the zeros of j_1 from plain bisection
 on its closed form, and the symmetrized CI matrix from a brute-force
 product-basis projection, whose Coulomb entries are read one by one from the
 table's checked s-wave block (`central_expectation` and `s_wave_block`
-through `mode_pair_index`). The one exception is
-`s_wave_block_whole_grid`, which shares the mode profiles with `coulomb` and
-pins the bits of its batched grid instead. `json_document` is the CLI's JSON
-output as the standard library's encoder prints a document built whole.
+through `mode_pair_index`). Three exceptions pin the bits of a streamed or
+banded production path instead, by doing the same operations on the whole
+array at once: `s_wave_block_whole_grid` (the block's batched inner grid),
+`closed_forms` (the block check's bands of exact Slater rows) and
+`interaction_matrix_whole` (the banded gather of W). `json_document` is the
+CLI's JSON output as the standard library's encoder prints a document built
+whole.
 """
 
 import itertools
@@ -158,6 +161,45 @@ def s_wave_block_whole_grid(points: int, nmax: int) -> tuple[np.ndarray, np.ndar
     central[first, second] = central[second, first] = outer.sum(axis=1)
     half = outer @ inner.T
     return central, half + half.T
+
+
+def closed_forms(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact central integrals and the whole exact Slater matrix for s-wave mode pairs.
+
+    Pair k has u_a u_c = cos(p[k] pi r) - cos(q[k] pi r). The Slater matrix
+    comes from four whole-matrix gathers of the kernel, the order of
+    operations that `coulomb._closed_form_rows` keeps band by band.
+    """
+    top = int(q.max())
+    si, cin = coulomb._si_cin_pi()
+    m, s = np.ogrid[: top + 1, : top + 1]
+    # kernel[m, s] = T(cos m pi r, cos s pi r)
+    kernel = (si[s + m] + np.sign(s - m) * si[np.abs(s - m)]) / (2.0 * np.pi * np.maximum(s, 1))
+    kernel[:, 0] = m[:, 0] == 0
+    half = kernel[np.ix_(p, p)] - kernel[np.ix_(p, q)] - kernel[np.ix_(q, p)] + kernel[np.ix_(q, q)]
+    return cin[q] - cin[p], half + half.T
+
+
+def interaction_matrix_whole(z: float, basis, table) -> np.ndarray:
+    """W gathered for the whole upper triangle at once, as `ci.interaction_matrix` does band by band."""
+    central, slater = table.s_wave_block(basis.nmax)
+    pair = coulomb.mode_pair_index(basis.nmax)
+    config = np.array(basis.configurations) - 1
+    norm = np.where(config[:, 0] == config[:, 1], 0.5, 1.0 / math.sqrt(2.0))
+    i, j = np.triu_indices(len(basis))
+    n, m = config[i].T
+    p, q = config[j].T
+    pre = 2.0 * norm[i] * norm[j]
+    att = (
+        np.where(m == q, central[n, p], 0.0)
+        + np.where(n == p, central[m, q], 0.0)
+        + np.where(m == p, central[n, q], 0.0)
+        + np.where(n == q, central[m, p], 0.0)
+    )
+    rep = slater[pair[n, p], pair[m, q]] + slater[pair[n, q], pair[m, p]]
+    w = np.empty((len(basis), len(basis)))
+    w[i, j] = w[j, i] = pre * (-float(z) * att + rep)
+    return w
 
 
 def json_document(config, report) -> str:

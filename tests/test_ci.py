@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from boxatom import ci
 from boxatom.ci import MAX_NMAX
 from boxatom.errors import ConvergenceError, ValidationError
 
-from oracles import product_basis_hamiltonian
+from oracles import interaction_matrix_whole, product_basis_hamiltonian
 
 EPS1_CLAMPED = -7.96454040407721
 
@@ -89,6 +90,25 @@ class TestMatrixAssembly:
         ours = build_hamiltonian(z, lam, CiBasis.up_to(nmax), table)
         oracle = product_basis_hamiltonian(nmax, z, lam, table)
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("nmax", [1, 2, 12, 24, 48])
+    def test_banded_gather_is_bit_identical_to_whole_triangle(self, nmax, table):
+        basis = CiBasis.up_to(nmax)
+        for z in (1.0, 2.0, 3.0, 4.0):
+            np.testing.assert_array_equal(interaction_matrix(z, basis, table),
+                                          interaction_matrix_whole(z, basis, table))
+
+    def test_gather_scratch_memory_is_small(self, table):
+        # the whole upper triangle gathered at once peaked at 63.4 MiB at nmax 48
+        basis = CiBasis.up_to(MAX_NMAX)
+        table.s_wave_block(MAX_NMAX)  # cached; only W and its scratch are measured
+        tracemalloc.start()
+        try:
+            interaction_matrix(2.0, basis, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_underresolved_table_raises(self):
         # the CI path keeps the n-against-2n quadrature check
@@ -253,7 +273,7 @@ class TestCertifiedGroundState:
         np.testing.assert_array_equal(coeff[:4], 0.0)
         delta = ci._CERTIFICATE_SHIFT * (1.0 + abs(energy))
         assert not self._floor(h).exceeds(1.0, energy + delta)
-        assert not ci._no_eigenvalue_below(h, energy - delta)
+        assert not ci._no_eigenvalue_below(np.zeros(len(h)), 1.0, h, energy - delta)
         dense = []
         monkeypatch.setattr(ci, "ground_state", lambda m: dense.append(m) or ground_state(m))
         got, _, _ = ci._certified_ground_state(1.0, self._subspace(h, start), self._floor(h))
@@ -268,8 +288,19 @@ class TestCertifiedGroundState:
         energy, _ = ci._davidson(1.0, self._subspace(h, start))
         assert energy == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
         delta = ci._CERTIFICATE_SHIFT * (1.0 + abs(energy))
-        assert ci._no_eigenvalue_below(h, energy - delta)
+        assert ci._no_eigenvalue_below(np.zeros(len(h)), 1.0, h, energy - delta)
         assert self._floor(h).exceeds(1.0, energy + delta)
+
+    def test_cholesky_tier_writes_neither_input(self):
+        # H is formed and shifted in place, never kinetic or w
+        h = self._block_diagonal()
+        kinetic = np.linspace(1.0, 2.0, len(h))
+        kept_kinetic, kept_h = kinetic.copy(), h.copy()
+        bound = np.linalg.eigvalsh(np.diag(kinetic) + 0.5 * h)[0] - 1e-3
+        assert ci._no_eigenvalue_below(kinetic, 0.5, h, bound)
+        assert not ci._no_eigenvalue_below(kinetic, 0.5, h, bound + 2e-3)
+        np.testing.assert_array_equal(kinetic, kept_kinetic)
+        np.testing.assert_array_equal(h, kept_h)
 
     def test_capped_davidson_returns_its_best_pair(self, monkeypatch):
         # one iteration leaves only the start vector and its Rayleigh quotient

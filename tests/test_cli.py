@@ -2,7 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxatom import CoulombTable, ci, cli, coulomb, sphere
+from boxatom import CoulombTable, ci, cli, coulomb, perturbation, sphere
 from boxatom.cli import RunConfig, main
 from boxatom.errors import ValidationError
+from boxatom.perturbation import epsilon1
 from boxatom.system import MAX_PARTICLES
 from oracles import json_document
 
@@ -152,6 +156,19 @@ class TestCurve:
         assert float(unit_row["energy_hartree"]) == pytest.approx(1.905063997, abs=1e-8)
         assert float(unit_row["rc_bohr"]) == 1.0
 
+    def test_coefficients_are_computed_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return epsilon1(*args, **kwargs)
+
+        # energy_curve reads perturbation.epsilon1, and the command reads its own import
+        monkeypatch.setattr(perturbation, "epsilon1", counted)
+        monkeypatch.setattr(cli, "epsilon1", counted)
+        code, _, _ = run(capsys, "curve", "he-clamped")
+        assert code == 0 and len(calls) == 1
+
     def test_turnover_metadata_none_for_repulsive(self, capsys, tmp_path):
         path = tmp_path / "pair.json"
         path.write_text(json.dumps(TWO_ELECTRONS))
@@ -270,6 +287,45 @@ class TestStreamedOutput:
                              "-o", str(target))
         assert code == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
         assert not target.exists()
+
+
+def cli_process(args):
+    """`python -m boxatom.cli ARGS` importing this checkout's boxatom."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("BOXATOM_QUAD_POINTS", None)
+    return [sys.executable, "-m", "boxatom.cli", *args], env
+
+
+class TestStdoutFailure:
+    # each ended in a traceback before stdout write errors were caught
+    @staticmethod
+    def assert_one_line(code, err, reason):
+        assert code == 2
+        assert err == f"error: cannot write stdout: {reason}\n"
+
+    def test_closed_pipe(self):
+        argv, env = cli_process(["curve", "he-clamped", "--steps", str(cli.MAX_STEPS)])
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        # the curve is larger than a pipe buffer, so it is still writing when the reader leaves
+        assert proc.stdout.readline() == b"# command=curve\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        self.assert_one_line(proc.returncode, err.decode(), "Broken pipe")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    def test_full_device(self):
+        argv, env = cli_process(["coeffs", "he-clamped"])
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        self.assert_one_line(done.returncode, done.stderr, "No space left on device")
+
+    def test_closed_stdout(self):
+        argv, env = cli_process(["coeffs", "he-clamped"])
+        # the shell's `>&-` starts the process with no file descriptor 1
+        done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], env=env,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+        self.assert_one_line(done.returncode, done.stderr, "it is closed")
 
 
 class TestCiScan:

@@ -13,7 +13,7 @@ from boxatom.quadrature import triangle_grid
 from boxatom.coulomb import mode_pair_index
 from boxatom.errors import ConvergenceError, UnsupportedModeError, ValidationError
 
-from oracles import cin_series, s_wave_block_whole_grid, si_series
+from oracles import cin_series, closed_forms, s_wave_block_whole_grid, si_series
 
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -212,7 +212,7 @@ class TestClosedForms:
     def test_block_matches_quadrature(self, table):
         nmax = 24
         first, second = np.triu_indices(nmax)
-        central, slater = coulomb._closed_forms(second - first, first + second + 2)
+        central, slater = closed_forms(second - first, first + second + 2)
         got_central, got_slater = table.s_wave_block(nmax)
         np.testing.assert_allclose(got_central[first, second], central, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_slater, slater, rtol=0, atol=1e-12)
@@ -233,13 +233,13 @@ class TestClosedForms:
     def test_finest_block_matches_closed_forms(self):
         nmax = coulomb.MAX_NMAX
         first, second = np.triu_indices(nmax)
-        central, slater = coulomb._closed_forms(second - first, first + second + 2)
+        central, slater = closed_forms(second - first, first + second + 2)
         got_central, got_slater = coulomb._quadrature_block(512, nmax)
         np.testing.assert_allclose(got_central[first, second], central, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_slater, slater, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("points,nmax", [
-        (points, nmax) for points in (16, 200, 512) for nmax in (1, 2, 12)] + [(200, 24)])
+        (points, nmax) for points in (16, 200, 512) for nmax in (1, 2, 12)] + [(200, 24), (200, 48)])
     def test_streamed_block_is_bit_identical_to_whole_grid(self, points, nmax):
         # the printed 10-digit outputs depend on these bits
         for got, want in zip(coulomb._quadrature_block(points, nmax),
@@ -265,9 +265,31 @@ class TestClosedForms:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
 
+    def test_largest_block_memory_is_small(self):
+        # the whole exact Slater matrix and its four gathers peaked at 42.3 MiB
+        gauss_legendre(200)
+        coulomb._si_cin_pi()  # both cached; only the block and its check are measured
+        tracemalloc.start()
+        try:
+            CoulombTable(200).s_wave_block(coulomb.MAX_NMAX)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * 2**20
+
+    @pytest.mark.parametrize("nmax", [1, 2, 12, 48])
+    def test_closed_form_bands_are_bit_identical_to_the_whole_matrix(self, nmax):
+        first, second = np.triu_indices(nmax)
+        p, q = second - first, first + second + 2
+        rows = coulomb._closed_form_rows(p, q)
+        whole = closed_forms(p, q)[1]
+        for band in (1, 7, coulomb._CHECK_ROWS):
+            got = np.concatenate([rows(slice(start, start + band)) for start in range(0, len(p), band)])
+            np.testing.assert_array_equal(got, whole)
+
     def test_pair_closed_form(self):
         # pair(1,1) = 2 - [Si(2pi) - Si(4pi)/2]/pi, from u_1^2 = 1 - cos(2 pi r)
-        _, slater = coulomb._closed_forms(np.array([0]), np.array([2]))
+        _, slater = closed_forms(np.array([0]), np.array([2]))
         exact = 2.0 - (si_series(2.0 * math.pi) - si_series(4.0 * math.pi) / 2.0) / math.pi
         assert slater[0, 0] == pytest.approx(exact, abs=1e-14)
 
@@ -288,6 +310,41 @@ class TestClosedForms:
             CoulombTable(200).s_wave_block(8)
         message = str(err.value)
         assert label in message and "closed form" in message and "nmax=8" in message
+
+    @pytest.mark.parametrize("rows", [coulomb._CHECK_ROWS, 5])
+    @pytest.mark.parametrize("case,entry", [
+        ("last band", (77, 3)),
+        # the first NaN wins over a far larger finite gap and a later NaN
+        ("nan", (76, 5)),
+        # equal gaps in two bands: the first in row order is named
+        ("tie", (2, 40)),
+    ])
+    def test_banded_check_names_the_whole_matrix_argmax(self, monkeypatch, rows, case, entry):
+        nmax = 12  # 78 mode pairs, so the last band starts at row 64
+        first, second = np.triu_indices(nmax)
+        _, exact = closed_forms(second - first, first + second + 2)
+        central, slater = coulomb._quadrature_block(200, nmax)
+        if case == "last band":
+            slater[77, 3] += 1e-8
+        elif case == "nan":
+            slater[0, 0] += 1.0
+            slater[76, 5] = slater[77, 2] = np.nan
+        else:
+            for i, j in ((2, 40), (77, 1)):
+                slater[i, j] = exact[i, j] + 2.0**-20
+        gap = np.abs(slater - exact)
+        i, j = np.unravel_index(np.argmax(gap), gap.shape)
+        assert (i, j) == entry
+        pairs = list(zip((first + 1).tolist(), (second + 1).tolist()))
+        table = CoulombTable(200)
+        with pytest.raises(ConvergenceError) as want:
+            table._checked(f"Slater integral for mode pairs {pairs[i]} and {pairs[j]} (nmax={nmax} block)",
+                           float(slater[i, j]), float(exact[i, j]))
+        monkeypatch.setattr(coulomb, "_CHECK_ROWS", rows)
+        monkeypatch.setattr(coulomb, "_quadrature_block", lambda points, n: (central, slater))
+        with pytest.raises(ConvergenceError) as got:
+            table.s_wave_block(nmax)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("method,call", [
         ("central", lambda t: t.central_expectation(mode(2), mode(3))),

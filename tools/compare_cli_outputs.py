@@ -6,8 +6,10 @@ BASE_REV is a revision of the checkout that holds this script; `git archive`
 extracts it into a temporary directory. The invocations are the benchmark's,
 built by `perfbench/workloads.py`: the quick, ci-scan and ci-fine workloads for seeds
 1-3, plus `ci-scan he-clamped --nmax 40`, `ci-scan he-clamped --nmax 10
---quad-points 16` (which exits 3) and the longest outputs, `curve he-clamped
---steps 10000` in CSV and in JSON. Each runs as `python -m boxatom.cli`, one
+--quad-points 16` (which exits 3), the largest block and W (`--nmax 48
+--lambda-max 50`), strong coupling that reaches the per-point Cholesky tier
+(`--nmax 24 --lambda-min 100 --lambda-max 200`) and the longest outputs,
+`curve he-clamped --steps 10000` in CSV and in JSON. Each runs as `python -m boxatom.cli`, one
 at a time, once against the working tree's `src` and once against BASE_REV's,
 in the same directory with the same input files.
 
@@ -32,6 +34,8 @@ SEEDS = (1, 2, 3)
 EXTRA = (
     ["ci-scan", "he-clamped", "--nmax", "40"],
     ["ci-scan", "he-clamped", "--nmax", "10", "--quad-points", "16"],
+    ["ci-scan", "he-clamped", "--nmax", "48", "--lambda-max", "50"],
+    ["ci-scan", "he-clamped", "--nmax", "24", "--lambda-min", "100", "--lambda-max", "200"],
     ["curve", "he-clamped", "--steps", "10000"],
     ["curve", "he-clamped", "--steps", "10000", "--format", "json"],
 )
