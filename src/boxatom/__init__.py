@@ -39,13 +39,7 @@ from .perturbation import (
     nuclear_motion_report,
     turnover_lambda,
 )
-from .quadrature import (
-    QuadratureRule,
-    gauss_legendre,
-    integrate,
-    integrate_square,
-    integrate_triangular,
-)
+from .quadrature import QuadratureRule, gauss_legendre, integrate
 from .sphere import (
     ModeIndex,
     RadialMode,
@@ -100,8 +94,6 @@ __all__ = [
     "ground_state",
     "helium_system",
     "integrate",
-    "integrate_square",
-    "integrate_triangular",
     "interaction_matrix",
     "kinetic_diagonal",
     "load_system",

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import ci
-from .coulomb import MAX_POINTS, MIN_POINTS, check_nmax, get_table
+from .coulomb import DEFAULT_POINTS, MAX_POINTS, MIN_POINTS, check_nmax, check_points, get_table
 from .errors import ConvergenceError, ValidationError
 from .perturbation import (
     PerturbationCoefficients,
@@ -42,7 +42,6 @@ from .system import (
 )
 
 ENV_QUAD_POINTS = "BOXATOM_QUAD_POINTS"
-DEFAULT_QUAD_POINTS = 200
 # the lambda grid is built from --steps, so it is bounded before any allocation
 MAX_STEPS = 10_000
 
@@ -76,11 +75,7 @@ class RunConfig:
             raise ValidationError(
                 f"lambda-max {self.lambda_max} is below lambda-min {self.lambda_min}"
             )
-        if not MIN_POINTS <= self.quadrature_points <= MAX_POINTS:
-            raise ValidationError(
-                f"quadrature points must lie in [{MIN_POINTS}, {MAX_POINTS}], "
-                f"got {self.quadrature_points}"
-            )
+        check_points(self.quadrature_points)
         check_nmax(self.ci_nmax)
 
     @property
@@ -197,7 +192,7 @@ def _resolve_quad_points(flag_value: int | None) -> int:
         return flag_value
     raw = os.environ.get(ENV_QUAD_POINTS)
     if raw is None:
-        return DEFAULT_QUAD_POINTS
+        return DEFAULT_POINTS
     try:
         return int(raw)
     except ValueError:
@@ -367,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("system", help="preset name or system JSON file")
         p.add_argument("--quad-points", type=int, default=None,
-                       help=f"quadrature points in [{MIN_POINTS}, {MAX_POINTS}] (default {DEFAULT_QUAD_POINTS})")
+                       help=f"quadrature points in [{MIN_POINTS}, {MAX_POINTS}] (default {DEFAULT_POINTS})")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
 

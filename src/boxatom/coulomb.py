@@ -85,6 +85,15 @@ def check_nmax(nmax) -> int:
     return int(nmax)
 
 
+def check_points(points) -> int:
+    """points as an int in [MIN_POINTS, MAX_POINTS]; anything else is a ValidationError."""
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
+        raise ValidationError(f"quadrature points must be an integer, got {points!r}")
+    if not MIN_POINTS <= points <= MAX_POINTS:
+        raise ValidationError(f"quadrature points must lie in [{MIN_POINTS}, {MAX_POINTS}], got {points}")
+    return int(points)
+
+
 @lru_cache(maxsize=None)
 def mode_pair_index(nmax: int) -> np.ndarray:
     """Row of the s-wave Slater matrix for each mode pair: index[a-1, c-1] = index[c-1, a-1].
@@ -209,8 +218,8 @@ def _inner_profiles(r1: np.ndarray, w1: np.ndarray, nmax: int) -> np.ndarray:
     for start in range(0, points, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         size = len(r1[rows])
-        # these rows of the inner grid are the products that
-        # quadrature.triangle_grid forms for them, so they have its bits
+        # these rows of the inner grid are the products that the tests'
+        # whole-grid oracles.triangle_grid forms for them, so they have its bits
         _s_wave_profiles(np.outer(r1[rows], r1), nmax, out=u[:size])
         np.multiply(np.outer(r1[rows], w1)[:, None, :], u[:size], out=weighted[:size])
         np.matmul(weighted[:size], u[:size].transpose(0, 2, 1), out=products[:size])
@@ -247,13 +256,7 @@ class CoulombTable:
     """Cached s-wave Coulomb integrals at a fixed quadrature resolution."""
 
     def __init__(self, points: int = DEFAULT_POINTS):
-        if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
-            raise ValidationError(f"quadrature points must be an integer, got {points!r}")
-        if not MIN_POINTS <= points <= MAX_POINTS:
-            raise ValidationError(
-                f"quadrature points must lie in [{MIN_POINTS}, {MAX_POINTS}], got {points}"
-            )
-        self.points = int(points)
+        self.points = check_points(points)
         self._blocks: dict = {}
 
     def _checked(self, what, value: float, reference: float) -> float:

@@ -1,9 +1,6 @@
-"""Gauss-Legendre quadrature with affine and triangular mappings.
+"""The Gauss-Legendre rule, and the integral it gives over an interval.
 
-All radial integrals in the package go through these rules. The two-variable
-kernel 1/max(r1, r2) has a derivative kink on the diagonal, so the triangular
-integrator nests the rule with inner interval [0, r1]; each sub-integrand is
-then smooth and plain Gauss rules converge spectrally. A rule has at most
+All radial integrals in the package use these rules. A rule has at most
 MAX_POINTS = 512 nodes, which is also the finest Coulomb table resolution.
 """
 
@@ -108,25 +105,3 @@ def integrate(f: Callable, a: float, b: float, rule: QuadratureRule) -> float:
     vals = _evaluate(f, r, "integrand")
     return half * float(np.dot(rule.weights, vals))
 
-
-def triangle_grid(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Outer nodes/weights on [0, 1] and nested inner grids on [0, r1]."""
-    r1 = 0.5 * (rule.nodes + 1.0)
-    w1 = 0.5 * rule.weights
-    # inner interval [0, r1[i]] reuses the same mapped rule, scaled per row
-    r2 = np.outer(r1, r1)
-    w2 = np.outer(r1, w1)
-    return r1, w1, r2, w2
-
-
-def integrate_triangular(f2: Callable, rule: QuadratureRule) -> float:
-    """Integrate f2(r1, r2) over the triangle 0 <= r2 <= r1 <= 1."""
-    r1, w1, r2, w2 = triangle_grid(rule)
-    vals = _evaluate(lambda _: f2(r1[:, None], r2), r2, "triangular integrand")
-    inner = np.sum(w2 * vals, axis=1)
-    return float(np.dot(w1, inner))
-
-
-def integrate_square(f2: Callable, rule: QuadratureRule) -> float:
-    """Symmetric completion of the triangular rule over the unit square."""
-    return integrate_triangular(f2, rule) + integrate_triangular(lambda r1, r2: f2(r2, r1), rule)

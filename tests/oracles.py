@@ -4,9 +4,12 @@ Everything here is deliberately written without the package's production
 paths: the entire cosine integral comes from its even series and the sine
 integral from its odd series (both summed in 60-digit decimals, so they stay
 exact where float terms would cancel), the zeros of j_1 from plain bisection
-on its closed form, and the symmetrized CI matrix from a brute-force
-product-basis projection, whose Coulomb entries are read one by one from the
-table's checked s-wave block (`central_expectation` and `s_wave_block`
+on its closed form, two-variable integrals from the rule nested on the
+whole triangle grid at once (`triangle_grid`, `integrate_triangular` and
+`integrate_square`; the package builds its inner grid a batch of rows at a
+time), and the symmetrized CI matrix from a brute-force product-basis
+projection, whose Coulomb entries are read one by one from the table's
+checked s-wave block (`central_expectation` and `s_wave_block`
 through `mode_pair_index`). Three exceptions pin the bits of a streamed or
 banded production path instead, by doing the same operations on the whole
 array at once: `s_wave_block_whole_grid` (the block's batched inner grid),
@@ -24,7 +27,6 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from boxatom import ModeIndex, coulomb, gauss_legendre
-from boxatom.quadrature import triangle_grid
 
 
 def cin_series(x: float) -> float:
@@ -65,6 +67,26 @@ def si_series(x: float) -> float:
                 break
             term = term * x * x / ((2 * k + 2) * (2 * k + 3))
         return float(total)
+
+
+def triangle_grid(rule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Outer nodes/weights on [0, 1] and nested inner grids on [0, r1]."""
+    r1 = 0.5 * (rule.nodes + 1.0)
+    w1 = 0.5 * rule.weights
+    # inner interval [0, r1[i]] reuses the same mapped rule, scaled per row
+    return r1, w1, np.outer(r1, r1), np.outer(r1, w1)
+
+
+def integrate_triangular(f2, rule) -> float:
+    """Integrate a vectorized f2(r1, r2) over the triangle 0 <= r2 <= r1 <= 1."""
+    r1, w1, r2, w2 = triangle_grid(rule)
+    inner = np.sum(w2 * f2(r1[:, None], r2), axis=1)
+    return float(np.dot(w1, inner))
+
+
+def integrate_square(f2, rule) -> float:
+    """Symmetric completion of the triangular rule over the unit square."""
+    return integrate_triangular(f2, rule) + integrate_triangular(lambda r1, r2: f2(r2, r1), rule)
 
 
 def s_wave_ground_is_degenerate(weights, rel_tol: float) -> bool:

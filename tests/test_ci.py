@@ -451,6 +451,30 @@ class TestInterlacingFloor:
         assert solution.energy == pytest.approx(solve_ground(2.0, 1.0, CiBasis.up_to(1), table).energy,
                                                 rel=1e-14, abs=0)
 
+    def test_interior_knot_covers_the_rest_of_the_scan(self, table, monkeypatch):
+        # the seed-1 benchmark input ci2.json: the chord from lambda = 0 to the
+        # top knot misses one point, and the knot certified there covers every
+        # later point, so the scan and the fit need two Cholesky calls in all
+        def forbidden(matrix):
+            raise AssertionError("dense fallback used")
+
+        calls = []
+        no_eigenvalue_below = ci._no_eigenvalue_below
+
+        def recorded(kinetic, lam, w, bound):
+            calls.append((len(kinetic), lam))
+            return no_eigenvalue_below(kinetic, lam, w, bound)
+
+        monkeypatch.setattr(ci, "_no_eigenvalue_below", recorded)
+        monkeypatch.setattr(ci, "ground_state", forbidden)
+        problem = CiProblem(4.0, CiBasis.up_to(24), table)
+        grid = np.linspace(0.3739, 2.2723, 20)
+        problem.overlap_scan(grid)
+        problem.second_order_estimate(np.linspace(0.02, 0.2, 10))
+        # both on the 299 x 299 H_QQ, none on the 300 x 300 H
+        assert calls == [(299, 2.2723), (299, grid[5])]
+        assert grid[5] == pytest.approx(0.8735, abs=1e-4)
+
     def test_scan_and_fit_share_the_knots(self, table):
         problem = CiProblem(2.0, CiBasis.up_to(12), table)
         problem.overlap_scan(np.linspace(0.1, 2.0, 20))

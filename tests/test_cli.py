@@ -549,10 +549,13 @@ class TestArgumentAndInputErrors:
         assert rc_lines[1].startswith("# system=") and lam_lines[1].startswith("# system=")
         assert rc_lines[:1] + rc_lines[2:] == lam_lines[:1] + lam_lines[2:]
 
-    @pytest.mark.parametrize("points", ["8", "1000"])
+    @pytest.mark.parametrize("points", ["8", "15", "513", "1000"])
     def test_quad_points_out_of_range(self, capsys, points):
+        # the CLI's message is the table's own, from the one check in coulomb
         code, _, err = run(capsys, "coeffs", "he-clamped", "--quad-points", points)
-        assert code == 2 and "error:" in err
+        with pytest.raises(ValidationError) as table_error:
+            CoulombTable(int(points))
+        assert code == 2 and err == f"error: {table_error.value}\n"
 
     def test_bad_lambda_grid(self, capsys):
         code, _, err = run(capsys, "curve", "he-clamped", "--lambda-min", "0")

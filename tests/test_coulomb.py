@@ -8,12 +8,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from boxatom import CoulombTable, ModeIndex, build_radial_mode, ci, coulomb, gauss_legendre, get_table, integrate_square
-from boxatom.quadrature import triangle_grid
+from boxatom import CoulombTable, ModeIndex, build_radial_mode, ci, coulomb, gauss_legendre, get_table
 from boxatom.coulomb import mode_pair_index
 from boxatom.errors import ConvergenceError, UnsupportedModeError, ValidationError
 
-from oracles import cin_series, closed_forms, s_wave_block_whole_grid, si_series
+from oracles import cin_series, closed_forms, integrate_square, s_wave_block_whole_grid, si_series, triangle_grid
 
 scipy_special = pytest.importorskip("scipy.special")
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from boxatom import gauss_legendre, integrate, integrate_square, integrate_triangular
+from boxatom import gauss_legendre, integrate
 from boxatom.errors import ValidationError
-from boxatom.quadrature import triangle_grid
 
-from oracles import cin_series
+from oracles import cin_series, integrate_square, integrate_triangular, triangle_grid
 
 
 def test_one_point_rule():

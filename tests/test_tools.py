@@ -18,14 +18,16 @@ def compare():
 
 def test_compare_builds_every_benchmark_invocation(compare, tmp_path):
     cases = compare.invocations(str(tmp_path))
-    assert len(cases) == 138
+    assert len(cases) == 141
     commands = [args[0] for _, args in cases]
     assert commands.count("ci-scan") == 4 + 3 * 8
     assert ["ci-scan", "he-clamped", "--nmax", "10", "--quad-points", "16"] in [a for _, a in cases]
     assert ["curve", "he-clamped", "--steps", "10000", "--format", "json"] in [a for _, a in cases]
-    # every input file a case names exists in the directory it runs in
+    assert ["coeffs", "--help"] in [a for _, a in cases]
+    # every input file a case names exists in the directory it runs in (`--help` names none)
     for cwd, args in cases:
-        assert args[1] in compare.workloads.PRESETS or os.path.isfile(os.path.join(cwd, args[1]))
+        assert (args[1] == "--help" or args[1] in compare.workloads.PRESETS
+                or os.path.isfile(os.path.join(cwd, args[1])))
 
 
 def test_compare_reports_only_real_differences(compare, tmp_path):

@@ -8,10 +8,13 @@ built by `perfbench/workloads.py`: the quick, ci-scan and ci-fine workloads for 
 1-3, plus `ci-scan he-clamped --nmax 40`, `ci-scan he-clamped --nmax 10
 --quad-points 16` (which exits 3), the largest block and W (`--nmax 48
 --lambda-max 50`), strong coupling that reaches the per-point Cholesky tier
-(`--nmax 24 --lambda-min 100 --lambda-max 200`) and the longest outputs,
-`curve he-clamped --steps 10000` in CSV and in JSON. Each runs as `python -m boxatom.cli`, one
-at a time, once against the working tree's `src` and once against BASE_REV's,
-in the same directory with the same input files.
+(`--nmax 24 --lambda-min 100 --lambda-max 200`), the longest outputs,
+`curve he-clamped --steps 10000` in CSV and in JSON, the quadrature bound
+check on either side (`coeffs he-clamped --quad-points 15` and `513`, which
+exit 2) and `coeffs --help`, which prints the default resolution. Each runs
+as `python -m boxatom.cli`, one at a time, once against the working tree's
+`src` and once against BASE_REV's, in the same directory with the same input
+files.
 
 Exit status: 0 when every stdout, stderr and exit code is byte-identical,
 1 when any differs (each difference is listed), 2 when BASE_REV cannot be
@@ -38,6 +41,9 @@ EXTRA = (
     ["ci-scan", "he-clamped", "--nmax", "24", "--lambda-min", "100", "--lambda-max", "200"],
     ["curve", "he-clamped", "--steps", "10000"],
     ["curve", "he-clamped", "--steps", "10000", "--format", "json"],
+    ["coeffs", "he-clamped", "--quad-points", "15"],
+    ["coeffs", "he-clamped", "--quad-points", "513"],
+    ["coeffs", "--help"],
 )
 
 
