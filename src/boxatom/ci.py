@@ -11,10 +11,13 @@ over sphere modes n <= nmax. In this orthonormal basis
 where W collects -Z times the one-particle 1/r couplings and the electron
 pair repulsion through monopole Slater integrals. W is gathered, upper
 triangle first and then mirrored so it is exactly symmetric, from the
-Coulomb table's checked s-wave block for nmax (`CoulombTable.s_wave_block`):
+Coulomb table's checked s-wave block for nmax (`CoulombTable.checked_block`):
 index arrays built from the configurations, a band of rows at a time, pick
-each central and Slater integral, so the integrals are computed once per
-table and nmax however often W is assembled. The ground eigenvalue is a
+each central and Slater integral. The block is the table's cached one if it
+holds it; otherwise it is built and checked for this W alone and freed once
+W is gathered, so the table keeps no block for W's sake, and a second W at
+the same nmax computes the integrals again unless `s_wave_block` has cached
+them. The ground eigenvalue is a
 variational upper bound on the true ground energy within the subspace, and
 the coefficient of |11> is the overlap with the free-particle ground state.
 
@@ -49,7 +52,8 @@ the first of three tiers that succeeds proves it is the ground state:
 3. The dense `ground_state(H)`, which stays the reference.
 
 Here delta = _CERTIFICATE_SHIFT (1 + |theta|). H is formed only for tiers 2
-and 3, and tier 2 shifts it in place. Scan energies must also be concave in
+and 3. Tier 2 shifts it and factors it in place, a tile at a time, so it
+makes no copy of H. Scan energies must also be concave in
 lambda, checked against the Hellmann-Feynman tangent of every row.
 """
 
@@ -81,6 +85,9 @@ _CONCAVITY_RTOL = 1e-12
 _CONCAVITY_BLOCK = 1 << 18
 # configuration rows of W gathered at once: at most 32 x 1,176 entries at nmax 48
 _W_BAND_ROWS = 32
+# rows and columns of the tiles in which the Cholesky tier factors H in place:
+# the panel update's scratch is at most 64 x 1,175 entries at nmax 48
+_CHOLESKY_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,8 @@ def interaction_matrix(z: float, basis: CiBasis, table: CoulombTable | None = No
     z, _ = _check_z_lambda(z, 0.0)
     if table is None:
         table = get_table()
-    central, slater = table.s_wave_block(basis.nmax)
+    # the block is not cached for W's sake: it is freed once W is gathered
+    central, slater = table.checked_block(basis.nmax)
     pair = mode_pair_index(basis.nmax)
     # 0-based modes: row i of W is configuration (n, m), column j is (p, q)
     config = np.array(basis.configurations) - 1
@@ -319,14 +327,30 @@ def _no_eigenvalue_below(kinetic: np.ndarray, lam: float, w: np.ndarray, bound: 
     """True if H - bound I, H = diag(kinetic) + lam w, has a Cholesky factor.
 
     A factor proves every eigenvalue of H exceeds bound. H is a fresh array,
-    shifted in place; kinetic and w are not written.
+    shifted and factored in place by the right-looking blocked Cholesky
+    (G. H. Golub and C. F. Van Loan, Matrix Computations, 4th ed., 4.2):
+    LAPACK factors each diagonal tile, the panel below it is solved against
+    that factor, and the lower part of the trailing matrix is updated a band
+    of tile rows at a time, so no copy of H is made. kinetic and w are not
+    written.
     """
-    shifted = _hamiltonian(kinetic, lam, w)
-    shifted[np.diag_indices_from(shifted)] -= bound
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
+    h = _hamiltonian(kinetic, lam, w)
+    h[np.diag_indices_from(h)] -= bound
+    size = len(h)
+    for start in range(0, size, _CHOLESKY_TILE):
+        end = start + _CHOLESKY_TILE
+        try:
+            factor = np.linalg.cholesky(h[start:end, start:end])
+        except np.linalg.LinAlgError:
+            return False
+        # L21 = A21 L11^-T, written over A21
+        panel = h[end:, start:end]
+        panel[...] = np.linalg.solve(factor, panel.T).T
+        trailing = h[end:, end:]
+        for row in range(0, len(trailing), _CHOLESKY_TILE):
+            band = slice(row, row + _CHOLESKY_TILE)
+            # the band's rows up to its diagonal tile: the lower part of A22 - L21 L21^T
+            trailing[band, : band.stop] -= panel[band] @ panel[: band.stop].T
     return True
 
 

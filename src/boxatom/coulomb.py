@@ -44,8 +44,14 @@ np.argmax of the whole gap would name, and a gap beyond 1e-9 raises
 ConvergenceError instead of caching an under-resolved block. The returned
 and cached values are the quadrature's, so the rule size stays meaningful.
 Every integral is between s-wave modes (l = 0); any other mode raises
-UnsupportedModeError. The block cache uses atomic insert-if-absent, so a
-table can be shared across threads.
+UnsupportedModeError.
+
+A table caches the blocks that `s_wave_block` returns, and through it every
+block that a single integral (`central_expectation`, `pair_expectation`)
+reads. `checked_block` returns a cached block too, but one it builds is
+checked the same way and not kept: CI reads the nmax block once, to gather
+W, and a block of 11 MB at nmax 48 need not outlive that. The block cache
+uses atomic insert-if-absent, so a table can be shared across threads.
 """
 
 from __future__ import annotations
@@ -282,6 +288,16 @@ class CoulombTable:
         every entry must lie within 1e-9 of its Si/Cin closed form.
         """
         nmax = check_nmax(nmax)
+        return self._blocks.setdefault(nmax, self.checked_block(nmax))
+
+    def checked_block(self, nmax: int) -> tuple[np.ndarray, np.ndarray]:
+        """The s_wave_block of nmax: the cached one, or one built and checked but not kept.
+
+        A caller that reads the block once, as CI reads it to gather W, holds
+        it no longer than it needs to; a second such call rebuilds it unless
+        s_wave_block has cached it.
+        """
+        nmax = check_nmax(nmax)
         got = self._blocks.get(nmax)
         if got is None:
             block = _quadrature_block(self.points, nmax)
@@ -302,7 +318,7 @@ class CoulombTable:
                               float(value[i, j]), exact)
             for array in block:
                 array.setflags(write=False)
-            got = self._blocks.setdefault(nmax, block)
+            got = block
         return got
 
     def _block_for(self, what: str, modes: tuple) -> tuple[np.ndarray, np.ndarray]:

@@ -14,9 +14,10 @@ through `mode_pair_index`). Three exceptions pin the bits of a streamed or
 banded production path instead, by doing the same operations on the whole
 array at once: `s_wave_block_whole_grid` (the block's batched inner grid),
 `closed_forms` (the block check's bands of exact Slater rows) and
-`interaction_matrix_whole` (the banded gather of W). `json_document` is the
-CLI's JSON output as the standard library's encoder prints a document built
-whole.
+`interaction_matrix_whole` (the banded gather of W). `cholesky_verdict` is
+LAPACK's verdict on a whole matrix, the reference for the CI's tiled
+in-place factorization. `json_document` is the CLI's JSON output as the
+standard library's encoder prints a document built whole.
 """
 
 import itertools
@@ -222,6 +223,15 @@ def interaction_matrix_whole(z: float, basis, table) -> np.ndarray:
     w = np.empty((len(basis), len(basis)))
     w[i, j] = w[j, i] = pre * (-float(z) * att + rep)
     return w
+
+
+def cholesky_verdict(a: np.ndarray) -> bool:
+    """True if LAPACK's Cholesky factors the whole of `a` at once (it reads the lower triangle)."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def json_document(config, report) -> str:

@@ -21,11 +21,11 @@ from boxatom import (
     second_order_sum_over_states,
     solve_ground,
 )
-from boxatom import ci
+from boxatom import ci, coulomb
 from boxatom.ci import MAX_NMAX
 from boxatom.errors import ConvergenceError, ValidationError
 
-from oracles import interaction_matrix_whole, product_basis_hamiltonian
+from oracles import cholesky_verdict, interaction_matrix_whole, product_basis_hamiltonian
 
 EPS1_CLAMPED = -7.96454040407721
 
@@ -109,6 +109,19 @@ class TestMatrixAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+    def test_w_is_built_from_a_block_the_table_does_not_keep(self, monkeypatch):
+        # a fresh table builds and checks the nmax-24 block for W, then drops it
+        fresh = CoulombTable(200)
+        w = CiProblem(2.0, CiBasis(24), fresh).interaction
+        assert 24 not in fresh._blocks
+        fresh.s_wave_block(24)
+        # a table that holds the block builds none, and W keeps every bit
+        built = []
+        build = coulomb._quadrature_block
+        monkeypatch.setattr(coulomb, "_quadrature_block", lambda *a: built.append(a) or build(*a))
+        np.testing.assert_array_equal(CiProblem(2.0, CiBasis(24), fresh).interaction, w)
+        assert built == []
 
     def test_underresolved_table_raises(self):
         # the CI path keeps the n-against-2n quadrature check
@@ -301,6 +314,48 @@ class TestCertifiedGroundState:
         assert not ci._no_eigenvalue_below(kinetic, 0.5, h, bound + 2e-3)
         np.testing.assert_array_equal(kinetic, kept_kinetic)
         np.testing.assert_array_equal(h, kept_h)
+
+    @staticmethod
+    def _verdicts_match_lapack(size, seed):
+        # H = diag(kinetic) + lam w with random symmetric w, bounds just either
+        # side of lambda_min(H) relative to ||H||_2
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((size, size))
+        kinetic, lam, w = rng.uniform(0.0, 5.0, size), rng.uniform(0.1, 3.0), a + a.T
+        h = np.diag(kinetic) + lam * w
+        lowest, norm = np.linalg.eigvalsh(h)[0], np.linalg.norm(h, 2)
+        for gap in (1e-6, 1e-9):
+            for bound in (lowest - gap * norm, lowest + gap * norm):
+                expected = cholesky_verdict(h - bound * np.eye(size))
+                assert expected == (bound < lowest)
+                assert ci._no_eigenvalue_below(kinetic, lam, w, bound) == expected
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 128, 129, 299])
+    def test_tiled_verdict_matches_lapack_at_tile_edges(self, size):
+        for seed in range(3):
+            self._verdicts_match_lapack(size, seed)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(size=st.integers(1, 260), seed=st.integers(0, 2**32 - 1))
+    def test_tiled_verdict_matches_lapack(self, size, seed):
+        self._verdicts_match_lapack(size, seed)
+
+    def test_tiled_verdict_makes_no_copy_of_h(self, table):
+        # LAPACK's whole-matrix Cholesky peaked at 21.07 MiB here: H, its
+        # Fortran-ordered copy and the returned factor
+        w = interaction_matrix(2.0, CiBasis.up_to(MAX_NMAX), table)
+        kinetic = kinetic_diagonal(CiBasis.up_to(MAX_NMAX))
+        kinetic_qq, w_qq = kinetic[1:], w[1:, 1:]
+        # below the Gershgorin floor, so every tile is factored
+        diagonal = kinetic_qq + np.diag(w_qq)
+        floor = float(np.min(diagonal - (np.abs(w_qq).sum(axis=1) - np.abs(np.diag(w_qq)))))
+        tracemalloc.start()
+        try:
+            assert ci._no_eigenvalue_below(kinetic_qq, 1.0, w_qq, floor - 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.5 * 2**20
 
     def test_capped_davidson_returns_its_best_pair(self, monkeypatch):
         # one iteration leaves only the start vector and its Rayleigh quotient

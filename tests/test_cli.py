@@ -416,8 +416,9 @@ class TestCiScan:
         fresh = CoulombTable(points=200)
         monkeypatch.setattr(cli, "get_table", lambda points: fresh)
         factorizations, modes = [], []
-        cholesky, radial_init = np.linalg.cholesky, sphere.RadialMode.__init__
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factorizations.append(a.shape) or cholesky(a))
+        no_eigenvalue_below, radial_init = ci._no_eigenvalue_below, sphere.RadialMode.__init__
+        monkeypatch.setattr(ci, "_no_eigenvalue_below",
+                            lambda *a: factorizations.append(a[2].shape) or no_eigenvalue_below(*a))
         monkeypatch.setattr(sphere.RadialMode, "__init__",
                             lambda self, *a, **k: modes.append(a) or radial_init(self, *a, **k))
         code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "24")

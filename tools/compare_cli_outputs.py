@@ -8,7 +8,9 @@ built by `perfbench/workloads.py`: the quick, ci-scan and ci-fine workloads for 
 1-3, plus `ci-scan he-clamped --nmax 40`, `ci-scan he-clamped --nmax 10
 --quad-points 16` (which exits 3), the largest block and W (`--nmax 48
 --lambda-max 50`), strong coupling that reaches the per-point Cholesky tier
-(`--nmax 24 --lambda-min 100 --lambda-max 200`), the longest outputs,
+(`--nmax 24 --lambda-min 100 --lambda-max 200`), the same tier on H and
+H_QQ of 561 and 560 rows, neither a whole number of the factorization's
+64-row tiles (`--nmax 33 --lambda-min 50 --lambda-max 120`), the longest outputs,
 `curve he-clamped --steps 10000` in CSV and in JSON, the quadrature bound
 check on either side (`coeffs he-clamped --quad-points 15` and `513`, which
 exit 2) and `coeffs --help`, which prints the default resolution. Each runs
@@ -39,6 +41,7 @@ EXTRA = (
     ["ci-scan", "he-clamped", "--nmax", "10", "--quad-points", "16"],
     ["ci-scan", "he-clamped", "--nmax", "48", "--lambda-max", "50"],
     ["ci-scan", "he-clamped", "--nmax", "24", "--lambda-min", "100", "--lambda-max", "200"],
+    ["ci-scan", "he-clamped", "--nmax", "33", "--lambda-min", "50", "--lambda-max", "120"],
     ["curve", "he-clamped", "--steps", "10000"],
     ["curve", "he-clamped", "--steps", "10000", "--format", "json"],
     ["coeffs", "he-clamped", "--quad-points", "15"],
