@@ -54,7 +54,11 @@ the first of three tiers that succeeds proves it is the ground state:
 Here delta = _CERTIFICATE_SHIFT (1 + |theta|). H is formed only for tiers 2
 and 3. Tier 2 shifts it and factors it in place, a tile at a time, so it
 makes no copy of H. Scan energies must also be concave in
-lambda, checked against the Hellmann-Feynman tangent of every row.
+lambda, checked against the Hellmann-Feynman tangent of every row, a block
+of _CONCAVITY_BLOCK pairs at a time. `CiProblem.scan` yields each solution
+as it is solved and keeps four floats of it for that check, so a caller that
+drops each vector once its row is read, as the CLI does, holds a few floats
+per row however long the grid; `overlap_scan` keeps every solution.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -82,7 +87,7 @@ _NORM_LIMIT = RESIDUAL_TOL / (10.0 * np.finfo(float).eps)
 # rounding allowance of the concavity check, relative to the size of its terms
 _CONCAVITY_RTOL = 1e-12
 # pair comparisons held in memory at once by the concavity check
-_CONCAVITY_BLOCK = 1 << 18
+_CONCAVITY_BLOCK = 1 << 16
 # configuration rows of W gathered at once: at most 32 x 1,176 entries at nmax 48
 _W_BAND_ROWS = 32
 # rows and columns of the tiles in which the Cholesky tier factors H in place:
@@ -525,8 +530,9 @@ class CiProblem:
         """max(T) + lambda max_i sum_j |W_ij|, an upper bound on ||H(lambda)||_2."""
         return float(self.kinetic.max()) + lam * float(np.abs(self.interaction).sum(axis=1).max())
 
-    def _ground_states(self, lams: list[float]) -> list[tuple[float, np.ndarray, float]]:
-        top = max(lams)
+    def _ground_states(self, lams) -> Iterator[tuple[float, np.ndarray, float]]:
+        """The certified ground state at each lambda of a checked grid, one at a time."""
+        top = float(np.max(lams))
         bound = self._norm_bound(top)
         if not bound <= _NORM_LIMIT:
             raise ValidationError(
@@ -538,28 +544,40 @@ class CiProblem:
         self._floor.reach(top)
         # start from |11>, then from the previous lambda's subspace
         subspace = _Subspace(self.kinetic, self.interaction, np.eye(1, len(self.basis))[0])
-        return [_certified_ground_state(lam, subspace, self._floor) for lam in lams]
+        for lam in map(float, lams):
+            yield _certified_ground_state(lam, subspace, self._floor)
+
+    def scan(self, lambdas) -> Iterator[CiSolution]:
+        """Ground-state solutions over an ascending positive lambda grid, one at a time.
+
+        Each solution is yielded as soon as it is solved, and the scan keeps
+        only four floats of it: lambda, energy, residual and the
+        Hellmann-Feynman slope c^T W c. Once the last is yielded, the scan is
+        checked for concavity, so a caller that stops early gets no check.
+        """
+        lams = np.fromiter(map(float, lambdas), dtype=float)
+        if not len(lams):
+            raise ValidationError("lambda grid must not be empty")
+        for x in map(float, lams):
+            if not math.isfinite(x) or x <= 0:
+                raise ValidationError(f"lambda values must be positive, got {x!r}")
+        if np.any(lams[1:] < lams[:-1]):
+            raise ValidationError("lambda grid must be sorted ascending")
+        w = self.interaction
+        # lambda = 0 joins as an exact row: |11>, energy T_11 = eps0, slope W_11 = eps1
+        lam = np.concatenate(([0.0], lams))
+        energy, slope, residual = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
+        energy[0], slope[0], residual[0] = self.kinetic[0], w[0, 0], 0.0
+        for row, pair in enumerate(self._ground_states(lams), 1):
+            solution = _solution(float(lam[row]), *pair)
+            c = solution.coefficients
+            energy[row], slope[row], residual[row] = solution.energy, c @ (w @ c), solution.residual
+            yield solution
+        _check_concavity(lam, energy, slope, residual)
 
     def overlap_scan(self, lambdas) -> list[CiSolution]:
         """Ground-state solutions over an ascending positive lambda grid, checked for concavity."""
-        lams = [float(x) for x in lambdas]
-        if not lams:
-            raise ValidationError("lambda grid must not be empty")
-        for lam in lams:
-            if not math.isfinite(lam) or lam <= 0:
-                raise ValidationError(f"lambda values must be positive, got {lam!r}")
-        if any(b < a for a, b in zip(lams, lams[1:])):
-            raise ValidationError("lambda grid must be sorted ascending")
-        solutions = [_solution(lam, *pair) for lam, pair in zip(lams, self._ground_states(lams))]
-        w = self.interaction
-        # lambda = 0 joins as an exact row: |11>, energy T_11 = eps0, slope W_11 = eps1
-        _check_concavity(
-            np.array([0.0] + lams),
-            np.array([self.kinetic[0]] + [s.energy for s in solutions]),
-            np.array([w[0, 0]] + [s.coefficients @ (w @ s.coefficients) for s in solutions]),
-            np.array([0.0] + [s.residual for s in solutions]),
-        )
-        return solutions
+        return list(self.scan(lambdas))
 
     def second_order_sum_over_states(self) -> float:
         """In-subspace sum-over-states eps2 = sum_k |W_k0|^2 / (T_0 - T_k)."""

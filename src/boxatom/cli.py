@@ -79,8 +79,8 @@ class RunConfig:
         check_nmax(self.ci_nmax)
 
     @property
-    def lambda_grid(self) -> list[float]:
-        return np.linspace(self.lambda_min, self.lambda_max, self.steps).tolist()
+    def lambda_grid(self) -> np.ndarray:
+        return np.linspace(self.lambda_min, self.lambda_max, self.steps)
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,11 @@ def _resolve_quad_points(flag_value: int | None) -> int:
         raise ValidationError(f"{ENV_QUAD_POINTS} must be an integer, got {raw!r}") from None
 
 
+def _float_rows(*columns: np.ndarray) -> Iterator[tuple[float, ...]]:
+    """The rows of float64 columns as Python floats, which format faster than numpy scalars."""
+    return zip(*(map(float, column) for column in columns))
+
+
 def _breakdown_report(coeffs: PerturbationCoefficients, *meta: tuple[str, object]) -> Report:
     return Report(
         meta=[*meta, ("eps0", coeffs.eps0), ("eps1", coeffs.eps1)],
@@ -226,7 +231,7 @@ def cmd_curve(config: RunConfig) -> Report:
     system = nondimensionalize(definition)
     table = get_table(config.quadrature_points)
     coeffs = epsilon1(system, ground_occupation(system), table)
-    points = _curve_points(system, coeffs, config.lambda_grid)
+    lams, rc_bohr, energy = _curve_points(system, coeffs, config.lambda_grid)
     return Report(
         meta=[
             ("a_bohr", system.length_scale_a),
@@ -236,7 +241,8 @@ def cmd_curve(config: RunConfig) -> Report:
             ("turnover_lambda", turnover_lambda(coeffs)),
         ],
         columns=("lambda", "rc_bohr", "energy_hartree"),
-        rows=((p.lam, p.rc_bohr, system.energy_prefactor * p.energy) for p in points),
+        rows=((lam, rc, system.energy_prefactor * e)
+              for lam, rc, e in _float_rows(lams, rc_bohr, energy)),
         rows_name="points",
     )
 
@@ -277,7 +283,12 @@ def cmd_ci_scan(config: RunConfig) -> Report:
     basis = ci.CiBasis.up_to(config.ci_nmax)
     coeffs = epsilon1(system, ground_occupation(system), table)
     problem = ci.CiProblem(z, basis, table)
-    solutions = problem.overlap_scan(sorted(config.lambda_grid))
+    # ascending, as the scan requires, since lambda_min <= lambda_max
+    grid = config.lambda_grid
+    # a row keeps its energy and overlap0; each solution's vector is dropped once read
+    energy, overlap0 = np.empty_like(grid), np.empty_like(grid)
+    for row, solution in enumerate(problem.scan(grid)):
+        energy[row], overlap0[row] = solution.energy, solution.overlap0
     eps2 = problem.second_order_estimate(_EPS2_FIT_GRID)
     return Report(
         meta=[
@@ -288,7 +299,8 @@ def cmd_ci_scan(config: RunConfig) -> Report:
             ("s_limited_eps2", eps2),
         ],
         columns=("lambda", "energy_ci", "energy_first_order", "overlap0"),
-        rows=((s.lam, s.energy, coeffs.eps0 + coeffs.eps1 * s.lam, s.overlap0) for s in solutions),
+        rows=((lam, e, coeffs.eps0 + coeffs.eps1 * lam, overlap)
+              for lam, e, overlap in _float_rows(grid, energy, overlap0)),
     )
 
 

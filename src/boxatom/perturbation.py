@@ -10,7 +10,10 @@ eps(lambda) = eps0 + eps1*lambda + O(lambda^2), with
 with every integral taken in the (l=0, n=1) sphere ground mode.
 
 The physical energy at box radius R_c = lambda * a is
-E = prefactor * (eps0/lambda^2 + eps1/lambda + ...).
+E = prefactor * (eps0/lambda^2 + eps1/lambda + ...). A curve over a lambda
+grid is computed as three float64 columns (lambda, rc_bohr, energy), each
+row in scalar float arithmetic; `energy_curve` wraps them into points, and
+the CLI writes its rows straight from the columns.
 
 Both coefficients are served for this ground occupation only; any other
 occupation is an UnsupportedModeError. An excited occupation of identical
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .coulomb import CoulombTable, get_table
 from .errors import UnsupportedModeError, ValidationError
@@ -192,15 +197,21 @@ def energy_curve(system: DimensionlessSystem, occupation, lambdas,
     times the prefactor, or rc_bohr leaves the float range is a
     ValidationError.
     """
-    return _curve_points(system, epsilon1(system, occupation, table), lambdas)
+    columns = _curve_points(system, epsilon1(system, occupation, table), lambdas)
+    return [EnergyCurvePoint(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
 def _curve_points(system: DimensionlessSystem, coeffs: PerturbationCoefficients,
-                  lambdas) -> list[EnergyCurvePoint]:
-    """energy_curve from coefficients already computed for the system."""
-    points = []
-    for lam in lambdas:
-        lam = float(lam)
+                  lambdas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """energy_curve's lambda, rc_bohr and energy columns, from coefficients already computed.
+
+    A row costs three float64 entries. Each is computed in scalar float
+    arithmetic and checked in grid order, so the columns hold the bits an
+    EnergyCurvePoint list would.
+    """
+    lams = np.fromiter(map(float, lambdas), dtype=float)
+    rc_column, energy_column = np.empty_like(lams), np.empty_like(lams)
+    for row, lam in enumerate(map(float, lams)):
         if not math.isfinite(lam) or lam <= 0:
             raise ValidationError(f"lambda values must be positive, got {lam!r}")
         try:
@@ -210,8 +221,8 @@ def _curve_points(system: DimensionlessSystem, coeffs: PerturbationCoefficients,
         rc_bohr = lam * system.length_scale_a
         if not all(math.isfinite(x) for x in (energy, energy * system.energy_prefactor, rc_bohr)):
             raise ValidationError(f"the energy at lambda={lam!r} is outside the float range")
-        points.append(EnergyCurvePoint(lam=lam, rc_bohr=rc_bohr, energy=energy))
-    return points
+        rc_column[row], energy_column[row] = rc_bohr, energy
+    return lams, rc_column, energy_column
 
 
 def nuclear_motion_report(clamped_coeffs: PerturbationCoefficients,

@@ -16,8 +16,12 @@ array at once: `s_wave_block_whole_grid` (the block's batched inner grid),
 `closed_forms` (the block check's bands of exact Slater rows) and
 `interaction_matrix_whole` (the banded gather of W). `cholesky_verdict` is
 LAPACK's verdict on a whole matrix, the reference for the CI's tiled
-in-place factorization. `json_document` is the CLI's JSON output as the
-standard library's encoder prints a document built whole.
+in-place factorization; `concavity_failure` is the CI scan's all-pairs
+concavity check on the whole matrix at once, the reference for its check a
+block of rows at a time. `curve_points` is the energy curve as a list of
+points built one at a time, the reference for the curve's float64 columns.
+`json_document` is the CLI's JSON output as the standard library's encoder
+prints a document built whole.
 """
 
 import itertools
@@ -28,6 +32,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from boxatom import ModeIndex, coulomb, gauss_legendre
+from boxatom.errors import ValidationError
+from boxatom.perturbation import EnergyCurvePoint
 
 
 def cin_series(x: float) -> float:
@@ -232,6 +238,45 @@ def cholesky_verdict(a: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def concavity_failure(lam, energy, slope, residual, rtol: float) -> str | None:
+    """None if every energy lies on or below every row's tangent, else the failure message.
+
+    The same elementwise test as `ci._check_concavity`, on the whole
+    rows x rows matrix at once: the message names the first failing pair in
+    row-major order, row i's tangent and column j's energy.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = slope[:, None] * (lam[None, :] - lam[:, None])
+        excess = energy[None, :] - energy[:, None] - shift
+        tol = residual[:, None] + residual[None, :] + rtol * (
+            np.abs(energy[:, None]) + np.abs(energy[None, :]) + np.abs(shift)
+        )
+    failing = np.argwhere(~(excess <= tol))
+    if not len(failing):
+        return None
+    i, j = failing[0]
+    return (f"CI energies are not concave in lambda: E({lam[j]:.6g}) = {energy[j]:.10g} "
+            f"lies {excess[i, j]:.3e} above the tangent at lambda = {lam[i]:.6g}")
+
+
+def curve_points(system, coeffs, lambdas) -> list:
+    """The energy curve as EnergyCurvePoints, each computed, checked and appended in turn."""
+    points = []
+    for lam in lambdas:
+        lam = float(lam)
+        if not math.isfinite(lam) or lam <= 0:
+            raise ValidationError(f"lambda values must be positive, got {lam!r}")
+        try:
+            energy = coeffs.eps0 / lam**2 + coeffs.eps1 / lam
+        except (ZeroDivisionError, OverflowError):  # lam**2 underflows to 0 or overflows
+            energy = math.inf
+        rc_bohr = lam * system.length_scale_a
+        if not all(math.isfinite(x) for x in (energy, energy * system.energy_prefactor, rc_bohr)):
+            raise ValidationError(f"the energy at lambda={lam!r} is outside the float range")
+        points.append(EnergyCurvePoint(lam=lam, rc_bohr=rc_bohr, energy=energy))
+    return points
 
 
 def json_document(config, report) -> str:

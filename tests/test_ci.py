@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +27,12 @@ from boxatom import ci, coulomb
 from boxatom.ci import MAX_NMAX
 from boxatom.errors import ConvergenceError, ValidationError
 
-from oracles import cholesky_verdict, interaction_matrix_whole, product_basis_hamiltonian
+from oracles import (
+    cholesky_verdict,
+    concavity_failure,
+    interaction_matrix_whole,
+    product_basis_hamiltonian,
+)
 
 EPS1_CLAMPED = -7.96454040407721
 
@@ -252,6 +259,19 @@ class TestOverlapScan:
             overlap_scan(2.0, [0.5, 0.1], basis, table)
         with pytest.raises(ValidationError):
             overlap_scan(2.0, [0.0, 0.5], basis, table)
+
+    def test_scan_yields_the_overlap_scan_and_keeps_no_vector(self, table):
+        basis = CiBasis.up_to(6)
+        listed = overlap_scan(2.0, self.GRID, basis, table)
+        problem, vectors = CiProblem(2.0, basis, table), []
+        for solution, expected in zip(problem.scan(self.GRID), listed, strict=True):
+            assert (solution.lam, solution.energy, solution.overlap0, solution.residual) == (
+                expected.lam, expected.energy, expected.overlap0, expected.residual)
+            assert np.array_equal(solution.coefficients, expected.coefficients)
+            vectors.append(weakref.ref(solution.coefficients))
+        del solution
+        # neither the scan nor the problem keeps a vector once its row is read
+        assert [ref() for ref in vectors] == [None] * len(self.GRID)
 
 
 class TestCertifiedGroundState:
@@ -490,6 +510,55 @@ class TestCertifiedGroundState:
         # tangent margins shrink to rounding when lambda steps are ~1e-14 apart
         scan = overlap_scan(2.0, np.linspace(1.0, 1.0 + 1e-12, 20), CiBasis.up_to(8), table)
         assert len(scan) == 20
+
+
+def concave_rows(rng: np.random.Generator, rows: int, bumps: int):
+    """lambda, energy, slope and residual of a concave parabola, with bumps raised above it."""
+    lam = np.sort(rng.uniform(0.0, rng.choice([1e-9, 1.0, 50.0]), rows))
+    a, b, c = rng.uniform(0.0, 2.0), rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+    energy = c + b * lam - a * lam**2
+    slope = b - 2.0 * a * lam
+    residual = rng.uniform(0.0, 1e-10, rows)
+    for row in rng.integers(0, rows, bumps):
+        energy[row] += 10.0 ** rng.uniform(-12.0, 0.0)
+    return lam, energy, slope, residual
+
+
+class TestConcavityCheck:
+    """The check scans blocks of rows in order, so it must name the pair the whole matrix names."""
+
+    def check(self, lam, energy, slope, residual):
+        expected = concavity_failure(lam, energy, slope, residual, ci._CONCAVITY_RTOL)
+        if expected is None:
+            ci._check_concavity(lam, energy, slope, residual)
+        else:
+            with pytest.raises(ConvergenceError) as failure:
+                ci._check_concavity(lam, energy, slope, residual)
+            assert str(failure.value) == expected
+        return expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40), bumps=st.integers(0, 3),
+           block=st.sampled_from([1, 7, 64, 1 << 16]))
+    def test_any_block_matches_the_whole_matrix(self, seed, rows, bumps, block):
+        with mock.patch.object(ci, "_CONCAVITY_BLOCK", block):
+            self.check(*concave_rows(np.random.default_rng(seed), rows, bumps))
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(300, 700), bumps=st.integers(0, 2))
+    def test_production_blocks_match_the_whole_matrix(self, seed, rows, bumps):
+        # 65,536 // rows rows per block: two to seven blocks
+        self.check(*concave_rows(np.random.default_rng(seed), rows, bumps))
+
+    def test_both_verdicts_are_drawn(self):
+        verdicts = {self.check(*concave_rows(np.random.default_rng(seed), 50, 1)) is None
+                    for seed in range(20)}
+        assert verdicts == {True, False}
+
+    def test_non_finite_rows_fail(self):
+        lam, energy, slope, residual = concave_rows(np.random.default_rng(0), 5, 0)
+        energy[3] = math.nan
+        assert self.check(lam, energy, slope, residual) is not None
 
 
 class TestInterlacingFloor:

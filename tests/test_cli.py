@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from boxatom import CoulombTable, ci, cli, coulomb, perturbation, sphere
 from boxatom.cli import RunConfig, main
-from boxatom.errors import ValidationError
+from boxatom.errors import ConvergenceError, ValidationError
 from boxatom.perturbation import epsilon1
 from boxatom.system import MAX_PARTICLES
 from oracles import json_document
@@ -269,7 +269,8 @@ class TestStreamedOutput:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_long_curve_memory_is_small(self, tmp_path, fmt):
         # the whole document built before writing peaked at 2.9 MB (CSV) and
-        # 11.4 MB (JSON); the 10,000 curve points alone hold about 1.1 MB
+        # 11.4 MB (JSON); a list of 10,000 curve points and their grid peaked
+        # at 1.5 MB, where three float64 columns hold 0.24 MB
         args = ["curve", "he-clamped", "--format", fmt, "-o", str(tmp_path / f"curve.{fmt}")]
         assert main([*args, "--steps", "1"]) == 0  # the table is cached; only the curve is measured
         tracemalloc.start()
@@ -278,7 +279,20 @@ class TestStreamedOutput:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert code == 0 and peak <= 2 * 2**20
+        assert code == 0 and peak <= 0.75 * 2**20
+
+    def test_long_ci_scan_memory_is_small(self, tmp_path):
+        # keeping each row's 78-entry vector, and checking concavity 2^18 pairs
+        # at a time, peaked at 14.2 MiB; a row now keeps a few floats
+        args = ["ci-scan", "he-clamped", "--nmax", "12", "-o", str(tmp_path / "scan.csv")]
+        assert main([*args, "--steps", "1"]) == 0  # the table is cached; only the scan is measured
+        tracemalloc.start()
+        try:
+            code = main([*args, "--steps", "2000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak <= 5 * 2**20
 
     def test_failing_lambda_opens_no_output_file(self, capsys, tmp_path):
         target = tmp_path / "curve.json"
@@ -424,6 +438,29 @@ class TestCiScan:
         code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "24")
         assert code == 0
         assert 1 <= len(factorizations) <= 2 and modes == []
+
+    @pytest.mark.parametrize("steps, raised", [(1, 1), (6, 3)])
+    def test_concavity_failure_names_the_pair_overlap_scan_names(self, capsys, monkeypatch,
+                                                                steps, raised):
+        # the CLI keeps a few floats per row, yet its check sees what overlap_scan's sees
+        monkeypatch.delenv("BOXATOM_QUAD_POINTS", raising=False)
+        solution, rows = ci._solution, []
+
+        def raise_one_row(lam, energy, coeff, residual):
+            rows.append(lam)
+            if len(rows) == raised:
+                energy += 0.5
+            return solution(lam, energy, coeff, residual)
+
+        monkeypatch.setattr(ci, "_solution", raise_one_row)
+        code, out, err = run(capsys, "ci-scan", "he-clamped", "--nmax", "6", "--lambda-min", "0.1",
+                             "--lambda-max", "2.0", "--steps", str(steps))
+        assert len(rows) == steps
+        rows.clear()
+        with pytest.raises(ConvergenceError, match="concave") as failure:
+            ci.overlap_scan(2.0, np.linspace(0.1, 2.0, steps), ci.CiBasis.up_to(6),
+                            coulomb.get_table(coulomb.DEFAULT_POINTS))
+        assert code == 3 and out == "" and err == f"error: {failure.value}\n"
 
     @pytest.mark.filterwarnings("error")  # a leaked numpy warning would be a second line
     def test_overflowing_lambda_exits_2_with_one_line(self, capsys):
@@ -650,6 +687,42 @@ def test_fuzzed_arguments_exit_0_2_or_3_with_at_most_one_line(argv):
             code = exc.code
     assert code in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
+
+
+# the grid flags of curve and ci-scan, passed as --flag=VALUE so that a value
+# with a leading minus sign is not read as an option
+GRID_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "-0.0", "0", "1e308", "-1e308", "1e-300",
+                     "1e-320", "5e-324", "1" + "0" * 400, "9" * 5000, "\u0661.\u0665", "\uff12",
+                     "\u0663e-1", "0.1", "2", "", "x"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(1e-3, 1e3).map(repr),
+)
+GRID_STEPS = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["10001", str(2**63), "9" * 5000, "\u0663", "\uff11\uff10", "1.0", "", "-0"]),
+)
+
+
+@pytest.mark.filterwarnings("error")  # a leaked warning would be a second line
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from([["curve"], ["ci-scan", "--nmax", "4"]]),
+       flags=st.lists(st.tuples(st.sampled_from(["--lambda-min", "--lambda-max"]), GRID_VALUES)
+                      | st.tuples(st.just("--steps"), GRID_STEPS), max_size=3))
+def test_fuzzed_grid_flags_exit_0_2_or_3_with_one_error_line(command, flags):
+    argv = [command[0], "he-clamped", *command[1:], *(f"{flag}={value}" for flag, value in flags)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n")
 
 
 class TestQuadPointsEnvironment:

@@ -21,7 +21,7 @@ from boxatom import (
 from boxatom.errors import UnsupportedModeError, ValidationError
 from boxatom.perturbation import _DEGENERACY_RTOL
 
-from oracles import cin_series, s_wave_ground_is_degenerate
+from oracles import cin_series, curve_points, s_wave_ground_is_degenerate
 
 
 def electrons_only(count, rc=1.0):
@@ -243,6 +243,24 @@ class TestEnergyCurve:
         moving_pts = energy_curve(moving_he(), ground_occupation(moving_he()), lams, table)
         for c, m in zip(clamped_pts, moving_pts):
             assert m.energy > c.energy
+
+    @settings(max_examples=200, deadline=None)
+    @given(lams=st.lists(st.one_of(st.floats(1e-3, 1e3), st.floats(), st.sampled_from(
+        [-0.0, 1e-300, 1e-160, 1e154, 1e308, 5e-324])), max_size=8))
+    def test_points_match_the_loop_oracle(self, lams, table):
+        # the same points, or the same error for the same lambda, as points built one at a time
+        system = clamped_he()
+        coeffs = epsilon1(system, ground_occupation(system), table)
+        try:
+            expected = curve_points(system, coeffs, lams)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as failure:
+                energy_curve(system, ground_occupation(system), lams, table)
+            assert str(failure.value) == str(exc)
+        else:
+            points = energy_curve(system, ground_occupation(system), lams, table)
+            assert points == expected
+            assert all(type(x) is float for p in points for x in (p.lam, p.rc_bohr, p.energy))
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive_lambda(self, lam, table):

@@ -18,9 +18,9 @@ def compare():
 
 def test_compare_builds_every_benchmark_invocation(compare, tmp_path):
     cases = compare.invocations(str(tmp_path))
-    assert len(cases) == 142
+    assert len(cases) == 144
     commands = [args[0] for _, args in cases]
-    assert commands.count("ci-scan") == 5 + 3 * 8
+    assert commands.count("ci-scan") == 7 + 3 * 8
     assert ["ci-scan", "he-clamped", "--nmax", "10", "--quad-points", "16"] in [a for _, a in cases]
     assert ["curve", "he-clamped", "--steps", "10000", "--format", "json"] in [a for _, a in cases]
     assert ["coeffs", "--help"] in [a for _, a in cases]

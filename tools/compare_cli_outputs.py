@@ -11,7 +11,9 @@ built by `perfbench/workloads.py`: the quick, ci-scan and ci-fine workloads for 
 (`--nmax 24 --lambda-min 100 --lambda-max 200`), the same tier on H and
 H_QQ of 561 and 560 rows, neither a whole number of the factorization's
 64-row tiles (`--nmax 33 --lambda-min 50 --lambda-max 120`), the longest outputs,
-`curve he-clamped --steps 10000` in CSV and in JSON, the quadrature bound
+`curve he-clamped --steps 10000` in CSV and in JSON, the scans where what a
+row keeps outweighs W (`ci-scan he-clamped --nmax 24 --steps 10000` and
+`--nmax 48 --steps 2000`), the quadrature bound
 check on either side (`coeffs he-clamped --quad-points 15` and `513`, which
 exit 2) and `coeffs --help`, which prints the default resolution. Each runs
 as `python -m boxatom.cli`, one at a time, once against the working tree's
@@ -42,6 +44,8 @@ EXTRA = (
     ["ci-scan", "he-clamped", "--nmax", "48", "--lambda-max", "50"],
     ["ci-scan", "he-clamped", "--nmax", "24", "--lambda-min", "100", "--lambda-max", "200"],
     ["ci-scan", "he-clamped", "--nmax", "33", "--lambda-min", "50", "--lambda-max", "120"],
+    ["ci-scan", "he-clamped", "--nmax", "24", "--steps", "10000"],
+    ["ci-scan", "he-clamped", "--nmax", "48", "--steps", "2000"],
     ["curve", "he-clamped", "--steps", "10000"],
     ["curve", "he-clamped", "--steps", "10000", "--format", "json"],
     ["coeffs", "he-clamped", "--quad-points", "15"],
