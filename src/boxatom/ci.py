@@ -72,6 +72,7 @@ import numpy as np
 
 from .coulomb import MAX_NMAX, CoulombTable, check_nmax, get_table, mode_pair_index
 from .errors import ConvergenceError, ValidationError
+from .system import float_array
 
 RESIDUAL_TOL = 1e-10
 _EPS2_LAMBDA_MAX = 0.2
@@ -139,7 +140,10 @@ class CiSolution:
 
 
 def _check_z_lambda(z: float, lam: float) -> tuple[float, float]:
-    z, lam = float(z), float(lam)
+    try:
+        z, lam = float(z), float(lam)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"Z and lambda must be real numbers: {exc}") from None
     if not math.isfinite(z) or z <= 0:
         raise ValidationError(f"nuclear charge Z must be positive, got {z!r}")
     # lambda = 0 is the exact free-particle limit (diagonal Hamiltonian)
@@ -555,7 +559,7 @@ class CiProblem:
         Hellmann-Feynman slope c^T W c. Once the last is yielded, the scan is
         checked for concavity, so a caller that stops early gets no check.
         """
-        lams = np.fromiter(map(float, lambdas), dtype=float)
+        lams = float_array("lambda values", lambdas)
         if not len(lams):
             raise ValidationError("lambda grid must not be empty")
         for x in map(float, lams):
@@ -596,7 +600,8 @@ class CiProblem:
         """
         if self.basis.nmax < 4:
             raise ValidationError(f"second-order estimate needs nmax >= 4, got {self.basis.nmax}")
-        lams = [float(x) for x in lambda_grid]
+        lams_arr = float_array("fit grid values", lambda_grid)
+        lams = lams_arr.tolist()
         for lam in lams:
             if not math.isfinite(lam) or not 0.0 < lam <= _EPS2_LAMBDA_MAX:
                 raise ValidationError(
@@ -607,7 +612,6 @@ class CiProblem:
 
         eps0 = self.kinetic[0]
         eps1 = self.interaction[0, 0]
-        lams_arr = np.array(lams)
         remainders = np.array(
             [energy - eps0 - eps1 * lam for lam, (energy, _, _) in zip(lams, self._ground_states(lams))]
         )

@@ -41,7 +41,6 @@ from .system import (
     nondimensionalize,
 )
 
-ENV_QUAD_POINTS = "BOXATOM_QUAD_POINTS"
 # the lambda grid is built from --steps, so it is bounded before any allocation
 MAX_STEPS = 10_000
 
@@ -187,18 +186,6 @@ def _resolve_system(name: str) -> SystemDefinition:
     return load_system(name)
 
 
-def _resolve_quad_points(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(ENV_QUAD_POINTS)
-    if raw is None:
-        return DEFAULT_POINTS
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"{ENV_QUAD_POINTS} must be an integer, got {raw!r}") from None
-
-
 def _float_rows(*columns: np.ndarray) -> Iterator[tuple[float, ...]]:
     """The rows of float64 columns as Python floats, which format faster than numpy scalars."""
     return zip(*(map(float, column) for column in columns))
@@ -213,11 +200,14 @@ def _breakdown_report(coeffs: PerturbationCoefficients, *meta: tuple[str, object
     )
 
 
+def _first_order(config: RunConfig, system: DimensionlessSystem) -> PerturbationCoefficients:
+    """eps0 and eps1 of the system's ground occupation at the run's quadrature resolution."""
+    return epsilon1(system, ground_occupation(system), get_table(config.quadrature_points))
+
+
 def cmd_coeffs(config: RunConfig) -> Report:
-    definition = _resolve_system(config.system_path)
-    system = nondimensionalize(definition)
-    table = get_table(config.quadrature_points)
-    coeffs = epsilon1(system, ground_occupation(system), table)
+    system = nondimensionalize(_resolve_system(config.system_path))
+    coeffs = _first_order(config, system)
     return _breakdown_report(
         coeffs,
         ("lambda", system.lam),
@@ -227,10 +217,8 @@ def cmd_coeffs(config: RunConfig) -> Report:
 
 
 def cmd_curve(config: RunConfig) -> Report:
-    definition = _resolve_system(config.system_path)
-    system = nondimensionalize(definition)
-    table = get_table(config.quadrature_points)
-    coeffs = epsilon1(system, ground_occupation(system), table)
+    system = nondimensionalize(_resolve_system(config.system_path))
+    coeffs = _first_order(config, system)
     lams, rc_bohr, energy = _curve_points(system, coeffs, config.lambda_grid)
     return Report(
         meta=[
@@ -276,13 +264,10 @@ def cmd_ci_scan(config: RunConfig) -> Report:
         raise ValidationError(
             f"ci-scan needs nmax >= 4 for the second-order estimate, got {config.ci_nmax}"
         )
-    definition = _resolve_system(config.system_path)
-    system = nondimensionalize(definition)
+    system = nondimensionalize(_resolve_system(config.system_path))
     z = _ci_charge(system)
-    table = get_table(config.quadrature_points)
-    basis = ci.CiBasis.up_to(config.ci_nmax)
-    coeffs = epsilon1(system, ground_occupation(system), table)
-    problem = ci.CiProblem(z, basis, table)
+    coeffs = _first_order(config, system)
+    problem = ci.CiProblem(z, ci.CiBasis.up_to(config.ci_nmax), get_table(config.quadrature_points))
     # ascending, as the scan requires, since lambda_min <= lambda_max
     grid = config.lambda_grid
     # a row keeps its energy and overlap0; each solution's vector is dropped once read
@@ -326,11 +311,8 @@ def _nuclear_variants(definition: SystemDefinition) -> dict[str, SystemDefinitio
 
 def cmd_nuclear_motion(config: RunConfig) -> Report:
     variants = _nuclear_variants(_resolve_system(config.system_path))
-    table = get_table(config.quadrature_points)
-    coeffs = {}
-    for name, definition in variants.items():
-        system = nondimensionalize(definition)
-        coeffs[name] = epsilon1(system, ground_occupation(system), table)
+    coeffs = {name: _first_order(config, nondimensionalize(definition))
+              for name, definition in variants.items()}
     report = nuclear_motion_report(coeffs["clamped"], coeffs["moving"])
     return Report(
         meta=[
@@ -365,15 +347,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="boxatom",
         description="Strong-confinement expansions for charged particles in a spherical box.",
-        epilog=f"Presets usable in place of a system file: {', '.join(sorted(PRESETS))}. "
-        f"The {ENV_QUAD_POINTS} environment variable overrides the default "
-        f"quadrature resolution; --quad-points wins over it.",
+        epilog=f"Presets usable in place of a system file: {', '.join(sorted(PRESETS))}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("system", help="preset name or system JSON file")
-        p.add_argument("--quad-points", type=int, default=None,
+        p.add_argument("--quad-points", type=int, default=DEFAULT_POINTS,
                        help=f"quadrature points in [{MIN_POINTS}, {MAX_POINTS}] (default {DEFAULT_POINTS})")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
@@ -402,28 +382,35 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         lambda_min=getattr(args, "lambda_min", 1.0),
         lambda_max=getattr(args, "lambda_max", 1.0),
         steps=getattr(args, "steps", 1),
-        quadrature_points=_resolve_quad_points(args.quad_points),
+        quadrature_points=args.quad_points,
         ci_nmax=getattr(args, "nmax", 8),
         output_format=args.format,
         output_path=args.output,
     )
 
 
-def _write_stdout(config: RunConfig, report: Report) -> None:
-    out = sys.stdout
-    if out is None:  # the process started with its stdout closed
-        raise ValidationError("cannot write stdout: it is closed")
+def _write(config: RunConfig, report: Report) -> None:
+    """Write the report to the -o file, or else to stdout; a failed write is a ValidationError."""
+    path = config.output_path
     try:
-        write_report(config, report, out)
-        out.flush()
+        if path is not None:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                write_report(config, report, fh)
+        elif sys.stdout is None:  # the process started with its stdout closed
+            raise ValidationError("cannot write stdout: it is closed")
+        else:
+            write_report(config, report, sys.stdout)
+            sys.stdout.flush()
     except OSError as exc:
-        # the interpreter flushes stdout again at exit; what is left in its
-        # buffer then goes to the null device instead of failing a second time
-        # (https://docs.python.org/3/library/signal.html#note-on-sigpipe)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, out.fileno())
-        os.close(devnull)
-        raise ValidationError(f"cannot write stdout: {exc.strerror or exc}") from None
+        if path is None:
+            # the interpreter flushes stdout again at exit; what is left in its
+            # buffer then goes to the null device instead of failing a second time
+            # (https://docs.python.org/3/library/signal.html#note-on-sigpipe)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        where = "stdout" if path is None else path
+        raise ValidationError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -432,17 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         # every value is computed, and every input checked, before the first byte is written
-        report = _COMMANDS[config.command](config)
-        if config.output_path is None:
-            _write_stdout(config, report)
-        else:
-            try:
-                with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-                    write_report(config, report, fh)
-            except OSError as exc:
-                raise ValidationError(
-                    f"cannot write {config.output_path}: {exc.strerror or exc}"
-                ) from None
+        _write(config, _COMMANDS[config.command](config))
     except (ValidationError, ConvergenceError) as exc:
         sys.stderr.write(_error_line(exc))
         return 3 if isinstance(exc, ConvergenceError) else 2

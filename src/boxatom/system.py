@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 
 # nuclear mass used for the helium presets, in electron masses
@@ -35,6 +37,14 @@ def _require_finite(name: str, value) -> float:
     if not math.isfinite(out):
         raise ValidationError(f"{name} must be finite, got {out!r}")
     return out
+
+
+def float_array(name: str, values) -> np.ndarray:
+    """`values` as a float64 array in one pass; a value float() cannot take is a ValidationError."""
+    try:
+        return np.fromiter(map(float, values), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be real numbers: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,12 @@ class TestSolveGround:
         with pytest.raises(ValidationError):
             CiSolution(lam=1.0, energy=0.0, coefficients=np.array([1.0, 0.0]), overlap0=0.5, residual=1.0)
 
+    @pytest.mark.parametrize("z, lam", [(2.0, None), (2.0, "abc"), (10**400, 0.5)],
+                             ids=["none", "text", "huge-z"])
+    def test_rejects_values_float_cannot_take(self, z, lam, table):
+        with pytest.raises(ValidationError, match="^Z and lambda must be real numbers: [^\n]+$"):
+            solve_ground(z, lam, CiBasis.up_to(4), table)
+
     @pytest.mark.filterwarnings("error")  # lambda * W overflowing must not warn on its way out
     def test_overflowing_lambda_raises_without_warning(self, table):
         with pytest.raises(ValidationError, match="non-finite"):
@@ -259,6 +265,16 @@ class TestOverlapScan:
             overlap_scan(2.0, [0.5, 0.1], basis, table)
         with pytest.raises(ValidationError):
             overlap_scan(2.0, [0.0, 0.5], basis, table)
+
+    @pytest.mark.parametrize("lambdas", [[10**400], ["abc"], [None], None],
+                             ids=["huge", "text", "none", "no-grid"])
+    def test_rejects_values_float_cannot_take(self, lambdas, table):
+        with pytest.raises(ValidationError, match="^lambda values must be real numbers: [^\n]+$"):
+            overlap_scan(2.0, lambdas, CiBasis.up_to(4), table)
+
+    def test_rejects_a_charge_float_cannot_take(self, table):
+        with pytest.raises(ValidationError, match="^Z and lambda must be real numbers: [^\n]+$"):
+            overlap_scan(10**400, [0.5], CiBasis.up_to(4), table)
 
     def test_scan_yields_the_overlap_scan_and_keeps_no_vector(self, table):
         basis = CiBasis.up_to(6)
@@ -682,6 +698,12 @@ class TestSecondOrder:
             second_order_estimate(2.0, basis, [0.1, 0.1], table)
         with pytest.raises(ValidationError):
             second_order_estimate(2.0, CiBasis.up_to(3), self.FIT_GRID, table)
+
+    @pytest.mark.parametrize("grid", [[None, 0.1], [0.1, 10**400], ["abc", 0.1], None],
+                             ids=["none", "huge", "text", "no-grid"])
+    def test_rejects_values_float_cannot_take(self, grid, table):
+        with pytest.raises(ValidationError, match="^fit grid values must be real numbers: [^\n]+$"):
+            second_order_estimate(2.0, CiBasis.up_to(4), grid, table)
 
     def test_degenerate_grid_fails_loudly(self, table):
         basis = CiBasis.up_to(4)

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -73,7 +74,6 @@ GOLDEN_CASES = [
 def test_golden_stdout(capsys, monkeypatch, name, args, fmt):
     # the system path is printed verbatim, so it is given relative to the repo root
     monkeypatch.chdir(GOLDEN.parent.parent)
-    monkeypatch.delenv("BOXATOM_QUAD_POINTS", raising=False)
     code, out, err = run(capsys, *args, "--format", fmt)
     assert code == 0 and err == ""
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
@@ -307,7 +307,6 @@ def cli_process(args):
     """`python -m boxatom.cli ARGS` importing this checkout's boxatom."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("BOXATOM_QUAD_POINTS", None)
     return [sys.executable, "-m", "boxatom.cli", *args], env
 
 
@@ -443,7 +442,6 @@ class TestCiScan:
     def test_concavity_failure_names_the_pair_overlap_scan_names(self, capsys, monkeypatch,
                                                                 steps, raised):
         # the CLI keeps a few floats per row, yet its check sees what overlap_scan's sees
-        monkeypatch.delenv("BOXATOM_QUAD_POINTS", raising=False)
         solution, rows = ci._solution, []
 
         def raise_one_row(lam, energy, coeff, residual):
@@ -657,36 +655,58 @@ class TestArgumentAndInputErrors:
         assert captured.out.startswith("usage: boxatom curve")
 
 
-# every flag the parser knows except -o, which would write files; ci-scan is
-# left out because its work grows as nmax**4 (its bound is checked above)
+# every flag the parser knows; -o is drawn apart, from destinations that cannot
+# be written and one that can
 FUZZ_VALUES = st.one_of(
     st.sampled_from(["csv", "json", "he-clamped", "-1", "0", "1e-320", "1e308", "inf", "nan"]),
     st.integers(-20, 600).map(str),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.text(max_size=8),
 )
-FUZZ_ARGV = st.builds(
-    lambda command, system, flags: [command, system, *(token for pair in flags for token in pair)],
-    st.sampled_from(["coeffs", "curve", "nuclear-motion"]),
-    st.sampled_from(["he-clamped", "he-moving", str(GOLDEN / "muonic-lithium.json"), "nosuch"]),
-    st.lists(st.tuples(st.sampled_from(["--quad-points", "--format", "--lambda-min",
-                                        "--lambda-max", "--steps", "--nmax"]), FUZZ_VALUES),
-             max_size=4),
-)
+FUZZ_FLAGS = ["--quad-points", "--format", "--lambda-min", "--lambda-max", "--steps"]
+FUZZ_OUTPUTS = [None, "directory", "missing-directory", "file"] + (
+    ["/dev/full"] if os.path.exists("/dev/full") else [])
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["coeffs", "curve", "nuclear-motion", "ci-scan"]))
+    systems = ["he-clamped", "he-moving", str(GOLDEN / "muonic-lithium.json"), "nosuch"]
+    if command == "ci-scan":
+        # its work grows as nmax**4 (its bound is checked above), so nmax stays at 4-6;
+        # he-clamped, the one preset it takes, is drawn as often as the rest together
+        command, names = ["ci-scan", "--nmax", str(draw(st.integers(4, 6)))], FUZZ_FLAGS
+        systems += ["he-clamped"] * 2
+    else:
+        command, names = [command], [*FUZZ_FLAGS, "--nmax"]  # --nmax is a usage error here
+    flags = st.tuples(st.sampled_from(names), FUZZ_VALUES)
+    flags |= st.tuples(st.just("--quad-points"), st.integers(8, 600).map(str))
+    system = draw(st.sampled_from(systems))
+    return [*command, system, *(token for pair in draw(st.lists(flags, max_size=4)) for token in pair)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a leaked numpy warning would be a second line
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(argv=FUZZ_ARGV)
-def test_fuzzed_arguments_exit_0_2_or_3_with_at_most_one_line(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors and --help
-            code = exc.code
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=fuzz_argv(), output=st.sampled_from(FUZZ_OUTPUTS))
+def test_fuzzed_arguments_exit_0_2_or_3_with_at_most_one_line(argv, output):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        destination = {"directory": tmp, "missing-directory": os.path.join(tmp, "no", "out"),
+                       "file": os.path.join(tmp, "out")}.get(output, output)
+        if destination is not None:
+            argv = [*argv, "-o", destination]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors and --help
+                code = exc.code
     assert code in (0, 2, 3)
-    assert len(err.getvalue().splitlines()) <= 1
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n")
 
 
 # the grid flags of curve and ci-scan, passed as --flag=VALUE so that a value
@@ -725,21 +745,9 @@ def test_fuzzed_grid_flags_exit_0_2_or_3_with_one_error_line(command, flags):
         assert err.getvalue().endswith("\n")
 
 
-class TestQuadPointsEnvironment:
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("BOXATOM_QUAD_POINTS", "64")
-        _, out, _ = run(capsys, "coeffs", "he-clamped")
-        meta, _ = parse_csv(out)
-        assert meta["quadrature_points"] == "64"
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BOXATOM_QUAD_POINTS", "64")
-        _, out, _ = run(capsys, "coeffs", "he-clamped", "--quad-points", "128")
-        meta, _ = parse_csv(out)
-        assert meta["quadrature_points"] == "128"
-
-    def test_invalid_env_value_is_reported(self, capsys, monkeypatch):
-        monkeypatch.setenv("BOXATOM_QUAD_POINTS", "bogus")
-        code, _, err = run(capsys, "coeffs", "he-clamped")
-        assert code == 2
-        assert "BOXATOM_QUAD_POINTS" in err
+def test_quad_points_environment_variable_is_not_read(capsys, monkeypatch):
+    # --quad-points is the one way to set the resolution
+    monkeypatch.setenv("BOXATOM_QUAD_POINTS", "bogus")
+    code, out, err = run(capsys, "coeffs", "he-clamped")
+    assert code == 0 and err == ""
+    assert parse_csv(out)[0]["quadrature_points"] == "200"

@@ -268,6 +268,13 @@ class TestEnergyCurve:
         with pytest.raises(ValidationError):
             energy_curve(system, ground_occupation(system), [lam], table)
 
+    @pytest.mark.parametrize("lambdas", [[10**400], ["abc"], [None], None],
+                             ids=["huge", "text", "none", "no-grid"])
+    def test_rejects_values_float_cannot_take(self, lambdas, table):
+        system = clamped_he()
+        with pytest.raises(ValidationError, match="^lambda values must be real numbers: [^\n]+$"):
+            energy_curve(system, ground_occupation(system), lambdas, table)
+
 
 class TestTurnover:
     def test_clamped_helium_turnover(self, table):

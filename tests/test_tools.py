@@ -7,23 +7,27 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.fixture(scope="module")
-def compare():
-    spec = importlib.util.spec_from_file_location(
-        "compare_cli_outputs", os.path.join(ROOT, "tools", "compare_cli_outputs.py"))
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+@pytest.fixture(scope="module")
+def compare():
+    return load_tool("compare_cli_outputs")
+
+
 def test_compare_builds_every_benchmark_invocation(compare, tmp_path):
     cases = compare.invocations(str(tmp_path))
-    assert len(cases) == 144
+    assert len(cases) == 146
     commands = [args[0] for _, args in cases]
     assert commands.count("ci-scan") == 7 + 3 * 8
     assert ["ci-scan", "he-clamped", "--nmax", "10", "--quad-points", "16"] in [a for _, a in cases]
     assert ["curve", "he-clamped", "--steps", "10000", "--format", "json"] in [a for _, a in cases]
     assert ["coeffs", "--help"] in [a for _, a in cases]
+    assert ["curve", "he-clamped", "--format", "json", "-o", "/dev/full"] in [a for _, a in cases]
     # every input file a case names exists in the directory it runs in (`--help` names none)
     for cwd, args in cases:
         assert (args[1] == "--help" or args[1] in compare.workloads.PRESETS
@@ -40,3 +44,29 @@ def test_compare_reports_only_real_differences(compare, tmp_path):
     shutil.copytree(src, broken, ignore=shutil.ignore_patterns("cli.py", "__pycache__"))
     found = compare.differences(src, str(broken), cases[:1])
     assert len(found) == 1 and "exit code, stdout, stderr differ" in found[0]
+
+
+# (source, total lines, code lines): one module per kind of line that is not code
+LINE_KINDS = {
+    "blank": ("x = 1\n\n\ny = 2\n", 4, 2),
+    "comment": ("# a note\nx = 1  # code with a comment\n", 2, 1),
+    "docstring": ('"""Module\ndocstring."""\n\n\ndef f():\n    """One line."""\n    return 1\n'
+                  '\n\nclass C:\n    """Two\n    lines."""\n', 12, 3),
+    "other string": ('TEXT = """not a\ndocstring"""\nprint(TEXT)\n', 3, 3),
+}
+
+
+@pytest.mark.parametrize("kind", LINE_KINDS)
+def test_count_lines_leaves_out_blank_comment_and_docstring_lines(kind):
+    source, total, code = LINE_KINDS[kind]
+    assert load_tool("count_lines").count(source) == (total, code)
+
+
+def test_count_lines_prints_each_module_and_the_total(tmp_path, capsys):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "a.py").write_text(LINE_KINDS["blank"][0])
+    (tmp_path / "pkg" / "b.py").write_text(LINE_KINDS["comment"][0])
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert load_tool("count_lines").main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["4", "2", "a.py"], ["2", "1", os.path.join("pkg", "b.py")], ["6", "3", "total"]]

@@ -15,7 +15,9 @@ H_QQ of 561 and 560 rows, neither a whole number of the factorization's
 row keeps outweighs W (`ci-scan he-clamped --nmax 24 --steps 10000` and
 `--nmax 48 --steps 2000`), the quadrature bound
 check on either side (`coeffs he-clamped --quad-points 15` and `513`, which
-exit 2) and `coeffs --help`, which prints the default resolution. Each runs
+exit 2), `coeffs --help`, which prints the default resolution, and two `-o`
+files that cannot be written (`coeffs he-clamped -o no-such-dir/out.csv` and
+`curve he-clamped --format json -o /dev/full`, which exit 2). Each runs
 as `python -m boxatom.cli`, one at a time, once against the working tree's
 `src` and once against BASE_REV's, in the same directory with the same input
 files.
@@ -51,6 +53,8 @@ EXTRA = (
     ["coeffs", "he-clamped", "--quad-points", "15"],
     ["coeffs", "he-clamped", "--quad-points", "513"],
     ["coeffs", "--help"],
+    ["coeffs", "he-clamped", "-o", "no-such-dir/out.csv"],
+    ["curve", "he-clamped", "--format", "json", "-o", "/dev/full"],
 )
 
 
@@ -72,6 +76,7 @@ def invocations(workdir: str) -> list[tuple[str, list[str]]]:
 def run_cli(src: str, cwd: str, args: list[str]) -> tuple[int, bytes, bytes]:
     """Exit code, stdout and stderr of `python -m boxatom.cli ARGS` importing boxatom from `src`."""
     env = dict(os.environ, PYTHONPATH=src)
+    # builds before --quad-points became the one way to set the resolution read this variable
     for name in ("BOXATOM_QUAD_POINTS", "PYTHONSTARTUP"):
         env.pop(name, None)
     proc = subprocess.run([sys.executable, "-m", "boxatom.cli", *args], cwd=cwd, env=env,
