@@ -58,7 +58,8 @@ lambda, checked against the Hellmann-Feynman tangent of every row, a block
 of _CONCAVITY_BLOCK pairs at a time. `CiProblem.scan` yields each solution
 as it is solved and keeps four floats of it for that check, so a caller that
 drops each vector once its row is read, as the CLI does, holds a few floats
-per row however long the grid; `overlap_scan` keeps every solution.
+per row however long the grid. The module function `overlap_scan`, the
+list of a scan, keeps every solution.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ from typing import Iterator
 import numpy as np
 
 from .coulomb import MAX_NMAX, CoulombTable, check_nmax, get_table, mode_pair_index
-from .errors import ConvergenceError, ValidationError
-from .system import float_array
+from .errors import ConvergenceError, ValidationError, real, reals
 
 RESIDUAL_TOL = 1e-10
 _EPS2_LAMBDA_MAX = 0.2
@@ -128,8 +128,8 @@ class CiSolution:
     residual: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValidationError(f"lambda must be nonnegative, got {self.lam}")
+        object.__setattr__(self, "lam", _coupling(self.lam))
+        object.__setattr__(self, "energy", real("energy", self.energy))
         norm = float(np.linalg.norm(self.coefficients))
         if abs(norm - 1.0) > 1e-12:
             raise ValidationError(f"coefficient vector norm {norm!r} is not 1 within 1e-12")
@@ -139,17 +139,19 @@ class CiSolution:
             raise ValidationError(f"residual {self.residual!r} outside [0, {RESIDUAL_TOL}]")
 
 
-def _check_z_lambda(z: float, lam: float) -> tuple[float, float]:
-    try:
-        z, lam = float(z), float(lam)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"Z and lambda must be real numbers: {exc}") from None
-    if not math.isfinite(z) or z <= 0:
+def _charge(z) -> float:
+    z = real("nuclear charge Z", z)
+    if z <= 0:
         raise ValidationError(f"nuclear charge Z must be positive, got {z!r}")
+    return z
+
+
+def _coupling(lam) -> float:
     # lambda = 0 is the exact free-particle limit (diagonal Hamiltonian)
-    if not math.isfinite(lam) or lam < 0:
+    lam = real("lambda", lam)
+    if lam < 0:
         raise ValidationError(f"lambda must be nonnegative, got {lam!r}")
-    return z, lam
+    return lam
 
 
 def kinetic_diagonal(basis: CiBasis) -> np.ndarray:
@@ -161,7 +163,7 @@ def kinetic_diagonal(basis: CiBasis) -> np.ndarray:
 
 def interaction_matrix(z: float, basis: CiBasis, table: CoulombTable | None = None) -> np.ndarray:
     """W = -Z * (symmetrized central couplings) + symmetrized pair repulsion."""
-    z, _ = _check_z_lambda(z, 0.0)
+    z = _charge(z)
     if table is None:
         table = get_table()
     # the block is not cached for W's sake: it is freed once W is gathered
@@ -196,7 +198,7 @@ def interaction_matrix(z: float, basis: CiBasis, table: CoulombTable | None = No
 def build_hamiltonian(z: float, lam: float, basis: CiBasis,
                       table: CoulombTable | None = None) -> np.ndarray:
     """H(lambda) = diag(T) + lambda W; exactly symmetric."""
-    z, lam = _check_z_lambda(z, lam)
+    z, lam = _charge(z), _coupling(lam)
     return _hamiltonian(kinetic_diagonal(basis), lam, interaction_matrix(z, basis, table))
 
 
@@ -470,7 +472,6 @@ def _solution(lam: float, energy: float, coeff: np.ndarray, residual: float) -> 
 def solve_ground(z: float, lam: float, basis: CiBasis,
                  table: CoulombTable | None = None) -> CiSolution:
     """Assemble H(lambda) and package its dense ground state as a CiSolution."""
-    z, lam = _check_z_lambda(z, lam)
     return _solution(lam, *ground_state(build_hamiltonian(z, lam, basis, table)))
 
 
@@ -516,7 +517,7 @@ class CiProblem:
     table: CoulombTable | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "z", _check_z_lambda(self.z, 0.0)[0])
+        object.__setattr__(self, "z", _charge(self.z))
 
     @cached_property
     def kinetic(self) -> np.ndarray:
@@ -559,7 +560,7 @@ class CiProblem:
         Hellmann-Feynman slope c^T W c. Once the last is yielded, the scan is
         checked for concavity, so a caller that stops early gets no check.
         """
-        lams = float_array("lambda values", lambdas)
+        lams = reals("lambda values", lambdas)
         if not len(lams):
             raise ValidationError("lambda grid must not be empty")
         for x in map(float, lams):
@@ -579,10 +580,6 @@ class CiProblem:
             yield solution
         _check_concavity(lam, energy, slope, residual)
 
-    def overlap_scan(self, lambdas) -> list[CiSolution]:
-        """Ground-state solutions over an ascending positive lambda grid, checked for concavity."""
-        return list(self.scan(lambdas))
-
     def second_order_sum_over_states(self) -> float:
         """In-subspace sum-over-states eps2 = sum_k |W_k0|^2 / (T_0 - T_k)."""
         # only configuration (1,1) has n^2+m^2 = 2, so no vanishing denominators
@@ -600,13 +597,11 @@ class CiProblem:
         """
         if self.basis.nmax < 4:
             raise ValidationError(f"second-order estimate needs nmax >= 4, got {self.basis.nmax}")
-        lams_arr = float_array("fit grid values", lambda_grid)
+        lams_arr = reals("fit grid values", lambda_grid)
         lams = lams_arr.tolist()
         for lam in lams:
             if not math.isfinite(lam) or not 0.0 < lam <= _EPS2_LAMBDA_MAX:
-                raise ValidationError(
-                    f"fit grid must lie in (0, {_EPS2_LAMBDA_MAX}], got {lam!r}"
-                )
+                raise ValidationError(f"fit grid must lie in (0, {_EPS2_LAMBDA_MAX}], got {lam!r}")
         if len(set(lams)) < 2:
             raise ValidationError("fit grid needs at least two distinct lambda values")
 
@@ -634,7 +629,7 @@ class CiProblem:
 def overlap_scan(z: float, lambdas, basis: CiBasis,
                  table: CoulombTable | None = None) -> list[CiSolution]:
     """Ground-state solutions over an ascending positive lambda grid."""
-    return CiProblem(z, basis, table).overlap_scan(lambdas)
+    return list(CiProblem(z, basis, table).scan(lambdas))
 
 
 def second_order_sum_over_states(z: float, basis: CiBasis,

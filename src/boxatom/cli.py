@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ci
 from .coulomb import DEFAULT_POINTS, MAX_POINTS, MIN_POINTS, check_nmax, check_points, get_table
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, real
 from .perturbation import (
     PerturbationCoefficients,
     _curve_points,
@@ -66,8 +66,7 @@ class RunConfig:
         if not 1 <= self.steps <= MAX_STEPS:
             raise ValidationError(f"steps must lie in [1, {MAX_STEPS}], got {self.steps}")
         for name, value in (("lambda-min", self.lambda_min), ("lambda-max", self.lambda_max)):
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            real(name, value)
         if self.lambda_min <= 0:
             raise ValidationError(f"lambda-min must be positive, got {self.lambda_min}")
         if self.lambda_max < self.lambda_min:

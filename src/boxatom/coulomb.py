@@ -61,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, UnsupportedModeError, ValidationError
+from .errors import ConvergenceError, UnsupportedModeError, ValidationError, integer
 from .quadrature import MAX_POINTS, gauss_legendre
 from .sphere import ModeIndex
 
@@ -86,21 +86,20 @@ _PANEL_POINTS = 20
 
 def check_nmax(nmax) -> int:
     """nmax as an int in [1, MAX_NMAX]; anything else is a ValidationError."""
-    if isinstance(nmax, bool) or not isinstance(nmax, (int, np.integer)) or not 1 <= nmax <= MAX_NMAX:
+    if not 1 <= integer("nmax", nmax) <= MAX_NMAX:
         raise ValidationError(f"nmax must be an integer in [1, {MAX_NMAX}], got {nmax!r}")
     return int(nmax)
 
 
 def check_points(points) -> int:
     """points as an int in [MIN_POINTS, MAX_POINTS]; anything else is a ValidationError."""
-    if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
-        raise ValidationError(f"quadrature points must be an integer, got {points!r}")
-    if not MIN_POINTS <= points <= MAX_POINTS:
+    if not MIN_POINTS <= integer("quadrature points", points) <= MAX_POINTS:
         raise ValidationError(f"quadrature points must lie in [{MIN_POINTS}, {MAX_POINTS}], got {points}")
     return int(points)
 
 
-@lru_cache(maxsize=None)
+# typed, so that no cached index answers a value of another type that compares equal
+@lru_cache(maxsize=None, typed=True)
 def mode_pair_index(nmax: int) -> np.ndarray:
     """Row of the s-wave Slater matrix for each mode pair: index[a-1, c-1] = index[c-1, a-1].
 
@@ -343,7 +342,8 @@ class CoulombTable:
         return float(slater[index[a.n - 1, a.n - 1], index[b.n - 1, b.n - 1]])
 
 
-@lru_cache(maxsize=8)
+# typed, so that no cached table answers a value of another type that compares equal
+@lru_cache(maxsize=8, typed=True)
 def get_table(points: int = DEFAULT_POINTS) -> CoulombTable:
     """Process-wide shared table for the given resolution."""
     return CoulombTable(points)

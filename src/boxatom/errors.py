@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for the numbers it takes.
+
+This module owns the rule for every number a caller passes in (a mass, a
+charge, a box size, a coupling, a charge Z, a grid entry, a mode number, an
+nmax or a rule size); every other module checks them here. A real number
+is anything float() takes except a boolean (Python's or numpy's), a str,
+bytes or bytearray, so numpy scalars are accepted and a numeric string is
+not. An integer is a Python or numpy integer, never a boolean, within the
+float range. A value that breaks the rule is a one-line ValidationError.
+"""
+
+import contextlib
+import math
+
+import numpy as np
 
 
 class BoxatomError(Exception):
@@ -15,3 +29,42 @@ class UnsupportedModeError(BoxatomError):
 
 class ConvergenceError(BoxatomError):
     """A numerical result failed its internal accuracy check."""
+
+
+def _float(value, must: str) -> float:
+    """float(value) under the module's rule; a refused value is a ValidationError that `must` begins."""
+    if not isinstance(value, (bool, str, bytes, bytearray)) and getattr(value, "dtype", None) != bool:
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            return float(value)
+    raise ValidationError(f"{must}, got {value!r}")
+
+
+def real(name: str, value) -> float:
+    """`value` as a finite float; anything else is a ValidationError that names it."""
+    out = _float(value, f"{name} must be a real number")
+    if not math.isfinite(out):
+        raise ValidationError(f"{name} must be finite, got {out!r}")
+    return out
+
+
+def reals(name: str, values) -> np.ndarray:
+    """A one-dimensional grid as a new float64 array; each entry is a real number, maybe not finite.
+
+    A float or integer ndarray is converted in one step, since it can hold
+    no boolean or string; any other iterable is checked value by value. The
+    caller checks the range of each entry, in its own order.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "fiu":
+        return values.astype(float)
+    must = f"{name} must be real numbers"
+    with contextlib.suppress(TypeError):  # `values` is not iterable
+        return np.fromiter((_float(value, must) for value in values), dtype=float)
+    raise ValidationError(f"{must}, got {values!r}")
+
+
+def integer(name: str, value) -> int:
+    """`value` as an int: a Python or numpy integer, not a boolean, that float() takes."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        _float(value, f"{name} must be an integer")  # refuses one beyond the float range
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")

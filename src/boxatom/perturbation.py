@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coulomb import CoulombTable, get_table
-from .errors import UnsupportedModeError, ValidationError
+from .errors import UnsupportedModeError, ValidationError, reals
 from .sphere import ModeIndex, mode_energy
-from .system import DimensionlessSystem, float_array
+from .system import DimensionlessSystem
 
 _DEGENERACY_RTOL = 1e-9
 _GROUND_MODE = ModeIndex(0, 1)
@@ -209,7 +209,7 @@ def _curve_points(system: DimensionlessSystem, coeffs: PerturbationCoefficients,
     arithmetic and checked in grid order, so the columns hold the bits an
     EnergyCurvePoint list would.
     """
-    lams = float_array("lambda values", lambdas)
+    lams = reals("lambda values", lambdas)
     rc_column, energy_column = np.empty_like(lams), np.empty_like(lams)
     for row, lam in enumerate(map(float, lams)):
         if not math.isfinite(lam) or lam <= 0:

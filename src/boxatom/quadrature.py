@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, integer, real
 
 MAX_POINTS = 512
 
@@ -39,14 +39,13 @@ def _legendre_derivative(n: int, x: np.ndarray, p: np.ndarray, pm1: np.ndarray) 
     return n * (x * p - pm1) / (x * x - 1.0)
 
 
-@lru_cache(maxsize=None)
+# typed, so that no cached rule answers a value of another type that compares equal
+@lru_cache(maxsize=None, typed=True)
 def gauss_legendre(n: int) -> QuadratureRule:
     """Return the n-point Gauss-Legendre rule, each node converged to 1e-15."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValidationError(f"rule size must be an integer, got {n!r}")
+    n = integer("rule size", n)
     if not 1 <= n <= MAX_POINTS:
         raise ValidationError(f"rule size must lie in [1, {MAX_POINTS}], got {n}")
-    n = int(n)
 
     m = (n + 1) // 2
     k = np.arange(1, m + 1, dtype=float)
@@ -97,9 +96,9 @@ def _evaluate(f: Callable, r: np.ndarray, what: str) -> np.ndarray:
 
 def integrate(f: Callable, a: float, b: float, rule: QuadratureRule) -> float:
     """Integrate f over [a, b] with the affine-mapped rule."""
-    a, b = float(a), float(b)
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValidationError(f"need finite bounds with a < b, got a={a}, b={b}")
+    a, b = real("lower bound a", a), real("upper bound b", b)
+    if not a < b:
+        raise ValidationError(f"need bounds with a < b, got a={a}, b={b}")
     half = 0.5 * (b - a)
     r = 0.5 * (a + b) + half * rule.nodes
     vals = _evaluate(f, r, "integrand")

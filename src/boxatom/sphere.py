@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedModeError, ValidationError
+from .errors import UnsupportedModeError, ValidationError, integer, real
 
 
 @dataclass(frozen=True, order=True)
@@ -33,15 +33,15 @@ class ModeIndex:
     n: int
 
     def __post_init__(self):
-        for name, value, low in (("l", self.l, 0), ("n", self.n, 1)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"mode {name} must be an integer, got {value!r}")
+        for name, low in (("l", 0), ("n", 1)):
+            value = integer(f"mode {name}", getattr(self, name))
             if value < low:
                 raise ValidationError(f"mode {name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, value)
 
 
 def _check_order(l) -> None:
-    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l < 0:
+    if integer("order l", l) < 0:
         raise ValidationError(f"order l must be a nonnegative integer, got {l!r}")
     if l > 1:
         raise UnsupportedModeError(f"sphere modes are served for l <= 1 only; got l = {l}")
@@ -50,7 +50,7 @@ def _check_order(l) -> None:
 def bessel_zero(l: int, n: int) -> float:
     """nth positive zero of j_l: n pi for l = 0, the root of tan x = x in (n pi, (n + 1/2) pi) for l = 1."""
     _check_order(l)
-    ModeIndex(l, n)  # validates n
+    n = ModeIndex(l, n).n
     if l == 0:
         return n * math.pi
     # Newton on f = sin x - x cos x = x^2 j_1(x), f' = x sin x, from the right
@@ -67,8 +67,8 @@ def bessel_zero(l: int, n: int) -> float:
 
 def mode_energy(index: ModeIndex, m_prime: float) -> float:
     """Single-particle sphere energy x_{l,n}^2 / (2 m')."""
-    m_prime = float(m_prime)
-    if not math.isfinite(m_prime) or m_prime <= 0:
+    m_prime = real("scaled mass", m_prime)
+    if m_prime <= 0:
         raise ValidationError(f"scaled mass must be positive, got {m_prime!r}")
     x = bessel_zero(index.l, index.n)
     return x * x / (2.0 * m_prime)

@@ -12,9 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ValidationError
+from .errors import ValidationError, integer, real
 
 # nuclear mass used for the helium presets, in electron masses
 HELIUM_NUCLEAR_MASS = 7296.300
@@ -26,27 +24,6 @@ MAX_PARTICLES = 100
 MAX_MAGNITUDE = 1e50
 
 
-def _require_finite(name: str, value) -> float:
-    # float() would also take a boolean (Python's or numpy's) or a numeric string or bytes
-    try:
-        if isinstance(value, (bool, str, bytes, bytearray)) or getattr(value, "dtype", None) == bool:
-            raise TypeError
-        out = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ValidationError(f"{name} must be finite, got {out!r}")
-    return out
-
-
-def float_array(name: str, values) -> np.ndarray:
-    """`values` as a float64 array in one pass; a value float() cannot take is a ValidationError."""
-    try:
-        return np.fromiter(map(float, values), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} must be real numbers: {exc}") from None
-
-
 @dataclass(frozen=True)
 class Particle:
     """One particle: mass in electron masses, charge in elementary charges."""
@@ -56,8 +33,8 @@ class Particle:
     clamped: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", _require_finite("mass", self.mass))
-        object.__setattr__(self, "charge", _require_finite("charge", self.charge))
+        object.__setattr__(self, "mass", real("mass", self.mass))
+        object.__setattr__(self, "charge", real("charge", self.charge))
         if self.mass <= 0:
             raise ValidationError(f"mass must be positive, got {self.mass}")
         for name, value in (("mass", self.mass), ("|charge|", abs(self.charge))):
@@ -93,8 +70,11 @@ class SystemDefinition:
         object.__setattr__(self, "particles", tuple(self.particles))
         if not self.particles:
             raise ValidationError("system needs at least one particle")
-        if isinstance(self.reference, bool) or not isinstance(self.reference, int):
-            raise ValidationError(f"reference must be an integer index, got {self.reference!r}")
+        # its own message, which the CLI prints for a system file's reference of 1.0 or true
+        try:
+            object.__setattr__(self, "reference", integer("reference", self.reference))
+        except ValidationError:
+            raise ValidationError(f"reference must be an integer index, got {self.reference!r}") from None
         if not 0 <= self.reference < len(self.particles):
             raise ValidationError(
                 f"reference index {self.reference} out of range for {len(self.particles)} particles"
@@ -108,7 +88,7 @@ class SystemDefinition:
         for name in ("rc_bohr", "lam"):
             value = getattr(self, name)
             if value is not None:
-                value = _require_finite(name, value)
+                value = real(name, value)
                 if value <= 0:
                     raise ValidationError(f"{name} must be positive, got {value}")
                 object.__setattr__(self, name, value)

@@ -21,7 +21,8 @@ concavity check on the whole matrix at once, the reference for its check a
 block of rows at a time. `curve_points` is the energy curve as a list of
 points built one at a time, the reference for the curve's float64 columns.
 `json_document` is the CLI's JSON output as the standard library's encoder
-prints a document built whole.
+prints a document built whole. `NOT_NUMBERS` lists values that no entry
+point may take as a number, though float() takes some of them.
 """
 
 import itertools
@@ -34,6 +35,11 @@ import numpy as np
 from boxatom import ModeIndex, coulomb, gauss_legendre
 from boxatom.errors import ValidationError
 from boxatom.perturbation import EnergyCurvePoint
+
+# by test id: booleans, a numeric string and bytes (float() takes each of
+# them), None, and an integer beyond the float range
+NOT_NUMBERS = {"true": True, "numpy-true": np.True_, "text": "0.5", "bytes": b"1", "none": None,
+               "huge": 10**400}
 
 
 def cin_series(x: float) -> float:

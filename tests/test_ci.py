@@ -28,6 +28,7 @@ from boxatom.ci import MAX_NMAX
 from boxatom.errors import ConvergenceError, ValidationError
 
 from oracles import (
+    NOT_NUMBERS,
     cholesky_verdict,
     concavity_failure,
     interaction_matrix_whole,
@@ -222,11 +223,24 @@ class TestSolveGround:
         with pytest.raises(ValidationError):
             CiSolution(lam=1.0, energy=0.0, coefficients=np.array([1.0, 0.0]), overlap0=0.5, residual=1.0)
 
-    @pytest.mark.parametrize("z, lam", [(2.0, None), (2.0, "abc"), (10**400, 0.5)],
-                             ids=["none", "text", "huge-z"])
+    @pytest.mark.parametrize(
+        "z, lam",
+        [(2.0, None), (2.0, "abc"), (10**400, 0.5)]
+        + [(2.0, value) for value in NOT_NUMBERS.values()]
+        + [(value, 0.5) for value in NOT_NUMBERS.values()],
+        ids=["none", "text", "huge-z"] + [f"lambda-{i}" for i in NOT_NUMBERS] + [f"z-{i}" for i in NOT_NUMBERS])
     def test_rejects_values_float_cannot_take(self, z, lam, table):
-        with pytest.raises(ValidationError, match="^Z and lambda must be real numbers: [^\n]+$"):
+        with pytest.raises(ValidationError,
+                           match="^(nuclear charge Z|lambda) must be a real number, got [^\n]+$"):
             solve_ground(z, lam, CiBasis.up_to(4), table)
+
+    def test_takes_numpy_numbers(self, table):
+        basis = CiBasis.up_to(4)
+        for z, lam in ((np.int64(2), np.float64(0.5)), (np.float64(2.0), np.int64(1))):
+            got = solve_ground(z, lam, basis, table)
+            expected = solve_ground(float(z), float(lam), basis, table)
+            assert (got.lam, got.energy) == (expected.lam, expected.energy)
+            assert type(got.lam) is float
 
     @pytest.mark.filterwarnings("error")  # lambda * W overflowing must not warn on its way out
     def test_overflowing_lambda_raises_without_warning(self, table):
@@ -266,15 +280,27 @@ class TestOverlapScan:
         with pytest.raises(ValidationError):
             overlap_scan(2.0, [0.0, 0.5], basis, table)
 
-    @pytest.mark.parametrize("lambdas", [[10**400], ["abc"], [None], None],
-                             ids=["huge", "text", "none", "no-grid"])
+    @pytest.mark.parametrize(
+        "lambdas",
+        [[10**400], ["abc"], [None], None, np.array([True])] + [[value] for value in NOT_NUMBERS.values()],
+        ids=["huge", "text", "none", "no-grid", "boolean-array"] + [f"entry-{i}" for i in NOT_NUMBERS])
     def test_rejects_values_float_cannot_take(self, lambdas, table):
-        with pytest.raises(ValidationError, match="^lambda values must be real numbers: [^\n]+$"):
+        with pytest.raises(ValidationError, match="^lambda values must be real numbers, got [^\n]+$"):
             overlap_scan(2.0, lambdas, CiBasis.up_to(4), table)
 
     def test_rejects_a_charge_float_cannot_take(self, table):
-        with pytest.raises(ValidationError, match="^Z and lambda must be real numbers: [^\n]+$"):
-            overlap_scan(10**400, [0.5], CiBasis.up_to(4), table)
+        for z in NOT_NUMBERS.values():
+            with pytest.raises(ValidationError, match="^nuclear charge Z must be a real number, got [^\n]+$"):
+                overlap_scan(z, [0.5], CiBasis.up_to(4), table)
+
+    def test_takes_numpy_numbers(self, table):
+        basis = CiBasis.up_to(4)
+        expected = [s.energy for s in overlap_scan(2.0, [0.5, 1.0, 2.0], basis, table)]
+        for grid in ([np.float64(0.5), np.int64(1), 2], np.array([0.5, 1, 2], dtype=object)):
+            assert [s.energy for s in overlap_scan(np.int64(2), grid, basis, table)] == expected
+        # an integer array is converted whole
+        integers = overlap_scan(2.0, np.array([1, 2]), basis, table)
+        assert [s.energy for s in integers] == [s.energy for s in overlap_scan(2.0, [1.0, 2.0], basis, table)]
 
     def test_scan_yields_the_overlap_scan_and_keeps_no_vector(self, table):
         basis = CiBasis.up_to(6)
@@ -462,7 +488,7 @@ class TestCertifiedGroundState:
 
         monkeypatch.setattr(ci, "ground_state", forbidden)
         problem = CiProblem(2.0, CiBasis.up_to(40), table)
-        assert len(problem.overlap_scan(np.linspace(0.1, 2.0, 20))) == 20
+        assert len(list(problem.scan(np.linspace(0.1, 2.0, 20)))) == 20
         assert problem.second_order_estimate(np.linspace(0.02, 0.2, 10)) < 0.0
 
     def test_strong_coupling_scan_is_certified_without_dense_fallback(self, table, monkeypatch):
@@ -587,7 +613,7 @@ class TestInterlacingFloor:
     def test_one_configuration_has_no_second_eigenvalue(self, table):
         problem = CiProblem(2.0, CiBasis.up_to(1), table)
         assert problem._floor.exceeds(1.0, math.inf)
-        (solution,) = problem.overlap_scan([1.0])
+        (solution,) = list(problem.scan([1.0]))
         assert solution.energy == pytest.approx(solve_ground(2.0, 1.0, CiBasis.up_to(1), table).energy,
                                                 rel=1e-14, abs=0)
 
@@ -609,7 +635,7 @@ class TestInterlacingFloor:
         monkeypatch.setattr(ci, "ground_state", forbidden)
         problem = CiProblem(4.0, CiBasis.up_to(24), table)
         grid = np.linspace(0.3739, 2.2723, 20)
-        problem.overlap_scan(grid)
+        list(problem.scan(grid))
         problem.second_order_estimate(np.linspace(0.02, 0.2, 10))
         # both on the 299 x 299 H_QQ, none on the 300 x 300 H
         assert calls == [(299, 2.2723), (299, grid[5])]
@@ -617,7 +643,7 @@ class TestInterlacingFloor:
 
     def test_scan_and_fit_share_the_knots(self, table):
         problem = CiProblem(2.0, CiBasis.up_to(12), table)
-        problem.overlap_scan(np.linspace(0.1, 2.0, 20))
+        list(problem.scan(np.linspace(0.1, 2.0, 20)))
         knots = dict(problem._floor.knots)
         problem.second_order_estimate(np.linspace(0.02, 0.2, 10))
         assert problem._floor.knots == knots and 2.0 in knots
@@ -657,7 +683,7 @@ class TestNormBound:
         problem = CiProblem(3.0, CiBasis.up_to(12), table)
         assert problem._norm_bound(2238.72113856834) == pytest.approx(3.086e5, rel=1e-3)
         with pytest.raises(ValidationError, match=r"3\.086e\+05 on \|\|H\|\|_2 exceeds"):
-            problem.overlap_scan([2238.72113856834])
+            list(problem.scan([2238.72113856834]))
 
     @pytest.mark.parametrize("z,nmax,lam,bound", [(1.0, 24, 70.0, 1.267e4), (4.0, 48, 3.0, 2.494e4)])
     def test_strong_coupling_stays_inside(self, table, z, nmax, lam, bound):
@@ -699,11 +725,19 @@ class TestSecondOrder:
         with pytest.raises(ValidationError):
             second_order_estimate(2.0, CiBasis.up_to(3), self.FIT_GRID, table)
 
-    @pytest.mark.parametrize("grid", [[None, 0.1], [0.1, 10**400], ["abc", 0.1], None],
-                             ids=["none", "huge", "text", "no-grid"])
+    @pytest.mark.parametrize(
+        "grid",
+        [[None, 0.1], [0.1, 10**400], ["abc", 0.1], None] + [[0.1, value] for value in NOT_NUMBERS.values()],
+        ids=["none", "huge", "text", "no-grid"] + [f"entry-{i}" for i in NOT_NUMBERS])
     def test_rejects_values_float_cannot_take(self, grid, table):
-        with pytest.raises(ValidationError, match="^fit grid values must be real numbers: [^\n]+$"):
+        with pytest.raises(ValidationError, match="^fit grid values must be real numbers, got [^\n]+$"):
             second_order_estimate(2.0, CiBasis.up_to(4), grid, table)
+
+    def test_takes_numpy_numbers(self, table):
+        basis = CiBasis.up_to(4)
+        expected = second_order_estimate(2.0, basis, self.FIT_GRID, table)
+        grid = [np.float64(x) for x in self.FIT_GRID]
+        assert second_order_estimate(np.int64(2), basis, grid, table) == expected
 
     def test_degenerate_grid_fails_loudly(self, table):
         basis = CiBasis.up_to(4)

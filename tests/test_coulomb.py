@@ -397,9 +397,10 @@ class TestSingleFromBlock:
         with pytest.raises(ValueError):
             index[0, 0] = 1
 
-    @pytest.mark.parametrize("bad", [coulomb.MAX_NMAX + 1, 0, True, 2.0])
+    @pytest.mark.parametrize("bad", [coulomb.MAX_NMAX + 1, 0, True, 2.0, pytest.param(np.True_, id="numpy-True")])
     def test_mode_pair_index_checks_nmax(self, bad):
-        mode_pair_index(1), mode_pair_index(2)  # cached entries must not answer True or 2.0
+        # cached entries must not answer True, 2.0 or np.True_
+        mode_pair_index(1), mode_pair_index(2), mode_pair_index(np.int64(1)), mode_pair_index(np.int64(2))
         with pytest.raises(ValidationError, match="nmax"):
             mode_pair_index(bad)
 
@@ -445,6 +446,11 @@ class TestCaching:
     def test_get_table_is_cached(self):
         assert get_table(128) is get_table(128)
         assert get_table(128) is not get_table(64)
+
+    def test_cached_table_answers_no_other_type(self):
+        get_table(np.int64(128))
+        with pytest.raises(ValidationError, match="^quadrature points must be an integer, got 128.0$"):
+            get_table(128.0)
 
     def test_results_stable_across_instances(self, table):
         fresh = CoulombTable(points=200)

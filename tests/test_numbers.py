@@ -1,0 +1,94 @@
+"""One rule for every number a public entry point takes (`boxatom.errors`).
+
+Each argument below refuses every value of NOT_NUMBERS with a one-line
+ValidationError that names it, and takes a numpy integer or float wherever it
+takes an int or a float. The lambda grids of `overlap_scan`,
+`second_order_estimate` and `energy_curve`, the charge of `overlap_scan` and
+both numbers of `solve_ground` are checked the same way by the
+test_rejects_values_float_cannot_take and test_takes_numpy_numbers tests of
+test_ci.py and test_perturbation.py.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from boxatom import (
+    CiBasis,
+    CiProblem,
+    CiSolution,
+    CoulombTable,
+    ModeIndex,
+    Particle,
+    SystemDefinition,
+    bessel_zero,
+    build_hamiltonian,
+    gauss_legendre,
+    get_table,
+    helium_system,
+    integrate,
+    mode_energy,
+)
+from boxatom.errors import ValidationError
+
+from oracles import NOT_NUMBERS
+
+ELECTRON = Particle(mass=1.0, charge=-1.0)
+UNIT = np.array([1.0])
+
+# entry point and argument: (a call that passes `value` there given the shared
+# table, the name its message gives the value, an int and a float it takes
+# there, None where it takes no int or no float)
+ARGUMENTS = {
+    "Particle-mass": (lambda v, t: Particle(mass=v, charge=-1.0), "mass", 2, 2.0),
+    "Particle-charge": (lambda v, t: Particle(mass=1.0, charge=v), "charge", -1, -1.0),
+    "SystemDefinition-reference": (lambda v, t: SystemDefinition((ELECTRON, ELECTRON), v, lam=1.0),
+                                   "reference", 1, None),
+    "SystemDefinition-rc_bohr": (lambda v, t: SystemDefinition((ELECTRON,), 0, rc_bohr=v), "rc_bohr", 2, 2.0),
+    "SystemDefinition-lam": (lambda v, t: SystemDefinition((ELECTRON,), 0, lam=v), "lam", 2, 2.0),
+    "helium_system-rc_bohr": (lambda v, t: helium_system(True, rc_bohr=v), "rc_bohr", 2, 2.0),
+    "helium_system-nuclear_mass": (lambda v, t: helium_system(False, nuclear_mass=v), "mass", 7296, 7296.3),
+    "ModeIndex-l": (lambda v, t: ModeIndex(v, 1), "mode l", 1, None),
+    "ModeIndex-n": (lambda v, t: ModeIndex(0, v), "mode n", 2, None),
+    "bessel_zero-l": (lambda v, t: bessel_zero(v, 1), "order l", 1, None),
+    "bessel_zero-n": (lambda v, t: bessel_zero(1, v), "mode n", 2, None),
+    "mode_energy": (lambda v, t: mode_energy(ModeIndex(0, 1), v), "scaled mass", 2, 2.0),
+    # 1, so that the rule cached for np.int64(1) is in place when np.True_ is refused
+    "gauss_legendre": (lambda v, t: gauss_legendre(v), "rule size", 1, None),
+    "integrate-a": (lambda v, t: integrate(np.cos, v, 5.0, gauss_legendre(8)), "lower bound a", 1, 1.0),
+    "integrate-b": (lambda v, t: integrate(np.cos, 0.0, v, gauss_legendre(8)), "upper bound b", 1, 1.0),
+    "CoulombTable": (lambda v, t: CoulombTable(v), "quadrature points", 16, None),
+    "get_table": (lambda v, t: get_table(v), "quadrature points", 16, None),
+    "CiBasis": (lambda v, t: CiBasis(v), "nmax", 2, None),
+    "CiProblem": (lambda v, t: CiProblem(v, CiBasis(2), t), "nuclear charge Z", 2, 2.0),
+    "CiSolution-lam": (lambda v, t: CiSolution(v, -1.0, UNIT, 1.0, 0.0), "lambda", 1, 0.5),
+    "CiSolution-energy": (lambda v, t: CiSolution(0.5, v, UNIT, 1.0, 0.0), "energy", -1, -1.0),
+    "build_hamiltonian-z": (lambda v, t: build_hamiltonian(v, 0.5, CiBasis(2), t), "nuclear charge Z", 2, 2.0),
+    "build_hamiltonian-lam": (lambda v, t: build_hamiltonian(2.0, v, CiBasis(2), t), "lambda", 1, 0.5),
+}
+
+
+@pytest.mark.parametrize("argument", ARGUMENTS)
+def test_takes_numpy_numbers(argument, table):
+    call, _, int_value, float_value = ARGUMENTS[argument]
+    for value, numpy_type in ((int_value, np.int64), (float_value, np.float64)):
+        if value is not None:
+            call(numpy_type(value), table)
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS.values(), ids=list(NOT_NUMBERS))
+@pytest.mark.parametrize("argument", ARGUMENTS)
+def test_refuses_what_is_not_a_number(argument, value, table):
+    call, name, _, _ = ARGUMENTS[argument]
+    message = rf"^{re.escape(name)} must be [^\n]+, got [^\n]+$"
+    if value is None and name in ("rc_bohr", "lam"):
+        message = "^give exactly one of rc_bohr or lam$"  # None gives no box radius
+    with pytest.raises(ValidationError, match=message):
+        call(value, table)
+
+
+def test_numpy_integers_are_stored_as_int():
+    assert type(SystemDefinition((ELECTRON,), np.int64(0), lam=1.0).reference) is int
+    assert [type(x) for x in (ModeIndex(np.int64(0), np.uint8(1)).l, CiBasis(np.int32(2)).nmax)] == [int, int]
+    assert type(CiSolution(np.int64(1), np.float32(-1.0), UNIT, 1.0, 0.0).energy) is float

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from boxatom import (
 from boxatom.errors import UnsupportedModeError, ValidationError
 from boxatom.perturbation import _DEGENERACY_RTOL
 
-from oracles import cin_series, curve_points, s_wave_ground_is_degenerate
+from oracles import NOT_NUMBERS, cin_series, curve_points, s_wave_ground_is_degenerate
 
 
 def electrons_only(count, rc=1.0):
@@ -268,12 +269,22 @@ class TestEnergyCurve:
         with pytest.raises(ValidationError):
             energy_curve(system, ground_occupation(system), [lam], table)
 
-    @pytest.mark.parametrize("lambdas", [[10**400], ["abc"], [None], None],
-                             ids=["huge", "text", "none", "no-grid"])
+    @pytest.mark.parametrize(
+        "lambdas",
+        [[10**400], ["abc"], [None], None, np.array([True])] + [[value] for value in NOT_NUMBERS.values()],
+        ids=["huge", "text", "none", "no-grid", "boolean-array"] + [f"entry-{i}" for i in NOT_NUMBERS])
     def test_rejects_values_float_cannot_take(self, lambdas, table):
         system = clamped_he()
-        with pytest.raises(ValidationError, match="^lambda values must be real numbers: [^\n]+$"):
+        with pytest.raises(ValidationError, match="^lambda values must be real numbers, got [^\n]+$"):
             energy_curve(system, ground_occupation(system), lambdas, table)
+
+    def test_takes_numpy_numbers(self, table):
+        system = clamped_he()
+        occupation = ground_occupation(system)
+        expected = energy_curve(system, occupation, [0.5, 1.0, 2.0], table)
+        for grid in ([np.float64(0.5), np.int64(1), 2], np.array([0.5, 1, 2], dtype=object)):
+            assert energy_curve(system, occupation, grid, table) == expected
+        assert energy_curve(system, occupation, np.array([1, 2]), table) == expected[1:]
 
 
 class TestTurnover:

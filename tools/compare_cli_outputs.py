@@ -17,7 +17,12 @@ row keeps outweighs W (`ci-scan he-clamped --nmax 24 --steps 10000` and
 check on either side (`coeffs he-clamped --quad-points 15` and `513`, which
 exit 2), `coeffs --help`, which prints the default resolution, and two `-o`
 files that cannot be written (`coeffs he-clamped -o no-such-dir/out.csv` and
-`curve he-clamped --format json -o /dev/full`, which exit 2). Each runs
+`curve he-clamped --format json -o /dev/full`, which exit 2), nmax on
+either side of its bounds (`ci-scan he-clamped --nmax 49` and `--nmax 0`),
+and `coeffs` on six system documents written into the input directory, each
+with one value the library's number rule refuses: a boolean mass, a string
+charge, a string lambda, an rc_bohr of 1e999 (which JSON reads as inf), and
+a float and a boolean reference; all eight exit 2. Each runs
 as `python -m boxatom.cli`, one at a time, once against the working tree's
 `src` and once against BASE_REV's, in the same directory with the same input
 files.
@@ -55,14 +60,27 @@ EXTRA = (
     ["coeffs", "--help"],
     ["coeffs", "he-clamped", "-o", "no-such-dir/out.csv"],
     ["curve", "he-clamped", "--format", "json", "-o", "/dev/full"],
+    ["ci-scan", "he-clamped", "--nmax", "49"],
+    ["ci-scan", "he-clamped", "--nmax", "0"],
 )
+# one electron in a box of lambda 1; each document changes one value of it
+ELECTRON = '{"particles": [{"mass": 1, "charge": -1}], "reference": 0, "lam": 1.0}'
+DOCUMENTS = {
+    "mass-true.json": ELECTRON.replace('"mass": 1', '"mass": true'),
+    "charge-text.json": ELECTRON.replace('"charge": -1', '"charge": "2"'),
+    "lam-text.json": ELECTRON.replace('"lam": 1.0', '"lam": "1.0"'),
+    "rc-bohr-inf.json": ELECTRON.replace('"lam": 1.0', '"rc_bohr": 1e999'),
+    "reference-float.json": ELECTRON.replace('"reference": 0', '"reference": 1.0'),
+    "reference-true.json": ELECTRON.replace('"reference": 0', '"reference": true'),
+}
 
 
 def invocations(workdir: str) -> list[tuple[str, list[str]]]:
     """(directory to run in, CLI arguments) for every compared invocation.
 
     Each workload and seed writes its input files into its own directory
-    under `workdir`, since seeds reuse file names.
+    under `workdir`, since seeds reuse file names; DOCUMENTS are written
+    into `workdir` itself.
     """
     cases = []
     for seed in SEEDS:
@@ -70,7 +88,11 @@ def invocations(workdir: str) -> list[tuple[str, list[str]]]:
             cwd = os.path.join(workdir, f"{name}-{seed}")
             os.makedirs(cwd)
             cases += [(cwd, inv["args"]) for inv in workloads.build(name, seed, cwd)]
-    return cases + [(workdir, list(args)) for args in EXTRA]
+    for name, text in DOCUMENTS.items():
+        with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return (cases + [(workdir, list(args)) for args in EXTRA]
+            + [(workdir, ["coeffs", name]) for name in DOCUMENTS])
 
 
 def run_cli(src: str, cwd: str, args: list[str]) -> tuple[int, bytes, bytes]:
