@@ -15,10 +15,6 @@ from .ci import (
     ground_state,
     interaction_matrix,
     kinetic_diagonal,
-    overlap_scan,
-    second_order_estimate,
-    second_order_sum_over_states,
-    solve_ground,
 )
 from .coulomb import CoulombTable, get_table
 from .errors import (
@@ -29,7 +25,6 @@ from .errors import (
 )
 from .perturbation import (
     BreakdownTerm,
-    EnergyCurvePoint,
     NuclearMotionReport,
     PerturbationCoefficients,
     energy_curve,
@@ -71,7 +66,6 @@ __all__ = [
     "ConvergenceError",
     "CoulombTable",
     "DimensionlessSystem",
-    "EnergyCurvePoint",
     "ModeIndex",
     "NuclearMotionReport",
     "Particle",
@@ -100,10 +94,6 @@ __all__ = [
     "mode_energy",
     "nondimensionalize",
     "nuclear_motion_report",
-    "overlap_scan",
-    "second_order_estimate",
-    "second_order_sum_over_states",
-    "solve_ground",
     "system_from_dict",
     "turnover_lambda",
 ]

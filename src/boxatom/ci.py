@@ -21,18 +21,22 @@ them. The ground eigenvalue is a
 variational upper bound on the true ground energy within the subspace, and
 the coefficient of |11> is the overlap with the free-particle ground state.
 
-`CiProblem` holds T and W for one charge and basis, so a scan and an eps2 fit
-share one W, checked once to be finite and exactly symmetric. A lambda whose
-bound max(T) + lambda max_i sum_j |W_ij| on ||H||_2 exceeds
-RESIDUAL_TOL / (10 eps), about 4.5e4, is a ValidationError: beyond it the
-residual tolerance is within rounding. In strong confinement H is strongly
-diagonally dominant, so each scan and fit point is solved with Davidson's
-method (E. R. Davidson, J. Comput. Phys. 17, 87 (1975)): preconditioner
-1/(diag(H) - theta), started from |11> and then from the previous lambda's
-whole subspace. H V = T V + lambda W V, so moving to the next lambda costs
-no product with W. A pair (theta, c) is kept only if its residual r,
-recomputed as T c + lambda (W c) - theta c, meets RESIDUAL_TOL, and only if
-the first of three tiers that succeeds proves it is the ground state:
+`CiProblem(z, basis, table)` is the library's one way to solve the CI
+problem, and the one the CLI runs: its `scan`, `second_order_estimate` and
+`second_order_sum_over_states` share one W, checked once to be finite and
+exactly symmetric. `ground_state(build_hamiltonian(z, lam, basis, table))`
+solves one lambda densely; it is the reference the certified solver is
+tested against. A lambda whose bound max(T) + lambda max_i sum_j |W_ij| on
+||H||_2 exceeds RESIDUAL_TOL / (10 eps), about 4.5e4, is a ValidationError:
+beyond it the residual tolerance is within rounding. In strong confinement
+H is strongly diagonally dominant, so each scan and fit point is solved with
+Davidson's method (E. R. Davidson, J. Comput. Phys. 17, 87 (1975)):
+preconditioner 1/(diag(H) - theta), started from |11> and then from the
+previous lambda's whole subspace. H V = T V + lambda W V, so moving to the
+next lambda costs no product with W. A pair (theta, c) is kept only if its
+residual r, recomputed as T c + lambda (W c) - theta c, meets RESIDUAL_TOL,
+and only if the first of three tiers that succeeds proves it is the ground
+state:
 
 1. The interlacing floor. Let Q be every configuration but |11> and
    f(lambda) = lambda_min(H_QQ(lambda)). By Cauchy interlacing
@@ -58,8 +62,7 @@ lambda, checked against the Hellmann-Feynman tangent of every row, a block
 of _CONCAVITY_BLOCK pairs at a time. `CiProblem.scan` yields each solution
 as it is solved and keeps four floats of it for that check, so a caller that
 drops each vector once its row is read, as the CLI does, holds a few floats
-per row however long the grid. The module function `overlap_scan`, the
-list of a scan, keeps every solution.
+per row however long the grid.
 """
 
 from __future__ import annotations
@@ -109,10 +112,6 @@ class CiBasis:
         object.__setattr__(self, "configurations",
                            tuple((n, m) for n in range(1, nmax + 1) for m in range(n, nmax + 1)))
 
-    @classmethod
-    def up_to(cls, nmax: int) -> "CiBasis":
-        return cls(nmax)
-
     def __len__(self) -> int:
         return len(self.configurations)
 
@@ -130,7 +129,13 @@ class CiSolution:
     def __post_init__(self):
         object.__setattr__(self, "lam", _coupling(self.lam))
         object.__setattr__(self, "energy", real("energy", self.energy))
-        norm = float(np.linalg.norm(self.coefficients))
+        for name in ("overlap0", "residual"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
+        c = self.coefficients
+        if not (isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "fiu"):
+            got = f"{c.dtype} array of shape {c.shape}" if isinstance(c, np.ndarray) else type(c).__name__
+            raise ValidationError(f"coefficients must be a one-dimensional real array, got {got}")
+        norm = float(np.linalg.norm(c))
         if abs(norm - 1.0) > 1e-12:
             raise ValidationError(f"coefficient vector norm {norm!r} is not 1 within 1e-12")
         if not 0.0 <= self.overlap0 <= 1.0:
@@ -211,9 +216,16 @@ def _hamiltonian(kinetic: np.ndarray, lam: float, interaction: np.ndarray) -> np
 
 
 def _checked_matrix(matrix: np.ndarray) -> np.ndarray:
-    h = np.asarray(matrix, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {h.shape}")
+    # the number rule of `errors`: an int or float array, never booleans or strings
+    try:
+        h = np.asarray(matrix)
+    except ValueError:  # a ragged nesting, refused below as an object array
+        h = np.asarray(None)
+    if h.dtype.kind not in "fiu":
+        raise ValidationError(f"matrix must hold real numbers, got {type(matrix).__name__} of dtype {h.dtype}")
+    h = h.astype(float, copy=False)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
+        raise ValidationError(f"matrix must be square and not empty, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValidationError("matrix contains non-finite entries")
     if not np.array_equal(h, h.T):
@@ -469,12 +481,6 @@ def _solution(lam: float, energy: float, coeff: np.ndarray, residual: float) -> 
                       overlap0=min(abs(float(coeff[0])), 1.0), residual=residual)
 
 
-def solve_ground(z: float, lam: float, basis: CiBasis,
-                 table: CoulombTable | None = None) -> CiSolution:
-    """Assemble H(lambda) and package its dense ground state as a CiSolution."""
-    return _solution(lam, *ground_state(build_hamiltonian(z, lam, basis, table)))
-
-
 def _check_concavity(lam: np.ndarray, energy: np.ndarray, slope: np.ndarray,
                      residual: np.ndarray) -> None:
     """Every energy must lie on or below every other row's tangent line.
@@ -625,20 +631,3 @@ class CiProblem:
             )
         return fitted
 
-
-def overlap_scan(z: float, lambdas, basis: CiBasis,
-                 table: CoulombTable | None = None) -> list[CiSolution]:
-    """Ground-state solutions over an ascending positive lambda grid."""
-    return list(CiProblem(z, basis, table).scan(lambdas))
-
-
-def second_order_sum_over_states(z: float, basis: CiBasis,
-                                 table: CoulombTable | None = None) -> float:
-    """In-subspace sum-over-states eps2 = sum_k |W_k0|^2 / (T_0 - T_k)."""
-    return CiProblem(z, basis, table).second_order_sum_over_states()
-
-
-def second_order_estimate(z: float, basis: CiBasis, lambda_grid,
-                          table: CoulombTable | None = None) -> float:
-    """s-wave-limited second-order coefficient from a small-lambda fit (CiProblem.second_order_estimate)."""
-    return CiProblem(z, basis, table).second_order_estimate(lambda_grid)

@@ -27,7 +27,7 @@ from .coulomb import DEFAULT_POINTS, MAX_POINTS, MIN_POINTS, check_nmax, check_p
 from .errors import ConvergenceError, ValidationError, real
 from .perturbation import (
     PerturbationCoefficients,
-    _curve_points,
+    energy_curve,
     epsilon1,
     ground_occupation,
     nuclear_motion_report,
@@ -218,7 +218,7 @@ def cmd_coeffs(config: RunConfig) -> Report:
 def cmd_curve(config: RunConfig) -> Report:
     system = nondimensionalize(_resolve_system(config.system_path))
     coeffs = _first_order(config, system)
-    lams, rc_bohr, energy = _curve_points(system, coeffs, config.lambda_grid)
+    lams, rc_bohr, energy = energy_curve(system, coeffs, config.lambda_grid)
     return Report(
         meta=[
             ("a_bohr", system.length_scale_a),
@@ -266,7 +266,7 @@ def cmd_ci_scan(config: RunConfig) -> Report:
     system = nondimensionalize(_resolve_system(config.system_path))
     z = _ci_charge(system)
     coeffs = _first_order(config, system)
-    problem = ci.CiProblem(z, ci.CiBasis.up_to(config.ci_nmax), get_table(config.quadrature_points))
+    problem = ci.CiProblem(z, ci.CiBasis(config.ci_nmax), get_table(config.quadrature_points))
     # ascending, as the scan requires, since lambda_min <= lambda_max
     grid = config.lambda_grid
     # a row keeps its energy and overlap0; each solution's vector is dropped once read

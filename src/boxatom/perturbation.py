@@ -10,10 +10,10 @@ eps(lambda) = eps0 + eps1*lambda + O(lambda^2), with
 with every integral taken in the (l=0, n=1) sphere ground mode.
 
 The physical energy at box radius R_c = lambda * a is
-E = prefactor * (eps0/lambda^2 + eps1/lambda + ...). A curve over a lambda
-grid is computed as three float64 columns (lambda, rc_bohr, energy), each
-row in scalar float arithmetic; `energy_curve` wraps them into points, and
-the CLI writes its rows straight from the columns.
+E = prefactor * (eps0/lambda^2 + eps1/lambda + ...). `energy_curve` turns
+coefficients already computed into a curve over a lambda grid: three
+float64 columns (lambda, rc_bohr, energy), each row in scalar float
+arithmetic, from which the CLI writes its rows.
 
 Both coefficients are served for this ground occupation only; any other
 occupation is an UnsupportedModeError. An excited occupation of identical
@@ -66,15 +66,6 @@ class PerturbationCoefficients:
             raise ValidationError("eps0 does not match the kinetic breakdown sum")
         if abs(pot - self.eps1) > 1e-12 * max(1.0, abs(self.eps1)):
             raise ValidationError("eps1 does not match the interaction breakdown sum")
-
-
-@dataclass(frozen=True, slots=True)
-class EnergyCurvePoint:
-    """One curve sample; energy is in units of the system's prefactor."""
-
-    lam: float
-    rc_bohr: float
-    energy: float
 
 
 @dataclass(frozen=True)
@@ -188,26 +179,15 @@ def turnover_lambda(coeffs: PerturbationCoefficients) -> float | None:
     return -2.0 * coeffs.eps0 / coeffs.eps1
 
 
-def energy_curve(system: DimensionlessSystem, occupation, lambdas,
-                 table: CoulombTable | None = None) -> list[EnergyCurvePoint]:
-    """Physical energy curve E(lambda) = eps0/lambda^2 + eps1/lambda.
+def energy_curve(system: DimensionlessSystem, coeffs: PerturbationCoefficients,
+                 lambdas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Physical energy curve E(lambda) = eps0/lambda^2 + eps1/lambda as lambda, rc_bohr and energy columns.
 
     Energies are in units of the system's energy prefactor (hartree for an
-    electron reference); rc_bohr = lambda * a. A lambda whose energy, energy
-    times the prefactor, or rc_bohr leaves the float range is a
-    ValidationError.
-    """
-    columns = _curve_points(system, epsilon1(system, occupation, table), lambdas)
-    return [EnergyCurvePoint(*row) for row in zip(*(column.tolist() for column in columns))]
-
-
-def _curve_points(system: DimensionlessSystem, coeffs: PerturbationCoefficients,
-                  lambdas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """energy_curve's lambda, rc_bohr and energy columns, from coefficients already computed.
-
-    A row costs three float64 entries. Each is computed in scalar float
-    arithmetic and checked in grid order, so the columns hold the bits an
-    EnergyCurvePoint list would.
+    electron reference); rc_bohr = lambda * a. A row costs three float64
+    entries, each computed in scalar float arithmetic and checked in grid
+    order. A lambda whose energy, energy times the prefactor, or rc_bohr
+    leaves the float range is a ValidationError.
     """
     lams = reals("lambda values", lambdas)
     rc_column, energy_column = np.empty_like(lams), np.empty_like(lams)

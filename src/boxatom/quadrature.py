@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, integer, real, reals
 
 MAX_POINTS = 512
 
@@ -82,8 +82,8 @@ def gauss_legendre(n: int) -> QuadratureRule:
 def _evaluate(f: Callable, r: np.ndarray, what: str) -> np.ndarray:
     try:
         vals = np.asarray(f(r), dtype=float)
-    except (TypeError, ValueError):
-        vals = np.asarray([f(float(t)) for t in np.ravel(r)], dtype=float).reshape(r.shape)
+    except (TypeError, ValueError):  # f takes one float at a time, or returned no numbers
+        vals = reals(f"{what} values", [f(float(t)) for t in np.ravel(r)]).reshape(r.shape)
     if vals.ndim == 0:
         vals = np.full(r.shape, float(vals))
     if vals.shape != r.shape:

@@ -12,7 +12,8 @@ normalized s-wave radial factor
     u_{0,n}(r) = sqrt(2) n pi r j_0(n pi r) = sqrt(2) sin(n pi r),  int_0^1 u^2 dr = 1,
 
 so they are one-dimensional in each radial variable. A radial factor with
-l > 0, and any l >= 2, raises UnsupportedModeError.
+l > 0, and any l >= 2, raises UnsupportedModeError; a zero or an energy
+beyond the float range is a ValidationError.
 """
 
 from __future__ import annotations
@@ -51,12 +52,15 @@ def bessel_zero(l: int, n: int) -> float:
     """nth positive zero of j_l: n pi for l = 0, the root of tan x = x in (n pi, (n + 1/2) pi) for l = 1."""
     _check_order(l)
     n = ModeIndex(l, n).n
+    # the zero itself for l = 0, the right end of its bracket for l = 1
+    x = (n + 0.5 * l) * math.pi
+    if not math.isfinite(x):
+        raise ValidationError(f"the zero of j_{l} at mode n = {float(n):.6g} is beyond the float range")
     if l == 0:
-        return n * math.pi
+        return x
     # Newton on f = sin x - x cos x = x^2 j_1(x), f' = x sin x, from the right
     # end of the bracket: between the root and that end f f'' > 0, so every
     # iterate lies between the root and the one before
-    x = (n + 0.5) * math.pi
     for _ in range(50):
         step = (math.sin(x) - x * math.cos(x)) / (x * math.sin(x))
         x -= step
@@ -71,7 +75,11 @@ def mode_energy(index: ModeIndex, m_prime: float) -> float:
     if m_prime <= 0:
         raise ValidationError(f"scaled mass must be positive, got {m_prime!r}")
     x = bessel_zero(index.l, index.n)
-    return x * x / (2.0 * m_prime)
+    energy = x * x / (2.0 * m_prime)
+    if not math.isfinite(energy):
+        raise ValidationError(f"the energy of mode (l={index.l}, n={float(index.n):.6g}) at scaled mass "
+                              f"{m_prime!r} is beyond the float range")
+    return energy
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,11 @@ class RadialMode:
             raise UnsupportedModeError(f"radial modes are served for l = 0 only; got l = {self.index.l}")
 
     def __call__(self, r) -> np.ndarray | float:
+        """u at r: a real number, or an int or float array of any shape, taken as is."""
+        if not isinstance(r, np.ndarray):
+            r = real("radius r", r)
+        elif r.dtype.kind not in "fiu":
+            raise ValidationError(f"radius r must be a real number or an int or float array, got {r.dtype} array")
         return math.sqrt(2.0) * np.sin(self.index.n * math.pi * np.asarray(r, dtype=float))
 
 

@@ -18,8 +18,8 @@ array at once: `s_wave_block_whole_grid` (the block's batched inner grid),
 LAPACK's verdict on a whole matrix, the reference for the CI's tiled
 in-place factorization; `concavity_failure` is the CI scan's all-pairs
 concavity check on the whole matrix at once, the reference for its check a
-block of rows at a time. `curve_points` is the energy curve as a list of
-points built one at a time, the reference for the curve's float64 columns.
+block of rows at a time. `curve_columns` is the energy curve as three lists
+grown one row at a time, the reference for the curve's float64 columns.
 `json_document` is the CLI's JSON output as the standard library's encoder
 prints a document built whole. `NOT_NUMBERS` lists values that no entry
 point may take as a number, though float() takes some of them.
@@ -34,7 +34,6 @@ import numpy as np
 
 from boxatom import ModeIndex, coulomb, gauss_legendre
 from boxatom.errors import ValidationError
-from boxatom.perturbation import EnergyCurvePoint
 
 # by test id: booleans, a numeric string and bytes (float() takes each of
 # them), None, and an integer beyond the float range
@@ -267,9 +266,9 @@ def concavity_failure(lam, energy, slope, residual, rtol: float) -> str | None:
             f"lies {excess[i, j]:.3e} above the tangent at lambda = {lam[i]:.6g}")
 
 
-def curve_points(system, coeffs, lambdas) -> list:
-    """The energy curve as EnergyCurvePoints, each computed, checked and appended in turn."""
-    points = []
+def curve_columns(system, coeffs, lambdas) -> list:
+    """The energy curve's lambda, rc_bohr and energy lists, each row computed, checked and appended in turn."""
+    columns = [[], [], []]
     for lam in lambdas:
         lam = float(lam)
         if not math.isfinite(lam) or lam <= 0:
@@ -281,8 +280,9 @@ def curve_points(system, coeffs, lambdas) -> list:
         rc_bohr = lam * system.length_scale_a
         if not all(math.isfinite(x) for x in (energy, energy * system.energy_prefactor, rc_bohr)):
             raise ValidationError(f"the energy at lambda={lam!r} is outside the float range")
-        points.append(EnergyCurvePoint(lam=lam, rc_bohr=rc_bohr, energy=energy))
-    return points
+        for column, value in zip(columns, (lam, rc_bohr, energy)):
+            column.append(value)
+    return columns
 
 
 def json_document(config, report) -> str:

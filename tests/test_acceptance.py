@@ -11,22 +11,21 @@ import pytest
 
 from boxatom import (
     CiBasis,
+    CiProblem,
     CoulombTable,
     ModeIndex,
     bessel_zero,
+    build_hamiltonian,
     build_radial_mode,
     epsilon0,
     epsilon1,
     gauss_legendre,
     ground_occupation,
+    ground_state,
     helium_system,
     integrate,
     nondimensionalize,
     nuclear_motion_report,
-    overlap_scan,
-    second_order_estimate,
-    second_order_sum_over_states,
-    solve_ground,
 )
 
 from oracles import cin_series, si_series
@@ -127,7 +126,7 @@ def test_criterion_05_consistent_form(table):
 def test_criterion_06_overlap_scan_properties():
     start = time.perf_counter()
     fresh = CoulombTable(points=200)
-    scan = overlap_scan(2.0, LAMBDA_GRID, CiBasis.up_to(8), fresh)
+    scan = list(CiProblem(2.0, CiBasis(8), fresh).scan(LAMBDA_GRID))
     elapsed = time.perf_counter() - start
     overlaps = [s.overlap0 for s in scan]
     bounded = all(v <= 1.0 for v in overlaps)
@@ -145,16 +144,16 @@ def test_criterion_06_overlap_scan_properties():
 
 def test_criterion_07_variational_dominance_and_slope(table):
     coeffs = clamped_coeffs(table)
-    basis = CiBasis.up_to(8)
+    basis = CiBasis(8)
     dominated = True
     worst = 0.0
     for lam in LAMBDA_GRID:
-        ci_energy = solve_ground(2.0, lam, basis, table).energy
+        ci_energy = ground_state(build_hamiltonian(2.0, lam, basis, table))[0]
         first_order = coeffs.eps0 + coeffs.eps1 * lam
         worst = max(worst, ci_energy - first_order)
         dominated = dominated and ci_energy <= first_order + 1e-12
     h = 1e-4
-    slope = (solve_ground(2.0, h, basis, table).energy - coeffs.eps0) / h
+    slope = (ground_state(build_hamiltonian(2.0, h, basis, table))[0] - coeffs.eps0) / h
     slope_err = abs(slope - (-7.9645404))
     ok = dominated and slope_err <= 1e-3
     _criterion(
@@ -214,9 +213,9 @@ def test_criterion_09_numerical_infrastructure():
 
 
 def test_criterion_10_second_order_internal_agreement(table):
-    basis = CiBasis.up_to(8)
-    fit = second_order_estimate(2.0, basis, np.linspace(0.02, 0.2, 10), table)
-    sos = second_order_sum_over_states(2.0, basis, table)
+    problem = CiProblem(2.0, CiBasis(8), table)
+    fit = problem.second_order_estimate(np.linspace(0.02, 0.2, 10))
+    sos = problem.second_order_sum_over_states()
     rel = abs(fit - sos) / abs(sos)
     ok = rel <= 0.02 and fit < 0.0
     _criterion(

@@ -18,10 +18,6 @@ from boxatom import (
     ground_state,
     interaction_matrix,
     kinetic_diagonal,
-    overlap_scan,
-    second_order_estimate,
-    second_order_sum_over_states,
-    solve_ground,
 )
 from boxatom import ci, coulomb
 from boxatom.ci import MAX_NMAX
@@ -38,9 +34,14 @@ from oracles import (
 EPS1_CLAMPED = -7.96454040407721
 
 
+def dense_energy(z, lam, basis, table) -> float:
+    """The dense reference: the lowest eigenvalue of the assembled H(lambda)."""
+    return ground_state(build_hamiltonian(z, lam, basis, table))[0]
+
+
 class TestBasis:
     def test_counts_and_order(self):
-        basis = CiBasis.up_to(4)
+        basis = CiBasis(4)
         assert len(basis) == 10
         assert basis.configurations[0] == (1, 1)
         assert all(n <= m for n, m in basis.configurations)
@@ -49,33 +50,31 @@ class TestBasis:
     @pytest.mark.parametrize("bad", [0, -1, 2.0, True])
     def test_bad_nmax(self, bad):
         with pytest.raises(ValidationError):
-            CiBasis.up_to(bad)
+            CiBasis(bad)
 
     def test_nmax_bound(self):
-        assert len(CiBasis.up_to(MAX_NMAX)) == 1176
-        with pytest.raises(ValidationError):
-            CiBasis.up_to(MAX_NMAX + 1)
+        assert len(CiBasis(MAX_NMAX)) == 1176
         with pytest.raises(ValidationError, match="nmax"):
             CiBasis(nmax=MAX_NMAX + 1)
 
 
 class TestMatrixAssembly:
     def test_kinetic_diagonal(self):
-        basis = CiBasis.up_to(3)
+        basis = CiBasis(3)
         got = kinetic_diagonal(basis)
         expected = [(n * n + m * m) * math.pi**2 / 2.0 for n, m in basis.configurations]
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
     def test_free_particle_limit(self, table):
-        basis = CiBasis.up_to(4)
+        basis = CiBasis(4)
         h = build_hamiltonian(2.0, 0.0, basis, table)
         np.testing.assert_array_equal(h, np.diag(kinetic_diagonal(basis)))
-        solution = solve_ground(2.0, 0.0, basis, table)
-        assert solution.energy == pytest.approx(math.pi**2, abs=1e-12)
-        assert solution.overlap0 == 1.0
+        energy, coeff, _ = ground_state(h)
+        assert energy == pytest.approx(math.pi**2, abs=1e-12)
+        assert coeff[0] == 1.0
 
     def test_single_configuration_element(self, table):
-        basis = CiBasis.up_to(1)
+        basis = CiBasis(1)
         h = build_hamiltonian(2.0, 1.0, basis, table)
         pair = table.pair_expectation(ModeIndex(0, 1), ModeIndex(0, 1))
         central = table.central_expectation(ModeIndex(0, 1), ModeIndex(0, 1))
@@ -83,11 +82,11 @@ class TestMatrixAssembly:
         assert h[0, 0] == pytest.approx(math.pi**2 + pair - 4.0 * central, abs=1e-12)
 
     def test_interaction_is_symmetric(self, table):
-        w = interaction_matrix(2.0, CiBasis.up_to(5), table)
+        w = interaction_matrix(2.0, CiBasis(5), table)
         np.testing.assert_array_equal(w, w.T)
 
     def test_first_diagonal_matches_first_order(self, table):
-        w = interaction_matrix(2.0, CiBasis.up_to(6), table)
+        w = interaction_matrix(2.0, CiBasis(6), table)
         assert w[0, 0] == pytest.approx(EPS1_CLAMPED, abs=1e-10)
 
     @pytest.mark.parametrize("nmax", [2, 3, 4, 5])
@@ -95,20 +94,20 @@ class TestMatrixAssembly:
         # brute-force oracle: project the full product-basis Hamiltonian
         # onto the symmetric subspace and compare entrywise
         lam, z = 0.7, 2.0
-        ours = build_hamiltonian(z, lam, CiBasis.up_to(nmax), table)
+        ours = build_hamiltonian(z, lam, CiBasis(nmax), table)
         oracle = product_basis_hamiltonian(nmax, z, lam, table)
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
     @pytest.mark.parametrize("nmax", [1, 2, 12, 24, 48])
     def test_banded_gather_is_bit_identical_to_whole_triangle(self, nmax, table):
-        basis = CiBasis.up_to(nmax)
+        basis = CiBasis(nmax)
         for z in (1.0, 2.0, 3.0, 4.0):
             np.testing.assert_array_equal(interaction_matrix(z, basis, table),
                                           interaction_matrix_whole(z, basis, table))
 
     def test_gather_scratch_memory_is_small(self, table):
         # the whole upper triangle gathered at once peaked at 63.4 MiB at nmax 48
-        basis = CiBasis.up_to(MAX_NMAX)
+        basis = CiBasis(MAX_NMAX)
         table.s_wave_block(MAX_NMAX)  # cached; only W and its scratch are measured
         tracemalloc.start()
         try:
@@ -134,14 +133,14 @@ class TestMatrixAssembly:
     def test_underresolved_table_raises(self):
         # the CI path keeps the n-against-2n quadrature check
         with pytest.raises(ConvergenceError) as err:
-            interaction_matrix(2.0, CiBasis.up_to(10), CoulombTable(16))
+            interaction_matrix(2.0, CiBasis(10), CoulombTable(16))
         message = str(err.value)
         assert "16" in message and "32" in message
 
     @pytest.mark.parametrize("z,lam", [(0.0, 1.0), (-2.0, 1.0), (2.0, -0.1), (2.0, math.nan)])
     def test_bad_charge_or_coupling(self, z, lam, table):
         with pytest.raises(ValidationError):
-            build_hamiltonian(z, lam, CiBasis.up_to(2), table)
+            build_hamiltonian(z, lam, CiBasis(2), table)
 
 
 class TestGroundState:
@@ -173,12 +172,12 @@ class TestGroundState:
             coeff[0] = 5.0
 
     def test_rejects_bad_matrices(self):
-        with pytest.raises(ValidationError):
-            ground_state(np.ones((2, 3)))
-        with pytest.raises(ValidationError):
-            ground_state(np.array([[1.0, 2.0], [2.000001, 1.0]]))
-        with pytest.raises(ValidationError):
-            ground_state(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        # non-square, asymmetric, non-finite, empty, or not real numbers
+        for bad in (np.ones((2, 3)), np.array([[1.0, 2.0], [2.000001, 1.0]]), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                    np.zeros((0, 0)), np.zeros((1, 0)), "a", None, [[1.0, 2.0], [2.0]], [["1"]], np.array([[True]])):
+            with pytest.raises(ValidationError, match="^matrix [^\n]+$"):
+                ground_state(bad)
+        assert ground_state([[2, 0], [0, 1]])[0] == 1.0
 
     def test_huge_scale_fails_loudly(self):
         # residual check must refuse results whose absolute error exceeds the budget
@@ -190,26 +189,23 @@ class TestGroundState:
 
 class TestSolveGround:
     def test_regression_nmax6(self, table):
-        got = solve_ground(2.0, 0.5, CiBasis.up_to(6), table)
-        assert got.energy == pytest.approx(5.700105937638897, abs=1e-9)
+        assert dense_energy(2.0, 0.5, CiBasis(6), table) == pytest.approx(5.700105937638897, abs=1e-9)
 
     def test_regression_nmax8(self, table):
-        got = solve_ground(2.0, 0.5, CiBasis.up_to(8), table)
-        assert got.energy == pytest.approx(5.698218845526088, abs=1e-9)
+        assert dense_energy(2.0, 0.5, CiBasis(8), table) == pytest.approx(5.698218845526088, abs=1e-9)
 
     def test_variational_below_first_order(self, table):
         for lam in [0.1, 0.5, 1.0, 2.0]:
-            solution = solve_ground(2.0, lam, CiBasis.up_to(8), table)
-            assert solution.energy <= math.pi**2 + EPS1_CLAMPED * lam + 1e-12
+            assert dense_energy(2.0, lam, CiBasis(8), table) <= math.pi**2 + EPS1_CLAMPED * lam + 1e-12
 
     def test_enlarging_basis_never_raises_energy(self, table):
-        energies = [solve_ground(2.0, 1.0, CiBasis.up_to(nmax), table).energy for nmax in (2, 4, 6, 8)]
+        energies = [dense_energy(2.0, 1.0, CiBasis(nmax), table) for nmax in (2, 4, 6, 8)]
         assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))
 
     def test_small_lambda_slope_recovers_first_order(self, table):
         h = 1e-4
-        basis = CiBasis.up_to(8)
-        e_plus = solve_ground(2.0, h, basis, table).energy
+        basis = CiBasis(8)
+        e_plus = dense_energy(2.0, h, basis, table)
         slope = (e_plus - math.pi**2) / h
         assert slope == pytest.approx(EPS1_CLAMPED, abs=1e-3)
 
@@ -223,6 +219,14 @@ class TestSolveGround:
         with pytest.raises(ValidationError):
             CiSolution(lam=1.0, energy=0.0, coefficients=np.array([1.0, 0.0]), overlap0=0.5, residual=1.0)
 
+    def test_solution_takes_a_real_vector_only(self):
+        # overlap0 and residual follow the number rule in test_numbers.py
+        for coefficients in ("a", [1.0], np.array([[1.0]]), np.array([True]), np.array(["1"])):
+            with pytest.raises(ValidationError, match="^coefficients must be a one-dimensional real array, got "):
+                CiSolution(0.5, -1.0, coefficients, 1.0, 0.0)
+        solution = CiSolution(0.5, -1.0, np.array([1]), np.float32(1.0), np.int64(0))
+        assert (type(solution.overlap0), type(solution.residual)) == (float, float)
+
     @pytest.mark.parametrize(
         "z, lam",
         [(2.0, None), (2.0, "abc"), (10**400, 0.5)]
@@ -232,53 +236,50 @@ class TestSolveGround:
     def test_rejects_values_float_cannot_take(self, z, lam, table):
         with pytest.raises(ValidationError,
                            match="^(nuclear charge Z|lambda) must be a real number, got [^\n]+$"):
-            solve_ground(z, lam, CiBasis.up_to(4), table)
+            build_hamiltonian(z, lam, CiBasis(4), table)
 
     def test_takes_numpy_numbers(self, table):
-        basis = CiBasis.up_to(4)
+        basis = CiBasis(4)
         for z, lam in ((np.int64(2), np.float64(0.5)), (np.float64(2.0), np.int64(1))):
-            got = solve_ground(z, lam, basis, table)
-            expected = solve_ground(float(z), float(lam), basis, table)
-            assert (got.lam, got.energy) == (expected.lam, expected.energy)
-            assert type(got.lam) is float
+            assert dense_energy(z, lam, basis, table) == dense_energy(float(z), float(lam), basis, table)
 
     @pytest.mark.filterwarnings("error")  # lambda * W overflowing must not warn on its way out
     def test_overflowing_lambda_raises_without_warning(self, table):
         with pytest.raises(ValidationError, match="non-finite"):
-            solve_ground(2.0, 1e308, CiBasis.up_to(4), table)
-        assert np.isinf(build_hamiltonian(2.0, 1e308, CiBasis.up_to(4), table)).any()
+            ground_state(build_hamiltonian(2.0, 1e308, CiBasis(4), table))
+        assert np.isinf(build_hamiltonian(2.0, 1e308, CiBasis(4), table)).any()
 
 
 class TestOverlapScan:
     GRID = [1e-6, 0.01, 0.1, 0.5, 1.0, 2.0]
 
     def test_overlap_decays_monotonically(self, table):
-        scan = overlap_scan(2.0, self.GRID, CiBasis.up_to(8), table)
+        scan = list(CiProblem(2.0, CiBasis(8), table).scan(self.GRID))
         overlaps = [s.overlap0 for s in scan]
         assert all(0.0 <= v <= 1.0 for v in overlaps)
         assert overlaps[0] >= 1.0 - 1e-8
         assert all(b <= a + 1e-12 for a, b in zip(overlaps, overlaps[1:]))
 
     def test_matches_pointwise_solve(self, table):
-        basis = CiBasis.up_to(5)
-        scan = overlap_scan(2.0, [0.3, 0.9], basis, table)
+        basis = CiBasis(5)
+        scan = list(CiProblem(2.0, basis, table).scan([0.3, 0.9]))
         for s in scan:
-            single = solve_ground(2.0, s.lam, basis, table)
-            assert s.energy == pytest.approx(single.energy, abs=1e-12)
-            assert s.overlap0 == pytest.approx(single.overlap0, abs=1e-12)
+            energy, coeff, _ = ground_state(build_hamiltonian(2.0, s.lam, basis, table))
+            assert s.energy == pytest.approx(energy, abs=1e-12)
+            assert s.overlap0 == pytest.approx(coeff[0], abs=1e-12)
 
     def test_residuals_within_budget(self, table):
-        scan = overlap_scan(2.0, self.GRID, CiBasis.up_to(6), table)
+        scan = list(CiProblem(2.0, CiBasis(6), table).scan(self.GRID))
         assert all(s.residual <= 1e-10 for s in scan)
 
     def test_grid_validation(self, table):
-        basis = CiBasis.up_to(4)
+        basis = CiBasis(4)
         with pytest.raises(ValidationError):
-            overlap_scan(2.0, [], basis, table)
+            list(CiProblem(2.0, basis, table).scan([]))
         with pytest.raises(ValidationError):
-            overlap_scan(2.0, [0.5, 0.1], basis, table)
+            list(CiProblem(2.0, basis, table).scan([0.5, 0.1]))
         with pytest.raises(ValidationError):
-            overlap_scan(2.0, [0.0, 0.5], basis, table)
+            list(CiProblem(2.0, basis, table).scan([0.0, 0.5]))
 
     @pytest.mark.parametrize(
         "lambdas",
@@ -286,25 +287,26 @@ class TestOverlapScan:
         ids=["huge", "text", "none", "no-grid", "boolean-array"] + [f"entry-{i}" for i in NOT_NUMBERS])
     def test_rejects_values_float_cannot_take(self, lambdas, table):
         with pytest.raises(ValidationError, match="^lambda values must be real numbers, got [^\n]+$"):
-            overlap_scan(2.0, lambdas, CiBasis.up_to(4), table)
+            list(CiProblem(2.0, CiBasis(4), table).scan(lambdas))
 
     def test_rejects_a_charge_float_cannot_take(self, table):
         for z in NOT_NUMBERS.values():
             with pytest.raises(ValidationError, match="^nuclear charge Z must be a real number, got [^\n]+$"):
-                overlap_scan(z, [0.5], CiBasis.up_to(4), table)
+                CiProblem(z, CiBasis(4), table)
 
     def test_takes_numpy_numbers(self, table):
-        basis = CiBasis.up_to(4)
-        expected = [s.energy for s in overlap_scan(2.0, [0.5, 1.0, 2.0], basis, table)]
+        basis = CiBasis(4)
+        expected = [s.energy for s in CiProblem(2.0, basis, table).scan([0.5, 1.0, 2.0])]
         for grid in ([np.float64(0.5), np.int64(1), 2], np.array([0.5, 1, 2], dtype=object)):
-            assert [s.energy for s in overlap_scan(np.int64(2), grid, basis, table)] == expected
-        # an integer array is converted whole
-        integers = overlap_scan(2.0, np.array([1, 2]), basis, table)
-        assert [s.energy for s in integers] == [s.energy for s in overlap_scan(2.0, [1.0, 2.0], basis, table)]
+            assert [s.energy for s in CiProblem(np.int64(2), basis, table).scan(grid)] == expected
+        # an integer array is converted whole, and each lambda is stored as a float
+        integers = list(CiProblem(2.0, basis, table).scan(np.array([1, 2])))
+        assert [s.energy for s in integers] == [s.energy for s in CiProblem(2.0, basis, table).scan([1.0, 2.0])]
+        assert [type(s.lam) for s in integers] == [float, float]
 
     def test_scan_yields_the_overlap_scan_and_keeps_no_vector(self, table):
-        basis = CiBasis.up_to(6)
-        listed = overlap_scan(2.0, self.GRID, basis, table)
+        basis = CiBasis(6)
+        listed = list(CiProblem(2.0, basis, table).scan(self.GRID))
         problem, vectors = CiProblem(2.0, basis, table), []
         for solution, expected in zip(problem.scan(self.GRID), listed, strict=True):
             assert (solution.lam, solution.energy, solution.overlap0, solution.residual) == (
@@ -405,8 +407,8 @@ class TestCertifiedGroundState:
     def test_tiled_verdict_makes_no_copy_of_h(self, table):
         # LAPACK's whole-matrix Cholesky peaked at 21.07 MiB here: H, its
         # Fortran-ordered copy and the returned factor
-        w = interaction_matrix(2.0, CiBasis.up_to(MAX_NMAX), table)
-        kinetic = kinetic_diagonal(CiBasis.up_to(MAX_NMAX))
+        w = interaction_matrix(2.0, CiBasis(MAX_NMAX), table)
+        kinetic = kinetic_diagonal(CiBasis(MAX_NMAX))
         kinetic_qq, w_qq = kinetic[1:], w[1:, 1:]
         # below the Gershgorin floor, so every tile is factored
         diagonal = kinetic_qq + np.diag(w_qq)
@@ -451,7 +453,7 @@ class TestCertifiedGroundState:
     def test_excited_pair_falls_through_the_floor_and_cholesky_to_dense(self, table, monkeypatch):
         # Davidson started on the exact first excited vector returns that pair
         # with a tiny residual; the floor and the Cholesky tier must both reject it
-        problem = CiProblem(2.0, CiBasis.up_to(8), table)
+        problem = CiProblem(2.0, CiBasis(8), table)
         lam = 1.0
         h = build_hamiltonian(2.0, lam, problem.basis, table)
         values, vectors = np.linalg.eigh(h)
@@ -473,9 +475,9 @@ class TestCertifiedGroundState:
 
     @pytest.mark.parametrize("nmax", [4, 8, 12, 24])
     def test_scan_agrees_with_dense_ground_state(self, nmax, table):
-        basis = CiBasis.up_to(nmax)
+        basis = CiBasis(nmax)
         for z in (1.0, 2.0, 3.0, 4.0):
-            for s in overlap_scan(z, self.AGREEMENT_GRID, basis, table):
+            for s in CiProblem(z, basis, table).scan(self.AGREEMENT_GRID):
                 energy, coeff, _ = ground_state(build_hamiltonian(z, s.lam, basis, table))
                 assert s.energy == pytest.approx(energy, rel=1e-12, abs=0)
                 assert f"{s.energy:.10g}" == f"{energy:.10g}"
@@ -487,7 +489,7 @@ class TestCertifiedGroundState:
             raise AssertionError("dense fallback used")
 
         monkeypatch.setattr(ci, "ground_state", forbidden)
-        problem = CiProblem(2.0, CiBasis.up_to(40), table)
+        problem = CiProblem(2.0, CiBasis(40), table)
         assert len(list(problem.scan(np.linspace(0.1, 2.0, 20)))) == 20
         assert problem.second_order_estimate(np.linspace(0.02, 0.2, 10)) < 0.0
 
@@ -498,7 +500,7 @@ class TestCertifiedGroundState:
             raise AssertionError("dense fallback used")
 
         monkeypatch.setattr(ci, "ground_state", forbidden)
-        assert len(overlap_scan(1.0, np.linspace(35.0, 70.0, 20), CiBasis.up_to(24), table)) == 20
+        assert len(list(CiProblem(1.0, CiBasis(24), table).scan(np.linspace(35.0, 70.0, 20)))) == 20
 
     def test_strong_coupling_falls_back_to_dense(self, table, monkeypatch):
         # with the iteration cap cut to 2, Davidson misses its tolerance on
@@ -506,8 +508,8 @@ class TestCertifiedGroundState:
         monkeypatch.setattr(ci, "_DAVIDSON_MAX_ITER", 2)
         dense = []
         monkeypatch.setattr(ci, "ground_state", lambda m: dense.append(m) or ground_state(m))
-        basis = CiBasis.up_to(24)
-        scan = overlap_scan(1.0, np.linspace(35.0, 70.0, 8), basis, table)
+        basis = CiBasis(24)
+        scan = list(CiProblem(1.0, basis, table).scan(np.linspace(35.0, 70.0, 8)))
         assert len(dense) >= 1
         for s in scan:
             assert s.energy == pytest.approx(
@@ -519,7 +521,7 @@ class TestCertifiedGroundState:
         # a row that reports the first excited pair passes its own residual
         # check but lies far above the neighbouring tangent lines
         solution = ci._solution
-        basis = CiBasis.up_to(6)
+        basis = CiBasis(6)
         rows = []
 
         def excited_third_row(lam, energy, coeff, residual):
@@ -534,7 +536,7 @@ class TestCertifiedGroundState:
 
         monkeypatch.setattr(ci, "_solution", excited_third_row)
         with pytest.raises(ConvergenceError, match="concave"):
-            overlap_scan(2.0, np.linspace(0.1, 2.0, 6), basis, table)
+            list(CiProblem(2.0, basis, table).scan(np.linspace(0.1, 2.0, 6)))
         assert len(rows) == 6
 
     def test_energy_above_first_order_line_trips_concavity(self, table, monkeypatch):
@@ -546,11 +548,11 @@ class TestCertifiedGroundState:
 
         monkeypatch.setattr(ci, "_solution", raised)
         with pytest.raises(ConvergenceError, match="tangent at lambda = 0"):
-            overlap_scan(2.0, [0.5], CiBasis.up_to(6), table)
+            list(CiProblem(2.0, CiBasis(6), table).scan([0.5]))
 
     def test_concavity_tolerates_rounding_on_a_tight_grid(self, table):
         # tangent margins shrink to rounding when lambda steps are ~1e-14 apart
-        scan = overlap_scan(2.0, np.linspace(1.0, 1.0 + 1e-12, 20), CiBasis.up_to(8), table)
+        scan = list(CiProblem(2.0, CiBasis(8), table).scan(np.linspace(1.0, 1.0 + 1e-12, 20)))
         assert len(scan) == 20
 
 
@@ -605,17 +607,16 @@ class TestConcavityCheck:
 
 class TestInterlacingFloor:
     def test_floor_starts_at_the_lowest_excited_kinetic_energy(self, table):
-        floor = CiProblem(2.0, CiBasis.up_to(6), table)._floor
+        floor = CiProblem(2.0, CiBasis(6), table)._floor
         assert floor.knots == {0.0: 2.5 * math.pi**2}
         assert floor.chord(0.0) == 2.5 * math.pi**2
         assert floor.chord(0.5) == -math.inf  # nothing is known beyond the last knot
 
     def test_one_configuration_has_no_second_eigenvalue(self, table):
-        problem = CiProblem(2.0, CiBasis.up_to(1), table)
+        problem = CiProblem(2.0, CiBasis(1), table)
         assert problem._floor.exceeds(1.0, math.inf)
         (solution,) = list(problem.scan([1.0]))
-        assert solution.energy == pytest.approx(solve_ground(2.0, 1.0, CiBasis.up_to(1), table).energy,
-                                                rel=1e-14, abs=0)
+        assert solution.energy == pytest.approx(dense_energy(2.0, 1.0, CiBasis(1), table), rel=1e-14, abs=0)
 
     def test_interior_knot_covers_the_rest_of_the_scan(self, table, monkeypatch):
         # the seed-1 benchmark input ci2.json: the chord from lambda = 0 to the
@@ -633,7 +634,7 @@ class TestInterlacingFloor:
 
         monkeypatch.setattr(ci, "_no_eigenvalue_below", recorded)
         monkeypatch.setattr(ci, "ground_state", forbidden)
-        problem = CiProblem(4.0, CiBasis.up_to(24), table)
+        problem = CiProblem(4.0, CiBasis(24), table)
         grid = np.linspace(0.3739, 2.2723, 20)
         list(problem.scan(grid))
         problem.second_order_estimate(np.linspace(0.02, 0.2, 10))
@@ -642,7 +643,7 @@ class TestInterlacingFloor:
         assert grid[5] == pytest.approx(0.8735, abs=1e-4)
 
     def test_scan_and_fit_share_the_knots(self, table):
-        problem = CiProblem(2.0, CiBasis.up_to(12), table)
+        problem = CiProblem(2.0, CiBasis(12), table)
         list(problem.scan(np.linspace(0.1, 2.0, 20)))
         knots = dict(problem._floor.knots)
         problem.second_order_estimate(np.linspace(0.02, 0.2, 10))
@@ -654,7 +655,7 @@ class TestInterlacingFloor:
        fraction=st.floats(1e-3, 1.0))
 def test_floor_never_exceeds_the_second_eigenvalue(table, z, nmax, top, fraction):
     # every certified knot and every chord value lies below the dense lambda_2
-    basis = CiBasis.up_to(nmax)
+    basis = CiBasis(nmax)
     floor = CiProblem(z, basis, table)._floor
     lam = top * fraction
     floor.reach(top)
@@ -680,18 +681,18 @@ def test_floor_never_exceeds_the_second_eigenvalue(table, z, nmax, top, fraction
 class TestNormBound:
     def test_rounding_bound_input_is_rejected(self, table):
         # eps ||H|| near RESIDUAL_TOL made this verdict depend on the BLAS thread count
-        problem = CiProblem(3.0, CiBasis.up_to(12), table)
+        problem = CiProblem(3.0, CiBasis(12), table)
         assert problem._norm_bound(2238.72113856834) == pytest.approx(3.086e5, rel=1e-3)
         with pytest.raises(ValidationError, match=r"3\.086e\+05 on \|\|H\|\|_2 exceeds"):
             list(problem.scan([2238.72113856834]))
 
     @pytest.mark.parametrize("z,nmax,lam,bound", [(1.0, 24, 70.0, 1.267e4), (4.0, 48, 3.0, 2.494e4)])
     def test_strong_coupling_stays_inside(self, table, z, nmax, lam, bound):
-        got = CiProblem(z, CiBasis.up_to(nmax), table)._norm_bound(lam)
+        got = CiProblem(z, CiBasis(nmax), table)._norm_bound(lam)
         assert got == pytest.approx(bound, rel=1e-3) and got < ci._NORM_LIMIT
 
     def test_bound_covers_the_spectral_norm(self, table):
-        problem = CiProblem(4.0, CiBasis.up_to(8), table)
+        problem = CiProblem(4.0, CiBasis(8), table)
         for lam in (0.5, 30.0):
             h = build_hamiltonian(4.0, lam, problem.basis, table)
             assert np.linalg.norm(h, 2) <= problem._norm_bound(lam)
@@ -701,29 +702,31 @@ class TestSecondOrder:
     FIT_GRID = np.linspace(0.02, 0.2, 10)
 
     def test_fit_agrees_with_sum_over_states(self, table):
-        basis = CiBasis.up_to(8)
-        fit = second_order_estimate(2.0, basis, self.FIT_GRID, table)
-        sos = second_order_sum_over_states(2.0, basis, table)
+        basis = CiBasis(8)
+        problem = CiProblem(2.0, basis, table)
+        fit = problem.second_order_estimate(self.FIT_GRID)
+        sos = problem.second_order_sum_over_states()
         assert fit == pytest.approx(-0.6839750967457979, abs=1e-6)
         assert sos == pytest.approx(-0.6844563375149016, abs=1e-9)
         assert abs(fit - sos) <= 0.02 * abs(sos)
 
     def test_always_negative(self, table):
-        assert second_order_estimate(2.0, CiBasis.up_to(6), self.FIT_GRID, table) < 0.0
-        assert second_order_sum_over_states(2.0, CiBasis.up_to(6), table) < 0.0
+        problem = CiProblem(2.0, CiBasis(6), table)
+        assert problem.second_order_estimate(self.FIT_GRID) < 0.0
+        assert problem.second_order_sum_over_states() < 0.0
 
     def test_deepens_with_basis(self, table):
-        values = [second_order_sum_over_states(2.0, CiBasis.up_to(nmax), table) for nmax in (4, 6, 8, 10)]
+        values = [CiProblem(2.0, CiBasis(n), table).second_order_sum_over_states() for n in (4, 6, 8, 10)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_grid_validation(self, table):
-        basis = CiBasis.up_to(4)
+        basis = CiBasis(4)
         with pytest.raises(ValidationError):
-            second_order_estimate(2.0, basis, [0.1, 0.5], table)
+            CiProblem(2.0, basis, table).second_order_estimate([0.1, 0.5])
         with pytest.raises(ValidationError):
-            second_order_estimate(2.0, basis, [0.1, 0.1], table)
+            CiProblem(2.0, basis, table).second_order_estimate([0.1, 0.1])
         with pytest.raises(ValidationError):
-            second_order_estimate(2.0, CiBasis.up_to(3), self.FIT_GRID, table)
+            CiProblem(2.0, CiBasis(3), table).second_order_estimate(self.FIT_GRID)
 
     @pytest.mark.parametrize(
         "grid",
@@ -731,16 +734,16 @@ class TestSecondOrder:
         ids=["none", "huge", "text", "no-grid"] + [f"entry-{i}" for i in NOT_NUMBERS])
     def test_rejects_values_float_cannot_take(self, grid, table):
         with pytest.raises(ValidationError, match="^fit grid values must be real numbers, got [^\n]+$"):
-            second_order_estimate(2.0, CiBasis.up_to(4), grid, table)
+            CiProblem(2.0, CiBasis(4), table).second_order_estimate(grid)
 
     def test_takes_numpy_numbers(self, table):
-        basis = CiBasis.up_to(4)
-        expected = second_order_estimate(2.0, basis, self.FIT_GRID, table)
+        basis = CiBasis(4)
+        expected = CiProblem(2.0, basis, table).second_order_estimate(self.FIT_GRID)
         grid = [np.float64(x) for x in self.FIT_GRID]
-        assert second_order_estimate(np.int64(2), basis, grid, table) == expected
+        assert CiProblem(np.int64(2), basis, table).second_order_estimate(grid) == expected
 
     def test_degenerate_grid_fails_loudly(self, table):
-        basis = CiBasis.up_to(4)
+        basis = CiBasis(4)
         grid = [0.2 * (1.0 - 1e-13), 0.2]
         with pytest.raises(ConvergenceError, match="lambda"):
-            second_order_estimate(2.0, basis, grid, table)
+            CiProblem(2.0, basis, table).second_order_estimate(grid)

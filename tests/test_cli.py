@@ -163,7 +163,7 @@ class TestCurve:
             calls.append(args)
             return epsilon1(*args, **kwargs)
 
-        # energy_curve reads perturbation.epsilon1, and the command reads its own import
+        # the command calls its own import; the module's is patched too, so a second call counts
         monkeypatch.setattr(perturbation, "epsilon1", counted)
         monkeypatch.setattr(cli, "epsilon1", counted)
         code, _, _ = run(capsys, "curve", "he-clamped")
@@ -441,7 +441,7 @@ class TestCiScan:
     @pytest.mark.parametrize("steps, raised", [(1, 1), (6, 3)])
     def test_concavity_failure_names_the_pair_overlap_scan_names(self, capsys, monkeypatch,
                                                                 steps, raised):
-        # the CLI keeps a few floats per row, yet its check sees what overlap_scan's sees
+        # the CLI keeps a few floats per row, yet its check sees what a listed scan's sees
         solution, rows = ci._solution, []
 
         def raise_one_row(lam, energy, coeff, residual):
@@ -456,8 +456,8 @@ class TestCiScan:
         assert len(rows) == steps
         rows.clear()
         with pytest.raises(ConvergenceError, match="concave") as failure:
-            ci.overlap_scan(2.0, np.linspace(0.1, 2.0, steps), ci.CiBasis.up_to(6),
-                            coulomb.get_table(coulomb.DEFAULT_POINTS))
+            problem = ci.CiProblem(2.0, ci.CiBasis(6), coulomb.get_table(coulomb.DEFAULT_POINTS))
+            list(problem.scan(np.linspace(0.1, 2.0, steps)))
         assert code == 3 and out == "" and err == f"error: {failure.value}\n"
 
     @pytest.mark.filterwarnings("error")  # a leaked numpy warning would be a second line

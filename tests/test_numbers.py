@@ -2,11 +2,10 @@
 
 Each argument below refuses every value of NOT_NUMBERS with a one-line
 ValidationError that names it, and takes a numpy integer or float wherever it
-takes an int or a float. The lambda grids of `overlap_scan`,
-`second_order_estimate` and `energy_curve`, the charge of `overlap_scan` and
-both numbers of `solve_ground` are checked the same way by the
-test_rejects_values_float_cannot_take and test_takes_numpy_numbers tests of
-test_ci.py and test_perturbation.py.
+takes an int or a float. The lambda grids of `CiProblem.scan`,
+`CiProblem.second_order_estimate` and `energy_curve` are checked the same
+way by the test_rejects_values_float_cannot_take and test_takes_numpy_numbers
+tests of test_ci.py and test_perturbation.py.
 """
 
 import re
@@ -24,6 +23,7 @@ from boxatom import (
     SystemDefinition,
     bessel_zero,
     build_hamiltonian,
+    build_radial_mode,
     gauss_legendre,
     get_table,
     helium_system,
@@ -54,6 +54,7 @@ ARGUMENTS = {
     "bessel_zero-l": (lambda v, t: bessel_zero(v, 1), "order l", 1, None),
     "bessel_zero-n": (lambda v, t: bessel_zero(1, v), "mode n", 2, None),
     "mode_energy": (lambda v, t: mode_energy(ModeIndex(0, 1), v), "scaled mass", 2, 2.0),
+    "RadialMode": (lambda v, t: build_radial_mode(ModeIndex(0, 1))(v), "radius r", 1, 0.5),
     # 1, so that the rule cached for np.int64(1) is in place when np.True_ is refused
     "gauss_legendre": (lambda v, t: gauss_legendre(v), "rule size", 1, None),
     "integrate-a": (lambda v, t: integrate(np.cos, v, 5.0, gauss_legendre(8)), "lower bound a", 1, 1.0),
@@ -64,6 +65,8 @@ ARGUMENTS = {
     "CiProblem": (lambda v, t: CiProblem(v, CiBasis(2), t), "nuclear charge Z", 2, 2.0),
     "CiSolution-lam": (lambda v, t: CiSolution(v, -1.0, UNIT, 1.0, 0.0), "lambda", 1, 0.5),
     "CiSolution-energy": (lambda v, t: CiSolution(0.5, v, UNIT, 1.0, 0.0), "energy", -1, -1.0),
+    "CiSolution-overlap0": (lambda v, t: CiSolution(0.5, -1.0, UNIT, v, 0.0), "overlap0", 1, 1.0),
+    "CiSolution-residual": (lambda v, t: CiSolution(0.5, -1.0, UNIT, 1.0, v), "residual", 0, 0.0),
     "build_hamiltonian-z": (lambda v, t: build_hamiltonian(v, 0.5, CiBasis(2), t), "nuclear charge Z", 2, 2.0),
     "build_hamiltonian-lam": (lambda v, t: build_hamiltonian(2.0, v, CiBasis(2), t), "lambda", 1, 0.5),
 }

@@ -22,7 +22,7 @@ from boxatom import (
 from boxatom.errors import UnsupportedModeError, ValidationError
 from boxatom.perturbation import _DEGENERACY_RTOL
 
-from oracles import NOT_NUMBERS, cin_series, curve_points, s_wave_ground_is_degenerate
+from oracles import NOT_NUMBERS, cin_series, curve_columns, s_wave_ground_is_degenerate
 
 
 def electrons_only(count, rc=1.0):
@@ -36,6 +36,11 @@ def clamped_he():
 
 def moving_he(nuclear_mass=7296.300):
     return nondimensionalize(helium_system(clamped_nucleus=False, nuclear_mass=nuclear_mass))
+
+
+def first_order_curve(system, lambdas, table):
+    """The lambda, rc_bohr and energy columns of the system's ground-occupation curve."""
+    return energy_curve(system, epsilon1(system, ground_occupation(system), table), lambdas)
 
 
 class TestGroundOccupation:
@@ -139,7 +144,7 @@ class TestEpsilon1Breakdown:
         with pytest.raises(UnsupportedModeError):
             epsilon1(system, (ModeIndex(1, 1), ModeIndex(0, 1)), table)
 
-    @pytest.mark.parametrize("function", ["epsilon0", "epsilon1", "energy_curve"])
+    @pytest.mark.parametrize("function", ["epsilon0", "epsilon1"])
     @pytest.mark.parametrize("occupation", [
         (ModeIndex(0, 1), ModeIndex(0, 2)),  # excited s-wave
         (ModeIndex(0, 1), ModeIndex(1, 1)),  # l > 0
@@ -151,7 +156,6 @@ class TestEpsilon1Breakdown:
         calls = {
             "epsilon0": lambda: epsilon0(system, occupation),
             "epsilon1": lambda: epsilon1(system, occupation, table),
-            "energy_curve": lambda: energy_curve(system, occupation, [1.0], table),
         }
         with pytest.raises(UnsupportedModeError, match="ground occupation only"):
             calls[function]()
@@ -223,68 +227,65 @@ class TestEnergyCurve:
     def test_energy_identity(self, table):
         system = clamped_he()
         coeffs = epsilon1(system, ground_occupation(system), table)
-        points = energy_curve(system, ground_occupation(system), [0.25, 1.0, 2.0], table)
-        for p in points:
-            assert p.energy == coeffs.eps0 / p.lam**2 + coeffs.eps1 / p.lam
-            assert p.rc_bohr == p.lam * system.length_scale_a
+        for lam, rc_bohr, energy in zip(*energy_curve(system, coeffs, [0.25, 1.0, 2.0]), strict=True):
+            assert energy == coeffs.eps0 / lam**2 + coeffs.eps1 / lam
+            assert rc_bohr == lam * system.length_scale_a
 
     def test_unit_box_value(self, table):
-        system = clamped_he()
-        (point,) = energy_curve(system, ground_occupation(system), [1.0], table)
-        assert point.energy == pytest.approx(1.9050639970, abs=1e-6)
+        _, _, (energy,) = first_order_curve(clamped_he(), [1.0], table)
+        assert energy == pytest.approx(1.9050639970, abs=1e-6)
 
     def test_small_box_is_kinetic_dominated(self, table):
-        system = clamped_he()
-        (point,) = energy_curve(system, ground_occupation(system), [1e-4], table)
-        assert point.energy * 1e-8 == pytest.approx(math.pi**2, rel=1e-4)
+        _, _, (energy,) = first_order_curve(clamped_he(), [1e-4], table)
+        assert energy * 1e-8 == pytest.approx(math.pi**2, rel=1e-4)
 
     def test_moving_sits_above_clamped(self, table):
         lams = [0.1, 0.5, 1.0, 2.0]
-        clamped_pts = energy_curve(clamped_he(), ground_occupation(clamped_he()), lams, table)
-        moving_pts = energy_curve(moving_he(), ground_occupation(moving_he()), lams, table)
-        for c, m in zip(clamped_pts, moving_pts):
-            assert m.energy > c.energy
+        _, _, clamped = first_order_curve(clamped_he(), lams, table)
+        _, _, moving = first_order_curve(moving_he(), lams, table)
+        assert np.all(moving > clamped)
 
     @settings(max_examples=200, deadline=None)
     @given(lams=st.lists(st.one_of(st.floats(1e-3, 1e3), st.floats(), st.sampled_from(
         [-0.0, 1e-300, 1e-160, 1e154, 1e308, 5e-324])), max_size=8))
     def test_points_match_the_loop_oracle(self, lams, table):
-        # the same points, or the same error for the same lambda, as points built one at a time
+        # the same columns, or the same error for the same lambda, as rows built one at a time
         system = clamped_he()
         coeffs = epsilon1(system, ground_occupation(system), table)
         try:
-            expected = curve_points(system, coeffs, lams)
+            expected = curve_columns(system, coeffs, lams)
         except ValidationError as exc:
             with pytest.raises(ValidationError) as failure:
-                energy_curve(system, ground_occupation(system), lams, table)
+                energy_curve(system, coeffs, lams)
             assert str(failure.value) == str(exc)
         else:
-            points = energy_curve(system, ground_occupation(system), lams, table)
-            assert points == expected
-            assert all(type(x) is float for p in points for x in (p.lam, p.rc_bohr, p.energy))
+            columns = energy_curve(system, coeffs, lams)
+            assert [column.tolist() for column in columns] == expected
+            assert [column.dtype for column in columns] == [np.float64] * 3
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive_lambda(self, lam, table):
-        system = clamped_he()
         with pytest.raises(ValidationError):
-            energy_curve(system, ground_occupation(system), [lam], table)
+            first_order_curve(clamped_he(), [lam], table)
 
     @pytest.mark.parametrize(
         "lambdas",
         [[10**400], ["abc"], [None], None, np.array([True])] + [[value] for value in NOT_NUMBERS.values()],
         ids=["huge", "text", "none", "no-grid", "boolean-array"] + [f"entry-{i}" for i in NOT_NUMBERS])
     def test_rejects_values_float_cannot_take(self, lambdas, table):
-        system = clamped_he()
         with pytest.raises(ValidationError, match="^lambda values must be real numbers, got [^\n]+$"):
-            energy_curve(system, ground_occupation(system), lambdas, table)
+            first_order_curve(clamped_he(), lambdas, table)
 
     def test_takes_numpy_numbers(self, table):
         system = clamped_he()
-        occupation = ground_occupation(system)
-        expected = energy_curve(system, occupation, [0.5, 1.0, 2.0], table)
+
+        def curve(grid):
+            return [column.tolist() for column in first_order_curve(system, grid, table)]
+
+        expected = curve([0.5, 1.0, 2.0])
         for grid in ([np.float64(0.5), np.int64(1), 2], np.array([0.5, 1, 2], dtype=object)):
-            assert energy_curve(system, occupation, grid, table) == expected
-        assert energy_curve(system, occupation, np.array([1, 2]), table) == expected[1:]
+            assert curve(grid) == expected
+        assert curve(np.array([1, 2])) == [column[1:] for column in expected]
 
 
 class TestTurnover:

@@ -107,6 +107,14 @@ def test_integrate_reports_nonfinite_integrand():
         integrate(lambda r: np.where(r > 0.5, np.inf, 1.0), 0.0, 1.0, rule)
 
 
+def test_integrand_returning_no_number_is_a_validation_error():
+    # the value is refused whether f is called on the node array or a node at a time
+    rule = gauss_legendre(4)
+    for f in (lambda r: "x", lambda r: "x" if isinstance(r, float) else math.sin(r)):
+        with pytest.raises(ValidationError, match="^integrand values must be real numbers, got 'x'$"):
+            integrate(f, 0.0, 1.0, rule)
+
+
 def test_integrate_rejects_wrong_shape():
     rule = gauss_legendre(8)
     with pytest.raises(ValidationError):

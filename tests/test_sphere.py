@@ -70,6 +70,14 @@ class TestZeros:
             assert abs(math.sin(x) / x) < 1e-12
             assert abs(j1_closed(bessel_zero(1, n))) < 1e-12
 
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_zero_beyond_the_float_range_is_refused(self, l):
+        # n pi overflows above about 5.7e307; (n + 1/2) pi, where Newton starts, at the same n
+        assert math.isfinite(bessel_zero(l, 5 * 10**307))
+        with pytest.raises(ValidationError,
+                           match=rf"^the zero of j_{l} at mode n = 1e\+308 is beyond the float range$"):
+            bessel_zero(l, 10**308)
+
 
 class TestModeEnergy:
     def test_ground_sphere_mode(self):
@@ -87,6 +95,12 @@ class TestModeEnergy:
     def test_invalid_mass(self, mass):
         with pytest.raises(ValidationError):
             mode_energy(ModeIndex(0, 1), mass)
+
+    @pytest.mark.parametrize("index, mass", [(ModeIndex(0, 10**308), 1.0), (ModeIndex(1, 10**308), 1.0),
+                                             (ModeIndex(0, 10**200), 1.0), (ModeIndex(1, 1), 1e-320)])
+    def test_energy_beyond_the_float_range_is_refused(self, index, mass):
+        with pytest.raises(ValidationError, match="^the [^\n]+ beyond the float range$"):
+            mode_energy(index, mass)
 
 
 class TestRadialModes:
@@ -120,6 +134,21 @@ class TestRadialModes:
                 overlap = integrate(lambda r: ui(r) * uj(r), 0.0, 1.0, rule)
                 expected = 1.0 if i == j else 0.0
                 assert overlap == pytest.approx(expected, abs=1e-10)
+
+    def test_evaluation_takes_real_numbers_and_real_arrays(self):
+        u = build_radial_mode(ModeIndex(0, 1))
+        assert u(np.float32(0.5)) == u(0.5) == u(np.array(0.5))
+        assert u(1) == u(np.int64(1)) == u(1.0)
+        grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        np.testing.assert_array_equal(u(grid), math.sqrt(2.0) * np.sin(math.pi * grid))
+        np.testing.assert_array_equal(u(np.array([0, 1])), u(np.array([0.0, 1.0])))
+        # test_numbers.py refuses each of NOT_NUMBERS as r
+        for bad in ([0.5], math.nan):
+            with pytest.raises(ValidationError, match="^radius r must be [^\n]+$"):
+                u(bad)
+        for bad in (np.array([True]), np.array(["0.5"]), np.array([0.5], dtype=object)):
+            with pytest.raises(ValidationError, match="^radius r must be a real number or an int or float array"):
+                u(bad)
 
     def test_radial_mode_fields(self):
         u = build_radial_mode(ModeIndex(0, 2))
