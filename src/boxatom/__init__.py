@@ -28,9 +28,7 @@ from .perturbation import (
     NuclearMotionReport,
     PerturbationCoefficients,
     energy_curve,
-    epsilon0,
     epsilon1,
-    ground_occupation,
     nuclear_motion_report,
     turnover_lambda,
 )
@@ -80,11 +78,9 @@ __all__ = [
     "build_hamiltonian",
     "build_radial_mode",
     "energy_curve",
-    "epsilon0",
     "epsilon1",
     "gauss_legendre",
     "get_table",
-    "ground_occupation",
     "ground_state",
     "helium_system",
     "integrate",

@@ -74,7 +74,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .coulomb import MAX_NMAX, CoulombTable, check_nmax, get_table, mode_pair_index
+from .coulomb import MAX_NMAX, CoulombTable, as_table, check_nmax, mode_pair_index
 from .errors import ConvergenceError, ValidationError, real, reals
 
 RESIDUAL_TOL = 1e-10
@@ -169,8 +169,7 @@ def kinetic_diagonal(basis: CiBasis) -> np.ndarray:
 def interaction_matrix(z: float, basis: CiBasis, table: CoulombTable | None = None) -> np.ndarray:
     """W = -Z * (symmetrized central couplings) + symmetrized pair repulsion."""
     z = _charge(z)
-    if table is None:
-        table = get_table()
+    table = as_table(table)
     # the block is not cached for W's sake: it is freed once W is gathered
     central, slater = table.checked_block(basis.nmax)
     pair = mode_pair_index(basis.nmax)
@@ -524,6 +523,7 @@ class CiProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "z", _charge(self.z))
+        object.__setattr__(self, "table", as_table(self.table))
 
     @cached_property
     def kinetic(self) -> np.ndarray:

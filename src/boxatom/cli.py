@@ -29,7 +29,6 @@ from .perturbation import (
     PerturbationCoefficients,
     energy_curve,
     epsilon1,
-    ground_occupation,
     nuclear_motion_report,
     turnover_lambda,
 )
@@ -201,7 +200,7 @@ def _breakdown_report(coeffs: PerturbationCoefficients, *meta: tuple[str, object
 
 def _first_order(config: RunConfig, system: DimensionlessSystem) -> PerturbationCoefficients:
     """eps0 and eps1 of the system's ground occupation at the run's quadrature resolution."""
-    return epsilon1(system, ground_occupation(system), get_table(config.quadrature_points))
+    return epsilon1(system, get_table(config.quadrature_points))
 
 
 def cmd_coeffs(config: RunConfig) -> Report:

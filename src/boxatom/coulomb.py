@@ -347,3 +347,12 @@ class CoulombTable:
 def get_table(points: int = DEFAULT_POINTS) -> CoulombTable:
     """Process-wide shared table for the given resolution."""
     return CoulombTable(points)
+
+
+def as_table(table: CoulombTable | None) -> CoulombTable:
+    """`table` itself, or for None the shared table at the default resolution; anything else is a ValidationError."""
+    if table is None:
+        return get_table()
+    if not isinstance(table, CoulombTable):
+        raise ValidationError(f"table must be a CoulombTable or None, got {type(table).__name__}")
+    return table

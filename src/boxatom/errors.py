@@ -4,9 +4,11 @@ This module owns the rule for every number a caller passes in (a mass, a
 charge, a box size, a coupling, a charge Z, a grid entry, a mode number, an
 nmax or a rule size); every other module checks them here. A real number
 is anything float() takes except a boolean (Python's or numpy's), a str,
-bytes or bytearray, so numpy scalars are accepted and a numeric string is
-not. An integer is a Python or numpy integer, never a boolean, within the
-float range. A value that breaks the rule is a one-line ValidationError.
+bytes or bytearray, or any other numpy value that is not an integer or a
+float (a complex scalar, a string array), so numpy integers and floats are
+accepted and a numeric string is not. An integer is a Python or numpy
+integer, never a boolean, within the float range. A value that breaks the
+rule is a one-line ValidationError.
 """
 
 import contextlib
@@ -24,7 +26,7 @@ class ValidationError(BoxatomError):
 
 
 class UnsupportedModeError(BoxatomError):
-    """A mode beyond what is served: s-wave integrals and radial modes, l <= 1 energies, ground occupations."""
+    """A mode beyond what is served: s-wave integrals and radial modes, l <= 1 energies."""
 
 
 class ConvergenceError(BoxatomError):
@@ -33,7 +35,9 @@ class ConvergenceError(BoxatomError):
 
 def _float(value, must: str) -> float:
     """float(value) under the module's rule; a refused value is a ValidationError that `must` begins."""
-    if not isinstance(value, (bool, str, bytes, bytearray)) and getattr(value, "dtype", None) != bool:
+    # float() takes a numpy complex (with a warning) and a numpy string; the dtype kind refuses both
+    if (not isinstance(value, (bool, str, bytes, bytearray))
+            and getattr(getattr(value, "dtype", None), "kind", "f") in "fiu"):
         with contextlib.suppress(TypeError, ValueError, OverflowError):
             return float(value)
     raise ValidationError(f"{must}, got {value!r}")

@@ -15,11 +15,12 @@ coefficients already computed into a curve over a lambda grid: three
 float64 columns (lambda, rc_bohr, energy), each row in scalar float
 arithmetic, from which the CLI writes its rows.
 
-Both coefficients are served for this ground occupation only; any other
-occupation is an UnsupportedModeError. An excited occupation of identical
-particles would need exchange: two electrons in modes (1, 2) split into
-J + K and J - K, and the direct integral J alone belongs to no state. That
-is out of scope.
+`epsilon1` is the one first-order entry point: it serves this ground
+occupation, every free particle in the (l=0, n=1) mode, and no other. An
+excited occupation of identical particles would need exchange: two
+electrons in modes (1, 2) split into J + K and J - K, and the direct
+integral J alone belongs to no state. That is out of scope. A ground
+occupation degenerate with another s-wave occupation is a ValidationError.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import CoulombTable, get_table
-from .errors import UnsupportedModeError, ValidationError, reals
+from .coulomb import CoulombTable, as_table
+from .errors import ValidationError, reals
 from .sphere import ModeIndex, mode_energy
 from .system import DimensionlessSystem
 
@@ -72,35 +73,9 @@ class PerturbationCoefficients:
 class NuclearMotionReport:
     """Relative coefficient shifts between clamped- and moving-nucleus variants."""
 
-    clamped: PerturbationCoefficients
-    moving: PerturbationCoefficients
     kinetic_shift: float
     potential_shift: float
     dominant: str
-
-
-def ground_occupation(system: DimensionlessSystem) -> tuple[ModeIndex, ...]:
-    """Every free particle in the (l=0, n=1) sphere ground mode."""
-    return tuple(_GROUND_MODE for _ in system.free_particles)
-
-
-def _check_occupation(system: DimensionlessSystem, occupation) -> None:
-    occ = tuple(occupation)
-    free = system.free_particles
-    if len(occ) != len(free):
-        raise ValidationError(
-            f"occupation needs one mode per free particle: got {len(occ)} modes "
-            f"for {len(free)} free particles"
-        )
-    for m in occ:
-        if not isinstance(m, ModeIndex):
-            raise ValidationError(f"occupation entries must be ModeIndex, got {m!r}")
-    for m in occ:
-        if m != _GROUND_MODE:
-            raise UnsupportedModeError(
-                "first-order coefficients cover the ground occupation only, every free "
-                f"particle in {_GROUND_MODE}; got {m}"
-            )
 
 
 def _ground_is_degenerate(system: DimensionlessSystem) -> bool:
@@ -115,24 +90,16 @@ def _ground_is_degenerate(system: DimensionlessSystem) -> bool:
     return 3.0 * min(w) <= _DEGENERACY_RTOL * math.fsum(w)
 
 
-def epsilon0(system: DimensionlessSystem, occupation) -> float:
-    """Zeroth-order coefficient: sum of free-particle sphere energies."""
-    _check_occupation(system, occupation)
-    return math.fsum(mode_energy(_GROUND_MODE, p.m_prime) for p in system.free_particles)
-
-
-def epsilon1(system: DimensionlessSystem, occupation,
+def epsilon1(system: DimensionlessSystem,
              table: CoulombTable | None = None) -> PerturbationCoefficients:
-    """First-order coefficient with its per-term breakdown.
+    """eps0 and eps1 of the ground occupation with their per-term breakdown.
 
     Free-free pairs contribute q'_i q'_j times the two-particle repulsion
     element; each free particle contributes q'_i q'_c times the central 1/r
     element against the clamped charge. Labels carry the particle indices of
     the full system.
     """
-    _check_occupation(system, occupation)
-    if table is None:
-        table = get_table()
+    table = as_table(table)
     if _ground_is_degenerate(system):
         raise ValidationError(
             "occupation is degenerate with a distinct s-wave occupation at this eps0; "
@@ -220,10 +187,4 @@ def nuclear_motion_report(clamped_coeffs: PerturbationCoefficients,
     kinetic = abs(moving_coeffs.eps0 - clamped_coeffs.eps0) / clamped_coeffs.eps0
     potential = abs(moving_coeffs.eps1 - clamped_coeffs.eps1) / abs(clamped_coeffs.eps1)
     dominant = "potential-dominated" if potential > kinetic else "kinetic-dominated"
-    return NuclearMotionReport(
-        clamped=clamped_coeffs,
-        moving=moving_coeffs,
-        kinetic_shift=kinetic,
-        potential_shift=potential,
-        dominant=dominant,
-    )
+    return NuclearMotionReport(kinetic_shift=kinetic, potential_shift=potential, dominant=dominant)

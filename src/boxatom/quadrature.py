@@ -80,12 +80,21 @@ def gauss_legendre(n: int) -> QuadratureRule:
 
 
 def _evaluate(f: Callable, r: np.ndarray, what: str) -> np.ndarray:
+    """f on the node array: an integer or float array, or one real number for every node.
+
+    An f that takes one float at a time is called node by node.
+    """
+    name = f"{what} values"
     try:
-        vals = np.asarray(f(r), dtype=float)
-    except (TypeError, ValueError):  # f takes one float at a time, or returned no numbers
-        vals = reals(f"{what} values", [f(float(t)) for t in np.ravel(r)]).reshape(r.shape)
-    if vals.ndim == 0:
-        vals = np.full(r.shape, float(vals))
+        vals = f(r)
+    except (TypeError, ValueError):  # f takes one float at a time
+        vals = reals(name, [f(float(t)) for t in np.ravel(r)]).reshape(r.shape)
+    if isinstance(vals, np.ndarray) and vals.ndim:
+        if vals.dtype.kind not in "fiu":
+            raise ValidationError(f"{name} must be real numbers, got an array of {vals.dtype}")
+        vals = np.asarray(vals, dtype=float)
+    else:
+        vals = np.full(r.shape, reals(name, [vals])[0])
     if vals.shape != r.shape:
         raise ValidationError(f"{what} must map nodes of shape {r.shape} to values of the same shape")
     if not np.all(np.isfinite(vals)):

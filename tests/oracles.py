@@ -35,10 +35,10 @@ import numpy as np
 from boxatom import ModeIndex, coulomb, gauss_legendre
 from boxatom.errors import ValidationError
 
-# by test id: booleans, a numeric string and bytes (float() takes each of
-# them), None, and an integer beyond the float range
-NOT_NUMBERS = {"true": True, "numpy-true": np.True_, "text": "0.5", "bytes": b"1", "none": None,
-               "huge": 10**400}
+# by test id: booleans, a numeric string and bytes, a numpy complex scalar
+# (float() takes each of them), None, and an integer beyond the float range
+NOT_NUMBERS = {"true": True, "numpy-true": np.True_, "text": "0.5", "bytes": b"1",
+               "numpy-complex": np.complex128(0.5 + 1j), "none": None, "huge": 10**400}
 
 
 def cin_series(x: float) -> float:

@@ -17,10 +17,8 @@ from boxatom import (
     bessel_zero,
     build_hamiltonian,
     build_radial_mode,
-    epsilon0,
     epsilon1,
     gauss_legendre,
-    ground_occupation,
     ground_state,
     helium_system,
     integrate,
@@ -40,17 +38,17 @@ def _criterion(num, ok, detail):
 
 def clamped_coeffs(table):
     system = nondimensionalize(helium_system(clamped_nucleus=True))
-    return epsilon1(system, ground_occupation(system), table)
+    return epsilon1(system, table)
 
 
 def moving_coeffs(table):
     system = nondimensionalize(helium_system(clamped_nucleus=False))
-    return epsilon1(system, ground_occupation(system), table)
+    return epsilon1(system, table)
 
 
 def test_criterion_01_clamped_eps0():
     system = nondimensionalize(helium_system(clamped_nucleus=True))
-    got = epsilon0(system, ground_occupation(system))
+    got = epsilon1(system).eps0
     err = abs(got - 9.8696044)
     _criterion(1, err <= 1e-6, f"clamped eps0 = {got:.10f} (|err| = {err:.2e}, tol 1e-6)")
 
@@ -63,7 +61,7 @@ def test_criterion_02_clamped_eps1(table):
 
 def test_criterion_03_moving_eps0():
     system = nondimensionalize(helium_system(clamped_nucleus=False))
-    got = epsilon0(system, ground_occupation(system))
+    got = epsilon1(system).eps0
     err = abs(got - 9.870280744)
     _criterion(3, err <= 1e-8, f"moving eps0 = {got:.12f} (|err| = {err:.2e}, tol 1e-8)")
 

@@ -8,7 +8,18 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from boxatom import CoulombTable, ModeIndex, build_radial_mode, ci, coulomb, gauss_legendre, get_table
+from boxatom import (
+    CoulombTable,
+    ModeIndex,
+    build_radial_mode,
+    ci,
+    coulomb,
+    epsilon1,
+    gauss_legendre,
+    get_table,
+    helium_system,
+    nondimensionalize,
+)
 from boxatom.coulomb import mode_pair_index
 from boxatom.errors import ConvergenceError, UnsupportedModeError, ValidationError
 
@@ -451,6 +462,24 @@ class TestCaching:
         get_table(np.int64(128))
         with pytest.raises(ValidationError, match="^quadrature points must be an integer, got 128.0$"):
             get_table(128.0)
+
+    def test_none_is_the_shared_default_table(self, table):
+        assert coulomb.as_table(None) is get_table() and coulomb.as_table(table) is table
+        assert ci.CiProblem(2.0, ci.CiBasis(4)).table is get_table()
+
+    # a text, and the ground occupation that first order once took ahead of the table
+    @pytest.mark.parametrize("bad", ["x", (mode(1), mode(1))], ids=["text", "occupation"])
+    @pytest.mark.parametrize("caller", ["epsilon1", "interaction_matrix", "CiProblem"])
+    def test_a_table_argument_refuses_what_is_not_a_table(self, caller, bad):
+        system = nondimensionalize(helium_system(clamped_nucleus=True))
+        calls = {
+            "epsilon1": lambda: epsilon1(system, bad),
+            "interaction_matrix": lambda: ci.interaction_matrix(2.0, ci.CiBasis(4), bad),
+            "CiProblem": lambda: ci.CiProblem(2.0, ci.CiBasis(4), bad).second_order_sum_over_states(),
+        }
+        message = f"^table must be a CoulombTable or None, got {type(bad).__name__}$"
+        with pytest.raises(ValidationError, match=message):
+            calls[caller]()
 
     def test_results_stable_across_instances(self, table):
         fresh = CoulombTable(points=200)

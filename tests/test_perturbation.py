@@ -1,4 +1,6 @@
+import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,15 +13,13 @@ from boxatom import (
     PerturbationCoefficients,
     SystemDefinition,
     energy_curve,
-    epsilon0,
     epsilon1,
-    ground_occupation,
     helium_system,
     nondimensionalize,
     nuclear_motion_report,
     turnover_lambda,
 )
-from boxatom.errors import UnsupportedModeError, ValidationError
+from boxatom.errors import ValidationError
 from boxatom.perturbation import _DEGENERACY_RTOL
 
 from oracles import NOT_NUMBERS, cin_series, curve_columns, s_wave_ground_is_degenerate
@@ -40,39 +40,30 @@ def moving_he(nuclear_mass=7296.300):
 
 def first_order_curve(system, lambdas, table):
     """The lambda, rc_bohr and energy columns of the system's ground-occupation curve."""
-    return energy_curve(system, epsilon1(system, ground_occupation(system), table), lambdas)
+    return energy_curve(system, epsilon1(system, table), lambdas)
 
 
-class TestGroundOccupation:
-    def test_one_mode_per_free_particle(self):
-        assert ground_occupation(clamped_he()) == (ModeIndex(0, 1), ModeIndex(0, 1))
-        assert len(ground_occupation(moving_he())) == 3
+def test_epsilon1_takes_a_system_and_a_table_only():
+    assert list(inspect.signature(epsilon1).parameters) == ["system", "table"]
 
 
 class TestEpsilon0:
     def test_clamped_helium_is_pi_squared(self):
         system = clamped_he()
-        assert epsilon0(system, ground_occupation(system)) == pytest.approx(math.pi**2, abs=1e-12)
+        assert epsilon1(system).eps0 == pytest.approx(math.pi**2, abs=1e-12)
 
     def test_moving_helium_adds_nuclear_mode(self):
         system = moving_he()
-        got = epsilon0(system, ground_occupation(system))
+        got = epsilon1(system).eps0
         expected = math.pi**2 * (1.0 + 1.0 / (2.0 * 7296.300))
         assert got == pytest.approx(expected, rel=1e-14)
         assert got == pytest.approx(9.870280744, abs=1e-8)
-
-    def test_occupation_length_checked(self):
-        system = clamped_he()
-        with pytest.raises(ValidationError):
-            epsilon0(system, (ModeIndex(0, 1),))
-        with pytest.raises(ValidationError):
-            epsilon0(system, (ModeIndex(0, 1), "nope"))
 
 
 class TestEpsilon1Breakdown:
     def test_clamped_helium_terms(self, table):
         system = clamped_he()
-        coeffs = epsilon1(system, ground_occupation(system), table)
+        coeffs = epsilon1(system, table)
         labels = [t.label for t in coeffs.breakdown]
         assert labels == ["kinetic[0]", "kinetic[1]", "pair[0,1]", "central[0,2]", "central[1,2]"]
         kinds = [t.kind for t in coeffs.breakdown]
@@ -89,13 +80,13 @@ class TestEpsilon1Breakdown:
         particles = (Particle(1.0, -1.0), Particle(7.0, -1.0), Particle(1.8014398509481984e16, -1.0))
         system = nondimensionalize(SystemDefinition(particles=particles, reference=0, rc_bohr=0.5))
         try:
-            epsilon1(system, ground_occupation(system), table)
+            epsilon1(system, table)
         except ValidationError as exc:
             assert "degenerate" in str(exc)
 
     def test_clamped_helium_values(self, table):
         system = clamped_he()
-        coeffs = epsilon1(system, ground_occupation(system), table)
+        coeffs = epsilon1(system, table)
         pair = table.pair_expectation(ModeIndex(0, 1), ModeIndex(0, 1))
         central = table.central_expectation(ModeIndex(0, 1), ModeIndex(0, 1))
         assert coeffs.eps1 == pytest.approx(pair - 4.0 * central, abs=1e-13)
@@ -103,7 +94,7 @@ class TestEpsilon1Breakdown:
 
     def test_moving_helium_values(self, table):
         system = moving_he()
-        coeffs = epsilon1(system, ground_occupation(system), table)
+        coeffs = epsilon1(system, table)
         pair = table.pair_expectation(ModeIndex(0, 1), ModeIndex(0, 1))
         # one e-e repulsion and two e-nucleus attractions, all ground pair integrals
         assert coeffs.eps1 == pytest.approx(-3.0 * pair, abs=1e-13)
@@ -114,13 +105,13 @@ class TestEpsilon1Breakdown:
         proton = Particle(mass=1836.152673, charge=1.0, clamped=True)
         e = Particle(mass=1.0, charge=-1.0)
         system = nondimensionalize(SystemDefinition(particles=(e, proton), reference=0, rc_bohr=1.0))
-        coeffs = epsilon1(system, ground_occupation(system), table)
+        coeffs = epsilon1(system, table)
         assert coeffs.eps1 == pytest.approx(-cin_series(2.0 * math.pi), abs=1e-9)
 
     @pytest.mark.parametrize("count", [2, 3, 4])
     def test_pair_count_scales_combinatorially(self, count, table):
         system = electrons_only(count)
-        coeffs = epsilon1(system, ground_occupation(system), table)
+        coeffs = epsilon1(system, table)
         pair = table.pair_expectation(ModeIndex(0, 1), ModeIndex(0, 1))
         expected = count * (count - 1) / 2 * pair
         assert coeffs.eps1 == pytest.approx(expected, rel=1e-14)
@@ -135,30 +126,9 @@ class TestEpsilon1Breakdown:
             reference=0,
             rc_bohr=1.0,
         )
-        a = epsilon1(nondimensionalize(base), (ModeIndex(0, 1), ModeIndex(0, 1)), table)
-        b = epsilon1(nondimensionalize(flipped), (ModeIndex(0, 1), ModeIndex(0, 1)), table)
+        a = epsilon1(nondimensionalize(base), table)
+        b = epsilon1(nondimensionalize(flipped), table)
         assert a.eps0 == b.eps0 and a.eps1 == b.eps1
-
-    def test_non_s_wave_occupation_rejected(self, table):
-        system = clamped_he()
-        with pytest.raises(UnsupportedModeError):
-            epsilon1(system, (ModeIndex(1, 1), ModeIndex(0, 1)), table)
-
-    @pytest.mark.parametrize("function", ["epsilon0", "epsilon1"])
-    @pytest.mark.parametrize("occupation", [
-        (ModeIndex(0, 1), ModeIndex(0, 2)),  # excited s-wave
-        (ModeIndex(0, 1), ModeIndex(1, 1)),  # l > 0
-        (ModeIndex(0, 1), ModeIndex(0, 7)),  # 1^2 + 7^2 = 5^2 + 5^2, degenerate with (5, 5)
-    ], ids=["excited", "p-wave", "degenerate"])
-    def test_only_the_ground_occupation_is_served(self, function, occupation, table):
-        # an excited pair of identical particles needs exchange (J +- K), not J alone
-        system = electrons_only(2)
-        calls = {
-            "epsilon0": lambda: epsilon0(system, occupation),
-            "epsilon1": lambda: epsilon1(system, occupation, table),
-        }
-        with pytest.raises(UnsupportedModeError, match="ground occupation only"):
-            calls[function]()
 
     @pytest.mark.parametrize("reference", [0, 1])
     def test_very_heavy_free_particle_is_degenerate_for_any_reference(self, table, reference):
@@ -167,7 +137,7 @@ class TestEpsilon1Breakdown:
         particles = (Particle(1.0, -1.0), Particle(7.0, -1.0), Particle(1.8014398509481984e16, -1.0))
         system = nondimensionalize(SystemDefinition(particles=particles, reference=reference, rc_bohr=0.5))
         with pytest.raises(ValidationError, match="degenerate"):
-            epsilon1(system, ground_occupation(system), table)
+            epsilon1(system, table)
 
     def test_breakdown_sums_are_enforced(self):
         with pytest.raises(ValidationError):
@@ -195,7 +165,7 @@ def test_ground_degeneracy_matches_oracle(masses, table):
     if 0.5 <= 3.0 * min(w) / tol <= 2.0:
         return
     try:
-        epsilon1(system, ground_occupation(system), table)
+        epsilon1(system, table)
         degenerate = False
     except ValidationError as exc:
         assert "degenerate" in str(exc)
@@ -205,11 +175,11 @@ def test_ground_degeneracy_matches_oracle(masses, table):
 
 class TestClampedLimit:
     def test_heavy_nucleus_approaches_clamped_kinetics(self, table):
-        clamped_eps0 = epsilon0(clamped_he(), ground_occupation(clamped_he()))
+        clamped_eps0 = epsilon1(clamped_he(), table).eps0
         previous = math.inf
         for mass in [1e3, 1e5, 1e7]:
             system = moving_he(nuclear_mass=mass)
-            eps0 = epsilon0(system, ground_occupation(system))
+            eps0 = epsilon1(system, table).eps0
             assert clamped_eps0 < eps0 < previous
             assert eps0 - clamped_eps0 == pytest.approx(math.pi**2 / (2.0 * mass), rel=1e-6)
             previous = eps0
@@ -218,15 +188,15 @@ class TestClampedLimit:
         # releasing the nucleus swaps central integrals for pair integrals,
         # which no nuclear mass can undo
         heavy = moving_he(nuclear_mass=1e7)
-        moving = epsilon1(heavy, ground_occupation(heavy), table)
-        clamped = epsilon1(clamped_he(), ground_occupation(clamped_he()), table)
+        moving = epsilon1(heavy, table)
+        clamped = epsilon1(clamped_he(), table)
         assert abs(moving.eps1 - clamped.eps1) > 2.0
 
 
 class TestEnergyCurve:
     def test_energy_identity(self, table):
         system = clamped_he()
-        coeffs = epsilon1(system, ground_occupation(system), table)
+        coeffs = epsilon1(system, table)
         for lam, rc_bohr, energy in zip(*energy_curve(system, coeffs, [0.25, 1.0, 2.0]), strict=True):
             assert energy == coeffs.eps0 / lam**2 + coeffs.eps1 / lam
             assert rc_bohr == lam * system.length_scale_a
@@ -251,7 +221,7 @@ class TestEnergyCurve:
     def test_points_match_the_loop_oracle(self, lams, table):
         # the same columns, or the same error for the same lambda, as rows built one at a time
         system = clamped_he()
-        coeffs = epsilon1(system, ground_occupation(system), table)
+        coeffs = epsilon1(system, table)
         try:
             expected = curve_columns(system, coeffs, lams)
         except ValidationError as exc:
@@ -291,22 +261,22 @@ class TestEnergyCurve:
 class TestTurnover:
     def test_clamped_helium_turnover(self, table):
         system = clamped_he()
-        coeffs = epsilon1(system, ground_occupation(system), table)
+        coeffs = epsilon1(system, table)
         got = turnover_lambda(coeffs)
         assert got == -2.0 * coeffs.eps0 / coeffs.eps1
         assert got == pytest.approx(2.478386, abs=1e-5)
 
     def test_repulsive_system_has_none(self, table):
         system = electrons_only(2)
-        coeffs = epsilon1(system, ground_occupation(system), table)
+        coeffs = epsilon1(system, table)
         assert coeffs.eps1 > 0
         assert turnover_lambda(coeffs) is None
 
 
 class TestNuclearMotionReport:
     def report(self, table):
-        clamped = epsilon1(clamped_he(), ground_occupation(clamped_he()), table)
-        moving = epsilon1(moving_he(), ground_occupation(moving_he()), table)
+        clamped = epsilon1(clamped_he(), table)
+        moving = epsilon1(moving_he(), table)
         return clamped, moving, nuclear_motion_report(clamped, moving)
 
     def test_shift_arithmetic(self, table):
@@ -320,10 +290,14 @@ class TestNuclearMotionReport:
         assert report.potential_shift == pytest.approx(0.3272405898384195, rel=1e-9)
         assert report.dominant == "potential-dominated"
 
+    def test_report_holds_the_shifts_only(self, table):
+        _, _, report = self.report(table)
+        assert [f.name for f in fields(report)] == ["kinetic_shift", "potential_shift", "dominant"]
+
     def test_zero_interaction_rejected(self, table):
         e = Particle(mass=1.0, charge=-1.0)
         lone = nondimensionalize(SystemDefinition(particles=(e,), reference=0, rc_bohr=1.0))
-        coeffs = epsilon1(lone, ground_occupation(lone), table)
+        coeffs = epsilon1(lone, table)
         assert coeffs.eps1 == 0.0
         with pytest.raises(ValidationError):
             nuclear_motion_report(coeffs, coeffs)

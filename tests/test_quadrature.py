@@ -115,6 +115,19 @@ def test_integrand_returning_no_number_is_a_validation_error():
             integrate(f, 0.0, 1.0, rule)
 
 
+@pytest.mark.parametrize("f", [
+    lambda r: np.sin(r) > 0,
+    lambda r: r.astype(str),
+    lambda r: r + 1j,
+    lambda r: np.complex128(1j),
+    lambda r: np.array("0.5"),
+], ids=["boolean-array", "text-array", "complex-array", "complex-scalar", "text-scalar"])
+def test_integrand_of_no_real_numbers_is_refused(f):
+    # float() would take each of these, the complex ones with a warning
+    with pytest.raises(ValidationError, match="^integrand values must be real numbers, got [^\n]+$"):
+        integrate(f, 0.0, 1.0, gauss_legendre(4))
+
+
 def test_integrate_rejects_wrong_shape():
     rule = gauss_legendre(8)
     with pytest.raises(ValidationError):

@@ -19,10 +19,12 @@ exit 2), `coeffs --help`, which prints the default resolution, and two `-o`
 files that cannot be written (`coeffs he-clamped -o no-such-dir/out.csv` and
 `curve he-clamped --format json -o /dev/full`, which exit 2), nmax on
 either side of its bounds (`ci-scan he-clamped --nmax 49` and `--nmax 0`),
-and `coeffs` on six system documents written into the input directory, each
-with one value the library's number rule refuses: a boolean mass, a string
-charge, a string lambda, an rc_bohr of 1e999 (which JSON reads as inf), and
-a float and a boolean reference; all eight exit 2. Each runs
+and `coeffs` on seven system documents written into the input directory:
+six with one value the library's number rule refuses (a boolean mass, a
+string charge, a string lambda, an rc_bohr of 1e999, which JSON reads as
+inf, and a float and a boolean reference), and one whose ground occupation
+is degenerate (masses 1, 7 and 1.8e16, which first order refuses); all nine
+exit 2. Each runs
 as `python -m boxatom.cli`, one at a time, once against the working tree's
 `src` and once against BASE_REV's, in the same directory with the same input
 files.
@@ -72,6 +74,9 @@ DOCUMENTS = {
     "rc-bohr-inf.json": ELECTRON.replace('"lam": 1.0', '"rc_bohr": 1e999'),
     "reference-float.json": ELECTRON.replace('"reference": 0', '"reference": 1.0'),
     "reference-true.json": ELECTRON.replace('"reference": 0', '"reference": true'),
+    # a particle so heavy that its n = 2 mode leaves the ground occupation degenerate
+    "degenerate.json": ('{"particles": [{"mass": 1, "charge": -1}, {"mass": 7, "charge": -1}, '
+                        '{"mass": 1.8e16, "charge": -1}], "reference": 0, "rc_bohr": 0.5}'),
 }
 
 
