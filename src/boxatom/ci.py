@@ -11,21 +11,20 @@ over sphere modes n <= nmax. In this orthonormal basis
 where W collects -Z times the one-particle 1/r couplings and the electron
 pair repulsion through monopole Slater integrals. W is gathered, upper
 triangle first and then mirrored so it is exactly symmetric, from the
-Coulomb table's checked s-wave block for nmax (`CoulombTable.checked_block`):
+Coulomb table's checked s-wave block for nmax (`CoulombTable.s_wave_block`):
 index arrays built from the configurations, a band of rows at a time, pick
-each central and Slater integral. The block is the table's cached one if it
-holds it; otherwise it is built and checked for this W alone and freed once
-W is gathered, so the table keeps no block for W's sake, and a second W at
-the same nmax computes the integrals again unless `s_wave_block` has cached
-them. The ground eigenvalue is a
+each central and Slater integral. The table keeps no block, so the block is
+freed once W is gathered, and a second W at the same nmax computes the
+integrals again. The ground eigenvalue is a
 variational upper bound on the true ground energy within the subspace, and
 the coefficient of |11> is the overlap with the free-particle ground state.
 
 `CiProblem(z, basis, table)` is the library's one way to solve the CI
 problem, and the one the CLI runs: its `scan`, `second_order_estimate` and
 `second_order_sum_over_states` share one W, checked once to be finite and
-exactly symmetric. `ground_state(build_hamiltonian(z, lam, basis, table))`
-solves one lambda densely; it is the reference the certified solver is
+exactly symmetric; the eps2 fit runs on the one grid EPS2_FIT_GRID.
+`ground_state(build_hamiltonian(z, lam, basis, table))` solves one lambda
+densely; it is the reference the certified solver is
 tested against. A lambda whose bound max(T) + lambda max_i sum_j |W_ij| on
 ||H||_2 exceeds RESIDUAL_TOL / (10 eps), about 4.5e4, is a ValidationError:
 beyond it the residual tolerance is within rounding. In strong confinement
@@ -78,7 +77,10 @@ from .coulomb import MAX_NMAX, CoulombTable, as_table, check_nmax, mode_pair_ind
 from .errors import ConvergenceError, ValidationError, real, reals
 
 RESIDUAL_TOL = 1e-10
-_EPS2_LAMBDA_MAX = 0.2
+# the small-lambda grid of the second-order fit; its design [lambda^2, lambda^3]
+# has rank 2 and condition number 35.5
+EPS2_FIT_GRID = np.linspace(0.02, 0.2, 10)
+EPS2_FIT_GRID.setflags(write=False)
 # Davidson stops below RESIDUAL_TOL, leaving room for the explicit recheck
 _DAVIDSON_TOL = 1e-11
 _DAVIDSON_MAX_ITER = 60
@@ -170,8 +172,8 @@ def interaction_matrix(z: float, basis: CiBasis, table: CoulombTable | None = No
     """W = -Z * (symmetrized central couplings) + symmetrized pair repulsion."""
     z = _charge(z)
     table = as_table(table)
-    # the block is not cached for W's sake: it is freed once W is gathered
-    central, slater = table.checked_block(basis.nmax)
+    # the table keeps no block, so this one is freed once W is gathered
+    central, slater = table.s_wave_block(basis.nmax)
     pair = mode_pair_index(basis.nmax)
     # 0-based modes: row i of W is configuration (n, m), column j is (p, q)
     config = np.array(basis.configurations) - 1
@@ -592,42 +594,29 @@ class CiProblem:
         kinetic, interaction = self.kinetic, self.interaction
         return float(np.sum(interaction[1:, 0] ** 2 / (kinetic[0] - kinetic[1:])))
 
-    def second_order_estimate(self, lambda_grid) -> float:
+    def second_order_estimate(self) -> float:
         """s-wave-limited second-order coefficient from a small-lambda fit.
 
-        Fits eps_CI(lambda) - eps0 - eps1*lambda against {lambda^2, lambda^3} and
-        returns the lambda^2 coefficient. The value is a partial (s-limited) sum
-        of the true second-order coefficient: l > 0 pair excitations are outside
-        the basis. It must agree with the in-subspace sum-over-states value
-        within 2%, else ConvergenceError.
+        Fits eps_CI(lambda) - eps0 - eps1*lambda on EPS2_FIT_GRID against
+        {lambda^2, lambda^3} and returns the lambda^2 coefficient. The value
+        is a partial (s-limited) sum of the true second-order coefficient:
+        l > 0 pair excitations are outside the basis. It must agree with the
+        in-subspace sum-over-states value within 2%, else ConvergenceError.
         """
         if self.basis.nmax < 4:
             raise ValidationError(f"second-order estimate needs nmax >= 4, got {self.basis.nmax}")
-        lams_arr = reals("fit grid values", lambda_grid)
-        lams = lams_arr.tolist()
-        for lam in lams:
-            if not math.isfinite(lam) or not 0.0 < lam <= _EPS2_LAMBDA_MAX:
-                raise ValidationError(f"fit grid must lie in (0, {_EPS2_LAMBDA_MAX}], got {lam!r}")
-        if len(set(lams)) < 2:
-            raise ValidationError("fit grid needs at least two distinct lambda values")
-
+        grid = EPS2_FIT_GRID
         eps0 = self.kinetic[0]
         eps1 = self.interaction[0, 0]
-        remainders = np.array(
-            [energy - eps0 - eps1 * lam for lam, (energy, _, _) in zip(lams, self._ground_states(lams))]
-        )
-        design = np.column_stack([lams_arr**2, lams_arr**3])
-        coeffs, _, rank, singular = np.linalg.lstsq(design, remainders, rcond=None)
-        if rank < 2 or singular[0] > 1e12 * singular[-1]:
-            raise ConvergenceError(
-                "second-order fit is ill-conditioned; use a smaller lambda range with more points"
-            )
-        fitted = float(coeffs[0])
+        remainders = np.array([energy - eps0 - eps1 * lam
+                               for lam, (energy, _, _) in zip(grid, self._ground_states(grid))])
+        design = np.column_stack([grid**2, grid**3])
+        fitted = float(np.linalg.lstsq(design, remainders, rcond=None)[0][0])
         reference = self.second_order_sum_over_states()
         if abs(fitted - reference) > 0.02 * abs(reference):
             raise ConvergenceError(
                 f"second-order fit {fitted:.6e} and sum-over-states {reference:.6e} "
-                f"disagree beyond 2%; use a smaller lambda range or a larger basis"
+                "disagree beyond 2%"
             )
         return fitted
 

@@ -253,10 +253,6 @@ def _ci_charge(system: DimensionlessSystem) -> float:
     return z
 
 
-# fixed small-lambda grid for the second-order fit; must stay within (0, 0.2]
-_EPS2_FIT_GRID = tuple(float(x) for x in np.linspace(0.02, 0.2, 10))
-
-
 def cmd_ci_scan(config: RunConfig) -> Report:
     if config.ci_nmax < 4:
         raise ValidationError(
@@ -272,7 +268,7 @@ def cmd_ci_scan(config: RunConfig) -> Report:
     energy, overlap0 = np.empty_like(grid), np.empty_like(grid)
     for row, solution in enumerate(problem.scan(grid)):
         energy[row], overlap0[row] = solution.energy, solution.overlap0
-    eps2 = problem.second_order_estimate(_EPS2_FIT_GRID)
+    eps2 = problem.second_order_estimate()
     return Report(
         meta=[
             ("nmax", config.ci_nmax),

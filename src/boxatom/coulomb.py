@@ -23,10 +23,7 @@ at step j reaches u_n multiplied by U_{n-j-1}(cos pi r), at most n - j in
 size, and one in cos(pi r) by about sin(pi r) U'_{n-1}, at most of order n^2;
 so u_n stays within O(n^2 eps) of the sine, measured at most 0.97 n^2 eps
 for n <= 48 on the 200- and 512-point grids, far inside the 1e-9 check
-below. u_1 is the sine itself, so the nmax-1 block keeps its bits. A
-single integral is the entry of the block whose nmax is its largest mode
-number, never of a larger block, so its value does not depend on what a
-shared table computed before.
+below. u_1 is the sine itself, so the nmax-1 block keeps its bits.
 
 Every s-wave integral is also known exactly. With
 p = |a-c| and q = a+c, u_a u_c = cos(p pi r) - cos(q pi r), so
@@ -41,29 +38,29 @@ come from one table of j <= 4 MAX_NMAX, built on first use. A block is
 compared with its closed forms elementwise, a band of Slater rows at a time,
 so the whole exact matrix is never built; the entry named is the one
 np.argmax of the whole gap would name, and a gap beyond 1e-9 raises
-ConvergenceError instead of caching an under-resolved block. The returned
-and cached values are the quadrature's, so the rule size stays meaningful.
-Every integral is between s-wave modes (l = 0); any other mode raises
-UnsupportedModeError.
+ConvergenceError instead of returning an under-resolved block. The returned
+values are the quadrature's, so the rule size stays meaningful.
 
-A table caches the blocks that `s_wave_block` returns, and through it every
-block that a single integral (`central_expectation`, `pair_expectation`)
-reads. `checked_block` returns a cached block too, but one it builds is
-checked the same way and not kept: CI reads the nmax block once, to gather
-W, and a block of 11 MB at nmax 48 need not outlive that. The block cache
-uses atomic insert-if-absent, so a table can be shared across threads.
+A table keeps no block: every `s_wave_block` call builds and checks one,
+and the caller holds it as long as it needs it. CI reads the nmax block
+once, to gather W, and a block of 11 MB at nmax 48 need not outlive that.
+What a table keeps is `ground_integrals`, the two entries of the nmax-1
+block that first order reads, <1/r> and <1/r12> in the (l=0, n=1) mode; so
+the two first-order systems of a nuclear-motion comparison build that block
+once on a shared table. A table can be shared across threads: at worst,
+two threads that read `ground_integrals` first at once each build the
+nmax-1 block, and get the same two floats.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, UnsupportedModeError, ValidationError, integer
+from .errors import ConvergenceError, ValidationError, integer
 from .quadrature import MAX_POINTS, gauss_legendre
-from .sphere import ModeIndex
 
 DEFAULT_POINTS = 200
 MIN_POINTS = 16
@@ -98,15 +95,17 @@ def check_points(points) -> int:
     return int(points)
 
 
-# typed, so that no cached index answers a value of another type that compares equal
-@lru_cache(maxsize=None, typed=True)
 def mode_pair_index(nmax: int) -> np.ndarray:
     """Row of the s-wave Slater matrix for each mode pair: index[a-1, c-1] = index[c-1, a-1].
 
     Pairs a <= c are numbered in np.triu_indices(nmax) order. The array is
     shared and read-only.
     """
-    nmax = check_nmax(nmax)
+    return _mode_pair_index(check_nmax(nmax))
+
+
+@lru_cache(maxsize=None)
+def _mode_pair_index(nmax: int) -> np.ndarray:
     first, second = np.triu_indices(nmax)
     index = np.empty((nmax, nmax), dtype=np.intp)
     index[first, second] = index[second, first] = np.arange(len(first))
@@ -258,11 +257,10 @@ def _quadrature_block(points: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class CoulombTable:
-    """Cached s-wave Coulomb integrals at a fixed quadrature resolution."""
+    """Checked s-wave Coulomb integrals at a fixed quadrature resolution."""
 
     def __init__(self, points: int = DEFAULT_POINTS):
         self.points = check_points(points)
-        self._blocks: dict = {}
 
     def _checked(self, what, value: float, reference: float) -> float:
         gap = abs(value - reference)
@@ -279,73 +277,53 @@ class CoulombTable:
         return value
 
     def s_wave_block(self, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every s-wave integral of modes 1..nmax, checked against closed forms and cached.
+        """Every s-wave integral of modes 1..nmax, built and checked against closed forms on each call.
 
         Returns read-only (C, R): C[a-1, c-1] = int u_a u_c / r dr, and
         R[k, k'] = R0(ab;cd) for mode pairs k = (a, c), k' = (b, d) numbered
         as in mode_pair_index(nmax). Both are the table's quadrature values;
-        every entry must lie within 1e-9 of its Si/Cin closed form.
+        every entry must lie within 1e-9 of its Si/Cin closed form. The table
+        keeps neither.
         """
         nmax = check_nmax(nmax)
-        return self._blocks.setdefault(nmax, self.checked_block(nmax))
+        block = _quadrature_block(self.points, nmax)
+        first, second = np.triu_indices(nmax)
+        p, q = second - first, first + second + 2
+        _, cin = _si_cin_pi()
+        central = np.empty((nmax, nmax))
+        central[first, second] = central[second, first] = cin[q] - cin[p]
+        modes = list(range(1, nmax + 1))
+        pairs = list(zip((first + 1).tolist(), (second + 1).tolist()))
+        for what, labels, value, exact_rows in (
+            ("central_expectation for modes", modes, block[0], central.__getitem__),
+            ("Slater integral for mode pairs", pairs, block[1], _closed_form_rows(p, q)),
+        ):
+            # the worst entry passes only if every entry does
+            i, j, exact = _worst_gap(value, exact_rows, _CHECK_ROWS)
+            self._checked(f"{what} {labels[i]} and {labels[j]} (nmax={nmax} block)",
+                          float(value[i, j]), exact)
+        for array in block:
+            array.setflags(write=False)
+        return block
 
-    def checked_block(self, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-        """The s_wave_block of nmax: the cached one, or one built and checked but not kept.
+    @cached_property
+    def ground_integrals(self) -> tuple[float, float]:
+        """(<1/r>, <1/r12>) in the (l=0, n=1) mode: C[0, 0] and R[0, 0] of s_wave_block(1), kept.
 
-        A caller that reads the block once, as CI reads it to gather W, holds
-        it no longer than it needs to; a second such call rebuilds it unless
-        s_wave_block has cached it.
+        These are int u_1^2 / r dr = Cin(2 pi) and R0(11;11), the two
+        integrals that first order reads.
         """
-        nmax = check_nmax(nmax)
-        got = self._blocks.get(nmax)
-        if got is None:
-            block = _quadrature_block(self.points, nmax)
-            first, second = np.triu_indices(nmax)
-            p, q = second - first, first + second + 2
-            _, cin = _si_cin_pi()
-            central = np.empty((nmax, nmax))
-            central[first, second] = central[second, first] = cin[q] - cin[p]
-            modes = list(range(1, nmax + 1))
-            pairs = list(zip((first + 1).tolist(), (second + 1).tolist()))
-            for what, labels, value, exact_rows in (
-                ("central_expectation for modes", modes, block[0], central.__getitem__),
-                ("Slater integral for mode pairs", pairs, block[1], _closed_form_rows(p, q)),
-            ):
-                # the worst entry passes only if every entry does
-                i, j, exact = _worst_gap(value, exact_rows, _CHECK_ROWS)
-                self._checked(f"{what} {labels[i]} and {labels[j]} (nmax={nmax} block)",
-                              float(value[i, j]), exact)
-            for array in block:
-                array.setflags(write=False)
-            got = block
-        return got
-
-    def _block_for(self, what: str, modes: tuple) -> tuple[np.ndarray, np.ndarray]:
-        # the one s-wave rule: the block whose nmax is the largest mode number
-        for m in modes:
-            if not isinstance(m, ModeIndex):
-                raise ValidationError(f"{what} takes ModeIndex arguments, got {m!r}")
-            if m.l != 0:
-                raise UnsupportedModeError(f"{what} is restricted to s-wave modes (l = 0); got {m}")
-        return self.s_wave_block(max(m.n for m in modes))
-
-    def central_expectation(self, a: ModeIndex, b: ModeIndex) -> float:
-        """One-particle matrix element int u_a u_b / r dr between s-wave modes."""
-        central, _ = self._block_for("central_expectation", (a, b))
-        return float(central[a.n - 1, b.n - 1])
-
-    def pair_expectation(self, a: ModeIndex, b: ModeIndex) -> float:
-        """Ground-type repulsion element R0(ab;ab): u_a^2 and u_b^2 against 1/max(r1, r2)."""
-        # validates nmax before the index is built
-        central, slater = self._block_for("pair_expectation", (a, b))
-        index = mode_pair_index(len(central))
-        return float(slater[index[a.n - 1, a.n - 1], index[b.n - 1, b.n - 1]])
+        central, slater = self.s_wave_block(1)
+        return float(central[0, 0]), float(slater[0, 0])
 
 
-# typed, so that no cached table answers a value of another type that compares equal
-@lru_cache(maxsize=8, typed=True)
 def get_table(points: int = DEFAULT_POINTS) -> CoulombTable:
     """Process-wide shared table for the given resolution."""
+    return _shared_table(check_points(points))
+
+
+@lru_cache(maxsize=8)
+def _shared_table(points: int) -> CoulombTable:
     return CoulombTable(points)
 
 

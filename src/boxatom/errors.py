@@ -26,7 +26,7 @@ class ValidationError(BoxatomError):
 
 
 class UnsupportedModeError(BoxatomError):
-    """A mode beyond what is served: s-wave integrals and radial modes, l <= 1 energies."""
+    """A sphere mode beyond what `sphere` serves: radial modes for l = 0, zeros and energies for l <= 1."""
 
 
 class ConvergenceError(BoxatomError):

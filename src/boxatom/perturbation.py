@@ -7,7 +7,8 @@ eps(lambda) = eps0 + eps1*lambda + O(lambda^2), with
     eps1 = sum_{i<j free} q'_i q'_j <1/r_12>
          + sum_{i free} q'_i q'_c <1/r>               against a clamped charge,
 
-with every integral taken in the (l=0, n=1) sphere ground mode.
+with every integral taken in the (l=0, n=1) sphere ground mode. These two
+integrals, <1/r> and <1/r_12>, are the Coulomb table's `ground_integrals`.
 
 The physical energy at box radius R_c = lambda * a is
 E = prefactor * (eps0/lambda^2 + eps1/lambda + ...). `energy_curve` turns
@@ -21,6 +22,8 @@ excited occupation of identical particles would need exchange: two
 electrons in modes (1, 2) split into J + K and J - K, and the direct
 integral J alone belongs to no state. That is out of scope. A ground
 occupation degenerate with another s-wave occupation is a ValidationError.
+So is an argument of the wrong type: a SystemDefinition where a
+DimensionlessSystem belongs names `nondimensionalize`, which makes one.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from .coulomb import CoulombTable, as_table
 from .errors import ValidationError, reals
 from .sphere import ModeIndex, mode_energy
-from .system import DimensionlessSystem
+from .system import DimensionlessSystem, SystemDefinition
 
 _DEGENERACY_RTOL = 1e-9
 _GROUND_MODE = ModeIndex(0, 1)
@@ -78,6 +81,16 @@ class NuclearMotionReport:
     dominant: str
 
 
+def _of_type(name: str, value, kind: type):
+    """`value` itself if it is a `kind`; anything else is a ValidationError that names both."""
+    if not isinstance(value, kind):
+        hint = ""
+        if isinstance(value, SystemDefinition):
+            hint = "; nondimensionalize turns a SystemDefinition into one"
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}{hint}")
+    return value
+
+
 def _ground_is_degenerate(system: DimensionlessSystem) -> bool:
     """Does a distinct s-wave occupation lie within _DEGENERACY_RTOL of the ground eps0?
 
@@ -99,6 +112,7 @@ def epsilon1(system: DimensionlessSystem,
     element against the clamped charge. Labels carry the particle indices of
     the full system.
     """
+    system = _of_type("system", system, DimensionlessSystem)
     table = as_table(table)
     if _ground_is_degenerate(system):
         raise ValidationError(
@@ -112,7 +126,7 @@ def epsilon1(system: DimensionlessSystem,
     for i, p in zip(free_ids, free):
         e = mode_energy(_GROUND_MODE, p.m_prime)
         terms.append(BreakdownTerm(f"kinetic[{i}]", "kinetic", 1.0, e, e))
-    pair = table.pair_expectation(_GROUND_MODE, _GROUND_MODE)
+    central, pair = table.ground_integrals
     for a in range(len(free)):
         for b in range(a + 1, len(free)):
             pref = free[a].q_prime * free[b].q_prime
@@ -122,7 +136,6 @@ def epsilon1(system: DimensionlessSystem,
     clamped = system.clamped_particle
     if clamped is not None:
         c_id = next(i for i, p in enumerate(system.particles) if p.clamped)
-        central = table.central_expectation(_GROUND_MODE, _GROUND_MODE)
         for i, p in zip(free_ids, free):
             pref = p.q_prime * clamped.q_prime
             terms.append(
@@ -156,6 +169,8 @@ def energy_curve(system: DimensionlessSystem, coeffs: PerturbationCoefficients,
     order. A lambda whose energy, energy times the prefactor, or rc_bohr
     leaves the float range is a ValidationError.
     """
+    system = _of_type("system", system, DimensionlessSystem)
+    coeffs = _of_type("coefficients", coeffs, PerturbationCoefficients)
     lams = reals("lambda values", lambdas)
     rc_column, energy_column = np.empty_like(lams), np.empty_like(lams)
     for row, lam in enumerate(map(float, lams)):
@@ -182,6 +197,8 @@ def nuclear_motion_report(clamped_coeffs: PerturbationCoefficients,
     every central attraction integral with a pair integral, so the potential
     shift dominates for real atoms.
     """
+    for name, coeffs in (("clamped coefficients", clamped_coeffs), ("moving coefficients", moving_coeffs)):
+        _of_type(name, coeffs, PerturbationCoefficients)
     if clamped_coeffs.eps1 == 0:
         raise ValidationError("clamped eps1 is zero; no interaction shift to compare")
     kinetic = abs(moving_coeffs.eps0 - clamped_coeffs.eps0) / clamped_coeffs.eps0

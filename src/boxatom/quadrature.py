@@ -39,14 +39,16 @@ def _legendre_derivative(n: int, x: np.ndarray, p: np.ndarray, pm1: np.ndarray) 
     return n * (x * p - pm1) / (x * x - 1.0)
 
 
-# typed, so that no cached rule answers a value of another type that compares equal
-@lru_cache(maxsize=None, typed=True)
 def gauss_legendre(n: int) -> QuadratureRule:
     """Return the n-point Gauss-Legendre rule, each node converged to 1e-15."""
     n = integer("rule size", n)
     if not 1 <= n <= MAX_POINTS:
         raise ValidationError(f"rule size must lie in [1, {MAX_POINTS}], got {n}")
+    return _gauss_legendre(n)
 
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> QuadratureRule:
     m = (n + 1) // 2
     k = np.arange(1, m + 1, dtype=float)
     x = np.cos(np.pi * (k - 0.25) / (n + 0.5))

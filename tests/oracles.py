@@ -9,8 +9,8 @@ whole triangle grid at once (`triangle_grid`, `integrate_triangular` and
 `integrate_square`; the package builds its inner grid a batch of rows at a
 time), and the symmetrized CI matrix from a brute-force product-basis
 projection, whose Coulomb entries are read one by one from the table's
-checked s-wave block (`central_expectation` and `s_wave_block`
-through `mode_pair_index`). Three exceptions pin the bits of a streamed or
+checked s-wave block (`s_wave_block`, its Slater matrix through
+`mode_pair_index`). Three exceptions pin the bits of a streamed or
 banded production path instead, by doing the same operations on the whole
 array at once: `s_wave_block_whole_grid` (the block's batched inner grid),
 `closed_forms` (the block check's bands of exact Slater rows) and
@@ -32,7 +32,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from boxatom import ModeIndex, coulomb, gauss_legendre
+from boxatom import coulomb, gauss_legendre
 from boxatom.errors import ValidationError
 
 # by test id: booleans, a numeric string and bytes, a numpy complex scalar
@@ -145,13 +145,12 @@ def product_basis_hamiltonian(nmax: int, z: float, lam: float, table) -> np.ndar
     projects with the symmetrized combinations; independently derives the
     symmetrization factors the ci module hard-codes.
     """
-    modes = {n: ModeIndex(0, n) for n in range(1, nmax + 1)}
     prod = [(n, m) for n in range(1, nmax + 1) for m in range(1, nmax + 1)]
-    _, block = table.s_wave_block(nmax)
+    central_block, block = table.s_wave_block(nmax)
     index = coulomb.mode_pair_index(nmax)
 
     def central(n, p):
-        return table.central_expectation(modes[n], modes[p])
+        return central_block[n - 1, p - 1]
 
     def slater(a, c, b, d):
         # R0(ab;cd): coordinate 1 couples a with c, coordinate 2 b with d

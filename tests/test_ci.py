@@ -13,7 +13,6 @@ from boxatom import (
     CiProblem,
     CiSolution,
     CoulombTable,
-    ModeIndex,
     build_hamiltonian,
     ground_state,
     interaction_matrix,
@@ -76,8 +75,7 @@ class TestMatrixAssembly:
     def test_single_configuration_element(self, table):
         basis = CiBasis(1)
         h = build_hamiltonian(2.0, 1.0, basis, table)
-        pair = table.pair_expectation(ModeIndex(0, 1), ModeIndex(0, 1))
-        central = table.central_expectation(ModeIndex(0, 1), ModeIndex(0, 1))
+        central, pair = table.ground_integrals
         assert h.shape == (1, 1)
         assert h[0, 0] == pytest.approx(math.pi**2 + pair - 4.0 * central, abs=1e-12)
 
@@ -105,30 +103,41 @@ class TestMatrixAssembly:
             np.testing.assert_array_equal(interaction_matrix(z, basis, table),
                                           interaction_matrix_whole(z, basis, table))
 
-    def test_gather_scratch_memory_is_small(self, table):
+    def test_gather_scratch_memory_is_small(self, monkeypatch):
         # the whole upper triangle gathered at once peaked at 63.4 MiB at nmax 48
         basis = CiBasis(MAX_NMAX)
-        table.s_wave_block(MAX_NMAX)  # cached; only W and its scratch are measured
+        fresh = CoulombTable(200)
+        block = fresh.s_wave_block(MAX_NMAX)
+        # the block is built beforehand; only W and its scratch are measured
+        monkeypatch.setattr(fresh, "s_wave_block", lambda nmax: block)
         tracemalloc.start()
         try:
-            interaction_matrix(2.0, basis, table)
+            interaction_matrix(2.0, basis, fresh)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
 
     def test_w_is_built_from_a_block_the_table_does_not_keep(self, monkeypatch):
-        # a fresh table builds and checks the nmax-24 block for W, then drops it
+        # a fresh table builds and checks the nmax-24 block for W, and the block
+        # is freed once W is gathered
         fresh = CoulombTable(200)
-        w = CiProblem(2.0, CiBasis(24), fresh).interaction
-        assert 24 not in fresh._blocks
-        fresh.s_wave_block(24)
-        # a table that holds the block builds none, and W keeps every bit
-        built = []
-        build = coulomb._quadrature_block
+        built, returned = [], []
+        build, block = coulomb._quadrature_block, CoulombTable.s_wave_block
         monkeypatch.setattr(coulomb, "_quadrature_block", lambda *a: built.append(a) or build(*a))
+
+        def spied(table, nmax):
+            got = block(table, nmax)
+            returned.extend(map(weakref.ref, got))
+            return got
+
+        monkeypatch.setattr(CoulombTable, "s_wave_block", spied)
+        w = CiProblem(2.0, CiBasis(24), fresh).interaction
+        assert vars(fresh) == {"points": 200}
+        assert returned and all(ref() is None for ref in returned)
+        # so a second W builds it again, and keeps every bit
         np.testing.assert_array_equal(CiProblem(2.0, CiBasis(24), fresh).interaction, w)
-        assert built == []
+        assert built == [(200, 24), (200, 24)]
 
     def test_underresolved_table_raises(self):
         # the CI path keeps the n-against-2n quadrature check
@@ -491,7 +500,7 @@ class TestCertifiedGroundState:
         monkeypatch.setattr(ci, "ground_state", forbidden)
         problem = CiProblem(2.0, CiBasis(40), table)
         assert len(list(problem.scan(np.linspace(0.1, 2.0, 20)))) == 20
-        assert problem.second_order_estimate(np.linspace(0.02, 0.2, 10)) < 0.0
+        assert problem.second_order_estimate() < 0.0
 
     def test_strong_coupling_scan_is_certified_without_dense_fallback(self, table, monkeypatch):
         # at Z = 1 and lambda 35-70 the nmax-24 Hamiltonian is far from
@@ -637,7 +646,7 @@ class TestInterlacingFloor:
         problem = CiProblem(4.0, CiBasis(24), table)
         grid = np.linspace(0.3739, 2.2723, 20)
         list(problem.scan(grid))
-        problem.second_order_estimate(np.linspace(0.02, 0.2, 10))
+        problem.second_order_estimate()
         # both on the 299 x 299 H_QQ, none on the 300 x 300 H
         assert calls == [(299, 2.2723), (299, grid[5])]
         assert grid[5] == pytest.approx(0.8735, abs=1e-4)
@@ -646,7 +655,7 @@ class TestInterlacingFloor:
         problem = CiProblem(2.0, CiBasis(12), table)
         list(problem.scan(np.linspace(0.1, 2.0, 20)))
         knots = dict(problem._floor.knots)
-        problem.second_order_estimate(np.linspace(0.02, 0.2, 10))
+        problem.second_order_estimate()
         assert problem._floor.knots == knots and 2.0 in knots
 
 
@@ -699,12 +708,10 @@ class TestNormBound:
 
 
 class TestSecondOrder:
-    FIT_GRID = np.linspace(0.02, 0.2, 10)
-
     def test_fit_agrees_with_sum_over_states(self, table):
         basis = CiBasis(8)
         problem = CiProblem(2.0, basis, table)
-        fit = problem.second_order_estimate(self.FIT_GRID)
+        fit = problem.second_order_estimate()
         sos = problem.second_order_sum_over_states()
         assert fit == pytest.approx(-0.6839750967457979, abs=1e-6)
         assert sos == pytest.approx(-0.6844563375149016, abs=1e-9)
@@ -712,7 +719,7 @@ class TestSecondOrder:
 
     def test_always_negative(self, table):
         problem = CiProblem(2.0, CiBasis(6), table)
-        assert problem.second_order_estimate(self.FIT_GRID) < 0.0
+        assert problem.second_order_estimate() < 0.0
         assert problem.second_order_sum_over_states() < 0.0
 
     def test_deepens_with_basis(self, table):
@@ -720,30 +727,20 @@ class TestSecondOrder:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_grid_validation(self, table):
-        basis = CiBasis(4)
-        with pytest.raises(ValidationError):
-            CiProblem(2.0, basis, table).second_order_estimate([0.1, 0.5])
-        with pytest.raises(ValidationError):
-            CiProblem(2.0, basis, table).second_order_estimate([0.1, 0.1])
-        with pytest.raises(ValidationError):
-            CiProblem(2.0, CiBasis(3), table).second_order_estimate(self.FIT_GRID)
+        with pytest.raises(ValidationError, match="nmax >= 4"):
+            CiProblem(2.0, CiBasis(3), table).second_order_estimate()
 
-    @pytest.mark.parametrize(
-        "grid",
-        [[None, 0.1], [0.1, 10**400], ["abc", 0.1], None] + [[0.1, value] for value in NOT_NUMBERS.values()],
-        ids=["none", "huge", "text", "no-grid"] + [f"entry-{i}" for i in NOT_NUMBERS])
-    def test_rejects_values_float_cannot_take(self, grid, table):
-        with pytest.raises(ValidationError, match="^fit grid values must be real numbers, got [^\n]+$"):
-            CiProblem(2.0, CiBasis(4), table).second_order_estimate(grid)
+    def test_fit_design_is_well_conditioned(self):
+        # the fixed grid's design [lambda^2, lambda^3] is why the fit needs no rank check
+        grid = ci.EPS2_FIT_GRID
+        np.testing.assert_array_equal(grid, np.linspace(0.02, 0.2, 10))
+        design = np.column_stack([grid**2, grid**3])
+        assert np.linalg.matrix_rank(design) == 2
+        assert np.linalg.cond(design) == pytest.approx(35.45, abs=0.01)
+        with pytest.raises(ValueError):
+            grid[0] = 0.1
 
     def test_takes_numpy_numbers(self, table):
         basis = CiBasis(4)
-        expected = CiProblem(2.0, basis, table).second_order_estimate(self.FIT_GRID)
-        grid = [np.float64(x) for x in self.FIT_GRID]
-        assert CiProblem(np.int64(2), basis, table).second_order_estimate(grid) == expected
-
-    def test_degenerate_grid_fails_loudly(self, table):
-        basis = CiBasis(4)
-        grid = [0.2 * (1.0 - 1e-13), 0.2]
-        with pytest.raises(ConvergenceError, match="lambda"):
-            CiProblem(2.0, basis, table).second_order_estimate(grid)
+        expected = CiProblem(2.0, basis, table).second_order_estimate()
+        assert CiProblem(np.int64(2), basis, table).second_order_estimate() == expected

@@ -386,28 +386,22 @@ class TestCiScan:
     def test_scan_computes_block_once(self, capsys, monkeypatch):
         # the W builds of a scan share one checked block: one profile build on
         # the table's own grid (the check is against closed forms, not a 2n
-        # grid), after eps1's nmax-1 block for its ground-mode integrals, and
-        # no per-integral repulsion calls beyond eps1's
+        # grid), after eps1's nmax-1 block for its ground-mode integrals
         fresh = CoulombTable(points=200)
         monkeypatch.setattr(cli, "get_table", lambda points: fresh)
-        grids, pairs = [], []
+        grids = []
         build_block = coulomb._quadrature_block
-        single = CoulombTable.pair_expectation
 
         def counted_block(points, nmax):
             grids.append((points, nmax))
             return build_block(points, nmax)
 
-        def counted_single(table, a, b):
-            pairs.append((a, b))
-            return single(table, a, b)
-
         monkeypatch.setattr(coulomb, "_quadrature_block", counted_block)
-        monkeypatch.setattr(CoulombTable, "pair_expectation", counted_single)
         code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "5", "--steps", "3")
         assert code == 0
         assert grids == [(200, 1), (200, 5)]
-        assert len(pairs) == 1
+        # the table keeps the two ground integrals and no block
+        assert vars(fresh).keys() == {"points", "ground_integrals"}
 
     def test_scan_builds_interaction_once(self, capsys, monkeypatch):
         # the lambda scan, the eps2 fit and its reference sum share one CiProblem
@@ -475,6 +469,25 @@ class TestCiScan:
                            "--lambda-min", "1e308", "--lambda-max", "1e308", "--steps", "1")
         assert code == 2
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args,builds", [
+    (("coeffs", "he-clamped"), [(200, 1)]),
+    (("curve", "he-clamped"), [(200, 1)]),
+    (("nuclear-motion", "he-moving"), [(200, 1)]),
+    (("nuclear-motion", "he-moving", "--quad-points", "512"), [(512, 1)]),
+    (("ci-scan", "he-clamped", "--nmax", "24", "--steps", "3"), [(200, 1), (200, 24)]),
+], ids=["coeffs", "curve", "nuclear-motion", "nuclear-motion-512", "ci-scan"])
+def test_each_command_builds_each_block_once(capsys, monkeypatch, args, builds):
+    # a process shares one table per resolution: first order builds the nmax-1
+    # block once however many systems it serves, and CI builds the nmax block
+    tables = {}
+    monkeypatch.setattr(cli, "get_table", lambda points: tables.setdefault(points, CoulombTable(points)))
+    built = []
+    build = coulomb._quadrature_block
+    monkeypatch.setattr(coulomb, "_quadrature_block", lambda *a: built.append(a) or build(*a))
+    code, _, _ = run(capsys, *args)
+    assert code == 0 and built == builds
 
 
 class TestNuclearMotion:

@@ -21,15 +21,15 @@ from boxatom import (
     nondimensionalize,
 )
 from boxatom.coulomb import mode_pair_index
-from boxatom.errors import ConvergenceError, UnsupportedModeError, ValidationError
+from boxatom.errors import ConvergenceError, ValidationError
 
 from oracles import cin_series, closed_forms, integrate_square, s_wave_block_whole_grid, si_series, triangle_grid
 
 scipy_special = pytest.importorskip("scipy.special")
 
 
-def mode(n, l=0):
-    return ModeIndex(l, n)
+def mode(n):
+    return ModeIndex(0, n)
 
 
 def r0(table, a, b, c, d):
@@ -40,6 +40,16 @@ def r0(table, a, b, c, d):
     return table.s_wave_block(nmax)[1][index[a - 1, c - 1], index[b - 1, d - 1]]
 
 
+def central(table, a, c):
+    # int u_a u_c / r, read from the block whose nmax is the larger mode number
+    return table.s_wave_block(max(a, c))[0][a - 1, c - 1]
+
+
+def pair(table, a, b):
+    # R0(ab;ab): u_a^2 and u_b^2 against 1/max(r1, r2)
+    return r0(table, a, b, a, b)
+
+
 def cin_scipy(x):
     # Cin(x) = gamma + ln(x) - Ci(x)
     _, ci = scipy_special.sici(x)
@@ -48,19 +58,19 @@ def cin_scipy(x):
 
 class TestCentralExpectation:
     def test_ground_diagonal_is_cin_2pi(self, table):
-        got = table.central_expectation(mode(1), mode(1))
+        got, _ = table.ground_integrals
         assert got == pytest.approx(cin_series(2.0 * math.pi), abs=1e-12)
         assert got == pytest.approx(cin_scipy(2.0 * math.pi), abs=1e-12)
 
     def test_off_diagonal_closed_form(self, table):
         # 2 sin(pi r) sin(2 pi r) / r integrates to Cin(3 pi) - Cin(pi)
-        got = table.central_expectation(mode(1), mode(2))
+        got = central(table, 1, 2)
         assert got == pytest.approx(cin_series(3.0 * math.pi) - cin_series(math.pi), abs=1e-11)
 
     def test_high_diagonal_frozen(self, table):
         # a float Cin series would cancel catastrophically by x = 10 pi; the
         # oracle sums in decimals, and the library function is a second route
-        got = table.central_expectation(mode(5), mode(5))
+        got = central(table, 5, 5)
         assert got == pytest.approx(cin_series(10.0 * math.pi), abs=1e-10)
         assert got == pytest.approx(cin_scipy(10.0 * math.pi), abs=1e-10)
         assert got == pytest.approx(4.025537815849732, abs=1e-9)
@@ -76,46 +86,30 @@ class TestCentralExpectation:
             assert si_series(x) == pytest.approx(si, abs=1e-12)
 
     def test_argument_order_irrelevant(self, table):
-        assert table.central_expectation(mode(1), mode(3)) == table.central_expectation(mode(3), mode(1))
-
-    def test_l_mismatch_is_exact_zero(self, table):
-        # every integral follows one s-wave rule: an l > 0 mode is unsupported
-        with pytest.raises(UnsupportedModeError):
-            table.central_expectation(mode(1, l=0), ModeIndex(1, 1))
-
-    def test_matching_higher_l_is_supported(self, table):
-        with pytest.raises(UnsupportedModeError):
-            table.central_expectation(ModeIndex(1, 1), ModeIndex(1, 1))
+        assert central(table, 1, 3) == central(table, 3, 1)
 
 
 class TestPairExpectation:
     def test_ground_pair_frozen(self, table):
-        got = table.pair_expectation(mode(1), mode(1))
+        _, got = table.ground_integrals
         assert got == pytest.approx(1.7860731681516866, abs=1e-10)
 
     def test_ground_pair_bounds(self, table):
         # 1/|r1 - r2| >= 1/max <= ... the mean sits between 1 and the unscreened central value
-        got = table.pair_expectation(mode(1), mode(1))
+        _, got = table.ground_integrals
         assert 1.0 < got < 2.0 * cin_series(2.0 * math.pi)
 
     def test_mixed_pair_frozen(self, table):
-        got = table.pair_expectation(mode(1), mode(2))
+        got = pair(table, 1, 2)
         assert got == pytest.approx(1.7803272473469034, abs=1e-10)
 
     def test_symmetric_in_occupants(self, table):
-        assert table.pair_expectation(mode(1), mode(2)) == table.pair_expectation(mode(2), mode(1))
-
-    def test_non_s_wave_rejected(self, table):
-        with pytest.raises(UnsupportedModeError, match="pair_expectation"):
-            table.pair_expectation(ModeIndex(1, 1), mode(1))
-        with pytest.raises(ValidationError, match="pair_expectation"):
-            table.pair_expectation(mode(1), (0, 1))
+        assert pair(table, 1, 2) == pair(table, 2, 1)
 
 
 class TestSlaterRadial:
     def test_diagonal_matches_pair(self, table):
-        assert r0(table, 1, 1, 1, 1) == table.pair_expectation(mode(1), mode(1))
-        assert r0(table, 1, 3, 1, 3) == table.pair_expectation(mode(1), mode(3))
+        assert r0(table, 1, 1, 1, 1) == table.ground_integrals[1]
 
     def test_exchange_like_frozen(self, table):
         assert r0(table, 1, 1, 2, 2) == pytest.approx(0.2801282906379428, abs=1e-10)
@@ -166,12 +160,15 @@ class TestSWaveBlock:
                 got = block[index[a - 1, c - 1], index[b - 1, d - 1]]
                 assert got == pytest.approx(r0(table, a, b, c, d), abs=1e-13)
 
-    def test_symmetric_cached_and_read_only(self, table):
+    def test_symmetric_rebuilt_and_read_only(self, table):
         central, slater = table.s_wave_block(self.NMAX)
         np.testing.assert_array_equal(central, central.T)
         np.testing.assert_array_equal(slater, slater.T)
+        # every call builds its own block, with the same bits
         again = table.s_wave_block(self.NMAX)
-        assert again[0] is central and again[1] is slater
+        assert again[0] is not central and again[1] is not slater
+        np.testing.assert_array_equal(again[0], central)
+        np.testing.assert_array_equal(again[1], slater)
         with pytest.raises(ValueError):
             slater[0, 0] = 0.0
 
@@ -257,9 +254,15 @@ class TestClosedForms:
             np.testing.assert_array_equal(got, want)
 
     def test_table_holds_no_array_outside_its_blocks(self):
+        # nor any block: neither one it returns nor the one W is gathered from
         fresh = CoulombTable(512)
         fresh.s_wave_block(2)
-        assert vars(fresh).keys() == {"points", "_blocks"}
+        assert vars(fresh).keys() == {"points"}
+        ci.interaction_matrix(2.0, ci.CiBasis(4), fresh)
+        assert vars(fresh).keys() == {"points"}
+        # what it keeps is the two ground integrals, as floats
+        fresh.ground_integrals
+        assert vars(fresh).keys() == {"points", "ground_integrals"}
         assert not any(isinstance(v, np.ndarray) for v in vars(fresh).values())
 
     @pytest.mark.parametrize("points,nmax", [(512, 12), (200, 24)])
@@ -357,11 +360,11 @@ class TestClosedForms:
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("method,call", [
-        ("central", lambda t: t.central_expectation(mode(2), mode(3))),
-        ("slater", lambda t: t.pair_expectation(mode(1), mode(2))),
+        ("central", lambda t: t.ground_integrals[0]),
+        ("slater", lambda t: t.ground_integrals[1]),
     ])
     def test_single_check_catches_perturbation(self, monkeypatch, method, call):
-        # a single integral is an entry of its block, so the block check guards it
+        # the ground integrals are entries of the nmax-1 block, so the block check guards them
         part = ("central", "slater").index(method)
         build = coulomb._quadrature_block
 
@@ -380,27 +383,29 @@ class TestClosedForms:
         monkeypatch.setattr(coulomb, "gauss_legendre", lambda n: sizes.append(n) or rule(n))
         fresh = CoulombTable(200)
         fresh.s_wave_block(6)
-        fresh.central_expectation(mode(2), mode(3))
-        fresh.pair_expectation(mode(1), mode(4))
+        fresh.ground_integrals
         assert 200 in sizes and 400 not in sizes
 
 
 class TestSingleFromBlock:
-    def test_single_equals_block_entry_at_its_largest_mode(self):
+    def test_ground_integrals_are_the_nmax1_block_entries(self):
         fresh = CoulombTable(200)
-        index = mode_pair_index(4)
-        assert fresh.pair_expectation(mode(4), mode(1)) == fresh.s_wave_block(4)[1][index[3, 3], index[0, 0]]
-        index = mode_pair_index(3)
-        assert fresh.pair_expectation(mode(2), mode(3)) == fresh.s_wave_block(3)[1][index[1, 1], index[2, 2]]
-        assert fresh.central_expectation(mode(3), mode(1)) == fresh.s_wave_block(3)[0][2, 0]
+        got = fresh.ground_integrals
+        central, slater = fresh.s_wave_block(1)
+        assert got == (central[0, 0], slater[0, 0])
+        assert all(type(x) is float for x in got)
+        # Cin(2 pi), and pair(1,1) = 2 - [Si(2pi) - Si(4pi)/2]/pi from u_1^2 = 1 - cos(2 pi r)
+        assert got[0] == pytest.approx(cin_series(2.0 * math.pi), abs=1e-12)
+        exact = 2.0 - (si_series(2.0 * math.pi) - si_series(4.0 * math.pi) / 2.0) / math.pi
+        assert got[1] == pytest.approx(exact, abs=1e-12)
 
-    def test_single_never_reads_a_larger_block(self):
-        # a larger block may differ in the last bits, so a single value must
-        # not depend on which blocks the table built before
-        fresh, warmed = CoulombTable(200), CoulombTable(200)
-        warmed.s_wave_block(24)
-        assert fresh.pair_expectation(mode(1), mode(2)) == warmed.pair_expectation(mode(1), mode(2))
-        assert fresh.central_expectation(mode(1), mode(2)) == warmed.central_expectation(mode(1), mode(2))
+    def test_ground_integrals_are_built_once(self, monkeypatch):
+        built = []
+        build = coulomb._quadrature_block
+        monkeypatch.setattr(coulomb, "_quadrature_block", lambda *a: built.append(a) or build(*a))
+        fresh = CoulombTable(512)
+        assert fresh.ground_integrals is fresh.ground_integrals
+        assert built == [(512, 1)]
 
     def test_mode_pair_index_is_shared_and_read_only(self):
         index = mode_pair_index(5)
@@ -415,6 +420,12 @@ class TestSingleFromBlock:
         with pytest.raises(ValidationError, match="nmax"):
             mode_pair_index(bad)
 
+    @pytest.mark.parametrize("bad", [[4], np.array([4]), np.array(4)], ids=["list", "array", "0-d-array"])
+    def test_mode_pair_index_checks_before_its_cache(self, bad):
+        # checked before the cache, which would raise a bare TypeError for an unhashable argument
+        with pytest.raises(ValidationError, match="^nmax must be an integer, got [^\n]+$"):
+            mode_pair_index(bad)
+
     def test_nmax_bound_checked_before_any_build(self, monkeypatch):
         # a mode number far beyond the bound must not even size an index array;
         # the spies only record, so a wrong order cannot allocate anything
@@ -425,11 +436,7 @@ class TestSingleFromBlock:
         with pytest.raises(ValidationError, match="nmax"):
             fresh.s_wave_block(coulomb.MAX_NMAX + 1)
         with pytest.raises(ValidationError, match="nmax"):
-            fresh.pair_expectation(mode(coulomb.MAX_NMAX + 1), mode(1))
-        with pytest.raises(ValidationError, match="nmax"):
-            fresh.pair_expectation(mode(1), mode(10**9))
-        with pytest.raises(ValidationError, match="nmax"):
-            fresh.central_expectation(mode(1), mode(coulomb.MAX_NMAX + 1))
+            fresh.s_wave_block(10**9)
         assert built == []
         assert ci.MAX_NMAX == coulomb.MAX_NMAX == 48
 
@@ -438,13 +445,13 @@ class TestResolutionGuard:
     def test_underresolved_high_mode_raises(self):
         coarse = CoulombTable(points=16)
         with pytest.raises(ConvergenceError) as err:
-            coarse.pair_expectation(mode(8), mode(8))
+            coarse.s_wave_block(8)
         message = str(err.value)
         assert "16" in message and "32" in message
 
     def test_ground_modes_fine_even_when_coarse(self):
         coarse = CoulombTable(points=16)
-        got = coarse.pair_expectation(mode(1), mode(1))
+        _, got = coarse.ground_integrals
         assert got == pytest.approx(1.7860731681516866, abs=1e-9)
 
     @pytest.mark.parametrize("points", [8, 15, 513, 1000, 32.0, True])
@@ -462,6 +469,12 @@ class TestCaching:
         get_table(np.int64(128))
         with pytest.raises(ValidationError, match="^quadrature points must be an integer, got 128.0$"):
             get_table(128.0)
+
+    @pytest.mark.parametrize("bad", [[200], np.array([200]), np.array(200)], ids=["list", "array", "0-d-array"])
+    def test_get_table_checks_before_its_cache(self, bad):
+        # checked before the cache, which would raise a bare TypeError for an unhashable argument
+        with pytest.raises(ValidationError, match="^quadrature points must be an integer, got [^\n]+$"):
+            get_table(bad)
 
     def test_none_is_the_shared_default_table(self, table):
         assert coulomb.as_table(None) is get_table() and coulomb.as_table(table) is table
@@ -483,16 +496,24 @@ class TestCaching:
 
     def test_results_stable_across_instances(self, table):
         fresh = CoulombTable(points=200)
-        assert fresh.pair_expectation(mode(1), mode(2)) == table.pair_expectation(mode(1), mode(2))
+        assert fresh.ground_integrals == table.ground_integrals
+        assert pair(fresh, 1, 2) == pair(table, 1, 2)
 
     def test_thread_smoke(self, table):
+        # threads share one fresh table: its ground integrals and the blocks they build
+        fresh = CoulombTable(points=200)
         keys = [(a, b) for a in range(1, 5) for b in range(1, 5)]
 
-        def work(pair):
-            a, b = pair
-            return table.pair_expectation(mode(a), mode(b))
+        def work(key):
+            a, b = key
+            return fresh.ground_integrals, pair(fresh, a, b)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(work, keys * 4))
-        serial = [work(pair) for pair in keys * 4]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(work, keys * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        serial = [(table.ground_integrals, pair(table, a, b)) for a, b in keys * 4]
         assert results == serial

@@ -2,9 +2,8 @@
 
 Each argument below refuses every value of NOT_NUMBERS with a one-line
 ValidationError that names it, and takes a numpy integer or float wherever it
-takes an int or a float. The lambda grids of `CiProblem.scan`,
-`CiProblem.second_order_estimate` and `energy_curve` are checked the same
-way by the test_rejects_values_float_cannot_take and test_takes_numpy_numbers
+takes an int or a float. The lambda grids of `CiProblem.scan` and
+`energy_curve` are checked the same way by the test_rejects_values_float_cannot_take and test_takes_numpy_numbers
 tests of test_ci.py and test_perturbation.py.
 """
 

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxatom import (
-    ModeIndex,
     Particle,
     PerturbationCoefficients,
     SystemDefinition,
@@ -45,6 +44,27 @@ def first_order_curve(system, lambdas, table):
 
 def test_epsilon1_takes_a_system_and_a_table_only():
     assert list(inspect.signature(epsilon1).parameters) == ["system", "table"]
+
+
+def test_a_system_definition_is_refused_with_a_pointer_to_nondimensionalize(table):
+    # the usual slip: a definition passed before nondimensionalize has scaled it
+    with pytest.raises(ValidationError, match="^system must be a DimensionlessSystem, got SystemDefinition; "
+                                              "nondimensionalize turns a SystemDefinition into one$"):
+        epsilon1(helium_system(clamped_nucleus=True), table)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: epsilon1("a"), "system must be a DimensionlessSystem, got str"),
+    (lambda: energy_curve("a", "b", [1.0]), "system must be a DimensionlessSystem, got str"),
+    (lambda: energy_curve(clamped_he(), "b", [1.0]), "coefficients must be a PerturbationCoefficients, got str"),
+    (lambda: nuclear_motion_report("a", "b"), "clamped coefficients must be a PerturbationCoefficients, got str"),
+    (lambda: nuclear_motion_report(epsilon1(clamped_he()), None),
+     "moving coefficients must be a PerturbationCoefficients, got NoneType"),
+], ids=["epsilon1", "energy_curve-system", "energy_curve-coefficients", "nuclear_motion_report-clamped",
+        "nuclear_motion_report-moving"])
+def test_first_order_refuses_what_is_not_its_input_type(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
 
 
 class TestEpsilon0:
@@ -87,15 +107,14 @@ class TestEpsilon1Breakdown:
     def test_clamped_helium_values(self, table):
         system = clamped_he()
         coeffs = epsilon1(system, table)
-        pair = table.pair_expectation(ModeIndex(0, 1), ModeIndex(0, 1))
-        central = table.central_expectation(ModeIndex(0, 1), ModeIndex(0, 1))
+        central, pair = table.ground_integrals
         assert coeffs.eps1 == pytest.approx(pair - 4.0 * central, abs=1e-13)
         assert coeffs.eps1 == pytest.approx(-7.96454040407721, abs=1e-10)
 
     def test_moving_helium_values(self, table):
         system = moving_he()
         coeffs = epsilon1(system, table)
-        pair = table.pair_expectation(ModeIndex(0, 1), ModeIndex(0, 1))
+        _, pair = table.ground_integrals
         # one e-e repulsion and two e-nucleus attractions, all ground pair integrals
         assert coeffs.eps1 == pytest.approx(-3.0 * pair, abs=1e-13)
         assert coeffs.eps1 == pytest.approx(-5.35821950445506, abs=1e-10)
@@ -112,7 +131,7 @@ class TestEpsilon1Breakdown:
     def test_pair_count_scales_combinatorially(self, count, table):
         system = electrons_only(count)
         coeffs = epsilon1(system, table)
-        pair = table.pair_expectation(ModeIndex(0, 1), ModeIndex(0, 1))
+        _, pair = table.ground_integrals
         expected = count * (count - 1) / 2 * pair
         assert coeffs.eps1 == pytest.approx(expected, rel=1e-14)
         assert len([t for t in coeffs.breakdown if t.kind == "pair"]) == count * (count - 1) // 2

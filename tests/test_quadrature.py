@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from boxatom import gauss_legendre, integrate
+from boxatom import gauss_legendre, integrate, quadrature
 from boxatom.errors import ValidationError
 
 from oracles import cin_series, integrate_square, integrate_triangular, triangle_grid
@@ -69,6 +69,13 @@ def test_rules_are_cached_and_frozen():
 @pytest.mark.parametrize("bad", [0, -3, 1025, 2.5, True])
 def test_invalid_order_rejected(bad):
     with pytest.raises(ValidationError):
+        gauss_legendre(bad)
+
+
+@pytest.mark.parametrize("bad", [[4], np.array([4]), np.array(4)], ids=["list", "array", "0-d-array"])
+def test_order_checked_before_the_cache(bad):
+    # checked before the cache, which would raise a bare TypeError for an unhashable argument
+    with pytest.raises(ValidationError, match="^rule size must be an integer, got [^\n]+$"):
         gauss_legendre(bad)
 
 
@@ -174,7 +181,7 @@ def test_triangular_pair_kernel_converges():
 
 def test_determinism():
     a = gauss_legendre(200)
-    gauss_legendre.cache_clear()
+    quadrature._gauss_legendre.cache_clear()
     b = gauss_legendre(200)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.weights, b.weights)
