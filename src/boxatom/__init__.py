@@ -16,7 +16,6 @@ from .ci import (
     interaction_matrix,
     kinetic_diagonal,
 )
-from .coulomb import CoulombTable, get_table
 from .errors import (
     BoxatomError,
     ConvergenceError,
@@ -62,7 +61,6 @@ __all__ = [
     "CiProblem",
     "CiSolution",
     "ConvergenceError",
-    "CoulombTable",
     "DimensionlessSystem",
     "ModeIndex",
     "NuclearMotionReport",
@@ -80,7 +78,6 @@ __all__ = [
     "energy_curve",
     "epsilon1",
     "gauss_legendre",
-    "get_table",
     "ground_state",
     "helium_system",
     "integrate",

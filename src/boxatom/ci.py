@@ -11,19 +11,19 @@ over sphere modes n <= nmax. In this orthonormal basis
 where W collects -Z times the one-particle 1/r couplings and the electron
 pair repulsion through monopole Slater integrals. W is gathered, upper
 triangle first and then mirrored so it is exactly symmetric, from the
-Coulomb table's checked s-wave block for nmax (`CoulombTable.s_wave_block`):
-index arrays built from the configurations, a band of rows at a time, pick
-each central and Slater integral. The table keeps no block, so the block is
-freed once W is gathered, and a second W at the same nmax computes the
-integrals again. The ground eigenvalue is a
+checked s-wave block `coulomb.s_wave_block(nmax, points)`: index arrays
+built from the configurations, a band of rows at a time, pick each central
+and Slater integral. Nothing keeps the block, so it is freed once W is
+gathered, and a second W at the same nmax computes the integrals again.
+The ground eigenvalue is a
 variational upper bound on the true ground energy within the subspace, and
 the coefficient of |11> is the overlap with the free-particle ground state.
 
-`CiProblem(z, basis, table)` is the library's one way to solve the CI
+`CiProblem(z, basis, points)` is the library's one way to solve the CI
 problem, and the one the CLI runs: its `scan`, `second_order_estimate` and
 `second_order_sum_over_states` share one W, checked once to be finite and
 exactly symmetric; the eps2 fit runs on the one grid EPS2_FIT_GRID.
-`ground_state(build_hamiltonian(z, lam, basis, table))` solves one lambda
+`ground_state(build_hamiltonian(z, lam, basis, points))` solves one lambda
 densely; it is the reference the certified solver is
 tested against. A lambda whose bound max(T) + lambda max_i sum_j |W_ij| on
 ||H||_2 exceeds RESIDUAL_TOL / (10 eps), about 4.5e4, is a ValidationError:
@@ -73,8 +73,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .coulomb import MAX_NMAX, CoulombTable, as_table, check_nmax, mode_pair_index
-from .errors import ConvergenceError, ValidationError, real, reals
+from .coulomb import DEFAULT_POINTS, MAX_NMAX, check_nmax, check_points, mode_pair_index, s_wave_block
+from .errors import ConvergenceError, ValidationError, of_type, real, reals
 
 RESIDUAL_TOL = 1e-10
 # the small-lambda grid of the second-order fit; its design [lambda^2, lambda^3]
@@ -163,17 +163,18 @@ def _coupling(lam) -> float:
 
 def kinetic_diagonal(basis: CiBasis) -> np.ndarray:
     """T_nm = (n^2 + m^2) pi^2 / 2 in configuration order."""
+    basis = of_type("basis", basis, CiBasis)
     return np.array(
         [(n * n + m * m) * math.pi**2 / 2.0 for n, m in basis.configurations]
     )
 
 
-def interaction_matrix(z: float, basis: CiBasis, table: CoulombTable | None = None) -> np.ndarray:
-    """W = -Z * (symmetrized central couplings) + symmetrized pair repulsion."""
+def interaction_matrix(z: float, basis: CiBasis, points: int = DEFAULT_POINTS) -> np.ndarray:
+    """W = -Z * (symmetrized central couplings) + symmetrized pair repulsion, by the points-point rule."""
     z = _charge(z)
-    table = as_table(table)
-    # the table keeps no block, so this one is freed once W is gathered
-    central, slater = table.s_wave_block(basis.nmax)
+    basis = of_type("basis", basis, CiBasis)
+    # nothing keeps the block, so it is freed once W is gathered
+    central, slater = s_wave_block(basis.nmax, points)
     pair = mode_pair_index(basis.nmax)
     # 0-based modes: row i of W is configuration (n, m), column j is (p, q)
     config = np.array(basis.configurations) - 1
@@ -201,11 +202,10 @@ def interaction_matrix(z: float, basis: CiBasis, table: CoulombTable | None = No
     return w
 
 
-def build_hamiltonian(z: float, lam: float, basis: CiBasis,
-                      table: CoulombTable | None = None) -> np.ndarray:
+def build_hamiltonian(z: float, lam: float, basis: CiBasis, points: int = DEFAULT_POINTS) -> np.ndarray:
     """H(lambda) = diag(T) + lambda W; exactly symmetric."""
     z, lam = _charge(z), _coupling(lam)
-    return _hamiltonian(kinetic_diagonal(basis), lam, interaction_matrix(z, basis, table))
+    return _hamiltonian(kinetic_diagonal(basis), lam, interaction_matrix(z, basis, points))
 
 
 def _hamiltonian(kinetic: np.ndarray, lam: float, interaction: np.ndarray) -> np.ndarray:
@@ -511,7 +511,7 @@ def _check_concavity(lam: np.ndarray, energy: np.ndarray, slope: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class CiProblem:
-    """H(lambda) = diag(T) + lambda W for one charge, basis and table.
+    """H(lambda) = diag(T) + lambda W for one charge, basis and quadrature resolution.
 
     T and W are built on first use and then shared, so a scan, an eps2 fit
     and a sum over states on one problem assemble W once; the fit also
@@ -521,11 +521,12 @@ class CiProblem:
 
     z: float
     basis: CiBasis
-    table: CoulombTable | None = None
+    points: int = DEFAULT_POINTS
 
     def __post_init__(self):
         object.__setattr__(self, "z", _charge(self.z))
-        object.__setattr__(self, "table", as_table(self.table))
+        of_type("basis", self.basis, CiBasis)
+        object.__setattr__(self, "points", check_points(self.points))
 
     @cached_property
     def kinetic(self) -> np.ndarray:
@@ -533,7 +534,7 @@ class CiProblem:
 
     @cached_property
     def interaction(self) -> np.ndarray:
-        return _checked_matrix(interaction_matrix(self.z, self.basis, self.table))
+        return _checked_matrix(interaction_matrix(self.z, self.basis, self.points))
 
     @cached_property
     def _floor(self) -> _InterlacingFloor:

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from . import ci
-from .coulomb import DEFAULT_POINTS, MAX_POINTS, MIN_POINTS, check_nmax, check_points, get_table
+from .coulomb import DEFAULT_POINTS, MAX_POINTS, MIN_POINTS, check_nmax, check_points
 from .errors import ConvergenceError, ValidationError, real
 from .perturbation import (
     PerturbationCoefficients,
@@ -198,14 +198,9 @@ def _breakdown_report(coeffs: PerturbationCoefficients, *meta: tuple[str, object
     )
 
 
-def _first_order(config: RunConfig, system: DimensionlessSystem) -> PerturbationCoefficients:
-    """eps0 and eps1 of the system's ground occupation at the run's quadrature resolution."""
-    return epsilon1(system, get_table(config.quadrature_points))
-
-
 def cmd_coeffs(config: RunConfig) -> Report:
     system = nondimensionalize(_resolve_system(config.system_path))
-    coeffs = _first_order(config, system)
+    coeffs = epsilon1(system, config.quadrature_points)
     return _breakdown_report(
         coeffs,
         ("lambda", system.lam),
@@ -216,7 +211,7 @@ def cmd_coeffs(config: RunConfig) -> Report:
 
 def cmd_curve(config: RunConfig) -> Report:
     system = nondimensionalize(_resolve_system(config.system_path))
-    coeffs = _first_order(config, system)
+    coeffs = epsilon1(system, config.quadrature_points)
     lams, rc_bohr, energy = energy_curve(system, coeffs, config.lambda_grid)
     return Report(
         meta=[
@@ -260,8 +255,8 @@ def cmd_ci_scan(config: RunConfig) -> Report:
         )
     system = nondimensionalize(_resolve_system(config.system_path))
     z = _ci_charge(system)
-    coeffs = _first_order(config, system)
-    problem = ci.CiProblem(z, ci.CiBasis(config.ci_nmax), get_table(config.quadrature_points))
+    coeffs = epsilon1(system, config.quadrature_points)
+    problem = ci.CiProblem(z, ci.CiBasis(config.ci_nmax), config.quadrature_points)
     # ascending, as the scan requires, since lambda_min <= lambda_max
     grid = config.lambda_grid
     # a row keeps its energy and overlap0; each solution's vector is dropped once read
@@ -305,7 +300,7 @@ def _nuclear_variants(definition: SystemDefinition) -> dict[str, SystemDefinitio
 
 def cmd_nuclear_motion(config: RunConfig) -> Report:
     variants = _nuclear_variants(_resolve_system(config.system_path))
-    coeffs = {name: _first_order(config, nondimensionalize(definition))
+    coeffs = {name: epsilon1(nondimensionalize(definition), config.quadrature_points)
               for name, definition in variants.items()}
     report = nuclear_motion_report(coeffs["clamped"], coeffs["moving"])
     return Report(

@@ -41,21 +41,21 @@ np.argmax of the whole gap would name, and a gap beyond 1e-9 raises
 ConvergenceError instead of returning an under-resolved block. The returned
 values are the quadrature's, so the rule size stays meaningful.
 
-A table keeps no block: every `s_wave_block` call builds and checks one,
+Nothing keeps a block: every `s_wave_block` call builds and checks one,
 and the caller holds it as long as it needs it. CI reads the nmax block
 once, to gather W, and a block of 11 MB at nmax 48 need not outlive that.
-What a table keeps is `ground_integrals`, the two entries of the nmax-1
-block that first order reads, <1/r> and <1/r12> in the (l=0, n=1) mode; so
-the two first-order systems of a nuclear-motion comparison build that block
-once on a shared table. A table can be shared across threads: at worst,
-two threads that read `ground_integrals` first at once each build the
-nmax-1 block, and get the same two floats.
+What is kept is `ground_integrals(points)`, the two entries of the nmax-1
+block that first order reads, <1/r> and <1/r12> in the (l=0, n=1) mode,
+one pair of floats per resolution; so the two first-order systems of a
+nuclear-motion comparison build that block once. At worst, two threads
+that first ask for `ground_integrals(points)` at once each build the
+nmax-1 block, and get the same floats.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -256,81 +256,61 @@ def _quadrature_block(points: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     return central, half + half.T
 
 
-class CoulombTable:
-    """Checked s-wave Coulomb integrals at a fixed quadrature resolution."""
-
-    def __init__(self, points: int = DEFAULT_POINTS):
-        self.points = check_points(points)
-
-    def _checked(self, what, value: float, reference: float) -> float:
-        gap = abs(value - reference)
-        if not gap <= AGREEMENT_TOL:
-            advice = (
-                f"try {min(2 * self.points, MAX_POINTS)} quadrature points"
-                if self.points < MAX_POINTS
-                else f"{MAX_POINTS} quadrature points is the most a table supports"
-            )
-            raise ConvergenceError(
-                f"{what} at {self.points} quadrature points differs from its closed form "
-                f"by {gap:.3e} (tolerance {AGREEMENT_TOL:.0e}); {advice}"
-            )
-        return value
-
-    def s_wave_block(self, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every s-wave integral of modes 1..nmax, built and checked against closed forms on each call.
-
-        Returns read-only (C, R): C[a-1, c-1] = int u_a u_c / r dr, and
-        R[k, k'] = R0(ab;cd) for mode pairs k = (a, c), k' = (b, d) numbered
-        as in mode_pair_index(nmax). Both are the table's quadrature values;
-        every entry must lie within 1e-9 of its Si/Cin closed form. The table
-        keeps neither.
-        """
-        nmax = check_nmax(nmax)
-        block = _quadrature_block(self.points, nmax)
-        first, second = np.triu_indices(nmax)
-        p, q = second - first, first + second + 2
-        _, cin = _si_cin_pi()
-        central = np.empty((nmax, nmax))
-        central[first, second] = central[second, first] = cin[q] - cin[p]
-        modes = list(range(1, nmax + 1))
-        pairs = list(zip((first + 1).tolist(), (second + 1).tolist()))
-        for what, labels, value, exact_rows in (
-            ("central_expectation for modes", modes, block[0], central.__getitem__),
-            ("Slater integral for mode pairs", pairs, block[1], _closed_form_rows(p, q)),
-        ):
-            # the worst entry passes only if every entry does
-            i, j, exact = _worst_gap(value, exact_rows, _CHECK_ROWS)
-            self._checked(f"{what} {labels[i]} and {labels[j]} (nmax={nmax} block)",
-                          float(value[i, j]), exact)
-        for array in block:
-            array.setflags(write=False)
-        return block
-
-    @cached_property
-    def ground_integrals(self) -> tuple[float, float]:
-        """(<1/r>, <1/r12>) in the (l=0, n=1) mode: C[0, 0] and R[0, 0] of s_wave_block(1), kept.
-
-        These are int u_1^2 / r dr = Cin(2 pi) and R0(11;11), the two
-        integrals that first order reads.
-        """
-        central, slater = self.s_wave_block(1)
-        return float(central[0, 0]), float(slater[0, 0])
+def _checked(points: int, what, value: float, reference: float) -> float:
+    gap = abs(value - reference)
+    if not gap <= AGREEMENT_TOL:
+        advice = (
+            f"try {min(2 * points, MAX_POINTS)} quadrature points"
+            if points < MAX_POINTS
+            else f"{MAX_POINTS} quadrature points is the most a table supports"
+        )
+        raise ConvergenceError(
+            f"{what} at {points} quadrature points differs from its closed form "
+            f"by {gap:.3e} (tolerance {AGREEMENT_TOL:.0e}); {advice}"
+        )
+    return value
 
 
-def get_table(points: int = DEFAULT_POINTS) -> CoulombTable:
-    """Process-wide shared table for the given resolution."""
-    return _shared_table(check_points(points))
+def s_wave_block(nmax: int, points: int = DEFAULT_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """Every s-wave integral of modes 1..nmax by the points-point rule, built and checked on each call.
+
+    Returns read-only (C, R): C[a-1, c-1] = int u_a u_c / r dr, and
+    R[k, k'] = R0(ab;cd) for mode pairs k = (a, c), k' = (b, d) numbered
+    as in mode_pair_index(nmax). Both are quadrature values; every entry
+    must lie within 1e-9 of its Si/Cin closed form. Nothing keeps either.
+    """
+    nmax, points = check_nmax(nmax), check_points(points)
+    block = _quadrature_block(points, nmax)
+    first, second = np.triu_indices(nmax)
+    p, q = second - first, first + second + 2
+    _, cin = _si_cin_pi()
+    central = np.empty((nmax, nmax))
+    central[first, second] = central[second, first] = cin[q] - cin[p]
+    modes = list(range(1, nmax + 1))
+    pairs = list(zip((first + 1).tolist(), (second + 1).tolist()))
+    for what, labels, value, exact_rows in (
+        ("central_expectation for modes", modes, block[0], central.__getitem__),
+        ("Slater integral for mode pairs", pairs, block[1], _closed_form_rows(p, q)),
+    ):
+        # the worst entry passes only if every entry does
+        i, j, exact = _worst_gap(value, exact_rows, _CHECK_ROWS)
+        _checked(points, f"{what} {labels[i]} and {labels[j]} (nmax={nmax} block)",
+                 float(value[i, j]), exact)
+    for array in block:
+        array.setflags(write=False)
+    return block
 
 
-@lru_cache(maxsize=8)
-def _shared_table(points: int) -> CoulombTable:
-    return CoulombTable(points)
+def ground_integrals(points: int = DEFAULT_POINTS) -> tuple[float, float]:
+    """(<1/r>, <1/r12>) in the (l=0, n=1) mode: C[0, 0] and R[0, 0] of s_wave_block(1, points), kept.
+
+    These are int u_1^2 / r dr = Cin(2 pi) and R0(11;11), the two
+    integrals that first order reads.
+    """
+    return _ground_integrals(check_points(points))
 
 
-def as_table(table: CoulombTable | None) -> CoulombTable:
-    """`table` itself, or for None the shared table at the default resolution; anything else is a ValidationError."""
-    if table is None:
-        return get_table()
-    if not isinstance(table, CoulombTable):
-        raise ValidationError(f"table must be a CoulombTable or None, got {type(table).__name__}")
-    return table
+@lru_cache(maxsize=None)
+def _ground_integrals(points: int) -> tuple[float, float]:
+    central, slater = s_wave_block(1, points)
+    return float(central[0, 0]), float(slater[0, 0])

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one rule for the numbers it takes.
+"""Exception types shared across the package, and the one rule for the numbers and objects it takes.
 
 This module owns the rule for every number a caller passes in (a mass, a
 charge, a box size, a coupling, a charge Z, a grid entry, a mode number, an
@@ -9,6 +9,10 @@ float (a complex scalar, a string array), so numpy integers and floats are
 accepted and a numeric string is not. An integer is a Python or numpy
 integer, never a boolean, within the float range. A value that breaks the
 rule is a one-line ValidationError.
+
+An argument that must be an instance of a package class (a system, a set
+of coefficients, a CI basis, a particle) is checked by `of_type`; a value
+of another type is a one-line ValidationError that names both types.
 """
 
 import contextlib
@@ -43,9 +47,14 @@ def _float(value, must: str) -> float:
     raise ValidationError(f"{must}, got {value!r}")
 
 
+def number(name: str, value) -> float:
+    """`value` as a float, maybe not finite; anything else is a ValidationError that names it."""
+    return _float(value, f"{name} must be a real number")
+
+
 def real(name: str, value) -> float:
     """`value` as a finite float; anything else is a ValidationError that names it."""
-    out = _float(value, f"{name} must be a real number")
+    out = number(name, value)
     if not math.isfinite(out):
         raise ValidationError(f"{name} must be finite, got {out!r}")
     return out
@@ -72,3 +81,13 @@ def integer(name: str, value) -> int:
         _float(value, f"{name} must be an integer")  # refuses one beyond the float range
         return int(value)
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def of_type(name: str, value, kind: type):
+    """`value` itself if it is a `kind`; anything else is a ValidationError that names both."""
+    if not isinstance(value, kind):
+        from .system import SystemDefinition  # system imports this module
+
+        hint = "; nondimensionalize turns a SystemDefinition into one" if isinstance(value, SystemDefinition) else ""
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}{hint}")
+    return value

@@ -8,7 +8,8 @@ eps(lambda) = eps0 + eps1*lambda + O(lambda^2), with
          + sum_{i free} q'_i q'_c <1/r>               against a clamped charge,
 
 with every integral taken in the (l=0, n=1) sphere ground mode. These two
-integrals, <1/r> and <1/r_12>, are the Coulomb table's `ground_integrals`.
+integrals, <1/r> and <1/r_12>, are `coulomb.ground_integrals(points)` at
+the quadrature resolution `points`, kept once per resolution.
 
 The physical energy at box radius R_c = lambda * a is
 E = prefactor * (eps0/lambda^2 + eps1/lambda + ...). `energy_curve` turns
@@ -33,10 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import CoulombTable, as_table
-from .errors import ValidationError, reals
+from .coulomb import DEFAULT_POINTS, check_points, ground_integrals
+from .errors import ValidationError, of_type, reals
 from .sphere import ModeIndex, mode_energy
-from .system import DimensionlessSystem, SystemDefinition
+from .system import DimensionlessSystem
 
 _DEGENERACY_RTOL = 1e-9
 _GROUND_MODE = ModeIndex(0, 1)
@@ -66,9 +67,10 @@ class PerturbationCoefficients:
             raise ValidationError(f"eps0 must be positive, got {self.eps0}")
         kin = math.fsum(t.value for t in self.breakdown if t.kind == "kinetic")
         pot = math.fsum(t.value for t in self.breakdown if t.kind != "kinetic")
-        if abs(kin - self.eps0) > 1e-12 * max(1.0, abs(self.eps0)):
+        # written so that a NaN gap fails
+        if not abs(kin - self.eps0) <= 1e-12 * max(1.0, abs(self.eps0)):
             raise ValidationError("eps0 does not match the kinetic breakdown sum")
-        if abs(pot - self.eps1) > 1e-12 * max(1.0, abs(self.eps1)):
+        if not abs(pot - self.eps1) <= 1e-12 * max(1.0, abs(self.eps1)):
             raise ValidationError("eps1 does not match the interaction breakdown sum")
 
 
@@ -79,16 +81,6 @@ class NuclearMotionReport:
     kinetic_shift: float
     potential_shift: float
     dominant: str
-
-
-def _of_type(name: str, value, kind: type):
-    """`value` itself if it is a `kind`; anything else is a ValidationError that names both."""
-    if not isinstance(value, kind):
-        hint = ""
-        if isinstance(value, SystemDefinition):
-            hint = "; nondimensionalize turns a SystemDefinition into one"
-        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}{hint}")
-    return value
 
 
 def _ground_is_degenerate(system: DimensionlessSystem) -> bool:
@@ -103,17 +95,16 @@ def _ground_is_degenerate(system: DimensionlessSystem) -> bool:
     return 3.0 * min(w) <= _DEGENERACY_RTOL * math.fsum(w)
 
 
-def epsilon1(system: DimensionlessSystem,
-             table: CoulombTable | None = None) -> PerturbationCoefficients:
+def epsilon1(system: DimensionlessSystem, points: int = DEFAULT_POINTS) -> PerturbationCoefficients:
     """eps0 and eps1 of the ground occupation with their per-term breakdown.
 
     Free-free pairs contribute q'_i q'_j times the two-particle repulsion
     element; each free particle contributes q'_i q'_c times the central 1/r
     element against the clamped charge. Labels carry the particle indices of
-    the full system.
+    the full system. Both integrals are `ground_integrals(points)`.
     """
-    system = _of_type("system", system, DimensionlessSystem)
-    table = as_table(table)
+    system = of_type("system", system, DimensionlessSystem)
+    points = check_points(points)
     if _ground_is_degenerate(system):
         raise ValidationError(
             "occupation is degenerate with a distinct s-wave occupation at this eps0; "
@@ -126,7 +117,7 @@ def epsilon1(system: DimensionlessSystem,
     for i, p in zip(free_ids, free):
         e = mode_energy(_GROUND_MODE, p.m_prime)
         terms.append(BreakdownTerm(f"kinetic[{i}]", "kinetic", 1.0, e, e))
-    central, pair = table.ground_integrals
+    central, pair = ground_integrals(points)
     for a in range(len(free)):
         for b in range(a + 1, len(free)):
             pref = free[a].q_prime * free[b].q_prime
@@ -169,8 +160,8 @@ def energy_curve(system: DimensionlessSystem, coeffs: PerturbationCoefficients,
     order. A lambda whose energy, energy times the prefactor, or rc_bohr
     leaves the float range is a ValidationError.
     """
-    system = _of_type("system", system, DimensionlessSystem)
-    coeffs = _of_type("coefficients", coeffs, PerturbationCoefficients)
+    system = of_type("system", system, DimensionlessSystem)
+    coeffs = of_type("coefficients", coeffs, PerturbationCoefficients)
     lams = reals("lambda values", lambdas)
     rc_column, energy_column = np.empty_like(lams), np.empty_like(lams)
     for row, lam in enumerate(map(float, lams)):
@@ -178,8 +169,10 @@ def energy_curve(system: DimensionlessSystem, coeffs: PerturbationCoefficients,
             raise ValidationError(f"lambda values must be positive, got {lam!r}")
         try:
             energy = coeffs.eps0 / lam**2 + coeffs.eps1 / lam
-        except (ZeroDivisionError, OverflowError):  # lam**2 underflows to 0 or overflows
-            energy = math.inf
+        except (ZeroDivisionError, OverflowError):
+            # lam**2 underflows to 0 or overflows; dividing by lam twice leaves
+            # the float range only where the energy does
+            energy = coeffs.eps0 / lam / lam + coeffs.eps1 / lam
         rc_bohr = lam * system.length_scale_a
         if not all(math.isfinite(x) for x in (energy, energy * system.energy_prefactor, rc_bohr)):
             raise ValidationError(f"the energy at lambda={lam!r} is outside the float range")
@@ -198,7 +191,7 @@ def nuclear_motion_report(clamped_coeffs: PerturbationCoefficients,
     shift dominates for real atoms.
     """
     for name, coeffs in (("clamped coefficients", clamped_coeffs), ("moving coefficients", moving_coeffs)):
-        _of_type(name, coeffs, PerturbationCoefficients)
+        of_type(name, coeffs, PerturbationCoefficients)
     if clamped_coeffs.eps1 == 0:
         raise ValidationError("clamped eps1 is zero; no interaction shift to compare")
     kinetic = abs(moving_coeffs.eps0 - clamped_coeffs.eps0) / clamped_coeffs.eps0

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, integer, number, of_type, real
 
 # nuclear mass used for the helium presets, in electron masses
 HELIUM_NUCLEAR_MASS = 7296.300
@@ -33,8 +33,8 @@ class Particle:
     clamped: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", real("mass", self.mass))
-        object.__setattr__(self, "charge", real("charge", self.charge))
+        for name in ("mass", "charge"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
         if self.mass <= 0:
             raise ValidationError(f"mass must be positive, got {self.mass}")
         for name, value in (("mass", self.mass), ("|charge|", abs(self.charge))):
@@ -52,6 +52,22 @@ class ScaledParticle:
     q_prime: float
     clamped: bool
 
+    def __post_init__(self):
+        for name in ("m_prime", "q_prime"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
+        if self.m_prime <= 0:
+            raise ValidationError(f"m_prime must be positive, got {self.m_prime}")
+        if not isinstance(self.clamped, bool):
+            raise ValidationError(f"clamped must be a boolean, got {self.clamped!r}")
+
+
+def _particles(value, kind: type) -> tuple:
+    """`value` as a tuple of `kind`s; anything else is a ValidationError."""
+    try:
+        return tuple(of_type(f"particles[{i}]", p, kind) for i, p in enumerate(value))
+    except TypeError:  # `value` is not iterable
+        raise ValidationError(f"particles must be a sequence of {kind.__name__}, got {type(value).__name__}") from None
+
 
 @dataclass(frozen=True)
 class SystemDefinition:
@@ -67,7 +83,7 @@ class SystemDefinition:
     lam: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "particles", tuple(self.particles))
+        object.__setattr__(self, "particles", _particles(self.particles, Particle))
         if not self.particles:
             raise ValidationError("system needs at least one particle")
         # its own message, which the CLI prints for a system file's reference of 1.0 or true
@@ -104,7 +120,8 @@ class DimensionlessSystem:
     energy_prefactor: float
 
     def __post_init__(self):
-        scales = (self.lam, self.length_scale_a, self.energy_prefactor)
+        object.__setattr__(self, "particles", _particles(self.particles, ScaledParticle))
+        scales = [number(name, getattr(self, name)) for name in ("lam", "length_scale_a", "energy_prefactor")]
         if not all(0 < x < math.inf for x in scales):
             raise ValidationError("lam, length scale and energy prefactor must be positive and finite")
         if not any(p.m_prime == 1.0 and p.q_prime == 1.0 and not p.clamped for p in self.particles):

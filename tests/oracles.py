@@ -8,8 +8,8 @@ on its closed form, two-variable integrals from the rule nested on the
 whole triangle grid at once (`triangle_grid`, `integrate_triangular` and
 `integrate_square`; the package builds its inner grid a batch of rows at a
 time), and the symmetrized CI matrix from a brute-force product-basis
-projection, whose Coulomb entries are read one by one from the table's
-checked s-wave block (`s_wave_block`, its Slater matrix through
+projection, whose Coulomb entries are read one by one from the checked
+s-wave block (`coulomb.s_wave_block`, its Slater matrix through
 `mode_pair_index`). Three exceptions pin the bits of a streamed or
 banded production path instead, by doing the same operations on the whole
 array at once: `s_wave_block_whole_grid` (the block's batched inner grid),
@@ -138,7 +138,7 @@ def j1_closed(x: float) -> float:
     return math.sin(x) / (x * x) - math.cos(x) / x
 
 
-def product_basis_hamiltonian(nmax: int, z: float, lam: float, table) -> np.ndarray:
+def product_basis_hamiltonian(nmax: int, z: float, lam: float) -> np.ndarray:
     """Symmetric-subspace projection of the full product-basis Hamiltonian.
 
     Builds H on the nmax^2 distinguishable-product basis u_n(r1) u_m(r2) and
@@ -146,7 +146,7 @@ def product_basis_hamiltonian(nmax: int, z: float, lam: float, table) -> np.ndar
     symmetrization factors the ci module hard-codes.
     """
     prod = [(n, m) for n in range(1, nmax + 1) for m in range(1, nmax + 1)]
-    central_block, block = table.s_wave_block(nmax)
+    central_block, block = coulomb.s_wave_block(nmax)
     index = coulomb.mode_pair_index(nmax)
 
     def central(n, p):
@@ -213,9 +213,9 @@ def closed_forms(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cin[q] - cin[p], half + half.T
 
 
-def interaction_matrix_whole(z: float, basis, table) -> np.ndarray:
+def interaction_matrix_whole(z: float, basis) -> np.ndarray:
     """W gathered for the whole upper triangle at once, as `ci.interaction_matrix` does band by band."""
-    central, slater = table.s_wave_block(basis.nmax)
+    central, slater = coulomb.s_wave_block(basis.nmax)
     pair = coulomb.mode_pair_index(basis.nmax)
     config = np.array(basis.configurations) - 1
     norm = np.where(config[:, 0] == config[:, 1], 0.5, 1.0 / math.sqrt(2.0))
@@ -275,7 +275,7 @@ def curve_columns(system, coeffs, lambdas) -> list:
         try:
             energy = coeffs.eps0 / lam**2 + coeffs.eps1 / lam
         except (ZeroDivisionError, OverflowError):  # lam**2 underflows to 0 or overflows
-            energy = math.inf
+            energy = coeffs.eps0 / lam / lam + coeffs.eps1 / lam
         rc_bohr = lam * system.length_scale_a
         if not all(math.isfinite(x) for x in (energy, energy * system.energy_prefactor, rc_bohr)):
             raise ValidationError(f"the energy at lambda={lam!r} is outside the float range")

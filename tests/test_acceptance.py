@@ -12,7 +12,6 @@ import pytest
 from boxatom import (
     CiBasis,
     CiProblem,
-    CoulombTable,
     ModeIndex,
     bessel_zero,
     build_hamiltonian,
@@ -26,6 +25,8 @@ from boxatom import (
     nuclear_motion_report,
 )
 
+from boxatom.coulomb import ground_integrals
+
 from oracles import cin_series, si_series
 
 LAMBDA_GRID = [1e-6, 0.01, 0.1, 0.5, 1.0, 2.0]
@@ -36,14 +37,14 @@ def _criterion(num, ok, detail):
     assert ok, f"criterion {num:02d}: {detail}"
 
 
-def clamped_coeffs(table):
+def clamped_coeffs():
     system = nondimensionalize(helium_system(clamped_nucleus=True))
-    return epsilon1(system, table)
+    return epsilon1(system)
 
 
-def moving_coeffs(table):
+def moving_coeffs():
     system = nondimensionalize(helium_system(clamped_nucleus=False))
-    return epsilon1(system, table)
+    return epsilon1(system)
 
 
 def test_criterion_01_clamped_eps0():
@@ -53,8 +54,8 @@ def test_criterion_01_clamped_eps0():
     _criterion(1, err <= 1e-6, f"clamped eps0 = {got:.10f} (|err| = {err:.2e}, tol 1e-6)")
 
 
-def test_criterion_02_clamped_eps1(table):
-    got = clamped_coeffs(table).eps1
+def test_criterion_02_clamped_eps1():
+    got = clamped_coeffs().eps1
     err = abs(got - (-7.9645404))
     _criterion(2, err <= 1e-6, f"clamped eps1 = {got:.10f} (|err| = {err:.2e}, tol 1e-6)")
 
@@ -66,9 +67,9 @@ def test_criterion_03_moving_eps0():
     _criterion(3, err <= 1e-8, f"moving eps0 = {got:.12f} (|err| = {err:.2e}, tol 1e-8)")
 
 
-def test_criterion_04_moving_eps1_and_pair(table):
-    eps1 = moving_coeffs(table).eps1
-    _, pair = table.ground_integrals
+def test_criterion_04_moving_eps1_and_pair():
+    eps1 = moving_coeffs().eps1
+    _, pair = ground_integrals()
     eps_err = abs(eps1 - (-5.358219501))
     pair_err = abs(pair - 1.786073167)
     ok = eps_err <= 1e-7 and pair_err <= 4e-8
@@ -91,7 +92,7 @@ def pair_closed_form():
     return 2.0 - (si_series(2.0 * math.pi) - 0.5 * si_series(4.0 * math.pi)) / math.pi
 
 
-def test_criterion_05_cross_identity_as_stated(table):
+def test_criterion_05_cross_identity_as_stated():
     """Clamped-minus-moving eps1 identity, against closed forms.
 
     eps1 = sum_{i<j free} q'_i q'_j <1/r12> + sum_{i free} q'_i q'_c <1/r>,
@@ -101,9 +102,9 @@ def test_criterion_05_cross_identity_as_stated(table):
     difference is -2Z (Cin(2 pi) - pair) = -4 (Cin(2 pi) - pair). An earlier
     form wrote -(4 Cin(2 pi) - 3 pair), carrying the moving nucleus's own
     pair count 2Z - 1 = 3 into the difference, and missed by exactly one pair
-    integral. Both Cin(2 pi) and pair come from their series, not the table.
+    integral. Both Cin(2 pi) and pair come from their series, not the quadrature.
     """
-    lhs = clamped_coeffs(table).eps1 - moving_coeffs(table).eps1
+    lhs = clamped_coeffs().eps1 - moving_coeffs().eps1
     rhs = -4.0 * (cin_series(2.0 * math.pi) - pair_closed_form())
     err = abs(lhs - rhs)
     _criterion(
@@ -113,18 +114,17 @@ def test_criterion_05_cross_identity_as_stated(table):
     )
 
 
-def test_criterion_05_consistent_form(table):
-    """Same identity with the table's own pair integral in place of its closed form."""
-    lhs = clamped_coeffs(table).eps1 - moving_coeffs(table).eps1
-    _, pair = table.ground_integrals
+def test_criterion_05_consistent_form():
+    """Same identity with the quadrature's own pair integral in place of its closed form."""
+    lhs = clamped_coeffs().eps1 - moving_coeffs().eps1
+    _, pair = ground_integrals()
     rhs = -4.0 * (cin_series(2.0 * math.pi) - pair)
     assert abs(lhs - rhs) <= 1e-7
 
 
 def test_criterion_06_overlap_scan_properties():
     start = time.perf_counter()
-    fresh = CoulombTable(points=200)
-    scan = list(CiProblem(2.0, CiBasis(8), fresh).scan(LAMBDA_GRID))
+    scan = list(CiProblem(2.0, CiBasis(8), 200).scan(LAMBDA_GRID))
     elapsed = time.perf_counter() - start
     overlaps = [s.overlap0 for s in scan]
     bounded = all(v <= 1.0 for v in overlaps)
@@ -140,18 +140,18 @@ def test_criterion_06_overlap_scan_properties():
     )
 
 
-def test_criterion_07_variational_dominance_and_slope(table):
-    coeffs = clamped_coeffs(table)
+def test_criterion_07_variational_dominance_and_slope():
+    coeffs = clamped_coeffs()
     basis = CiBasis(8)
     dominated = True
     worst = 0.0
     for lam in LAMBDA_GRID:
-        ci_energy = ground_state(build_hamiltonian(2.0, lam, basis, table))[0]
+        ci_energy = ground_state(build_hamiltonian(2.0, lam, basis))[0]
         first_order = coeffs.eps0 + coeffs.eps1 * lam
         worst = max(worst, ci_energy - first_order)
         dominated = dominated and ci_energy <= first_order + 1e-12
     h = 1e-4
-    slope = (ground_state(build_hamiltonian(2.0, h, basis, table))[0] - coeffs.eps0) / h
+    slope = (ground_state(build_hamiltonian(2.0, h, basis))[0] - coeffs.eps0) / h
     slope_err = abs(slope - (-7.9645404))
     ok = dominated and slope_err <= 1e-3
     _criterion(
@@ -162,8 +162,8 @@ def test_criterion_07_variational_dominance_and_slope(table):
     )
 
 
-def test_criterion_08_nuclear_motion_shifts(table):
-    report = nuclear_motion_report(clamped_coeffs(table), moving_coeffs(table))
+def test_criterion_08_nuclear_motion_shifts():
+    report = nuclear_motion_report(clamped_coeffs(), moving_coeffs())
     expected_kinetic = (9.870280744 - 9.8696044) / 9.8696044
     expected_potential = (7.9645404 - 5.358219501) / 7.9645404
     kin_err = abs(report.kinetic_shift - expected_kinetic) / expected_kinetic
@@ -210,8 +210,8 @@ def test_criterion_09_numerical_infrastructure():
     )
 
 
-def test_criterion_10_second_order_internal_agreement(table):
-    problem = CiProblem(2.0, CiBasis(8), table)
+def test_criterion_10_second_order_internal_agreement():
+    problem = CiProblem(2.0, CiBasis(8))
     fit = problem.second_order_estimate()
     sos = problem.second_order_sum_over_states()
     rel = abs(fit - sos) / abs(sos)

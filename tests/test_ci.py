@@ -12,7 +12,6 @@ from boxatom import (
     CiBasis,
     CiProblem,
     CiSolution,
-    CoulombTable,
     build_hamiltonian,
     ground_state,
     interaction_matrix,
@@ -20,6 +19,7 @@ from boxatom import (
 )
 from boxatom import ci, coulomb
 from boxatom.ci import MAX_NMAX
+from boxatom.coulomb import ground_integrals
 from boxatom.errors import ConvergenceError, ValidationError
 
 from oracles import (
@@ -33,9 +33,9 @@ from oracles import (
 EPS1_CLAMPED = -7.96454040407721
 
 
-def dense_energy(z, lam, basis, table) -> float:
+def dense_energy(z, lam, basis) -> float:
     """The dense reference: the lowest eigenvalue of the assembled H(lambda)."""
-    return ground_state(build_hamiltonian(z, lam, basis, table))[0]
+    return ground_state(build_hamiltonian(z, lam, basis))[0]
 
 
 class TestBasis:
@@ -64,92 +64,99 @@ class TestMatrixAssembly:
         expected = [(n * n + m * m) * math.pi**2 / 2.0 for n, m in basis.configurations]
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
-    def test_free_particle_limit(self, table):
+    def test_free_particle_limit(self):
         basis = CiBasis(4)
-        h = build_hamiltonian(2.0, 0.0, basis, table)
+        h = build_hamiltonian(2.0, 0.0, basis)
         np.testing.assert_array_equal(h, np.diag(kinetic_diagonal(basis)))
         energy, coeff, _ = ground_state(h)
         assert energy == pytest.approx(math.pi**2, abs=1e-12)
         assert coeff[0] == 1.0
 
-    def test_single_configuration_element(self, table):
+    def test_single_configuration_element(self):
         basis = CiBasis(1)
-        h = build_hamiltonian(2.0, 1.0, basis, table)
-        central, pair = table.ground_integrals
+        h = build_hamiltonian(2.0, 1.0, basis)
+        central, pair = ground_integrals()
         assert h.shape == (1, 1)
         assert h[0, 0] == pytest.approx(math.pi**2 + pair - 4.0 * central, abs=1e-12)
 
-    def test_interaction_is_symmetric(self, table):
-        w = interaction_matrix(2.0, CiBasis(5), table)
+    def test_interaction_is_symmetric(self):
+        w = interaction_matrix(2.0, CiBasis(5))
         np.testing.assert_array_equal(w, w.T)
 
-    def test_first_diagonal_matches_first_order(self, table):
-        w = interaction_matrix(2.0, CiBasis(6), table)
+    def test_first_diagonal_matches_first_order(self):
+        w = interaction_matrix(2.0, CiBasis(6))
         assert w[0, 0] == pytest.approx(EPS1_CLAMPED, abs=1e-10)
 
     @pytest.mark.parametrize("nmax", [2, 3, 4, 5])
-    def test_matches_product_basis_projection(self, nmax, table):
+    def test_matches_product_basis_projection(self, nmax):
         # brute-force oracle: project the full product-basis Hamiltonian
         # onto the symmetric subspace and compare entrywise
         lam, z = 0.7, 2.0
-        ours = build_hamiltonian(z, lam, CiBasis(nmax), table)
-        oracle = product_basis_hamiltonian(nmax, z, lam, table)
+        ours = build_hamiltonian(z, lam, CiBasis(nmax))
+        oracle = product_basis_hamiltonian(nmax, z, lam)
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
     @pytest.mark.parametrize("nmax", [1, 2, 12, 24, 48])
-    def test_banded_gather_is_bit_identical_to_whole_triangle(self, nmax, table):
+    def test_banded_gather_is_bit_identical_to_whole_triangle(self, nmax):
         basis = CiBasis(nmax)
         for z in (1.0, 2.0, 3.0, 4.0):
-            np.testing.assert_array_equal(interaction_matrix(z, basis, table),
-                                          interaction_matrix_whole(z, basis, table))
+            np.testing.assert_array_equal(interaction_matrix(z, basis),
+                                          interaction_matrix_whole(z, basis))
 
     def test_gather_scratch_memory_is_small(self, monkeypatch):
         # the whole upper triangle gathered at once peaked at 63.4 MiB at nmax 48
         basis = CiBasis(MAX_NMAX)
-        fresh = CoulombTable(200)
-        block = fresh.s_wave_block(MAX_NMAX)
+        block = coulomb.s_wave_block(MAX_NMAX)
         # the block is built beforehand; only W and its scratch are measured
-        monkeypatch.setattr(fresh, "s_wave_block", lambda nmax: block)
+        monkeypatch.setattr(ci, "s_wave_block", lambda nmax, points: block)
         tracemalloc.start()
         try:
-            interaction_matrix(2.0, basis, fresh)
+            interaction_matrix(2.0, basis)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
 
-    def test_w_is_built_from_a_block_the_table_does_not_keep(self, monkeypatch):
-        # a fresh table builds and checks the nmax-24 block for W, and the block
-        # is freed once W is gathered
-        fresh = CoulombTable(200)
+    def test_w_is_built_from_a_block_nothing_keeps(self, monkeypatch):
+        # W's nmax-24 block is built and checked, and freed once W is gathered
         built, returned = [], []
-        build, block = coulomb._quadrature_block, CoulombTable.s_wave_block
+        build, block = coulomb._quadrature_block, coulomb.s_wave_block
         monkeypatch.setattr(coulomb, "_quadrature_block", lambda *a: built.append(a) or build(*a))
 
-        def spied(table, nmax):
-            got = block(table, nmax)
+        def spied(nmax, points):
+            got = block(nmax, points)
             returned.extend(map(weakref.ref, got))
             return got
 
-        monkeypatch.setattr(CoulombTable, "s_wave_block", spied)
-        w = CiProblem(2.0, CiBasis(24), fresh).interaction
-        assert vars(fresh) == {"points": 200}
+        monkeypatch.setattr(ci, "s_wave_block", spied)
+        w = CiProblem(2.0, CiBasis(24)).interaction
         assert returned and all(ref() is None for ref in returned)
         # so a second W builds it again, and keeps every bit
-        np.testing.assert_array_equal(CiProblem(2.0, CiBasis(24), fresh).interaction, w)
+        np.testing.assert_array_equal(CiProblem(2.0, CiBasis(24), 200).interaction, w)
         assert built == [(200, 24), (200, 24)]
 
     def test_underresolved_table_raises(self):
         # the CI path keeps the n-against-2n quadrature check
         with pytest.raises(ConvergenceError) as err:
-            interaction_matrix(2.0, CiBasis(10), CoulombTable(16))
+            interaction_matrix(2.0, CiBasis(10), 16)
         message = str(err.value)
         assert "16" in message and "32" in message
 
+    @pytest.mark.parametrize("call", [
+        lambda basis: CiProblem(2.0, basis),
+        lambda basis: interaction_matrix(2.0, basis),
+        lambda basis: kinetic_diagonal(basis),
+        lambda basis: build_hamiltonian(2.0, 1.0, basis),
+    ], ids=["CiProblem", "interaction_matrix", "kinetic_diagonal", "build_hamiltonian"])
+    @pytest.mark.parametrize("bad", [3, None, (1, 1)], ids=["nmax", "none", "configuration"])
+    def test_a_basis_that_is_not_a_ci_basis_is_refused(self, call, bad):
+        with pytest.raises(ValidationError, match=f"^basis must be a CiBasis, got {type(bad).__name__}$"):
+            call(bad)
+
     @pytest.mark.parametrize("z,lam", [(0.0, 1.0), (-2.0, 1.0), (2.0, -0.1), (2.0, math.nan)])
-    def test_bad_charge_or_coupling(self, z, lam, table):
+    def test_bad_charge_or_coupling(self, z, lam):
         with pytest.raises(ValidationError):
-            build_hamiltonian(z, lam, CiBasis(2), table)
+            build_hamiltonian(z, lam, CiBasis(2))
 
 
 class TestGroundState:
@@ -197,24 +204,24 @@ class TestGroundState:
 
 
 class TestSolveGround:
-    def test_regression_nmax6(self, table):
-        assert dense_energy(2.0, 0.5, CiBasis(6), table) == pytest.approx(5.700105937638897, abs=1e-9)
+    def test_regression_nmax6(self):
+        assert dense_energy(2.0, 0.5, CiBasis(6)) == pytest.approx(5.700105937638897, abs=1e-9)
 
-    def test_regression_nmax8(self, table):
-        assert dense_energy(2.0, 0.5, CiBasis(8), table) == pytest.approx(5.698218845526088, abs=1e-9)
+    def test_regression_nmax8(self):
+        assert dense_energy(2.0, 0.5, CiBasis(8)) == pytest.approx(5.698218845526088, abs=1e-9)
 
-    def test_variational_below_first_order(self, table):
+    def test_variational_below_first_order(self):
         for lam in [0.1, 0.5, 1.0, 2.0]:
-            assert dense_energy(2.0, lam, CiBasis(8), table) <= math.pi**2 + EPS1_CLAMPED * lam + 1e-12
+            assert dense_energy(2.0, lam, CiBasis(8)) <= math.pi**2 + EPS1_CLAMPED * lam + 1e-12
 
-    def test_enlarging_basis_never_raises_energy(self, table):
-        energies = [dense_energy(2.0, 1.0, CiBasis(nmax), table) for nmax in (2, 4, 6, 8)]
+    def test_enlarging_basis_never_raises_energy(self):
+        energies = [dense_energy(2.0, 1.0, CiBasis(nmax)) for nmax in (2, 4, 6, 8)]
         assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))
 
-    def test_small_lambda_slope_recovers_first_order(self, table):
+    def test_small_lambda_slope_recovers_first_order(self):
         h = 1e-4
         basis = CiBasis(8)
-        e_plus = dense_energy(2.0, h, basis, table)
+        e_plus = dense_energy(2.0, h, basis)
         slope = (e_plus - math.pi**2) / h
         assert slope == pytest.approx(EPS1_CLAMPED, abs=1e-3)
 
@@ -242,81 +249,81 @@ class TestSolveGround:
         + [(2.0, value) for value in NOT_NUMBERS.values()]
         + [(value, 0.5) for value in NOT_NUMBERS.values()],
         ids=["none", "text", "huge-z"] + [f"lambda-{i}" for i in NOT_NUMBERS] + [f"z-{i}" for i in NOT_NUMBERS])
-    def test_rejects_values_float_cannot_take(self, z, lam, table):
+    def test_rejects_values_float_cannot_take(self, z, lam):
         with pytest.raises(ValidationError,
                            match="^(nuclear charge Z|lambda) must be a real number, got [^\n]+$"):
-            build_hamiltonian(z, lam, CiBasis(4), table)
+            build_hamiltonian(z, lam, CiBasis(4))
 
-    def test_takes_numpy_numbers(self, table):
+    def test_takes_numpy_numbers(self):
         basis = CiBasis(4)
         for z, lam in ((np.int64(2), np.float64(0.5)), (np.float64(2.0), np.int64(1))):
-            assert dense_energy(z, lam, basis, table) == dense_energy(float(z), float(lam), basis, table)
+            assert dense_energy(z, lam, basis) == dense_energy(float(z), float(lam), basis)
 
     @pytest.mark.filterwarnings("error")  # lambda * W overflowing must not warn on its way out
-    def test_overflowing_lambda_raises_without_warning(self, table):
+    def test_overflowing_lambda_raises_without_warning(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            ground_state(build_hamiltonian(2.0, 1e308, CiBasis(4), table))
-        assert np.isinf(build_hamiltonian(2.0, 1e308, CiBasis(4), table)).any()
+            ground_state(build_hamiltonian(2.0, 1e308, CiBasis(4)))
+        assert np.isinf(build_hamiltonian(2.0, 1e308, CiBasis(4))).any()
 
 
 class TestOverlapScan:
     GRID = [1e-6, 0.01, 0.1, 0.5, 1.0, 2.0]
 
-    def test_overlap_decays_monotonically(self, table):
-        scan = list(CiProblem(2.0, CiBasis(8), table).scan(self.GRID))
+    def test_overlap_decays_monotonically(self):
+        scan = list(CiProblem(2.0, CiBasis(8)).scan(self.GRID))
         overlaps = [s.overlap0 for s in scan]
         assert all(0.0 <= v <= 1.0 for v in overlaps)
         assert overlaps[0] >= 1.0 - 1e-8
         assert all(b <= a + 1e-12 for a, b in zip(overlaps, overlaps[1:]))
 
-    def test_matches_pointwise_solve(self, table):
+    def test_matches_pointwise_solve(self):
         basis = CiBasis(5)
-        scan = list(CiProblem(2.0, basis, table).scan([0.3, 0.9]))
+        scan = list(CiProblem(2.0, basis).scan([0.3, 0.9]))
         for s in scan:
-            energy, coeff, _ = ground_state(build_hamiltonian(2.0, s.lam, basis, table))
+            energy, coeff, _ = ground_state(build_hamiltonian(2.0, s.lam, basis))
             assert s.energy == pytest.approx(energy, abs=1e-12)
             assert s.overlap0 == pytest.approx(coeff[0], abs=1e-12)
 
-    def test_residuals_within_budget(self, table):
-        scan = list(CiProblem(2.0, CiBasis(6), table).scan(self.GRID))
+    def test_residuals_within_budget(self):
+        scan = list(CiProblem(2.0, CiBasis(6)).scan(self.GRID))
         assert all(s.residual <= 1e-10 for s in scan)
 
-    def test_grid_validation(self, table):
+    def test_grid_validation(self):
         basis = CiBasis(4)
         with pytest.raises(ValidationError):
-            list(CiProblem(2.0, basis, table).scan([]))
+            list(CiProblem(2.0, basis).scan([]))
         with pytest.raises(ValidationError):
-            list(CiProblem(2.0, basis, table).scan([0.5, 0.1]))
+            list(CiProblem(2.0, basis).scan([0.5, 0.1]))
         with pytest.raises(ValidationError):
-            list(CiProblem(2.0, basis, table).scan([0.0, 0.5]))
+            list(CiProblem(2.0, basis).scan([0.0, 0.5]))
 
     @pytest.mark.parametrize(
         "lambdas",
         [[10**400], ["abc"], [None], None, np.array([True])] + [[value] for value in NOT_NUMBERS.values()],
         ids=["huge", "text", "none", "no-grid", "boolean-array"] + [f"entry-{i}" for i in NOT_NUMBERS])
-    def test_rejects_values_float_cannot_take(self, lambdas, table):
+    def test_rejects_values_float_cannot_take(self, lambdas):
         with pytest.raises(ValidationError, match="^lambda values must be real numbers, got [^\n]+$"):
-            list(CiProblem(2.0, CiBasis(4), table).scan(lambdas))
+            list(CiProblem(2.0, CiBasis(4)).scan(lambdas))
 
-    def test_rejects_a_charge_float_cannot_take(self, table):
+    def test_rejects_a_charge_float_cannot_take(self):
         for z in NOT_NUMBERS.values():
             with pytest.raises(ValidationError, match="^nuclear charge Z must be a real number, got [^\n]+$"):
-                CiProblem(z, CiBasis(4), table)
+                CiProblem(z, CiBasis(4))
 
-    def test_takes_numpy_numbers(self, table):
+    def test_takes_numpy_numbers(self):
         basis = CiBasis(4)
-        expected = [s.energy for s in CiProblem(2.0, basis, table).scan([0.5, 1.0, 2.0])]
+        expected = [s.energy for s in CiProblem(2.0, basis).scan([0.5, 1.0, 2.0])]
         for grid in ([np.float64(0.5), np.int64(1), 2], np.array([0.5, 1, 2], dtype=object)):
-            assert [s.energy for s in CiProblem(np.int64(2), basis, table).scan(grid)] == expected
+            assert [s.energy for s in CiProblem(np.int64(2), basis).scan(grid)] == expected
         # an integer array is converted whole, and each lambda is stored as a float
-        integers = list(CiProblem(2.0, basis, table).scan(np.array([1, 2])))
-        assert [s.energy for s in integers] == [s.energy for s in CiProblem(2.0, basis, table).scan([1.0, 2.0])]
+        integers = list(CiProblem(2.0, basis).scan(np.array([1, 2])))
+        assert [s.energy for s in integers] == [s.energy for s in CiProblem(2.0, basis).scan([1.0, 2.0])]
         assert [type(s.lam) for s in integers] == [float, float]
 
-    def test_scan_yields_the_overlap_scan_and_keeps_no_vector(self, table):
+    def test_scan_yields_the_overlap_scan_and_keeps_no_vector(self):
         basis = CiBasis(6)
-        listed = list(CiProblem(2.0, basis, table).scan(self.GRID))
-        problem, vectors = CiProblem(2.0, basis, table), []
+        listed = list(CiProblem(2.0, basis).scan(self.GRID))
+        problem, vectors = CiProblem(2.0, basis), []
         for solution, expected in zip(problem.scan(self.GRID), listed, strict=True):
             assert (solution.lam, solution.energy, solution.overlap0, solution.residual) == (
                 expected.lam, expected.energy, expected.overlap0, expected.residual)
@@ -413,10 +420,10 @@ class TestCertifiedGroundState:
     def test_tiled_verdict_matches_lapack(self, size, seed):
         self._verdicts_match_lapack(size, seed)
 
-    def test_tiled_verdict_makes_no_copy_of_h(self, table):
+    def test_tiled_verdict_makes_no_copy_of_h(self):
         # LAPACK's whole-matrix Cholesky peaked at 21.07 MiB here: H, its
         # Fortran-ordered copy and the returned factor
-        w = interaction_matrix(2.0, CiBasis(MAX_NMAX), table)
+        w = interaction_matrix(2.0, CiBasis(MAX_NMAX))
         kinetic = kinetic_diagonal(CiBasis(MAX_NMAX))
         kinetic_qq, w_qq = kinetic[1:], w[1:, 1:]
         # below the Gershgorin floor, so every tile is factored
@@ -459,12 +466,12 @@ class TestCertifiedGroundState:
         np.testing.assert_array_equal(starts[1], (found[0][1] / np.linalg.norm(found[0][1]))[:, None])
         assert energy == ground_state(h)[0] and residual <= 1e-10
 
-    def test_excited_pair_falls_through_the_floor_and_cholesky_to_dense(self, table, monkeypatch):
+    def test_excited_pair_falls_through_the_floor_and_cholesky_to_dense(self, monkeypatch):
         # Davidson started on the exact first excited vector returns that pair
         # with a tiny residual; the floor and the Cholesky tier must both reject it
-        problem = CiProblem(2.0, CiBasis(8), table)
+        problem = CiProblem(2.0, CiBasis(8))
         lam = 1.0
-        h = build_hamiltonian(2.0, lam, problem.basis, table)
+        h = build_hamiltonian(2.0, lam, problem.basis)
         values, vectors = np.linalg.eigh(h)
         subspace = ci._Subspace(problem.kinetic, problem.interaction, vectors[:, 1])
         assert ci._davidson(lam, subspace)[0] == pytest.approx(values[1], abs=1e-10)
@@ -483,50 +490,50 @@ class TestCertifiedGroundState:
         assert values[0] < problem._floor.knots[lam] < values[1]
 
     @pytest.mark.parametrize("nmax", [4, 8, 12, 24])
-    def test_scan_agrees_with_dense_ground_state(self, nmax, table):
+    def test_scan_agrees_with_dense_ground_state(self, nmax):
         basis = CiBasis(nmax)
         for z in (1.0, 2.0, 3.0, 4.0):
-            for s in CiProblem(z, basis, table).scan(self.AGREEMENT_GRID):
-                energy, coeff, _ = ground_state(build_hamiltonian(z, s.lam, basis, table))
+            for s in CiProblem(z, basis).scan(self.AGREEMENT_GRID):
+                energy, coeff, _ = ground_state(build_hamiltonian(z, s.lam, basis))
                 assert s.energy == pytest.approx(energy, rel=1e-12, abs=0)
                 assert f"{s.energy:.10g}" == f"{energy:.10g}"
                 assert f"{s.overlap0:.10g}" == f"{min(abs(float(coeff[0])), 1.0):.10g}"
                 assert s.residual <= 1e-10
 
-    def test_every_row_is_certified_without_dense_fallback(self, table, monkeypatch):
+    def test_every_row_is_certified_without_dense_fallback(self, monkeypatch):
         def forbidden(matrix):
             raise AssertionError("dense fallback used")
 
         monkeypatch.setattr(ci, "ground_state", forbidden)
-        problem = CiProblem(2.0, CiBasis(40), table)
+        problem = CiProblem(2.0, CiBasis(40))
         assert len(list(problem.scan(np.linspace(0.1, 2.0, 20)))) == 20
         assert problem.second_order_estimate() < 0.0
 
-    def test_strong_coupling_scan_is_certified_without_dense_fallback(self, table, monkeypatch):
+    def test_strong_coupling_scan_is_certified_without_dense_fallback(self, monkeypatch):
         # at Z = 1 and lambda 35-70 the nmax-24 Hamiltonian is far from
         # diagonally dominant, yet Davidson converges on every row within the cap
         def forbidden(matrix):
             raise AssertionError("dense fallback used")
 
         monkeypatch.setattr(ci, "ground_state", forbidden)
-        assert len(list(CiProblem(1.0, CiBasis(24), table).scan(np.linspace(35.0, 70.0, 20)))) == 20
+        assert len(list(CiProblem(1.0, CiBasis(24)).scan(np.linspace(35.0, 70.0, 20)))) == 20
 
-    def test_strong_coupling_falls_back_to_dense(self, table, monkeypatch):
+    def test_strong_coupling_falls_back_to_dense(self, monkeypatch):
         # with the iteration cap cut to 2, Davidson misses its tolerance on
         # every row of this strongly coupled scan
         monkeypatch.setattr(ci, "_DAVIDSON_MAX_ITER", 2)
         dense = []
         monkeypatch.setattr(ci, "ground_state", lambda m: dense.append(m) or ground_state(m))
         basis = CiBasis(24)
-        scan = list(CiProblem(1.0, basis, table).scan(np.linspace(35.0, 70.0, 8)))
+        scan = list(CiProblem(1.0, basis).scan(np.linspace(35.0, 70.0, 8)))
         assert len(dense) >= 1
         for s in scan:
             assert s.energy == pytest.approx(
-                ground_state(build_hamiltonian(1.0, s.lam, basis, table))[0], rel=1e-12, abs=0
+                ground_state(build_hamiltonian(1.0, s.lam, basis))[0], rel=1e-12, abs=0
             )
             assert s.residual <= 1e-10
 
-    def test_excited_state_trips_concavity_check(self, table, monkeypatch):
+    def test_excited_state_trips_concavity_check(self, monkeypatch):
         # a row that reports the first excited pair passes its own residual
         # check but lies far above the neighbouring tangent lines
         solution = ci._solution
@@ -537,7 +544,7 @@ class TestCertifiedGroundState:
             rows.append(lam)
             if len(rows) != 3:
                 return solution(lam, energy, coeff, residual)
-            matrix = build_hamiltonian(2.0, lam, basis, table)
+            matrix = build_hamiltonian(2.0, lam, basis)
             values, vectors = np.linalg.eigh(matrix)
             coeff = vectors[:, 1] * np.sign(vectors[0, 1])
             residual = float(np.linalg.norm(matrix @ coeff - values[1] * coeff))
@@ -545,10 +552,10 @@ class TestCertifiedGroundState:
 
         monkeypatch.setattr(ci, "_solution", excited_third_row)
         with pytest.raises(ConvergenceError, match="concave"):
-            list(CiProblem(2.0, basis, table).scan(np.linspace(0.1, 2.0, 6)))
+            list(CiProblem(2.0, basis).scan(np.linspace(0.1, 2.0, 6)))
         assert len(rows) == 6
 
-    def test_energy_above_first_order_line_trips_concavity(self, table, monkeypatch):
+    def test_energy_above_first_order_line_trips_concavity(self, monkeypatch):
         # the exact lambda = 0 row makes eps0 + eps1 lambda one of the tangents
         solution = ci._solution
 
@@ -557,11 +564,11 @@ class TestCertifiedGroundState:
 
         monkeypatch.setattr(ci, "_solution", raised)
         with pytest.raises(ConvergenceError, match="tangent at lambda = 0"):
-            list(CiProblem(2.0, CiBasis(6), table).scan([0.5]))
+            list(CiProblem(2.0, CiBasis(6)).scan([0.5]))
 
-    def test_concavity_tolerates_rounding_on_a_tight_grid(self, table):
+    def test_concavity_tolerates_rounding_on_a_tight_grid(self):
         # tangent margins shrink to rounding when lambda steps are ~1e-14 apart
-        scan = list(CiProblem(2.0, CiBasis(8), table).scan(np.linspace(1.0, 1.0 + 1e-12, 20)))
+        scan = list(CiProblem(2.0, CiBasis(8)).scan(np.linspace(1.0, 1.0 + 1e-12, 20)))
         assert len(scan) == 20
 
 
@@ -615,19 +622,19 @@ class TestConcavityCheck:
 
 
 class TestInterlacingFloor:
-    def test_floor_starts_at_the_lowest_excited_kinetic_energy(self, table):
-        floor = CiProblem(2.0, CiBasis(6), table)._floor
+    def test_floor_starts_at_the_lowest_excited_kinetic_energy(self):
+        floor = CiProblem(2.0, CiBasis(6))._floor
         assert floor.knots == {0.0: 2.5 * math.pi**2}
         assert floor.chord(0.0) == 2.5 * math.pi**2
         assert floor.chord(0.5) == -math.inf  # nothing is known beyond the last knot
 
-    def test_one_configuration_has_no_second_eigenvalue(self, table):
-        problem = CiProblem(2.0, CiBasis(1), table)
+    def test_one_configuration_has_no_second_eigenvalue(self):
+        problem = CiProblem(2.0, CiBasis(1))
         assert problem._floor.exceeds(1.0, math.inf)
         (solution,) = list(problem.scan([1.0]))
-        assert solution.energy == pytest.approx(dense_energy(2.0, 1.0, CiBasis(1), table), rel=1e-14, abs=0)
+        assert solution.energy == pytest.approx(dense_energy(2.0, 1.0, CiBasis(1)), rel=1e-14, abs=0)
 
-    def test_interior_knot_covers_the_rest_of_the_scan(self, table, monkeypatch):
+    def test_interior_knot_covers_the_rest_of_the_scan(self, monkeypatch):
         # the seed-1 benchmark input ci2.json: the chord from lambda = 0 to the
         # top knot misses one point, and the knot certified there covers every
         # later point, so the scan and the fit need two Cholesky calls in all
@@ -643,7 +650,7 @@ class TestInterlacingFloor:
 
         monkeypatch.setattr(ci, "_no_eigenvalue_below", recorded)
         monkeypatch.setattr(ci, "ground_state", forbidden)
-        problem = CiProblem(4.0, CiBasis(24), table)
+        problem = CiProblem(4.0, CiBasis(24))
         grid = np.linspace(0.3739, 2.2723, 20)
         list(problem.scan(grid))
         problem.second_order_estimate()
@@ -651,8 +658,8 @@ class TestInterlacingFloor:
         assert calls == [(299, 2.2723), (299, grid[5])]
         assert grid[5] == pytest.approx(0.8735, abs=1e-4)
 
-    def test_scan_and_fit_share_the_knots(self, table):
-        problem = CiProblem(2.0, CiBasis(12), table)
+    def test_scan_and_fit_share_the_knots(self):
+        problem = CiProblem(2.0, CiBasis(12))
         list(problem.scan(np.linspace(0.1, 2.0, 20)))
         knots = dict(problem._floor.knots)
         problem.second_order_estimate()
@@ -662,17 +669,17 @@ class TestInterlacingFloor:
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(z=st.floats(0.5, 4.0), nmax=st.integers(4, 16), top=st.floats(1e-3, 3.0),
        fraction=st.floats(1e-3, 1.0))
-def test_floor_never_exceeds_the_second_eigenvalue(table, z, nmax, top, fraction):
+def test_floor_never_exceeds_the_second_eigenvalue(z, nmax, top, fraction):
     # every certified knot and every chord value lies below the dense lambda_2
     basis = CiBasis(nmax)
-    floor = CiProblem(z, basis, table)._floor
+    floor = CiProblem(z, basis)._floor
     lam = top * fraction
     floor.reach(top)
     floor.certify(lam)
     assert top in floor.knots
 
     def eigenvalue(x, block, index):
-        h = build_hamiltonian(z, x, basis, table)[block, block]
+        h = build_hamiltonian(z, x, basis)[block, block]
         value = float(np.linalg.eigvalsh(h)[index])
         return value + 1e-12 * (1.0 + abs(value))
 
@@ -688,47 +695,47 @@ def test_floor_never_exceeds_the_second_eigenvalue(table, z, nmax, top, fraction
 
 
 class TestNormBound:
-    def test_rounding_bound_input_is_rejected(self, table):
+    def test_rounding_bound_input_is_rejected(self):
         # eps ||H|| near RESIDUAL_TOL made this verdict depend on the BLAS thread count
-        problem = CiProblem(3.0, CiBasis(12), table)
+        problem = CiProblem(3.0, CiBasis(12))
         assert problem._norm_bound(2238.72113856834) == pytest.approx(3.086e5, rel=1e-3)
         with pytest.raises(ValidationError, match=r"3\.086e\+05 on \|\|H\|\|_2 exceeds"):
             list(problem.scan([2238.72113856834]))
 
     @pytest.mark.parametrize("z,nmax,lam,bound", [(1.0, 24, 70.0, 1.267e4), (4.0, 48, 3.0, 2.494e4)])
-    def test_strong_coupling_stays_inside(self, table, z, nmax, lam, bound):
-        got = CiProblem(z, CiBasis(nmax), table)._norm_bound(lam)
+    def test_strong_coupling_stays_inside(self, z, nmax, lam, bound):
+        got = CiProblem(z, CiBasis(nmax))._norm_bound(lam)
         assert got == pytest.approx(bound, rel=1e-3) and got < ci._NORM_LIMIT
 
-    def test_bound_covers_the_spectral_norm(self, table):
-        problem = CiProblem(4.0, CiBasis(8), table)
+    def test_bound_covers_the_spectral_norm(self):
+        problem = CiProblem(4.0, CiBasis(8))
         for lam in (0.5, 30.0):
-            h = build_hamiltonian(4.0, lam, problem.basis, table)
+            h = build_hamiltonian(4.0, lam, problem.basis)
             assert np.linalg.norm(h, 2) <= problem._norm_bound(lam)
 
 
 class TestSecondOrder:
-    def test_fit_agrees_with_sum_over_states(self, table):
+    def test_fit_agrees_with_sum_over_states(self):
         basis = CiBasis(8)
-        problem = CiProblem(2.0, basis, table)
+        problem = CiProblem(2.0, basis)
         fit = problem.second_order_estimate()
         sos = problem.second_order_sum_over_states()
         assert fit == pytest.approx(-0.6839750967457979, abs=1e-6)
         assert sos == pytest.approx(-0.6844563375149016, abs=1e-9)
         assert abs(fit - sos) <= 0.02 * abs(sos)
 
-    def test_always_negative(self, table):
-        problem = CiProblem(2.0, CiBasis(6), table)
+    def test_always_negative(self):
+        problem = CiProblem(2.0, CiBasis(6))
         assert problem.second_order_estimate() < 0.0
         assert problem.second_order_sum_over_states() < 0.0
 
-    def test_deepens_with_basis(self, table):
-        values = [CiProblem(2.0, CiBasis(n), table).second_order_sum_over_states() for n in (4, 6, 8, 10)]
+    def test_deepens_with_basis(self):
+        values = [CiProblem(2.0, CiBasis(n)).second_order_sum_over_states() for n in (4, 6, 8, 10)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_grid_validation(self, table):
+    def test_grid_validation(self):
         with pytest.raises(ValidationError, match="nmax >= 4"):
-            CiProblem(2.0, CiBasis(3), table).second_order_estimate()
+            CiProblem(2.0, CiBasis(3)).second_order_estimate()
 
     def test_fit_design_is_well_conditioned(self):
         # the fixed grid's design [lambda^2, lambda^3] is why the fit needs no rank check
@@ -740,7 +747,7 @@ class TestSecondOrder:
         with pytest.raises(ValueError):
             grid[0] = 0.1
 
-    def test_takes_numpy_numbers(self, table):
+    def test_takes_numpy_numbers(self):
         basis = CiBasis(4)
-        expected = CiProblem(2.0, basis, table).second_order_estimate()
-        assert CiProblem(np.int64(2), basis, table).second_order_estimate() == expected
+        expected = CiProblem(2.0, basis).second_order_estimate()
+        assert CiProblem(np.int64(2), basis).second_order_estimate() == expected

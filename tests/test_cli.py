@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxatom import CoulombTable, ci, cli, coulomb, perturbation, sphere
+from boxatom import ci, cli, coulomb, perturbation, sphere
 from boxatom.cli import RunConfig, main
 from boxatom.errors import ConvergenceError, ValidationError
 from boxatom.perturbation import epsilon1
@@ -187,6 +187,18 @@ class TestCurve:
             assert c["lambda"] == m["lambda"]
             assert float(m["energy_hartree"]) > float(c["energy_hartree"])
 
+    @pytest.mark.parametrize("low,high,steps", [("2e154", "1e300", "3"), ("1e308", "1e308", "1")],
+                             ids=["2e154-1e300", "1e308"])
+    def test_lambda_squared_beyond_the_float_range_prints_the_energy(self, capsys, low, high, steps):
+        # lambda^2 overflows from about 1.34e154 on; eps1 / lambda is still a float
+        code, out, err = run(capsys, "curve", "he-clamped", "--lambda-min", low,
+                             "--lambda-max", high, "--steps", steps)
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        for row in rows:
+            energy, lam = float(row["energy_hartree"]), float(row["lambda"])
+            assert energy == pytest.approx(-7.96454040407721 / lam, rel=1e-9)
+
     def test_physical_units_rescale(self, capsys, tmp_path):
         # heavier reference particle shrinks a_bohr and scales energies
         heavy = dict(TWO_ELECTRONS, particles=[{"mass": 2.0, "charge": -1.0}] * 2)
@@ -272,7 +284,7 @@ class TestStreamedOutput:
         # 11.4 MB (JSON); a list of 10,000 curve points and their grid peaked
         # at 1.5 MB, where three float64 columns hold 0.24 MB
         args = ["curve", "he-clamped", "--format", fmt, "-o", str(tmp_path / f"curve.{fmt}")]
-        assert main([*args, "--steps", "1"]) == 0  # the table is cached; only the curve is measured
+        assert main([*args, "--steps", "1"]) == 0  # the ground integrals are kept; only the curve is measured
         tracemalloc.start()
         try:
             code = main([*args, "--steps", str(cli.MAX_STEPS)])
@@ -285,7 +297,7 @@ class TestStreamedOutput:
         # keeping each row's 78-entry vector, and checking concavity 2^18 pairs
         # at a time, peaked at 14.2 MiB; a row now keeps a few floats
         args = ["ci-scan", "he-clamped", "--nmax", "12", "-o", str(tmp_path / "scan.csv")]
-        assert main([*args, "--steps", "1"]) == 0  # the table is cached; only the scan is measured
+        assert main([*args, "--steps", "1"]) == 0  # the ground integrals are kept; only the scan is measured
         tracemalloc.start()
         try:
             code = main([*args, "--steps", "2000"])
@@ -385,10 +397,9 @@ class TestCiScan:
 
     def test_scan_computes_block_once(self, capsys, monkeypatch):
         # the W builds of a scan share one checked block: one profile build on
-        # the table's own grid (the check is against closed forms, not a 2n
+        # the run's own grid (the check is against closed forms, not a 2n
         # grid), after eps1's nmax-1 block for its ground-mode integrals
-        fresh = CoulombTable(points=200)
-        monkeypatch.setattr(cli, "get_table", lambda points: fresh)
+        coulomb._ground_integrals.cache_clear()
         grids = []
         build_block = coulomb._quadrature_block
 
@@ -400,8 +411,8 @@ class TestCiScan:
         code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "5", "--steps", "3")
         assert code == 0
         assert grids == [(200, 1), (200, 5)]
-        # the table keeps the two ground integrals and no block
-        assert vars(fresh).keys() == {"points", "ground_integrals"}
+        # what is kept is the two ground integrals at the run's resolution, and no block
+        assert coulomb._ground_integrals.cache_info().currsize == 1
 
     def test_scan_builds_interaction_once(self, capsys, monkeypatch):
         # the lambda scan, the eps2 fit and its reference sum share one CiProblem
@@ -420,8 +431,7 @@ class TestCiScan:
     def test_nmax24_scan_pays_per_problem(self, capsys, monkeypatch):
         # one interlacing knot certifies every scan and fit point: no Cholesky
         # per point, and the mode profiles come from the recurrence
-        fresh = CoulombTable(points=200)
-        monkeypatch.setattr(cli, "get_table", lambda points: fresh)
+        coulomb._ground_integrals.cache_clear()
         factorizations, modes = [], []
         no_eigenvalue_below, radial_init = ci._no_eigenvalue_below, sphere.RadialMode.__init__
         monkeypatch.setattr(ci, "_no_eigenvalue_below",
@@ -450,7 +460,7 @@ class TestCiScan:
         assert len(rows) == steps
         rows.clear()
         with pytest.raises(ConvergenceError, match="concave") as failure:
-            problem = ci.CiProblem(2.0, ci.CiBasis(6), coulomb.get_table(coulomb.DEFAULT_POINTS))
+            problem = ci.CiProblem(2.0, ci.CiBasis(6))
             list(problem.scan(np.linspace(0.1, 2.0, steps)))
         assert code == 3 and out == "" and err == f"error: {failure.value}\n"
 
@@ -479,10 +489,9 @@ class TestCiScan:
     (("ci-scan", "he-clamped", "--nmax", "24", "--steps", "3"), [(200, 1), (200, 24)]),
 ], ids=["coeffs", "curve", "nuclear-motion", "nuclear-motion-512", "ci-scan"])
 def test_each_command_builds_each_block_once(capsys, monkeypatch, args, builds):
-    # a process shares one table per resolution: first order builds the nmax-1
-    # block once however many systems it serves, and CI builds the nmax block
-    tables = {}
-    monkeypatch.setattr(cli, "get_table", lambda points: tables.setdefault(points, CoulombTable(points)))
+    # a process keeps the ground integrals per resolution: first order builds the
+    # nmax-1 block once however many systems it serves, and CI builds the nmax block
+    coulomb._ground_integrals.cache_clear()
     built = []
     build = coulomb._quadrature_block
     monkeypatch.setattr(coulomb, "_quadrature_block", lambda *a: built.append(a) or build(*a))
@@ -600,11 +609,11 @@ class TestArgumentAndInputErrors:
 
     @pytest.mark.parametrize("points", ["8", "15", "513", "1000"])
     def test_quad_points_out_of_range(self, capsys, points):
-        # the CLI's message is the table's own, from the one check in coulomb
+        # the CLI's message is the library's own, from the one check in coulomb
         code, _, err = run(capsys, "coeffs", "he-clamped", "--quad-points", points)
-        with pytest.raises(ValidationError) as table_error:
-            CoulombTable(int(points))
-        assert code == 2 and err == f"error: {table_error.value}\n"
+        with pytest.raises(ValidationError) as library_error:
+            coulomb.ground_integrals(int(points))
+        assert code == 2 and err == f"error: {library_error.value}\n"
 
     def test_bad_lambda_grid(self, capsys):
         code, _, err = run(capsys, "curve", "he-clamped", "--lambda-min", "0")
@@ -620,7 +629,6 @@ class TestArgumentAndInputErrors:
         ("--lambda-min", "1e-160", "--lambda-max", "1e-160", "--steps", "1"),  # energy overflows
         ("--lambda-max", "inf"),
         ("--lambda-min", "nan"),
-        ("--lambda-min", "1e308", "--lambda-max", "1e308", "--steps", "1"),  # lambda**2 overflows
     ])
     def test_extreme_lambda_exits_2_with_one_line(self, capsys, args):
         code, out, err = run(capsys, "curve", "he-clamped", *args)

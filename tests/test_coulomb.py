@@ -9,18 +9,13 @@ import numpy as np
 import pytest
 
 from boxatom import (
-    CoulombTable,
     ModeIndex,
     build_radial_mode,
     ci,
     coulomb,
-    epsilon1,
     gauss_legendre,
-    get_table,
-    helium_system,
-    nondimensionalize,
 )
-from boxatom.coulomb import mode_pair_index
+from boxatom.coulomb import ground_integrals, mode_pair_index, s_wave_block
 from boxatom.errors import ConvergenceError, ValidationError
 
 from oracles import cin_series, closed_forms, integrate_square, s_wave_block_whole_grid, si_series, triangle_grid
@@ -32,22 +27,22 @@ def mode(n):
     return ModeIndex(0, n)
 
 
-def r0(table, a, b, c, d):
+def r0(a, b, c, d):
     # R0(ab;cd), coordinate 1 coupling a with c and coordinate 2 b with d, read
     # from the block whose nmax is its largest mode number
     nmax = max(a, b, c, d)
     index = mode_pair_index(nmax)
-    return table.s_wave_block(nmax)[1][index[a - 1, c - 1], index[b - 1, d - 1]]
+    return s_wave_block(nmax)[1][index[a - 1, c - 1], index[b - 1, d - 1]]
 
 
-def central(table, a, c):
+def central(a, c):
     # int u_a u_c / r, read from the block whose nmax is the larger mode number
-    return table.s_wave_block(max(a, c))[0][a - 1, c - 1]
+    return s_wave_block(max(a, c))[0][a - 1, c - 1]
 
 
-def pair(table, a, b):
+def pair(a, b):
     # R0(ab;ab): u_a^2 and u_b^2 against 1/max(r1, r2)
-    return r0(table, a, b, a, b)
+    return r0(a, b, a, b)
 
 
 def cin_scipy(x):
@@ -57,20 +52,20 @@ def cin_scipy(x):
 
 
 class TestCentralExpectation:
-    def test_ground_diagonal_is_cin_2pi(self, table):
-        got, _ = table.ground_integrals
+    def test_ground_diagonal_is_cin_2pi(self):
+        got, _ = ground_integrals()
         assert got == pytest.approx(cin_series(2.0 * math.pi), abs=1e-12)
         assert got == pytest.approx(cin_scipy(2.0 * math.pi), abs=1e-12)
 
-    def test_off_diagonal_closed_form(self, table):
+    def test_off_diagonal_closed_form(self):
         # 2 sin(pi r) sin(2 pi r) / r integrates to Cin(3 pi) - Cin(pi)
-        got = central(table, 1, 2)
+        got = central(1, 2)
         assert got == pytest.approx(cin_series(3.0 * math.pi) - cin_series(math.pi), abs=1e-11)
 
-    def test_high_diagonal_frozen(self, table):
+    def test_high_diagonal_frozen(self):
         # a float Cin series would cancel catastrophically by x = 10 pi; the
         # oracle sums in decimals, and the library function is a second route
-        got = central(table, 5, 5)
+        got = central(5, 5)
         assert got == pytest.approx(cin_series(10.0 * math.pi), abs=1e-10)
         assert got == pytest.approx(cin_scipy(10.0 * math.pi), abs=1e-10)
         assert got == pytest.approx(4.025537815849732, abs=1e-9)
@@ -85,71 +80,71 @@ class TestCentralExpectation:
             si, _ = scipy_special.sici(x)
             assert si_series(x) == pytest.approx(si, abs=1e-12)
 
-    def test_argument_order_irrelevant(self, table):
-        assert central(table, 1, 3) == central(table, 3, 1)
+    def test_argument_order_irrelevant(self):
+        assert central(1, 3) == central(3, 1)
 
 
 class TestPairExpectation:
-    def test_ground_pair_frozen(self, table):
-        _, got = table.ground_integrals
+    def test_ground_pair_frozen(self):
+        _, got = ground_integrals()
         assert got == pytest.approx(1.7860731681516866, abs=1e-10)
 
-    def test_ground_pair_bounds(self, table):
+    def test_ground_pair_bounds(self):
         # 1/|r1 - r2| >= 1/max <= ... the mean sits between 1 and the unscreened central value
-        _, got = table.ground_integrals
+        _, got = ground_integrals()
         assert 1.0 < got < 2.0 * cin_series(2.0 * math.pi)
 
-    def test_mixed_pair_frozen(self, table):
-        got = pair(table, 1, 2)
+    def test_mixed_pair_frozen(self):
+        got = pair(1, 2)
         assert got == pytest.approx(1.7803272473469034, abs=1e-10)
 
-    def test_symmetric_in_occupants(self, table):
-        assert pair(table, 1, 2) == pair(table, 2, 1)
+    def test_symmetric_in_occupants(self):
+        assert pair(1, 2) == pair(2, 1)
 
 
 class TestSlaterRadial:
-    def test_diagonal_matches_pair(self, table):
-        assert r0(table, 1, 1, 1, 1) == table.ground_integrals[1]
+    def test_diagonal_matches_pair(self):
+        assert r0(1, 1, 1, 1) == ground_integrals()[1]
 
-    def test_exchange_like_frozen(self, table):
-        assert r0(table, 1, 1, 2, 2) == pytest.approx(0.2801282906379428, abs=1e-10)
+    def test_exchange_like_frozen(self):
+        assert r0(1, 1, 2, 2) == pytest.approx(0.2801282906379428, abs=1e-10)
 
-    def test_symmetry_group(self, table):
+    def test_symmetry_group(self):
         # invariant under bra/ket swap within each slot and under slot exchange
         for a in range(1, 4):
             for b in range(1, 4):
                 for c in range(1, 4):
                     for d in range(1, 4):
-                        base = r0(table, a, b, c, d)
-                        swapped_within = r0(table, c, d, a, b)
-                        swapped_slots = r0(table, b, a, d, c)
+                        base = r0(a, b, c, d)
+                        swapped_within = r0(c, d, a, b)
+                        swapped_slots = r0(b, a, d, c)
                         assert base == swapped_within == swapped_slots
 
-    def test_against_direct_square_quadrature(self, table):
+    def test_against_direct_square_quadrature(self):
         # independent route: assemble the kernel on the full square at a
-        # different resolution and integrate without any of the table caching
+        # different resolution and integrate without any of the block's streaming
         ua, ub, uc, ud = (build_radial_mode(mode(n)) for n in (1, 2, 1, 3))
 
         def kernel(r1, r2):
             return ua(r1) * uc(r1) * ub(r2) * ud(r2) / np.maximum(r1, r2)
 
         direct = integrate_square(kernel, gauss_legendre(320))
-        assert r0(table, 1, 2, 1, 3) == pytest.approx(direct, abs=1e-10)
+        assert r0(1, 2, 1, 3) == pytest.approx(direct, abs=1e-10)
 
 
 class TestSWaveBlock:
     NMAX = 8
 
-    def test_central_matches_cin_closed_form(self, table):
+    def test_central_matches_cin_closed_form(self):
         # u_a u_c = cos(|a-c| pi r) - cos((a+c) pi r), so C = Cin((a+c)pi) - Cin(|a-c|pi)
-        central, _ = table.s_wave_block(self.NMAX)
+        central, _ = s_wave_block(self.NMAX)
         for a in range(1, self.NMAX + 1):
             for c in range(1, self.NMAX + 1):
                 exact = cin_series((a + c) * math.pi) - cin_series(abs(a - c) * math.pi)
                 assert central[a - 1, c - 1] == pytest.approx(exact, abs=1e-12)
 
-    def test_slater_matches_single_integrals(self, table):
-        _, block = table.s_wave_block(self.NMAX)
+    def test_slater_matches_single_integrals(self):
+        _, block = s_wave_block(self.NMAX)
         index = mode_pair_index(self.NMAX)
         pairs = [(a, c) for a in range(1, self.NMAX + 1) for c in range(a, self.NMAX + 1)]
         assert sorted(index[a - 1, c - 1] for a, c in pairs) == list(range(len(pairs)))
@@ -158,14 +153,14 @@ class TestSWaveBlock:
         for a, c in pairs:
             for b, d in pairs:
                 got = block[index[a - 1, c - 1], index[b - 1, d - 1]]
-                assert got == pytest.approx(r0(table, a, b, c, d), abs=1e-13)
+                assert got == pytest.approx(r0(a, b, c, d), abs=1e-13)
 
-    def test_symmetric_rebuilt_and_read_only(self, table):
-        central, slater = table.s_wave_block(self.NMAX)
+    def test_symmetric_rebuilt_and_read_only(self):
+        central, slater = s_wave_block(self.NMAX)
         np.testing.assert_array_equal(central, central.T)
         np.testing.assert_array_equal(slater, slater.T)
         # every call builds its own block, with the same bits
-        again = table.s_wave_block(self.NMAX)
+        again = s_wave_block(self.NMAX)
         assert again[0] is not central and again[1] is not slater
         np.testing.assert_array_equal(again[0], central)
         np.testing.assert_array_equal(again[1], slater)
@@ -174,14 +169,14 @@ class TestSWaveBlock:
 
     def test_underresolved_block_names_both_grids(self):
         with pytest.raises(ConvergenceError) as err:
-            CoulombTable(points=16).s_wave_block(10)
+            s_wave_block(10, 16)
         message = str(err.value)
         assert "16" in message and "32" in message and "nmax=10" in message
 
     @pytest.mark.parametrize("nmax", [0, -1, 2.0, True])
-    def test_bad_nmax(self, nmax, table):
+    def test_bad_nmax(self, nmax):
         with pytest.raises(ValidationError):
-            table.s_wave_block(nmax)
+            s_wave_block(nmax)
 
 
 class TestClosedForms:
@@ -216,11 +211,11 @@ class TestClosedForms:
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
 
-    def test_block_matches_quadrature(self, table):
+    def test_block_matches_quadrature(self):
         nmax = 24
         first, second = np.triu_indices(nmax)
         central, slater = closed_forms(second - first, first + second + 2)
-        got_central, got_slater = table.s_wave_block(nmax)
+        got_central, got_slater = s_wave_block(nmax)
         np.testing.assert_allclose(got_central[first, second], central, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got_slater, slater, rtol=0, atol=1e-12)
 
@@ -253,18 +248,6 @@ class TestClosedForms:
                              s_wave_block_whole_grid(points, nmax)):
             np.testing.assert_array_equal(got, want)
 
-    def test_table_holds_no_array_outside_its_blocks(self):
-        # nor any block: neither one it returns nor the one W is gathered from
-        fresh = CoulombTable(512)
-        fresh.s_wave_block(2)
-        assert vars(fresh).keys() == {"points"}
-        ci.interaction_matrix(2.0, ci.CiBasis(4), fresh)
-        assert vars(fresh).keys() == {"points"}
-        # what it keeps is the two ground integrals, as floats
-        fresh.ground_integrals
-        assert vars(fresh).keys() == {"points", "ground_integrals"}
-        assert not any(isinstance(v, np.ndarray) for v in vars(fresh).values())
-
     @pytest.mark.parametrize("points,nmax", [(512, 12), (200, 24)])
     def test_block_scratch_memory_is_small(self, points, nmax):
         # a whole points x points inner grid with its 64-row batches peaked
@@ -284,7 +267,7 @@ class TestClosedForms:
         coulomb._si_cin_pi()  # both cached; only the block and its check are measured
         tracemalloc.start()
         try:
-            CoulombTable(200).s_wave_block(coulomb.MAX_NMAX)
+            s_wave_block(coulomb.MAX_NMAX, 200)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -320,7 +303,7 @@ class TestClosedForms:
 
         monkeypatch.setattr(coulomb, "_quadrature_block", tampered)
         with pytest.raises(ConvergenceError) as err:
-            CoulombTable(200).s_wave_block(8)
+            s_wave_block(8, 200)
         message = str(err.value)
         assert label in message and "closed form" in message and "nmax=8" in message
 
@@ -349,19 +332,18 @@ class TestClosedForms:
         i, j = np.unravel_index(np.argmax(gap), gap.shape)
         assert (i, j) == entry
         pairs = list(zip((first + 1).tolist(), (second + 1).tolist()))
-        table = CoulombTable(200)
         with pytest.raises(ConvergenceError) as want:
-            table._checked(f"Slater integral for mode pairs {pairs[i]} and {pairs[j]} (nmax={nmax} block)",
-                           float(slater[i, j]), float(exact[i, j]))
+            coulomb._checked(200, f"Slater integral for mode pairs {pairs[i]} and {pairs[j]} (nmax={nmax} block)",
+                             float(slater[i, j]), float(exact[i, j]))
         monkeypatch.setattr(coulomb, "_CHECK_ROWS", rows)
         monkeypatch.setattr(coulomb, "_quadrature_block", lambda points, n: (central, slater))
         with pytest.raises(ConvergenceError) as got:
-            table.s_wave_block(nmax)
+            s_wave_block(nmax, 200)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("method,call", [
-        ("central", lambda t: t.ground_integrals[0]),
-        ("slater", lambda t: t.ground_integrals[1]),
+        ("central", lambda: ground_integrals(200)[0]),
+        ("slater", lambda: ground_integrals(200)[1]),
     ])
     def test_single_check_catches_perturbation(self, monkeypatch, method, call):
         # the ground integrals are entries of the nmax-1 block, so the block check guards them
@@ -374,24 +356,24 @@ class TestClosedForms:
             return block
 
         monkeypatch.setattr(coulomb, "_quadrature_block", tampered)
+        coulomb._ground_integrals.cache_clear()
         with pytest.raises(ConvergenceError, match="closed form"):
-            call(CoulombTable(200))
+            call()
 
     def test_s_wave_paths_never_build_the_doubled_rule(self, monkeypatch):
         sizes = []
         rule = coulomb.gauss_legendre
         monkeypatch.setattr(coulomb, "gauss_legendre", lambda n: sizes.append(n) or rule(n))
-        fresh = CoulombTable(200)
-        fresh.s_wave_block(6)
-        fresh.ground_integrals
+        coulomb._ground_integrals.cache_clear()
+        s_wave_block(6, 200)
+        ground_integrals(200)
         assert 200 in sizes and 400 not in sizes
 
 
 class TestSingleFromBlock:
     def test_ground_integrals_are_the_nmax1_block_entries(self):
-        fresh = CoulombTable(200)
-        got = fresh.ground_integrals
-        central, slater = fresh.s_wave_block(1)
+        got = ground_integrals(200)
+        central, slater = s_wave_block(1, 200)
         assert got == (central[0, 0], slater[0, 0])
         assert all(type(x) is float for x in got)
         # Cin(2 pi), and pair(1,1) = 2 - [Si(2pi) - Si(4pi)/2]/pi from u_1^2 = 1 - cos(2 pi r)
@@ -403,8 +385,8 @@ class TestSingleFromBlock:
         built = []
         build = coulomb._quadrature_block
         monkeypatch.setattr(coulomb, "_quadrature_block", lambda *a: built.append(a) or build(*a))
-        fresh = CoulombTable(512)
-        assert fresh.ground_integrals is fresh.ground_integrals
+        coulomb._ground_integrals.cache_clear()
+        assert ground_integrals(512) is ground_integrals(np.int64(512))
         assert built == [(512, 1)]
 
     def test_mode_pair_index_is_shared_and_read_only(self):
@@ -432,81 +414,50 @@ class TestSingleFromBlock:
         built = []
         monkeypatch.setattr(coulomb, "_quadrature_block", lambda points, nmax: built.append(nmax))
         monkeypatch.setattr(coulomb, "mode_pair_index", lambda nmax: built.append(nmax))
-        fresh = CoulombTable(200)
         with pytest.raises(ValidationError, match="nmax"):
-            fresh.s_wave_block(coulomb.MAX_NMAX + 1)
+            s_wave_block(coulomb.MAX_NMAX + 1, 200)
         with pytest.raises(ValidationError, match="nmax"):
-            fresh.s_wave_block(10**9)
+            s_wave_block(10**9, 200)
         assert built == []
         assert ci.MAX_NMAX == coulomb.MAX_NMAX == 48
 
 
 class TestResolutionGuard:
     def test_underresolved_high_mode_raises(self):
-        coarse = CoulombTable(points=16)
         with pytest.raises(ConvergenceError) as err:
-            coarse.s_wave_block(8)
+            s_wave_block(8, 16)
         message = str(err.value)
         assert "16" in message and "32" in message
 
     def test_ground_modes_fine_even_when_coarse(self):
-        coarse = CoulombTable(points=16)
-        _, got = coarse.ground_integrals
+        _, got = ground_integrals(16)
         assert got == pytest.approx(1.7860731681516866, abs=1e-9)
 
     @pytest.mark.parametrize("points", [8, 15, 513, 1000, 32.0, True])
     def test_point_budget_enforced(self, points):
-        with pytest.raises(ValidationError):
-            CoulombTable(points=points)
+        for call in (lambda: s_wave_block(1, points), lambda: ground_integrals(points)):
+            with pytest.raises(ValidationError, match="^quadrature points must "):
+                call()
 
 
 class TestCaching:
-    def test_get_table_is_cached(self):
-        assert get_table(128) is get_table(128)
-        assert get_table(128) is not get_table(64)
-
-    def test_cached_table_answers_no_other_type(self):
-        get_table(np.int64(128))
-        with pytest.raises(ValidationError, match="^quadrature points must be an integer, got 128.0$"):
-            get_table(128.0)
-
-    @pytest.mark.parametrize("bad", [[200], np.array([200]), np.array(200)], ids=["list", "array", "0-d-array"])
-    def test_get_table_checks_before_its_cache(self, bad):
-        # checked before the cache, which would raise a bare TypeError for an unhashable argument
+    @pytest.mark.parametrize("bad", [[200], np.array([200]), np.array(200), True, 128.0],
+                             ids=["list", "array", "0-d-array", "true", "float"])
+    def test_ground_integrals_checks_before_its_cache(self, bad):
+        # checked before the cache, which would raise a bare TypeError for an
+        # unhashable argument and answer 128.0 from the entry for 128
+        ground_integrals(128)
         with pytest.raises(ValidationError, match="^quadrature points must be an integer, got [^\n]+$"):
-            get_table(bad)
+            ground_integrals(bad)
 
-    def test_none_is_the_shared_default_table(self, table):
-        assert coulomb.as_table(None) is get_table() and coulomb.as_table(table) is table
-        assert ci.CiProblem(2.0, ci.CiBasis(4)).table is get_table()
-
-    # a text, and the ground occupation that first order once took ahead of the table
-    @pytest.mark.parametrize("bad", ["x", (mode(1), mode(1))], ids=["text", "occupation"])
-    @pytest.mark.parametrize("caller", ["epsilon1", "interaction_matrix", "CiProblem"])
-    def test_a_table_argument_refuses_what_is_not_a_table(self, caller, bad):
-        system = nondimensionalize(helium_system(clamped_nucleus=True))
-        calls = {
-            "epsilon1": lambda: epsilon1(system, bad),
-            "interaction_matrix": lambda: ci.interaction_matrix(2.0, ci.CiBasis(4), bad),
-            "CiProblem": lambda: ci.CiProblem(2.0, ci.CiBasis(4), bad).second_order_sum_over_states(),
-        }
-        message = f"^table must be a CoulombTable or None, got {type(bad).__name__}$"
-        with pytest.raises(ValidationError, match=message):
-            calls[caller]()
-
-    def test_results_stable_across_instances(self, table):
-        fresh = CoulombTable(points=200)
-        assert fresh.ground_integrals == table.ground_integrals
-        assert pair(fresh, 1, 2) == pair(table, 1, 2)
-
-    def test_thread_smoke(self, table):
-        # threads share one fresh table: its ground integrals and the blocks they build
-        fresh = CoulombTable(points=200)
+    def test_thread_smoke(self):
+        # threads first ask for the ground integrals at once, and build blocks side by side
+        coulomb._ground_integrals.cache_clear()
         keys = [(a, b) for a in range(1, 5) for b in range(1, 5)]
 
         def work(key):
             a, b = key
-            return fresh.ground_integrals, pair(fresh, a, b)
+            return ground_integrals(), pair(a, b)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -515,5 +466,5 @@ class TestCaching:
                 results = list(pool.map(work, keys * 4, timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        serial = [(table.ground_integrals, pair(table, a, b)) for a, b in keys * 4]
+        serial = [(ground_integrals(), pair(a, b)) for a, b in keys * 4]
         assert results == serial

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from boxatom import (
     HELIUM_NUCLEAR_MASS,
+    DimensionlessSystem,
     Particle,
+    ScaledParticle,
     SystemDefinition,
     helium_system,
     load_system,
@@ -111,6 +114,48 @@ class TestNondimensionalize:
         dim = nondimensionalize(helium_system(clamped_nucleus=False))
         assert dim.clamped_particle is None
         assert len(dim.free_particles) == 3
+
+
+class TestScaledSystem:
+    """ScaledParticle and DimensionlessSystem check their fields as Particle and SystemDefinition do."""
+
+    REFERENCE = ScaledParticle(1.0, 1.0, False)
+
+    @pytest.mark.parametrize("m_prime,q_prime,clamped,message", [
+        (0.0, 1.0, False, "m_prime must be positive, got 0.0"),
+        (-1.0, 1.0, False, "m_prime must be positive, got -1.0"),
+        (1.0, math.nan, False, "q_prime must be finite, got nan"),
+        (math.inf, 1.0, False, "m_prime must be finite, got inf"),
+        ("1", 1.0, False, "m_prime must be a real number, got '1'"),
+        (1.0, 1.0, 1, "clamped must be a boolean, got 1"),
+    ], ids=["zero-mass", "negative-mass", "nan-charge", "inf-mass", "text-mass", "int-clamped"])
+    def test_scaled_particle_checks_its_fields(self, m_prime, q_prime, clamped, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ScaledParticle(m_prime, q_prime, clamped)
+
+    def test_scaled_particle_fields_are_floats(self):
+        p = ScaledParticle(np.int64(2), 1, False)
+        assert (type(p.m_prime), type(p.q_prime)) == (float, float)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: DimensionlessSystem(("a",), 1.0, 1.0, 1.0), "particles[0] must be a ScaledParticle, got str"),
+        (lambda: DimensionlessSystem(None, 1.0, 1.0, 1.0), "particles must be a sequence of ScaledParticle, got NoneType"),
+        (lambda: DimensionlessSystem((TestScaledSystem.REFERENCE, electron()), 1.0, 1.0, 1.0),
+         "particles[1] must be a ScaledParticle, got Particle"),
+        (lambda: DimensionlessSystem((TestScaledSystem.REFERENCE,), "1", 1.0, 1.0), "lam must be a real number, got '1'"),
+        (lambda: SystemDefinition(("a",), 0, lam=1.0), "particles[0] must be a Particle, got str"),
+        (lambda: SystemDefinition(None, 0, lam=1.0), "particles must be a sequence of Particle, got NoneType"),
+        (lambda: SystemDefinition((TestScaledSystem.REFERENCE,), 0, lam=1.0),
+         "particles[0] must be a Particle, got ScaledParticle"),
+    ], ids=["scaled-text", "scaled-none", "scaled-particle", "scaled-lam-text", "definition-text",
+            "definition-none", "definition-scaled"])
+    def test_systems_check_their_particles_and_scales(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_particles_are_kept_as_a_tuple(self):
+        system = DimensionlessSystem([self.REFERENCE], 1.0, 1.0, 1.0)
+        assert system.particles == (self.REFERENCE,)
 
 
 class TestHeliumFactory:

@@ -19,7 +19,7 @@ exit 2), `coeffs --help`, which prints the default resolution, and two `-o`
 files that cannot be written (`coeffs he-clamped -o no-such-dir/out.csv` and
 `curve he-clamped --format json -o /dev/full`, which exit 2), nmax on
 either side of its bounds (`ci-scan he-clamped --nmax 49` and `--nmax 0`),
-first order on a shared table at a resolution other than the default
+first order at a resolution other than the default
 (`nuclear-motion he-moving --quad-points 512`), and `coeffs` on seven system documents written into the input directory:
 six with one value the library's number rule refuses (a boolean mass, a
 string charge, a string lambda, an rc_bohr of 1e999, which JSON reads as
