@@ -7,15 +7,7 @@ energy curves, and cross-checks the two-electron case with a small
 configuration-interaction solver.
 """
 
-from .ci import (
-    CiBasis,
-    CiProblem,
-    CiSolution,
-    build_hamiltonian,
-    ground_state,
-    interaction_matrix,
-    kinetic_diagonal,
-)
+from .ci import CiProblem, CiSolution, build_hamiltonian, ground_state
 from .errors import (
     BoxatomError,
     ConvergenceError,
@@ -57,7 +49,6 @@ __all__ = [
     "HELIUM_NUCLEAR_MASS",
     "BoxatomError",
     "BreakdownTerm",
-    "CiBasis",
     "CiProblem",
     "CiSolution",
     "ConvergenceError",
@@ -81,8 +72,6 @@ __all__ = [
     "ground_state",
     "helium_system",
     "integrate",
-    "interaction_matrix",
-    "kinetic_diagonal",
     "load_system",
     "mode_energy",
     "nondimensionalize",

@@ -4,7 +4,9 @@ Basis states are symmetrized radial products (singlet spatial part)
 
     |nm> = N_nm [u_n(r1) u_m(r2) + u_m(r1) u_n(r2)],  N_nm = 1/sqrt(2(1+d_nm)),
 
-over sphere modes n <= nmax. In this orthonormal basis
+over sphere modes 1 <= n <= m <= nmax. Configuration k is {n, m} = mode pair
+k of `coulomb.mode_pair_index(nmax)`, ordered by n and then m as
+np.triu_indices(nmax) orders them. In this orthonormal basis
 
     H(lambda) = diag(T) + lambda W,  T_nm = (n^2 + m^2) pi^2 / 2,
 
@@ -12,18 +14,18 @@ where W collects -Z times the one-particle 1/r couplings and the electron
 pair repulsion through monopole Slater integrals. W is gathered, upper
 triangle first and then mirrored so it is exactly symmetric, from the
 checked s-wave block `coulomb.s_wave_block(nmax, points)`: index arrays
-built from the configurations, a band of rows at a time, pick each central
+from np.triu_indices(nmax), a band of rows at a time, pick each central
 and Slater integral. Nothing keeps the block, so it is freed once W is
 gathered, and a second W at the same nmax computes the integrals again.
 The ground eigenvalue is a
 variational upper bound on the true ground energy within the subspace, and
 the coefficient of |11> is the overlap with the free-particle ground state.
 
-`CiProblem(z, basis, points)` is the library's one way to solve the CI
+`CiProblem(z, nmax, points)` is the library's one way to solve the CI
 problem, and the one the CLI runs: its `scan`, `second_order_estimate` and
 `second_order_sum_over_states` share one W, checked once to be finite and
 exactly symmetric; the eps2 fit runs on the one grid EPS2_FIT_GRID.
-`ground_state(build_hamiltonian(z, lam, basis, points))` solves one lambda
+`ground_state(build_hamiltonian(z, lam, nmax, points))` solves one lambda
 densely; it is the reference the certified solver is
 tested against. A lambda whose bound max(T) + lambda max_i sum_j |W_ij| on
 ||H||_2 exceeds RESIDUAL_TOL / (10 eps), about 4.5e4, is a ValidationError:
@@ -67,14 +69,14 @@ per row however long the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from .coulomb import DEFAULT_POINTS, MAX_NMAX, check_nmax, check_points, mode_pair_index, s_wave_block
-from .errors import ConvergenceError, ValidationError, of_type, real, reals
+from .coulomb import DEFAULT_POINTS, check_nmax, check_points, mode_pair_index, s_wave_block
+from .errors import ConvergenceError, ValidationError, real, reals
 
 RESIDUAL_TOL = 1e-10
 # the small-lambda grid of the second-order fit; its design [lambda^2, lambda^3]
@@ -99,23 +101,6 @@ _W_BAND_ROWS = 32
 # rows and columns of the tiles in which the Cholesky tier factors H in place:
 # the panel update's scratch is at most 64 x 1,175 entries at nmax 48
 _CHOLESKY_TILE = 64
-
-
-@dataclass(frozen=True)
-class CiBasis:
-    """Symmetrized configurations {n, m}, 1 <= n <= m <= nmax, ordered by n then m."""
-
-    nmax: int
-    configurations: tuple[tuple[int, int], ...] = field(init=False)
-
-    def __post_init__(self):
-        nmax = check_nmax(self.nmax)
-        object.__setattr__(self, "nmax", nmax)
-        object.__setattr__(self, "configurations",
-                           tuple((n, m) for n in range(1, nmax + 1) for m in range(n, nmax + 1)))
-
-    def __len__(self) -> int:
-        return len(self.configurations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,25 +146,21 @@ def _coupling(lam) -> float:
     return lam
 
 
-def kinetic_diagonal(basis: CiBasis) -> np.ndarray:
+def _kinetic_diagonal(nmax: int) -> np.ndarray:
     """T_nm = (n^2 + m^2) pi^2 / 2 in configuration order."""
-    basis = of_type("basis", basis, CiBasis)
-    return np.array(
-        [(n * n + m * m) * math.pi**2 / 2.0 for n, m in basis.configurations]
-    )
+    n, m = np.add(np.triu_indices(nmax), 1)
+    return (n * n + m * m) * math.pi**2 / 2.0
 
 
-def interaction_matrix(z: float, basis: CiBasis, points: int = DEFAULT_POINTS) -> np.ndarray:
+def _interaction_matrix(z: float, nmax: int, points: int) -> np.ndarray:
     """W = -Z * (symmetrized central couplings) + symmetrized pair repulsion, by the points-point rule."""
-    z = _charge(z)
-    basis = of_type("basis", basis, CiBasis)
     # nothing keeps the block, so it is freed once W is gathered
-    central, slater = s_wave_block(basis.nmax, points)
-    pair = mode_pair_index(basis.nmax)
+    central, slater = s_wave_block(nmax, points)
+    pair = mode_pair_index(nmax)
     # 0-based modes: row i of W is configuration (n, m), column j is (p, q)
-    config = np.array(basis.configurations) - 1
+    config = np.column_stack(np.triu_indices(nmax))
     norm = np.where(config[:, 0] == config[:, 1], 0.5, 1.0 / math.sqrt(2.0))
-    size = len(basis)
+    size = len(config)
     w = np.empty((size, size))
     for start in range(0, size, _W_BAND_ROWS):
         # the upper triangle of a band of rows; every entry is the same
@@ -202,10 +183,10 @@ def interaction_matrix(z: float, basis: CiBasis, points: int = DEFAULT_POINTS) -
     return w
 
 
-def build_hamiltonian(z: float, lam: float, basis: CiBasis, points: int = DEFAULT_POINTS) -> np.ndarray:
-    """H(lambda) = diag(T) + lambda W; exactly symmetric."""
-    z, lam = _charge(z), _coupling(lam)
-    return _hamiltonian(kinetic_diagonal(basis), lam, interaction_matrix(z, basis, points))
+def build_hamiltonian(z: float, lam: float, nmax: int, points: int = DEFAULT_POINTS) -> np.ndarray:
+    """H(lambda) = diag(T) + lambda W of `CiProblem(z, nmax, points)`; exactly symmetric."""
+    problem = CiProblem(z, nmax, points)
+    return _hamiltonian(problem.kinetic, _coupling(lam), problem.interaction)
 
 
 def _hamiltonian(kinetic: np.ndarray, lam: float, interaction: np.ndarray) -> np.ndarray:
@@ -511,7 +492,7 @@ def _check_concavity(lam: np.ndarray, energy: np.ndarray, slope: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class CiProblem:
-    """H(lambda) = diag(T) + lambda W for one charge, basis and quadrature resolution.
+    """H(lambda) = diag(T) + lambda W for one charge, nmax and quadrature resolution.
 
     T and W are built on first use and then shared, so a scan, an eps2 fit
     and a sum over states on one problem assemble W once; the fit also
@@ -520,21 +501,21 @@ class CiProblem:
     """
 
     z: float
-    basis: CiBasis
+    nmax: int
     points: int = DEFAULT_POINTS
 
     def __post_init__(self):
         object.__setattr__(self, "z", _charge(self.z))
-        of_type("basis", self.basis, CiBasis)
+        object.__setattr__(self, "nmax", check_nmax(self.nmax))
         object.__setattr__(self, "points", check_points(self.points))
 
     @cached_property
     def kinetic(self) -> np.ndarray:
-        return kinetic_diagonal(self.basis)
+        return _kinetic_diagonal(self.nmax)
 
     @cached_property
     def interaction(self) -> np.ndarray:
-        return _checked_matrix(interaction_matrix(self.z, self.basis, self.points))
+        return _checked_matrix(_interaction_matrix(self.z, self.nmax, self.points))
 
     @cached_property
     def _floor(self) -> _InterlacingFloor:
@@ -557,7 +538,7 @@ class CiProblem:
         # the floor is certified at the largest lambda first; its chord from 0 covers the rest
         self._floor.reach(top)
         # start from |11>, then from the previous lambda's subspace
-        subspace = _Subspace(self.kinetic, self.interaction, np.eye(1, len(self.basis))[0])
+        subspace = _Subspace(self.kinetic, self.interaction, np.eye(1, len(self.kinetic))[0])
         for lam in map(float, lams):
             yield _certified_ground_state(lam, subspace, self._floor)
 
@@ -604,8 +585,8 @@ class CiProblem:
         l > 0 pair excitations are outside the basis. It must agree with the
         in-subspace sum-over-states value within 2%, else ConvergenceError.
         """
-        if self.basis.nmax < 4:
-            raise ValidationError(f"second-order estimate needs nmax >= 4, got {self.basis.nmax}")
+        if self.nmax < 4:
+            raise ValidationError(f"second-order estimate needs nmax >= 4, got {self.nmax}")
         grid = EPS2_FIT_GRID
         eps0 = self.kinetic[0]
         eps1 = self.interaction[0, 0]

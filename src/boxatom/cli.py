@@ -256,7 +256,7 @@ def cmd_ci_scan(config: RunConfig) -> Report:
     system = nondimensionalize(_resolve_system(config.system_path))
     z = _ci_charge(system)
     coeffs = epsilon1(system, config.quadrature_points)
-    problem = ci.CiProblem(z, ci.CiBasis(config.ci_nmax), config.quadrature_points)
+    problem = ci.CiProblem(z, config.ci_nmax, config.quadrature_points)
     # ascending, as the scan requires, since lambda_min <= lambda_max
     grid = config.lambda_grid
     # a row keeps its energy and overlap0; each solution's vector is dropped once read

@@ -11,7 +11,7 @@ integer, never a boolean, within the float range. A value that breaks the
 rule is a one-line ValidationError.
 
 An argument that must be an instance of a package class (a system, a set
-of coefficients, a CI basis, a particle) is checked by `of_type`; a value
+of coefficients, a particle) is checked by `of_type`; a value
 of another type is a one-line ValidationError that names both types.
 """
 
@@ -86,8 +86,9 @@ def integer(name: str, value) -> int:
 def of_type(name: str, value, kind: type):
     """`value` itself if it is a `kind`; anything else is a ValidationError that names both."""
     if not isinstance(value, kind):
-        from .system import SystemDefinition  # system imports this module
+        from .system import DimensionlessSystem, SystemDefinition  # system imports this module
 
-        hint = "; nondimensionalize turns a SystemDefinition into one" if isinstance(value, SystemDefinition) else ""
+        hint = ("; nondimensionalize turns a SystemDefinition into one"
+                if kind is DimensionlessSystem and isinstance(value, SystemDefinition) else "")
         raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}{hint}")
     return value

@@ -105,11 +105,6 @@ def epsilon1(system: DimensionlessSystem, points: int = DEFAULT_POINTS) -> Pertu
     """
     system = of_type("system", system, DimensionlessSystem)
     points = check_points(points)
-    if _ground_is_degenerate(system):
-        raise ValidationError(
-            "occupation is degenerate with a distinct s-wave occupation at this eps0; "
-            "degenerate first-order treatment is not supported"
-        )
     free_ids = [i for i, p in enumerate(system.particles) if not p.clamped]
     free = system.free_particles
 
@@ -117,6 +112,12 @@ def epsilon1(system: DimensionlessSystem, points: int = DEFAULT_POINTS) -> Pertu
     for i, p in zip(free_ids, free):
         e = mode_energy(_GROUND_MODE, p.m_prime)
         terms.append(BreakdownTerm(f"kinetic[{i}]", "kinetic", 1.0, e, e))
+    # after mode_energy, which refuses an m' so small that 1/m' overflows
+    if _ground_is_degenerate(system):
+        raise ValidationError(
+            "occupation is degenerate with a distinct s-wave occupation at this eps0; "
+            "degenerate first-order treatment is not supported"
+        )
     central, pair = ground_integrals(points)
     for a in range(len(free)):
         for b in range(a + 1, len(free)):

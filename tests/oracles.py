@@ -213,13 +213,14 @@ def closed_forms(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cin[q] - cin[p], half + half.T
 
 
-def interaction_matrix_whole(z: float, basis) -> np.ndarray:
-    """W gathered for the whole upper triangle at once, as `ci.interaction_matrix` does band by band."""
-    central, slater = coulomb.s_wave_block(basis.nmax)
-    pair = coulomb.mode_pair_index(basis.nmax)
-    config = np.array(basis.configurations) - 1
+def interaction_matrix_whole(z: float, nmax: int) -> np.ndarray:
+    """W gathered for the whole upper triangle at once, as `CiProblem.interaction` does band by band."""
+    central, slater = coulomb.s_wave_block(nmax)
+    pair = coulomb.mode_pair_index(nmax)
+    # 0-based modes of each configuration {n, m}, ordered by n and then m
+    config = np.array([(n, m) for n in range(nmax) for m in range(n, nmax)])
     norm = np.where(config[:, 0] == config[:, 1], 0.5, 1.0 / math.sqrt(2.0))
-    i, j = np.triu_indices(len(basis))
+    i, j = np.triu_indices(len(config))
     n, m = config[i].T
     p, q = config[j].T
     pre = 2.0 * norm[i] * norm[j]
@@ -230,7 +231,7 @@ def interaction_matrix_whole(z: float, basis) -> np.ndarray:
         + np.where(n == q, central[m, p], 0.0)
     )
     rep = slater[pair[n, p], pair[m, q]] + slater[pair[n, q], pair[m, p]]
-    w = np.empty((len(basis), len(basis)))
+    w = np.empty((len(config), len(config)))
     w[i, j] = w[j, i] = pre * (-float(z) * att + rep)
     return w
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from boxatom import (
-    CiBasis,
     CiProblem,
     ModeIndex,
     bessel_zero,
@@ -124,7 +123,7 @@ def test_criterion_05_consistent_form():
 
 def test_criterion_06_overlap_scan_properties():
     start = time.perf_counter()
-    scan = list(CiProblem(2.0, CiBasis(8), 200).scan(LAMBDA_GRID))
+    scan = list(CiProblem(2.0, 8, 200).scan(LAMBDA_GRID))
     elapsed = time.perf_counter() - start
     overlaps = [s.overlap0 for s in scan]
     bounded = all(v <= 1.0 for v in overlaps)
@@ -142,7 +141,7 @@ def test_criterion_06_overlap_scan_properties():
 
 def test_criterion_07_variational_dominance_and_slope():
     coeffs = clamped_coeffs()
-    basis = CiBasis(8)
+    basis = 8
     dominated = True
     worst = 0.0
     for lam in LAMBDA_GRID:
@@ -211,7 +210,7 @@ def test_criterion_09_numerical_infrastructure():
 
 
 def test_criterion_10_second_order_internal_agreement():
-    problem = CiProblem(2.0, CiBasis(8))
+    problem = CiProblem(2.0, 8)
     fit = problem.second_order_estimate()
     sos = problem.second_order_sum_over_states()
     rel = abs(fit - sos) / abs(sos)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import weakref
 from unittest import mock
@@ -8,18 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxatom import (
-    CiBasis,
-    CiProblem,
-    CiSolution,
-    build_hamiltonian,
-    ground_state,
-    interaction_matrix,
-    kinetic_diagonal,
-)
+from boxatom import CiProblem, CiSolution, build_hamiltonian, ground_state
 from boxatom import ci, coulomb
-from boxatom.ci import MAX_NMAX
-from boxatom.coulomb import ground_integrals
+from boxatom.coulomb import MAX_NMAX, ground_integrals, mode_pair_index
 from boxatom.errors import ConvergenceError, ValidationError
 
 from oracles import (
@@ -33,58 +25,62 @@ from oracles import (
 EPS1_CLAMPED = -7.96454040407721
 
 
-def dense_energy(z, lam, basis) -> float:
+def dense_energy(z, lam, nmax) -> float:
     """The dense reference: the lowest eigenvalue of the assembled H(lambda)."""
-    return ground_state(build_hamiltonian(z, lam, basis))[0]
+    return ground_state(build_hamiltonian(z, lam, nmax))[0]
+
+
+def configurations(nmax):
+    """Each {n, m}, 1 <= n <= m <= nmax, ordered by n and then m."""
+    return [(n, m) for n in range(1, nmax + 1) for m in range(n, nmax + 1)]
 
 
 class TestBasis:
     def test_counts_and_order(self):
-        basis = CiBasis(4)
-        assert len(basis) == 10
-        assert basis.configurations[0] == (1, 1)
-        assert all(n <= m for n, m in basis.configurations)
-        assert len(set(basis.configurations)) == len(basis)
+        # configuration k is coulomb's mode pair k
+        for nmax in (1, 4, MAX_NMAX):
+            pairs, index = configurations(nmax), mode_pair_index(nmax)
+            assert [index[n - 1, m - 1] for n, m in pairs] == list(range(len(pairs)))
+            assert len(CiProblem(2.0, nmax).kinetic) == len(pairs) == nmax * (nmax + 1) // 2
 
     @pytest.mark.parametrize("bad", [0, -1, 2.0, True])
     def test_bad_nmax(self, bad):
-        with pytest.raises(ValidationError):
-            CiBasis(bad)
+        with pytest.raises(ValidationError, match=r"^nmax must be [^\n]+, got [^\n]+$"):
+            CiProblem(2.0, bad)
 
     def test_nmax_bound(self):
-        assert len(CiBasis(MAX_NMAX)) == 1176
-        with pytest.raises(ValidationError, match="nmax"):
-            CiBasis(nmax=MAX_NMAX + 1)
+        assert CiProblem(2.0, MAX_NMAX).nmax == MAX_NMAX
+        message = rf"^nmax must be an integer in \[1, {MAX_NMAX}\], got {MAX_NMAX + 1}$"
+        for call in (lambda nmax: CiProblem(2.0, nmax), lambda nmax: build_hamiltonian(2.0, 1.0, nmax)):
+            with pytest.raises(ValidationError, match=message):
+                call(MAX_NMAX + 1)
 
 
 class TestMatrixAssembly:
     def test_kinetic_diagonal(self):
-        basis = CiBasis(3)
-        got = kinetic_diagonal(basis)
-        expected = [(n * n + m * m) * math.pi**2 / 2.0 for n, m in basis.configurations]
-        np.testing.assert_allclose(got, expected, rtol=0, atol=0)
+        for nmax in (1, 4, MAX_NMAX):
+            expected = [(n * n + m * m) * math.pi**2 / 2 for n, m in configurations(nmax)]
+            np.testing.assert_allclose(CiProblem(2.0, nmax).kinetic, expected, rtol=0, atol=0)
 
     def test_free_particle_limit(self):
-        basis = CiBasis(4)
-        h = build_hamiltonian(2.0, 0.0, basis)
-        np.testing.assert_array_equal(h, np.diag(kinetic_diagonal(basis)))
+        h = build_hamiltonian(2.0, 0.0, 4)
+        np.testing.assert_array_equal(h, np.diag(CiProblem(2.0, 4).kinetic))
         energy, coeff, _ = ground_state(h)
         assert energy == pytest.approx(math.pi**2, abs=1e-12)
         assert coeff[0] == 1.0
 
     def test_single_configuration_element(self):
-        basis = CiBasis(1)
-        h = build_hamiltonian(2.0, 1.0, basis)
+        h = build_hamiltonian(2.0, 1.0, 1)
         central, pair = ground_integrals()
         assert h.shape == (1, 1)
         assert h[0, 0] == pytest.approx(math.pi**2 + pair - 4.0 * central, abs=1e-12)
 
     def test_interaction_is_symmetric(self):
-        w = interaction_matrix(2.0, CiBasis(5))
+        w = CiProblem(2.0, 5).interaction
         np.testing.assert_array_equal(w, w.T)
 
     def test_first_diagonal_matches_first_order(self):
-        w = interaction_matrix(2.0, CiBasis(6))
+        w = CiProblem(2.0, 6).interaction
         assert w[0, 0] == pytest.approx(EPS1_CLAMPED, abs=1e-10)
 
     @pytest.mark.parametrize("nmax", [2, 3, 4, 5])
@@ -92,26 +88,24 @@ class TestMatrixAssembly:
         # brute-force oracle: project the full product-basis Hamiltonian
         # onto the symmetric subspace and compare entrywise
         lam, z = 0.7, 2.0
-        ours = build_hamiltonian(z, lam, CiBasis(nmax))
+        ours = build_hamiltonian(z, lam, nmax)
         oracle = product_basis_hamiltonian(nmax, z, lam)
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
     @pytest.mark.parametrize("nmax", [1, 2, 12, 24, 48])
     def test_banded_gather_is_bit_identical_to_whole_triangle(self, nmax):
-        basis = CiBasis(nmax)
         for z in (1.0, 2.0, 3.0, 4.0):
-            np.testing.assert_array_equal(interaction_matrix(z, basis),
-                                          interaction_matrix_whole(z, basis))
+            np.testing.assert_array_equal(CiProblem(z, nmax).interaction,
+                                          interaction_matrix_whole(z, nmax))
 
     def test_gather_scratch_memory_is_small(self, monkeypatch):
         # the whole upper triangle gathered at once peaked at 63.4 MiB at nmax 48
-        basis = CiBasis(MAX_NMAX)
         block = coulomb.s_wave_block(MAX_NMAX)
         # the block is built beforehand; only W and its scratch are measured
         monkeypatch.setattr(ci, "s_wave_block", lambda nmax, points: block)
         tracemalloc.start()
         try:
-            interaction_matrix(2.0, basis)
+            ci._interaction_matrix(2.0, MAX_NMAX, coulomb.DEFAULT_POINTS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -129,34 +123,33 @@ class TestMatrixAssembly:
             return got
 
         monkeypatch.setattr(ci, "s_wave_block", spied)
-        w = CiProblem(2.0, CiBasis(24)).interaction
+        w = CiProblem(2.0, 24).interaction
         assert returned and all(ref() is None for ref in returned)
         # so a second W builds it again, and keeps every bit
-        np.testing.assert_array_equal(CiProblem(2.0, CiBasis(24), 200).interaction, w)
+        np.testing.assert_array_equal(CiProblem(2.0, 24, 200).interaction, w)
         assert built == [(200, 24), (200, 24)]
 
     def test_underresolved_table_raises(self):
         # the CI path keeps the n-against-2n quadrature check
         with pytest.raises(ConvergenceError) as err:
-            interaction_matrix(2.0, CiBasis(10), 16)
+            CiProblem(2.0, 10, 16).interaction
         message = str(err.value)
         assert "16" in message and "32" in message
 
     @pytest.mark.parametrize("call", [
-        lambda basis: CiProblem(2.0, basis),
-        lambda basis: interaction_matrix(2.0, basis),
-        lambda basis: kinetic_diagonal(basis),
-        lambda basis: build_hamiltonian(2.0, 1.0, basis),
-    ], ids=["CiProblem", "interaction_matrix", "kinetic_diagonal", "build_hamiltonian"])
-    @pytest.mark.parametrize("bad", [3, None, (1, 1)], ids=["nmax", "none", "configuration"])
+        lambda nmax: CiProblem(2.0, nmax),
+        lambda nmax: build_hamiltonian(2.0, 1.0, nmax),
+    ], ids=["CiProblem", "build_hamiltonian"])
+    @pytest.mark.parametrize("bad", [4.0, None, (1, 1)], ids=["nmax", "none", "configuration"])
     def test_a_basis_that_is_not_a_ci_basis_is_refused(self, call, bad):
-        with pytest.raises(ValidationError, match=f"^basis must be a CiBasis, got {type(bad).__name__}$"):
+        # the basis is nmax itself, so a float nmax or a configuration is refused as nmax
+        with pytest.raises(ValidationError, match=rf"^nmax must be an integer, got {re.escape(repr(bad))}$"):
             call(bad)
 
     @pytest.mark.parametrize("z,lam", [(0.0, 1.0), (-2.0, 1.0), (2.0, -0.1), (2.0, math.nan)])
     def test_bad_charge_or_coupling(self, z, lam):
         with pytest.raises(ValidationError):
-            build_hamiltonian(z, lam, CiBasis(2))
+            build_hamiltonian(z, lam, 2)
 
 
 class TestGroundState:
@@ -205,23 +198,22 @@ class TestGroundState:
 
 class TestSolveGround:
     def test_regression_nmax6(self):
-        assert dense_energy(2.0, 0.5, CiBasis(6)) == pytest.approx(5.700105937638897, abs=1e-9)
+        assert dense_energy(2.0, 0.5, 6) == pytest.approx(5.700105937638897, abs=1e-9)
 
     def test_regression_nmax8(self):
-        assert dense_energy(2.0, 0.5, CiBasis(8)) == pytest.approx(5.698218845526088, abs=1e-9)
+        assert dense_energy(2.0, 0.5, 8) == pytest.approx(5.698218845526088, abs=1e-9)
 
     def test_variational_below_first_order(self):
         for lam in [0.1, 0.5, 1.0, 2.0]:
-            assert dense_energy(2.0, lam, CiBasis(8)) <= math.pi**2 + EPS1_CLAMPED * lam + 1e-12
+            assert dense_energy(2.0, lam, 8) <= math.pi**2 + EPS1_CLAMPED * lam + 1e-12
 
     def test_enlarging_basis_never_raises_energy(self):
-        energies = [dense_energy(2.0, 1.0, CiBasis(nmax)) for nmax in (2, 4, 6, 8)]
+        energies = [dense_energy(2.0, 1.0, nmax) for nmax in (2, 4, 6, 8)]
         assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))
 
     def test_small_lambda_slope_recovers_first_order(self):
         h = 1e-4
-        basis = CiBasis(8)
-        e_plus = dense_energy(2.0, h, basis)
+        e_plus = dense_energy(2.0, h, 8)
         slope = (e_plus - math.pi**2) / h
         assert slope == pytest.approx(EPS1_CLAMPED, abs=1e-3)
 
@@ -252,50 +244,50 @@ class TestSolveGround:
     def test_rejects_values_float_cannot_take(self, z, lam):
         with pytest.raises(ValidationError,
                            match="^(nuclear charge Z|lambda) must be a real number, got [^\n]+$"):
-            build_hamiltonian(z, lam, CiBasis(4))
+            build_hamiltonian(z, lam, 4)
 
     def test_takes_numpy_numbers(self):
-        basis = CiBasis(4)
+        nmax = 4
         for z, lam in ((np.int64(2), np.float64(0.5)), (np.float64(2.0), np.int64(1))):
-            assert dense_energy(z, lam, basis) == dense_energy(float(z), float(lam), basis)
+            assert dense_energy(z, lam, nmax) == dense_energy(float(z), float(lam), nmax)
 
     @pytest.mark.filterwarnings("error")  # lambda * W overflowing must not warn on its way out
     def test_overflowing_lambda_raises_without_warning(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            ground_state(build_hamiltonian(2.0, 1e308, CiBasis(4)))
-        assert np.isinf(build_hamiltonian(2.0, 1e308, CiBasis(4))).any()
+            ground_state(build_hamiltonian(2.0, 1e308, 4))
+        assert np.isinf(build_hamiltonian(2.0, 1e308, 4)).any()
 
 
 class TestOverlapScan:
     GRID = [1e-6, 0.01, 0.1, 0.5, 1.0, 2.0]
 
     def test_overlap_decays_monotonically(self):
-        scan = list(CiProblem(2.0, CiBasis(8)).scan(self.GRID))
+        scan = list(CiProblem(2.0, 8).scan(self.GRID))
         overlaps = [s.overlap0 for s in scan]
         assert all(0.0 <= v <= 1.0 for v in overlaps)
         assert overlaps[0] >= 1.0 - 1e-8
         assert all(b <= a + 1e-12 for a, b in zip(overlaps, overlaps[1:]))
 
     def test_matches_pointwise_solve(self):
-        basis = CiBasis(5)
-        scan = list(CiProblem(2.0, basis).scan([0.3, 0.9]))
+        nmax = 5
+        scan = list(CiProblem(2.0, nmax).scan([0.3, 0.9]))
         for s in scan:
-            energy, coeff, _ = ground_state(build_hamiltonian(2.0, s.lam, basis))
+            energy, coeff, _ = ground_state(build_hamiltonian(2.0, s.lam, nmax))
             assert s.energy == pytest.approx(energy, abs=1e-12)
             assert s.overlap0 == pytest.approx(coeff[0], abs=1e-12)
 
     def test_residuals_within_budget(self):
-        scan = list(CiProblem(2.0, CiBasis(6)).scan(self.GRID))
+        scan = list(CiProblem(2.0, 6).scan(self.GRID))
         assert all(s.residual <= 1e-10 for s in scan)
 
     def test_grid_validation(self):
-        basis = CiBasis(4)
+        nmax = 4
         with pytest.raises(ValidationError):
-            list(CiProblem(2.0, basis).scan([]))
+            list(CiProblem(2.0, nmax).scan([]))
         with pytest.raises(ValidationError):
-            list(CiProblem(2.0, basis).scan([0.5, 0.1]))
+            list(CiProblem(2.0, nmax).scan([0.5, 0.1]))
         with pytest.raises(ValidationError):
-            list(CiProblem(2.0, basis).scan([0.0, 0.5]))
+            list(CiProblem(2.0, nmax).scan([0.0, 0.5]))
 
     @pytest.mark.parametrize(
         "lambdas",
@@ -303,27 +295,27 @@ class TestOverlapScan:
         ids=["huge", "text", "none", "no-grid", "boolean-array"] + [f"entry-{i}" for i in NOT_NUMBERS])
     def test_rejects_values_float_cannot_take(self, lambdas):
         with pytest.raises(ValidationError, match="^lambda values must be real numbers, got [^\n]+$"):
-            list(CiProblem(2.0, CiBasis(4)).scan(lambdas))
+            list(CiProblem(2.0, 4).scan(lambdas))
 
     def test_rejects_a_charge_float_cannot_take(self):
         for z in NOT_NUMBERS.values():
             with pytest.raises(ValidationError, match="^nuclear charge Z must be a real number, got [^\n]+$"):
-                CiProblem(z, CiBasis(4))
+                CiProblem(z, 4)
 
     def test_takes_numpy_numbers(self):
-        basis = CiBasis(4)
-        expected = [s.energy for s in CiProblem(2.0, basis).scan([0.5, 1.0, 2.0])]
+        nmax = 4
+        expected = [s.energy for s in CiProblem(2.0, nmax).scan([0.5, 1.0, 2.0])]
         for grid in ([np.float64(0.5), np.int64(1), 2], np.array([0.5, 1, 2], dtype=object)):
-            assert [s.energy for s in CiProblem(np.int64(2), basis).scan(grid)] == expected
+            assert [s.energy for s in CiProblem(np.int64(2), nmax).scan(grid)] == expected
         # an integer array is converted whole, and each lambda is stored as a float
-        integers = list(CiProblem(2.0, basis).scan(np.array([1, 2])))
-        assert [s.energy for s in integers] == [s.energy for s in CiProblem(2.0, basis).scan([1.0, 2.0])]
+        integers = list(CiProblem(2.0, nmax).scan(np.array([1, 2])))
+        assert [s.energy for s in integers] == [s.energy for s in CiProblem(2.0, nmax).scan([1.0, 2.0])]
         assert [type(s.lam) for s in integers] == [float, float]
 
     def test_scan_yields_the_overlap_scan_and_keeps_no_vector(self):
-        basis = CiBasis(6)
-        listed = list(CiProblem(2.0, basis).scan(self.GRID))
-        problem, vectors = CiProblem(2.0, basis), []
+        nmax = 6
+        listed = list(CiProblem(2.0, nmax).scan(self.GRID))
+        problem, vectors = CiProblem(2.0, nmax), []
         for solution, expected in zip(problem.scan(self.GRID), listed, strict=True):
             assert (solution.lam, solution.energy, solution.overlap0, solution.residual) == (
                 expected.lam, expected.energy, expected.overlap0, expected.residual)
@@ -423,8 +415,8 @@ class TestCertifiedGroundState:
     def test_tiled_verdict_makes_no_copy_of_h(self):
         # LAPACK's whole-matrix Cholesky peaked at 21.07 MiB here: H, its
         # Fortran-ordered copy and the returned factor
-        w = interaction_matrix(2.0, CiBasis(MAX_NMAX))
-        kinetic = kinetic_diagonal(CiBasis(MAX_NMAX))
+        problem = CiProblem(2.0, MAX_NMAX)
+        w, kinetic = problem.interaction, problem.kinetic
         kinetic_qq, w_qq = kinetic[1:], w[1:, 1:]
         # below the Gershgorin floor, so every tile is factored
         diagonal = kinetic_qq + np.diag(w_qq)
@@ -469,9 +461,9 @@ class TestCertifiedGroundState:
     def test_excited_pair_falls_through_the_floor_and_cholesky_to_dense(self, monkeypatch):
         # Davidson started on the exact first excited vector returns that pair
         # with a tiny residual; the floor and the Cholesky tier must both reject it
-        problem = CiProblem(2.0, CiBasis(8))
+        problem = CiProblem(2.0, 8)
         lam = 1.0
-        h = build_hamiltonian(2.0, lam, problem.basis)
+        h = build_hamiltonian(2.0, lam, problem.nmax)
         values, vectors = np.linalg.eigh(h)
         subspace = ci._Subspace(problem.kinetic, problem.interaction, vectors[:, 1])
         assert ci._davidson(lam, subspace)[0] == pytest.approx(values[1], abs=1e-10)
@@ -491,10 +483,9 @@ class TestCertifiedGroundState:
 
     @pytest.mark.parametrize("nmax", [4, 8, 12, 24])
     def test_scan_agrees_with_dense_ground_state(self, nmax):
-        basis = CiBasis(nmax)
         for z in (1.0, 2.0, 3.0, 4.0):
-            for s in CiProblem(z, basis).scan(self.AGREEMENT_GRID):
-                energy, coeff, _ = ground_state(build_hamiltonian(z, s.lam, basis))
+            for s in CiProblem(z, nmax).scan(self.AGREEMENT_GRID):
+                energy, coeff, _ = ground_state(build_hamiltonian(z, s.lam, nmax))
                 assert s.energy == pytest.approx(energy, rel=1e-12, abs=0)
                 assert f"{s.energy:.10g}" == f"{energy:.10g}"
                 assert f"{s.overlap0:.10g}" == f"{min(abs(float(coeff[0])), 1.0):.10g}"
@@ -505,7 +496,7 @@ class TestCertifiedGroundState:
             raise AssertionError("dense fallback used")
 
         monkeypatch.setattr(ci, "ground_state", forbidden)
-        problem = CiProblem(2.0, CiBasis(40))
+        problem = CiProblem(2.0, 40)
         assert len(list(problem.scan(np.linspace(0.1, 2.0, 20)))) == 20
         assert problem.second_order_estimate() < 0.0
 
@@ -516,7 +507,7 @@ class TestCertifiedGroundState:
             raise AssertionError("dense fallback used")
 
         monkeypatch.setattr(ci, "ground_state", forbidden)
-        assert len(list(CiProblem(1.0, CiBasis(24)).scan(np.linspace(35.0, 70.0, 20)))) == 20
+        assert len(list(CiProblem(1.0, 24).scan(np.linspace(35.0, 70.0, 20)))) == 20
 
     def test_strong_coupling_falls_back_to_dense(self, monkeypatch):
         # with the iteration cap cut to 2, Davidson misses its tolerance on
@@ -524,12 +515,12 @@ class TestCertifiedGroundState:
         monkeypatch.setattr(ci, "_DAVIDSON_MAX_ITER", 2)
         dense = []
         monkeypatch.setattr(ci, "ground_state", lambda m: dense.append(m) or ground_state(m))
-        basis = CiBasis(24)
-        scan = list(CiProblem(1.0, basis).scan(np.linspace(35.0, 70.0, 8)))
+        nmax = 24
+        scan = list(CiProblem(1.0, nmax).scan(np.linspace(35.0, 70.0, 8)))
         assert len(dense) >= 1
         for s in scan:
             assert s.energy == pytest.approx(
-                ground_state(build_hamiltonian(1.0, s.lam, basis))[0], rel=1e-12, abs=0
+                ground_state(build_hamiltonian(1.0, s.lam, nmax))[0], rel=1e-12, abs=0
             )
             assert s.residual <= 1e-10
 
@@ -537,14 +528,14 @@ class TestCertifiedGroundState:
         # a row that reports the first excited pair passes its own residual
         # check but lies far above the neighbouring tangent lines
         solution = ci._solution
-        basis = CiBasis(6)
+        nmax = 6
         rows = []
 
         def excited_third_row(lam, energy, coeff, residual):
             rows.append(lam)
             if len(rows) != 3:
                 return solution(lam, energy, coeff, residual)
-            matrix = build_hamiltonian(2.0, lam, basis)
+            matrix = build_hamiltonian(2.0, lam, nmax)
             values, vectors = np.linalg.eigh(matrix)
             coeff = vectors[:, 1] * np.sign(vectors[0, 1])
             residual = float(np.linalg.norm(matrix @ coeff - values[1] * coeff))
@@ -552,7 +543,7 @@ class TestCertifiedGroundState:
 
         monkeypatch.setattr(ci, "_solution", excited_third_row)
         with pytest.raises(ConvergenceError, match="concave"):
-            list(CiProblem(2.0, basis).scan(np.linspace(0.1, 2.0, 6)))
+            list(CiProblem(2.0, nmax).scan(np.linspace(0.1, 2.0, 6)))
         assert len(rows) == 6
 
     def test_energy_above_first_order_line_trips_concavity(self, monkeypatch):
@@ -564,11 +555,11 @@ class TestCertifiedGroundState:
 
         monkeypatch.setattr(ci, "_solution", raised)
         with pytest.raises(ConvergenceError, match="tangent at lambda = 0"):
-            list(CiProblem(2.0, CiBasis(6)).scan([0.5]))
+            list(CiProblem(2.0, 6).scan([0.5]))
 
     def test_concavity_tolerates_rounding_on_a_tight_grid(self):
         # tangent margins shrink to rounding when lambda steps are ~1e-14 apart
-        scan = list(CiProblem(2.0, CiBasis(8)).scan(np.linspace(1.0, 1.0 + 1e-12, 20)))
+        scan = list(CiProblem(2.0, 8).scan(np.linspace(1.0, 1.0 + 1e-12, 20)))
         assert len(scan) == 20
 
 
@@ -623,16 +614,16 @@ class TestConcavityCheck:
 
 class TestInterlacingFloor:
     def test_floor_starts_at_the_lowest_excited_kinetic_energy(self):
-        floor = CiProblem(2.0, CiBasis(6))._floor
+        floor = CiProblem(2.0, 6)._floor
         assert floor.knots == {0.0: 2.5 * math.pi**2}
         assert floor.chord(0.0) == 2.5 * math.pi**2
         assert floor.chord(0.5) == -math.inf  # nothing is known beyond the last knot
 
     def test_one_configuration_has_no_second_eigenvalue(self):
-        problem = CiProblem(2.0, CiBasis(1))
+        problem = CiProblem(2.0, 1)
         assert problem._floor.exceeds(1.0, math.inf)
         (solution,) = list(problem.scan([1.0]))
-        assert solution.energy == pytest.approx(dense_energy(2.0, 1.0, CiBasis(1)), rel=1e-14, abs=0)
+        assert solution.energy == pytest.approx(dense_energy(2.0, 1.0, 1), rel=1e-14, abs=0)
 
     def test_interior_knot_covers_the_rest_of_the_scan(self, monkeypatch):
         # the seed-1 benchmark input ci2.json: the chord from lambda = 0 to the
@@ -650,7 +641,7 @@ class TestInterlacingFloor:
 
         monkeypatch.setattr(ci, "_no_eigenvalue_below", recorded)
         monkeypatch.setattr(ci, "ground_state", forbidden)
-        problem = CiProblem(4.0, CiBasis(24))
+        problem = CiProblem(4.0, 24)
         grid = np.linspace(0.3739, 2.2723, 20)
         list(problem.scan(grid))
         problem.second_order_estimate()
@@ -659,7 +650,7 @@ class TestInterlacingFloor:
         assert grid[5] == pytest.approx(0.8735, abs=1e-4)
 
     def test_scan_and_fit_share_the_knots(self):
-        problem = CiProblem(2.0, CiBasis(12))
+        problem = CiProblem(2.0, 12)
         list(problem.scan(np.linspace(0.1, 2.0, 20)))
         knots = dict(problem._floor.knots)
         problem.second_order_estimate()
@@ -671,15 +662,14 @@ class TestInterlacingFloor:
        fraction=st.floats(1e-3, 1.0))
 def test_floor_never_exceeds_the_second_eigenvalue(z, nmax, top, fraction):
     # every certified knot and every chord value lies below the dense lambda_2
-    basis = CiBasis(nmax)
-    floor = CiProblem(z, basis)._floor
+    floor = CiProblem(z, nmax)._floor
     lam = top * fraction
     floor.reach(top)
     floor.certify(lam)
     assert top in floor.knots
 
     def eigenvalue(x, block, index):
-        h = build_hamiltonian(z, x, basis)[block, block]
+        h = build_hamiltonian(z, x, nmax)[block, block]
         value = float(np.linalg.eigvalsh(h)[index])
         return value + 1e-12 * (1.0 + abs(value))
 
@@ -697,27 +687,27 @@ def test_floor_never_exceeds_the_second_eigenvalue(z, nmax, top, fraction):
 class TestNormBound:
     def test_rounding_bound_input_is_rejected(self):
         # eps ||H|| near RESIDUAL_TOL made this verdict depend on the BLAS thread count
-        problem = CiProblem(3.0, CiBasis(12))
+        problem = CiProblem(3.0, 12)
         assert problem._norm_bound(2238.72113856834) == pytest.approx(3.086e5, rel=1e-3)
         with pytest.raises(ValidationError, match=r"3\.086e\+05 on \|\|H\|\|_2 exceeds"):
             list(problem.scan([2238.72113856834]))
 
     @pytest.mark.parametrize("z,nmax,lam,bound", [(1.0, 24, 70.0, 1.267e4), (4.0, 48, 3.0, 2.494e4)])
     def test_strong_coupling_stays_inside(self, z, nmax, lam, bound):
-        got = CiProblem(z, CiBasis(nmax))._norm_bound(lam)
+        got = CiProblem(z, nmax)._norm_bound(lam)
         assert got == pytest.approx(bound, rel=1e-3) and got < ci._NORM_LIMIT
 
     def test_bound_covers_the_spectral_norm(self):
-        problem = CiProblem(4.0, CiBasis(8))
+        problem = CiProblem(4.0, 8)
         for lam in (0.5, 30.0):
-            h = build_hamiltonian(4.0, lam, problem.basis)
+            h = build_hamiltonian(4.0, lam, problem.nmax)
             assert np.linalg.norm(h, 2) <= problem._norm_bound(lam)
 
 
 class TestSecondOrder:
     def test_fit_agrees_with_sum_over_states(self):
-        basis = CiBasis(8)
-        problem = CiProblem(2.0, basis)
+        nmax = 8
+        problem = CiProblem(2.0, nmax)
         fit = problem.second_order_estimate()
         sos = problem.second_order_sum_over_states()
         assert fit == pytest.approx(-0.6839750967457979, abs=1e-6)
@@ -725,17 +715,17 @@ class TestSecondOrder:
         assert abs(fit - sos) <= 0.02 * abs(sos)
 
     def test_always_negative(self):
-        problem = CiProblem(2.0, CiBasis(6))
+        problem = CiProblem(2.0, 6)
         assert problem.second_order_estimate() < 0.0
         assert problem.second_order_sum_over_states() < 0.0
 
     def test_deepens_with_basis(self):
-        values = [CiProblem(2.0, CiBasis(n)).second_order_sum_over_states() for n in (4, 6, 8, 10)]
+        values = [CiProblem(2.0, n).second_order_sum_over_states() for n in (4, 6, 8, 10)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError, match="nmax >= 4"):
-            CiProblem(2.0, CiBasis(3)).second_order_estimate()
+            CiProblem(2.0, 3).second_order_estimate()
 
     def test_fit_design_is_well_conditioned(self):
         # the fixed grid's design [lambda^2, lambda^3] is why the fit needs no rank check
@@ -748,6 +738,6 @@ class TestSecondOrder:
             grid[0] = 0.1
 
     def test_takes_numpy_numbers(self):
-        basis = CiBasis(4)
-        expected = CiProblem(2.0, basis).second_order_estimate()
-        assert CiProblem(np.int64(2), basis).second_order_estimate() == expected
+        nmax = 4
+        expected = CiProblem(2.0, nmax).second_order_estimate()
+        assert CiProblem(np.int64(2), nmax).second_order_estimate() == expected

@@ -393,7 +393,7 @@ class TestCiScan:
         with pytest.raises(ValidationError, match="nmax"):
             RunConfig(command="ci-scan", system_path="he-clamped", lambda_min=0.1,
                       lambda_max=2.0, steps=20, quadrature_points=200,
-                      ci_nmax=ci.MAX_NMAX + 1, output_format="csv", output_path=None)
+                      ci_nmax=coulomb.MAX_NMAX + 1, output_format="csv", output_path=None)
 
     def test_scan_computes_block_once(self, capsys, monkeypatch):
         # the W builds of a scan share one checked block: one profile build on
@@ -417,13 +417,13 @@ class TestCiScan:
     def test_scan_builds_interaction_once(self, capsys, monkeypatch):
         # the lambda scan, the eps2 fit and its reference sum share one CiProblem
         calls = []
-        build = ci.interaction_matrix
+        build = ci._interaction_matrix
 
-        def counted(*args, **kwargs):
-            calls.append(args[1].nmax)
-            return build(*args, **kwargs)
+        def counted(z, nmax, points):
+            calls.append(nmax)
+            return build(z, nmax, points)
 
-        monkeypatch.setattr(ci, "interaction_matrix", counted)
+        monkeypatch.setattr(ci, "_interaction_matrix", counted)
         code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "5", "--steps", "3")
         assert code == 0
         assert calls == [5]
@@ -460,7 +460,7 @@ class TestCiScan:
         assert len(rows) == steps
         rows.clear()
         with pytest.raises(ConvergenceError, match="concave") as failure:
-            problem = ci.CiProblem(2.0, ci.CiBasis(6))
+            problem = ci.CiProblem(2.0, 6)
             list(problem.scan(np.linspace(0.1, 2.0, steps)))
         assert code == 3 and out == "" and err == f"error: {failure.value}\n"
 

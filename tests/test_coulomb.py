@@ -11,7 +11,6 @@ import pytest
 from boxatom import (
     ModeIndex,
     build_radial_mode,
-    ci,
     coulomb,
     gauss_legendre,
 )
@@ -180,7 +179,7 @@ class TestSWaveBlock:
 
 
 class TestClosedForms:
-    JMAX = 4 * ci.MAX_NMAX
+    JMAX = 4 * coulomb.MAX_NMAX
 
     def test_tables_match_scipy(self):
         si, cin = coulomb._si_cin_pi()
@@ -419,7 +418,7 @@ class TestSingleFromBlock:
         with pytest.raises(ValidationError, match="nmax"):
             s_wave_block(10**9, 200)
         assert built == []
-        assert ci.MAX_NMAX == coulomb.MAX_NMAX == 48
+        assert coulomb.MAX_NMAX == 48
 
 
 class TestResolutionGuard:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from boxatom import (
-    CiBasis,
     CiProblem,
     CiSolution,
     ModeIndex,
@@ -27,7 +26,6 @@ from boxatom import (
     gauss_legendre,
     helium_system,
     integrate,
-    interaction_matrix,
     mode_energy,
     nondimensionalize,
 )
@@ -67,16 +65,17 @@ ARGUMENTS = {
     "s_wave_block-points": (lambda v: s_wave_block(1, v), "quadrature points", 16, None),
     "ground_integrals": (lambda v: ground_integrals(v), "quadrature points", 16, None),
     "epsilon1-points": (lambda v: epsilon1(HELIUM, v), "quadrature points", 16, None),
-    "interaction_matrix-points": (lambda v: interaction_matrix(2.0, CiBasis(2), v), "quadrature points", 16, None),
-    "CiBasis": (lambda v: CiBasis(v), "nmax", 2, None),
-    "CiProblem": (lambda v: CiProblem(v, CiBasis(2)), "nuclear charge Z", 2, 2.0),
-    "CiProblem-points": (lambda v: CiProblem(2.0, CiBasis(2), v), "quadrature points", 16, None),
+    "CiProblem": (lambda v: CiProblem(v, 2), "nuclear charge Z", 2, 2.0),
+    "CiProblem-nmax": (lambda v: CiProblem(2.0, v), "nmax", 2, None),
+    "CiProblem-points": (lambda v: CiProblem(2.0, 2, v), "quadrature points", 16, None),
     "CiSolution-lam": (lambda v: CiSolution(v, -1.0, UNIT, 1.0, 0.0), "lambda", 1, 0.5),
     "CiSolution-energy": (lambda v: CiSolution(0.5, v, UNIT, 1.0, 0.0), "energy", -1, -1.0),
     "CiSolution-overlap0": (lambda v: CiSolution(0.5, -1.0, UNIT, v, 0.0), "overlap0", 1, 1.0),
     "CiSolution-residual": (lambda v: CiSolution(0.5, -1.0, UNIT, 1.0, v), "residual", 0, 0.0),
-    "build_hamiltonian-z": (lambda v: build_hamiltonian(v, 0.5, CiBasis(2)), "nuclear charge Z", 2, 2.0),
-    "build_hamiltonian-lam": (lambda v: build_hamiltonian(2.0, v, CiBasis(2)), "lambda", 1, 0.5),
+    "build_hamiltonian-z": (lambda v: build_hamiltonian(v, 0.5, 2), "nuclear charge Z", 2, 2.0),
+    "build_hamiltonian-lam": (lambda v: build_hamiltonian(2.0, v, 2), "lambda", 1, 0.5),
+    "build_hamiltonian-nmax": (lambda v: build_hamiltonian(2.0, 0.5, v), "nmax", 2, None),
+    "build_hamiltonian-points": (lambda v: build_hamiltonian(2.0, 0.5, 2, v), "quadrature points", 16, None),
 }
 
 
@@ -101,5 +100,5 @@ def test_refuses_what_is_not_a_number(argument, value):
 
 def test_numpy_integers_are_stored_as_int():
     assert type(SystemDefinition((ELECTRON,), np.int64(0), lam=1.0).reference) is int
-    assert [type(x) for x in (ModeIndex(np.int64(0), np.uint8(1)).l, CiBasis(np.int32(2)).nmax)] == [int, int]
+    assert [type(x) for x in (ModeIndex(np.int64(0), np.uint8(1)).l, CiProblem(2.0, np.int64(4)).nmax)] == [int, int]
     assert type(CiSolution(np.int64(1), np.float32(-1.0), UNIT, 1.0, 0.0).energy) is float

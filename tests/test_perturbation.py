@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from boxatom import (
     BreakdownTerm,
+    DimensionlessSystem,
     ModeIndex,
     Particle,
     PerturbationCoefficients,
+    ScaledParticle,
     SystemDefinition,
     energy_curve,
     epsilon1,
@@ -65,11 +67,14 @@ def test_a_system_definition_is_refused_with_a_pointer_to_nondimensionalize():
     (lambda: nuclear_motion_report("a", "b"), "clamped coefficients must be a PerturbationCoefficients, got str"),
     (lambda: nuclear_motion_report(epsilon1(clamped_he()), None),
      "moving coefficients must be a PerturbationCoefficients, got NoneType"),
+    # no nondimensionalize hint where no DimensionlessSystem belongs
+    (lambda: nuclear_motion_report(helium_system(clamped_nucleus=True), None),
+     "clamped coefficients must be a PerturbationCoefficients, got SystemDefinition"),
     # the ground occupation that first order once took where the resolution now goes
     (lambda: epsilon1(clamped_he(), (ModeIndex(0, 1),) * 2),
      r"quadrature points must be an integer, got \(ModeIndex\(l=0, n=1\), ModeIndex\(l=0, n=1\)\)"),
 ], ids=["epsilon1", "energy_curve-system", "energy_curve-coefficients", "nuclear_motion_report-clamped",
-        "nuclear_motion_report-moving", "epsilon1-occupation"])
+        "nuclear_motion_report-moving", "nuclear_motion_report-definition", "epsilon1-occupation"])
 def test_first_order_refuses_what_is_not_its_input_type(call, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):
         call()
@@ -165,6 +170,13 @@ class TestEpsilon1Breakdown:
         system = nondimensionalize(SystemDefinition(particles=particles, reference=reference, rc_bohr=0.5))
         with pytest.raises(ValidationError, match="degenerate"):
             epsilon1(system)
+
+    @pytest.mark.parametrize("m_prime", [5e-324, 1e-310])
+    def test_an_energy_beyond_the_float_range_is_not_called_degenerate(self, m_prime):
+        # 1/m' overflows below about 5.6e-309, where the degeneracy test once read inf
+        particles = (ScaledParticle(1.0, 1.0, False), ScaledParticle(m_prime, -1.0, False))
+        with pytest.raises(ValidationError, match="is beyond the float range$"):
+            epsilon1(DimensionlessSystem(particles, 1.0, 1.0, 1.0))
 
     def test_breakdown_sums_are_enforced(self):
         with pytest.raises(ValidationError):
