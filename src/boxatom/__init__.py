@@ -7,7 +7,7 @@ energy curves, and cross-checks the two-electron case with a small
 configuration-interaction solver.
 """
 
-from .ci import CiProblem, CiSolution, build_hamiltonian, ground_state
+from .ci import CiProblem, build_hamiltonian, ground_state
 from .errors import (
     BoxatomError,
     ConvergenceError,
@@ -50,7 +50,6 @@ __all__ = [
     "BoxatomError",
     "BreakdownTerm",
     "CiProblem",
-    "CiSolution",
     "ConvergenceError",
     "DimensionlessSystem",
     "ModeIndex",

@@ -60,10 +60,10 @@ Here delta = _CERTIFICATE_SHIFT (1 + |theta|). H is formed only for tiers 2
 and 3. Tier 2 shifts it and factors it in place, a tile at a time, so it
 makes no copy of H. Scan energies must also be concave in
 lambda, checked against the Hellmann-Feynman tangent of every row, a block
-of _CONCAVITY_BLOCK pairs at a time. `CiProblem.scan` yields each solution
-as it is solved and keeps four floats of it for that check, so a caller that
-drops each vector once its row is read, as the CLI does, holds a few floats
-per row however long the grid.
+of _CONCAVITY_BLOCK pairs at a time. `CiProblem.scan` returns the energy,
+overlap0 and residual columns only once that check has passed; it drops each
+vector once its overlap and slope are read, so it holds five floats per row
+however long the grid.
 """
 
 from __future__ import annotations
@@ -83,6 +83,8 @@ RESIDUAL_TOL = 1e-10
 # has rank 2 and condition number 35.5
 EPS2_FIT_GRID = np.linspace(0.02, 0.2, 10)
 EPS2_FIT_GRID.setflags(write=False)
+# the smallest nmax the fit runs at
+EPS2_MIN_NMAX = 4
 # Davidson stops below RESIDUAL_TOL, leaving room for the explicit recheck
 _DAVIDSON_TOL = 1e-11
 _DAVIDSON_MAX_ITER = 60
@@ -101,34 +103,6 @@ _W_BAND_ROWS = 32
 # rows and columns of the tiles in which the Cholesky tier factors H in place:
 # the panel update's scratch is at most 64 x 1,175 entries at nmax 48
 _CHOLESKY_TILE = 64
-
-
-@dataclass(frozen=True, eq=False)
-class CiSolution:
-    """Ground-state summary at one coupling."""
-
-    lam: float
-    energy: float
-    coefficients: np.ndarray
-    overlap0: float
-    residual: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _coupling(self.lam))
-        object.__setattr__(self, "energy", real("energy", self.energy))
-        for name in ("overlap0", "residual"):
-            object.__setattr__(self, name, real(name, getattr(self, name)))
-        c = self.coefficients
-        if not (isinstance(c, np.ndarray) and c.ndim == 1 and c.dtype.kind in "fiu"):
-            got = f"{c.dtype} array of shape {c.shape}" if isinstance(c, np.ndarray) else type(c).__name__
-            raise ValidationError(f"coefficients must be a one-dimensional real array, got {got}")
-        norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValidationError(f"coefficient vector norm {norm!r} is not 1 within 1e-12")
-        if not 0.0 <= self.overlap0 <= 1.0:
-            raise ValidationError(f"overlap0 must lie in [0, 1], got {self.overlap0}")
-        if not 0.0 <= self.residual <= RESIDUAL_TOL:
-            raise ValidationError(f"residual {self.residual!r} outside [0, {RESIDUAL_TOL}]")
 
 
 def _charge(z) -> float:
@@ -457,12 +431,6 @@ def _certified_ground_state(lam: float, subspace: _Subspace,
     return energy, coeff, residual
 
 
-def _solution(lam: float, energy: float, coeff: np.ndarray, residual: float) -> CiSolution:
-    # |c_11| can exceed 1 by rounding in the normalized eigenvector
-    return CiSolution(lam=lam, energy=energy, coefficients=coeff,
-                      overlap0=min(abs(float(coeff[0])), 1.0), residual=residual)
-
-
 def _check_concavity(lam: np.ndarray, energy: np.ndarray, slope: np.ndarray,
                      residual: np.ndarray) -> None:
     """Every energy must lie on or below every other row's tangent line.
@@ -542,13 +510,15 @@ class CiProblem:
         for lam in map(float, lams):
             yield _certified_ground_state(lam, subspace, self._floor)
 
-    def scan(self, lambdas) -> Iterator[CiSolution]:
-        """Ground-state solutions over an ascending positive lambda grid, one at a time.
+    def scan(self, lambdas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(energy, overlap0, residual) over an ascending positive lambda grid.
 
-        Each solution is yielded as soon as it is solved, and the scan keeps
-        only four floats of it: lambda, energy, residual and the
-        Hellmann-Feynman slope c^T W c. Once the last is yielded, the scan is
-        checked for concavity, so a caller that stops early gets no check.
+        Three float64 arrays in grid order: the ground energy, the overlap
+        |c_11| with the free-particle ground state and the eigenpair
+        residual. Each vector is dropped once its overlap and its
+        Hellmann-Feynman slope c^T W c are read, so a row holds five floats,
+        and the arrays are returned only once the scan has passed the
+        concavity check.
         """
         lams = reals("lambda values", lambdas)
         if not len(lams):
@@ -562,13 +532,14 @@ class CiProblem:
         # lambda = 0 joins as an exact row: |11>, energy T_11 = eps0, slope W_11 = eps1
         lam = np.concatenate(([0.0], lams))
         energy, slope, residual = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
+        overlap0 = np.empty(len(lams))
         energy[0], slope[0], residual[0] = self.kinetic[0], w[0, 0], 0.0
-        for row, pair in enumerate(self._ground_states(lams), 1):
-            solution = _solution(float(lam[row]), *pair)
-            c = solution.coefficients
-            energy[row], slope[row], residual[row] = solution.energy, c @ (w @ c), solution.residual
-            yield solution
+        for row, (e, c, r) in enumerate(self._ground_states(lams), 1):
+            energy[row], slope[row], residual[row] = e, c @ (w @ c), r
+            # |c_11| can exceed 1 by rounding in the normalized eigenvector
+            overlap0[row - 1] = min(abs(float(c[0])), 1.0)
         _check_concavity(lam, energy, slope, residual)
+        return energy[1:], overlap0, residual[1:]
 
     def second_order_sum_over_states(self) -> float:
         """In-subspace sum-over-states eps2 = sum_k |W_k0|^2 / (T_0 - T_k)."""
@@ -585,8 +556,8 @@ class CiProblem:
         l > 0 pair excitations are outside the basis. It must agree with the
         in-subspace sum-over-states value within 2%, else ConvergenceError.
         """
-        if self.nmax < 4:
-            raise ValidationError(f"second-order estimate needs nmax >= 4, got {self.nmax}")
+        if self.nmax < EPS2_MIN_NMAX:
+            raise ValidationError(f"second-order estimate needs nmax >= {EPS2_MIN_NMAX}, got {self.nmax}")
         grid = EPS2_FIT_GRID
         eps0 = self.kinetic[0]
         eps1 = self.interaction[0, 0]

@@ -249,9 +249,9 @@ def _ci_charge(system: DimensionlessSystem) -> float:
 
 
 def cmd_ci_scan(config: RunConfig) -> Report:
-    if config.ci_nmax < 4:
+    if config.ci_nmax < ci.EPS2_MIN_NMAX:
         raise ValidationError(
-            f"ci-scan needs nmax >= 4 for the second-order estimate, got {config.ci_nmax}"
+            f"ci-scan needs nmax >= {ci.EPS2_MIN_NMAX} for the second-order estimate, got {config.ci_nmax}"
         )
     system = nondimensionalize(_resolve_system(config.system_path))
     z = _ci_charge(system)
@@ -259,10 +259,7 @@ def cmd_ci_scan(config: RunConfig) -> Report:
     problem = ci.CiProblem(z, config.ci_nmax, config.quadrature_points)
     # ascending, as the scan requires, since lambda_min <= lambda_max
     grid = config.lambda_grid
-    # a row keeps its energy and overlap0; each solution's vector is dropped once read
-    energy, overlap0 = np.empty_like(grid), np.empty_like(grid)
-    for row, solution in enumerate(problem.scan(grid)):
-        energy[row], overlap0[row] = solution.energy, solution.overlap0
+    energy, overlap0, _ = problem.scan(grid)
     eps2 = problem.second_order_estimate()
     return Report(
         meta=[

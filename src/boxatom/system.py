@@ -8,6 +8,7 @@ m1 q1^4 hartree, and the coupling is lambda = R_c / a.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -18,6 +19,9 @@ from .errors import ValidationError, integer, number, of_type, real
 HELIUM_NUCLEAR_MASS = 7296.300
 # particles per system file: N particles give up to N(N-1)/2 pair terms
 MAX_PARTICLES = 100
+# bytes per system file: MAX_PARTICLES particles take a few kB, and nothing
+# longer is read, so /dev/zero or a huge file costs bounded time and memory
+MAX_SYSTEM_FILE_BYTES = 1 << 20
 # bound on mass and |charge| and their inverses, in electron units: it keeps
 # the length and energy scales, every ratio to the reference particle and
 # every coefficient sum far inside the float range
@@ -201,12 +205,17 @@ def system_from_dict(data: dict) -> SystemDefinition:
 
 
 def load_system(path: str) -> SystemDefinition:
-    """Read a system JSON file; parse errors report line and column."""
+    """Read a system JSON file of at most MAX_SYSTEM_FILE_BYTES; parse errors report line and column."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read(MAX_SYSTEM_FILE_BYTES + 1)
     except OSError as exc:
         raise ValidationError(f"cannot read system file {path}: {exc}") from None
+    if len(raw) > MAX_SYSTEM_FILE_BYTES:
+        raise ValidationError(f"system file {path} is longer than {MAX_SYSTEM_FILE_BYTES} bytes")
+    try:
+        # decoded as a text-mode open reads a whole file: newlines translated, errors at file positions
+        data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # syntax, not UTF-8, overlong int, too deep
         raise ValidationError(f"invalid JSON in {path}: {exc}") from None
     return system_from_dict(data)

@@ -123,9 +123,8 @@ def test_criterion_05_consistent_form():
 
 def test_criterion_06_overlap_scan_properties():
     start = time.perf_counter()
-    scan = list(CiProblem(2.0, 8, 200).scan(LAMBDA_GRID))
+    _, overlaps, _ = CiProblem(2.0, 8, 200).scan(LAMBDA_GRID)
     elapsed = time.perf_counter() - start
-    overlaps = [s.overlap0 for s in scan]
     bounded = all(v <= 1.0 for v in overlaps)
     near_one = overlaps[0] >= 1.0 - 1e-8
     monotone = all(b <= a for a, b in zip(overlaps, overlaps[1:]))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxatom import CiProblem, CiSolution, build_hamiltonian, ground_state
+from boxatom import CiProblem, build_hamiltonian, ground_state
 from boxatom import ci, coulomb
 from boxatom.coulomb import MAX_NMAX, ground_integrals, mode_pair_index
 from boxatom.errors import ConvergenceError, ValidationError
@@ -141,7 +141,7 @@ class TestMatrixAssembly:
         lambda nmax: build_hamiltonian(2.0, 1.0, nmax),
     ], ids=["CiProblem", "build_hamiltonian"])
     @pytest.mark.parametrize("bad", [4.0, None, (1, 1)], ids=["nmax", "none", "configuration"])
-    def test_a_basis_that_is_not_a_ci_basis_is_refused(self, call, bad):
+    def test_an_nmax_that_is_not_an_integer_is_refused(self, call, bad):
         # the basis is nmax itself, so a float nmax or a configuration is refused as nmax
         with pytest.raises(ValidationError, match=rf"^nmax must be an integer, got {re.escape(repr(bad))}$"):
             call(bad)
@@ -217,24 +217,6 @@ class TestSolveGround:
         slope = (e_plus - math.pi**2) / h
         assert slope == pytest.approx(EPS1_CLAMPED, abs=1e-3)
 
-    def test_solution_invariants_enforced(self):
-        with pytest.raises(ValidationError):
-            CiSolution(lam=1.0, energy=0.0, coefficients=np.array([0.5, 0.5]), overlap0=0.5, residual=0.0)
-        with pytest.raises(ValidationError):
-            CiSolution(lam=1.0, energy=0.0, coefficients=np.array([1.0, 0.0]), overlap0=1.5, residual=0.0)
-        with pytest.raises(ValidationError):
-            CiSolution(lam=-1.0, energy=0.0, coefficients=np.array([1.0, 0.0]), overlap0=0.5, residual=0.0)
-        with pytest.raises(ValidationError):
-            CiSolution(lam=1.0, energy=0.0, coefficients=np.array([1.0, 0.0]), overlap0=0.5, residual=1.0)
-
-    def test_solution_takes_a_real_vector_only(self):
-        # overlap0 and residual follow the number rule in test_numbers.py
-        for coefficients in ("a", [1.0], np.array([[1.0]]), np.array([True]), np.array(["1"])):
-            with pytest.raises(ValidationError, match="^coefficients must be a one-dimensional real array, got "):
-                CiSolution(0.5, -1.0, coefficients, 1.0, 0.0)
-        solution = CiSolution(0.5, -1.0, np.array([1]), np.float32(1.0), np.int64(0))
-        assert (type(solution.overlap0), type(solution.residual)) == (float, float)
-
     @pytest.mark.parametrize(
         "z, lam",
         [(2.0, None), (2.0, "abc"), (10**400, 0.5)]
@@ -258,36 +240,36 @@ class TestSolveGround:
         assert np.isinf(build_hamiltonian(2.0, 1e308, 4)).any()
 
 
-class TestOverlapScan:
+class TestScan:
     GRID = [1e-6, 0.01, 0.1, 0.5, 1.0, 2.0]
 
     def test_overlap_decays_monotonically(self):
-        scan = list(CiProblem(2.0, 8).scan(self.GRID))
-        overlaps = [s.overlap0 for s in scan]
+        _, overlaps, _ = CiProblem(2.0, 8).scan(self.GRID)
         assert all(0.0 <= v <= 1.0 for v in overlaps)
         assert overlaps[0] >= 1.0 - 1e-8
         assert all(b <= a + 1e-12 for a, b in zip(overlaps, overlaps[1:]))
 
     def test_matches_pointwise_solve(self):
         nmax = 5
-        scan = list(CiProblem(2.0, nmax).scan([0.3, 0.9]))
-        for s in scan:
-            energy, coeff, _ = ground_state(build_hamiltonian(2.0, s.lam, nmax))
-            assert s.energy == pytest.approx(energy, abs=1e-12)
-            assert s.overlap0 == pytest.approx(coeff[0], abs=1e-12)
+        grid = [0.3, 0.9]
+        energies, overlaps, _ = CiProblem(2.0, nmax).scan(grid)
+        for lam, e, overlap in zip(grid, energies, overlaps, strict=True):
+            energy, coeff, _ = ground_state(build_hamiltonian(2.0, lam, nmax))
+            assert e == pytest.approx(energy, abs=1e-12)
+            assert overlap == pytest.approx(coeff[0], abs=1e-12)
 
     def test_residuals_within_budget(self):
-        scan = list(CiProblem(2.0, 6).scan(self.GRID))
-        assert all(s.residual <= 1e-10 for s in scan)
+        _, _, residuals = CiProblem(2.0, 6).scan(self.GRID)
+        assert all(r <= 1e-10 for r in residuals)
 
     def test_grid_validation(self):
         nmax = 4
         with pytest.raises(ValidationError):
-            list(CiProblem(2.0, nmax).scan([]))
+            CiProblem(2.0, nmax).scan([])
         with pytest.raises(ValidationError):
-            list(CiProblem(2.0, nmax).scan([0.5, 0.1]))
+            CiProblem(2.0, nmax).scan([0.5, 0.1])
         with pytest.raises(ValidationError):
-            list(CiProblem(2.0, nmax).scan([0.0, 0.5]))
+            CiProblem(2.0, nmax).scan([0.0, 0.5])
 
     @pytest.mark.parametrize(
         "lambdas",
@@ -295,7 +277,7 @@ class TestOverlapScan:
         ids=["huge", "text", "none", "no-grid", "boolean-array"] + [f"entry-{i}" for i in NOT_NUMBERS])
     def test_rejects_values_float_cannot_take(self, lambdas):
         with pytest.raises(ValidationError, match="^lambda values must be real numbers, got [^\n]+$"):
-            list(CiProblem(2.0, 4).scan(lambdas))
+            CiProblem(2.0, 4).scan(lambdas)
 
     def test_rejects_a_charge_float_cannot_take(self):
         for z in NOT_NUMBERS.values():
@@ -304,26 +286,25 @@ class TestOverlapScan:
 
     def test_takes_numpy_numbers(self):
         nmax = 4
-        expected = [s.energy for s in CiProblem(2.0, nmax).scan([0.5, 1.0, 2.0])]
+        expected, _, _ = CiProblem(2.0, nmax).scan([0.5, 1.0, 2.0])
         for grid in ([np.float64(0.5), np.int64(1), 2], np.array([0.5, 1, 2], dtype=object)):
-            assert [s.energy for s in CiProblem(np.int64(2), nmax).scan(grid)] == expected
-        # an integer array is converted whole, and each lambda is stored as a float
-        integers = list(CiProblem(2.0, nmax).scan(np.array([1, 2])))
-        assert [s.energy for s in integers] == [s.energy for s in CiProblem(2.0, nmax).scan([1.0, 2.0])]
-        assert [type(s.lam) for s in integers] == [float, float]
+            assert list(CiProblem(np.int64(2), nmax).scan(grid)[0]) == list(expected)
+        # an integer array is converted whole
+        integers, _, _ = CiProblem(2.0, nmax).scan(np.array([1, 2]))
+        assert list(integers) == list(CiProblem(2.0, nmax).scan([1.0, 2.0])[0])
 
-    def test_scan_yields_the_overlap_scan_and_keeps_no_vector(self):
+    def test_scan_returns_three_float64_columns_of_the_grid_length(self):
         nmax = 6
-        listed = list(CiProblem(2.0, nmax).scan(self.GRID))
-        problem, vectors = CiProblem(2.0, nmax), []
-        for solution, expected in zip(problem.scan(self.GRID), listed, strict=True):
-            assert (solution.lam, solution.energy, solution.overlap0, solution.residual) == (
-                expected.lam, expected.energy, expected.overlap0, expected.residual)
-            assert np.array_equal(solution.coefficients, expected.coefficients)
-            vectors.append(weakref.ref(solution.coefficients))
-        del solution
-        # neither the scan nor the problem keeps a vector once its row is read
-        assert [ref() for ref in vectors] == [None] * len(self.GRID)
+        columns = CiProblem(2.0, nmax).scan(self.GRID)
+        assert isinstance(columns, tuple) and len(columns) == 3
+        for column in columns:
+            assert isinstance(column, np.ndarray)
+            assert column.dtype == np.float64 and column.shape == (len(self.GRID),)
+        # in grid order: row i is the ground state at GRID[i]
+        assert list(columns[0]) == pytest.approx([dense_energy(2.0, lam, nmax) for lam in self.GRID],
+                                                 rel=1e-12, abs=0)
+        again = CiProblem(2.0, nmax).scan(self.GRID)
+        assert all(np.array_equal(a, b) for a, b in zip(columns, again, strict=True))
 
 
 class TestCertifiedGroundState:
@@ -484,12 +465,13 @@ class TestCertifiedGroundState:
     @pytest.mark.parametrize("nmax", [4, 8, 12, 24])
     def test_scan_agrees_with_dense_ground_state(self, nmax):
         for z in (1.0, 2.0, 3.0, 4.0):
-            for s in CiProblem(z, nmax).scan(self.AGREEMENT_GRID):
-                energy, coeff, _ = ground_state(build_hamiltonian(z, s.lam, nmax))
-                assert s.energy == pytest.approx(energy, rel=1e-12, abs=0)
-                assert f"{s.energy:.10g}" == f"{energy:.10g}"
-                assert f"{s.overlap0:.10g}" == f"{min(abs(float(coeff[0])), 1.0):.10g}"
-                assert s.residual <= 1e-10
+            columns = CiProblem(z, nmax).scan(self.AGREEMENT_GRID)
+            for lam, e, overlap, r in zip(self.AGREEMENT_GRID, *columns, strict=True):
+                energy, coeff, _ = ground_state(build_hamiltonian(z, lam, nmax))
+                assert e == pytest.approx(energy, rel=1e-12, abs=0)
+                assert f"{e:.10g}" == f"{energy:.10g}"
+                assert f"{overlap:.10g}" == f"{min(abs(float(coeff[0])), 1.0):.10g}"
+                assert r <= 1e-10
 
     def test_every_row_is_certified_without_dense_fallback(self, monkeypatch):
         def forbidden(matrix):
@@ -497,7 +479,7 @@ class TestCertifiedGroundState:
 
         monkeypatch.setattr(ci, "ground_state", forbidden)
         problem = CiProblem(2.0, 40)
-        assert len(list(problem.scan(np.linspace(0.1, 2.0, 20)))) == 20
+        assert len(problem.scan(np.linspace(0.1, 2.0, 20))[0]) == 20
         assert problem.second_order_estimate() < 0.0
 
     def test_strong_coupling_scan_is_certified_without_dense_fallback(self, monkeypatch):
@@ -507,7 +489,7 @@ class TestCertifiedGroundState:
             raise AssertionError("dense fallback used")
 
         monkeypatch.setattr(ci, "ground_state", forbidden)
-        assert len(list(CiProblem(1.0, 24).scan(np.linspace(35.0, 70.0, 20)))) == 20
+        assert len(CiProblem(1.0, 24).scan(np.linspace(35.0, 70.0, 20))[0]) == 20
 
     def test_strong_coupling_falls_back_to_dense(self, monkeypatch):
         # with the iteration cap cut to 2, Davidson misses its tolerance on
@@ -516,51 +498,54 @@ class TestCertifiedGroundState:
         dense = []
         monkeypatch.setattr(ci, "ground_state", lambda m: dense.append(m) or ground_state(m))
         nmax = 24
-        scan = list(CiProblem(1.0, nmax).scan(np.linspace(35.0, 70.0, 8)))
+        grid = np.linspace(35.0, 70.0, 8)
+        energies, _, residuals = CiProblem(1.0, nmax).scan(grid)
         assert len(dense) >= 1
-        for s in scan:
-            assert s.energy == pytest.approx(
-                ground_state(build_hamiltonian(1.0, s.lam, nmax))[0], rel=1e-12, abs=0
+        for lam, e, r in zip(grid, energies, residuals, strict=True):
+            assert e == pytest.approx(
+                ground_state(build_hamiltonian(1.0, lam, nmax))[0], rel=1e-12, abs=0
             )
-            assert s.residual <= 1e-10
+            assert r <= 1e-10
 
     def test_excited_state_trips_concavity_check(self, monkeypatch):
         # a row that reports the first excited pair passes its own residual
         # check but lies far above the neighbouring tangent lines
-        solution = ci._solution
+        certified = ci._certified_ground_state
         nmax = 6
         rows = []
 
-        def excited_third_row(lam, energy, coeff, residual):
+        def excited_third_row(lam, subspace, floor):
             rows.append(lam)
+            pair = certified(lam, subspace, floor)
             if len(rows) != 3:
-                return solution(lam, energy, coeff, residual)
+                return pair
             matrix = build_hamiltonian(2.0, lam, nmax)
             values, vectors = np.linalg.eigh(matrix)
             coeff = vectors[:, 1] * np.sign(vectors[0, 1])
             residual = float(np.linalg.norm(matrix @ coeff - values[1] * coeff))
-            return solution(lam, float(values[1]), coeff, residual)
+            return float(values[1]), coeff, residual
 
-        monkeypatch.setattr(ci, "_solution", excited_third_row)
+        monkeypatch.setattr(ci, "_certified_ground_state", excited_third_row)
         with pytest.raises(ConvergenceError, match="concave"):
-            list(CiProblem(2.0, nmax).scan(np.linspace(0.1, 2.0, 6)))
+            CiProblem(2.0, nmax).scan(np.linspace(0.1, 2.0, 6))
         assert len(rows) == 6
 
     def test_energy_above_first_order_line_trips_concavity(self, monkeypatch):
         # the exact lambda = 0 row makes eps0 + eps1 lambda one of the tangents
-        solution = ci._solution
+        certified = ci._certified_ground_state
 
-        def raised(lam, energy, coeff, residual):
-            return solution(lam, energy + 0.5, coeff, residual)
+        def raised(lam, subspace, floor):
+            energy, coeff, residual = certified(lam, subspace, floor)
+            return energy + 0.5, coeff, residual
 
-        monkeypatch.setattr(ci, "_solution", raised)
+        monkeypatch.setattr(ci, "_certified_ground_state", raised)
         with pytest.raises(ConvergenceError, match="tangent at lambda = 0"):
-            list(CiProblem(2.0, 6).scan([0.5]))
+            CiProblem(2.0, 6).scan([0.5])
 
     def test_concavity_tolerates_rounding_on_a_tight_grid(self):
         # tangent margins shrink to rounding when lambda steps are ~1e-14 apart
-        scan = list(CiProblem(2.0, 8).scan(np.linspace(1.0, 1.0 + 1e-12, 20)))
-        assert len(scan) == 20
+        energies, _, _ = CiProblem(2.0, 8).scan(np.linspace(1.0, 1.0 + 1e-12, 20))
+        assert len(energies) == 20
 
 
 def concave_rows(rng: np.random.Generator, rows: int, bumps: int):
@@ -622,8 +607,8 @@ class TestInterlacingFloor:
     def test_one_configuration_has_no_second_eigenvalue(self):
         problem = CiProblem(2.0, 1)
         assert problem._floor.exceeds(1.0, math.inf)
-        (solution,) = list(problem.scan([1.0]))
-        assert solution.energy == pytest.approx(dense_energy(2.0, 1.0, 1), rel=1e-14, abs=0)
+        (energy,), _, _ = problem.scan([1.0])
+        assert energy == pytest.approx(dense_energy(2.0, 1.0, 1), rel=1e-14, abs=0)
 
     def test_interior_knot_covers_the_rest_of_the_scan(self, monkeypatch):
         # the seed-1 benchmark input ci2.json: the chord from lambda = 0 to the
@@ -643,7 +628,7 @@ class TestInterlacingFloor:
         monkeypatch.setattr(ci, "ground_state", forbidden)
         problem = CiProblem(4.0, 24)
         grid = np.linspace(0.3739, 2.2723, 20)
-        list(problem.scan(grid))
+        problem.scan(grid)
         problem.second_order_estimate()
         # both on the 299 x 299 H_QQ, none on the 300 x 300 H
         assert calls == [(299, 2.2723), (299, grid[5])]
@@ -651,7 +636,7 @@ class TestInterlacingFloor:
 
     def test_scan_and_fit_share_the_knots(self):
         problem = CiProblem(2.0, 12)
-        list(problem.scan(np.linspace(0.1, 2.0, 20)))
+        problem.scan(np.linspace(0.1, 2.0, 20))
         knots = dict(problem._floor.knots)
         problem.second_order_estimate()
         assert problem._floor.knots == knots and 2.0 in knots
@@ -690,7 +675,7 @@ class TestNormBound:
         problem = CiProblem(3.0, 12)
         assert problem._norm_bound(2238.72113856834) == pytest.approx(3.086e5, rel=1e-3)
         with pytest.raises(ValidationError, match=r"3\.086e\+05 on \|\|H\|\|_2 exceeds"):
-            list(problem.scan([2238.72113856834]))
+            problem.scan([2238.72113856834])
 
     @pytest.mark.parametrize("z,nmax,lam,bound", [(1.0, 24, 70.0, 1.267e4), (4.0, 48, 3.0, 2.494e4)])
     def test_strong_coupling_stays_inside(self, z, nmax, lam, bound):

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from boxatom import ci, cli, coulomb, perturbation, sphere
 from boxatom.cli import RunConfig, main
 from boxatom.errors import ConvergenceError, ValidationError
 from boxatom.perturbation import epsilon1
-from boxatom.system import MAX_PARTICLES
+from boxatom.system import MAX_PARTICLES, MAX_SYSTEM_FILE_BYTES
 from oracles import json_document
 
 
@@ -443,25 +444,26 @@ class TestCiScan:
         assert 1 <= len(factorizations) <= 2 and modes == []
 
     @pytest.mark.parametrize("steps, raised", [(1, 1), (6, 3)])
-    def test_concavity_failure_names_the_pair_overlap_scan_names(self, capsys, monkeypatch,
-                                                                steps, raised):
-        # the CLI keeps a few floats per row, yet its check sees what a listed scan's sees
-        solution, rows = ci._solution, []
+    def test_concavity_failure_names_the_pair_the_library_scan_names(self, capsys, monkeypatch,
+                                                                     steps, raised):
+        # the CLI prints the error of the library scan it calls
+        certified, rows = ci._certified_ground_state, []
 
-        def raise_one_row(lam, energy, coeff, residual):
+        def raise_one_row(lam, subspace, floor):
             rows.append(lam)
+            energy, coeff, residual = certified(lam, subspace, floor)
             if len(rows) == raised:
                 energy += 0.5
-            return solution(lam, energy, coeff, residual)
+            return energy, coeff, residual
 
-        monkeypatch.setattr(ci, "_solution", raise_one_row)
+        monkeypatch.setattr(ci, "_certified_ground_state", raise_one_row)
         code, out, err = run(capsys, "ci-scan", "he-clamped", "--nmax", "6", "--lambda-min", "0.1",
                              "--lambda-max", "2.0", "--steps", str(steps))
         assert len(rows) == steps
         rows.clear()
         with pytest.raises(ConvergenceError, match="concave") as failure:
             problem = ci.CiProblem(2.0, 6)
-            list(problem.scan(np.linspace(0.1, 2.0, steps)))
+            problem.scan(np.linspace(0.1, 2.0, steps))
         assert code == 3 and out == "" and err == f"error: {failure.value}\n"
 
     @pytest.mark.filterwarnings("error")  # a leaked numpy warning would be a second line
@@ -573,6 +575,30 @@ class TestArgumentAndInputErrors:
         code, out, err = run(capsys, "coeffs", str(path))
         assert code == 2 and out == ""
         assert "at most" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("extra, expected", [(0, 0), (1, 2)], ids=["at-bound", "one-past"])
+    def test_system_file_is_read_up_to_its_bound(self, capsys, tmp_path, extra, expected):
+        document = json.dumps(TWO_ELECTRONS)
+        path = tmp_path / "padded.json"
+        path.write_text(document + " " * (MAX_SYSTEM_FILE_BYTES + extra - len(document)))
+        code, out, err = run(capsys, "coeffs", str(path))
+        assert code == expected
+        if expected == 2:
+            assert out == ""
+            assert err == f"error: system file {path} is longer than {MAX_SYSTEM_FILE_BYTES} bytes\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this platform")
+    def test_endless_system_file_exits_2_with_one_line(self):
+        argv, env = cli_process(["coeffs", "/dev/zero"])
+
+        def cap_memory():
+            # an unbounded read fails here at once instead of filling the machine's memory
+            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60,
+                              preexec_fn=cap_memory)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: system file /dev/zero is longer than {MAX_SYSTEM_FILE_BYTES} bytes\n"
 
     @pytest.mark.parametrize("reference", [0, 1])
     def test_heavy_degenerate_partner_exits_2_for_any_reference(self, capsys, tmp_path, reference):

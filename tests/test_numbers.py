@@ -14,7 +14,6 @@ import pytest
 
 from boxatom import (
     CiProblem,
-    CiSolution,
     ModeIndex,
     Particle,
     ScaledParticle,
@@ -35,7 +34,6 @@ from boxatom.errors import ValidationError
 from oracles import NOT_NUMBERS
 
 ELECTRON = Particle(mass=1.0, charge=-1.0)
-UNIT = np.array([1.0])
 HELIUM = nondimensionalize(helium_system(True))
 
 # entry point and argument: (a call that passes `value` there, the name its
@@ -68,10 +66,6 @@ ARGUMENTS = {
     "CiProblem": (lambda v: CiProblem(v, 2), "nuclear charge Z", 2, 2.0),
     "CiProblem-nmax": (lambda v: CiProblem(2.0, v), "nmax", 2, None),
     "CiProblem-points": (lambda v: CiProblem(2.0, 2, v), "quadrature points", 16, None),
-    "CiSolution-lam": (lambda v: CiSolution(v, -1.0, UNIT, 1.0, 0.0), "lambda", 1, 0.5),
-    "CiSolution-energy": (lambda v: CiSolution(0.5, v, UNIT, 1.0, 0.0), "energy", -1, -1.0),
-    "CiSolution-overlap0": (lambda v: CiSolution(0.5, -1.0, UNIT, v, 0.0), "overlap0", 1, 1.0),
-    "CiSolution-residual": (lambda v: CiSolution(0.5, -1.0, UNIT, 1.0, v), "residual", 0, 0.0),
     "build_hamiltonian-z": (lambda v: build_hamiltonian(v, 0.5, 2), "nuclear charge Z", 2, 2.0),
     "build_hamiltonian-lam": (lambda v: build_hamiltonian(2.0, v, 2), "lambda", 1, 0.5),
     "build_hamiltonian-nmax": (lambda v: build_hamiltonian(2.0, 0.5, v), "nmax", 2, None),
@@ -101,4 +95,3 @@ def test_refuses_what_is_not_a_number(argument, value):
 def test_numpy_integers_are_stored_as_int():
     assert type(SystemDefinition((ELECTRON,), np.int64(0), lam=1.0).reference) is int
     assert [type(x) for x in (ModeIndex(np.int64(0), np.uint8(1)).l, CiProblem(2.0, np.int64(4)).nmax)] == [int, int]
-    assert type(CiSolution(np.int64(1), np.float32(-1.0), UNIT, 1.0, 0.0).energy) is float

@@ -20,7 +20,9 @@ files that cannot be written (`coeffs he-clamped -o no-such-dir/out.csv` and
 `curve he-clamped --format json -o /dev/full`, which exit 2), nmax on
 either side of its bounds (`ci-scan he-clamped --nmax 49` and `--nmax 0`),
 the smallest CI bases (`--nmax 3`, which exits 2 since the eps2 fit needs
-nmax >= 4, and `--nmax 4`, the smallest scan with a fit), first order at a resolution other than the default
+nmax >= 4, and `--nmax 4`, the smallest scan with a fit), the one-row scan
+(`ci-scan he-clamped --steps 1` in CSV and in JSON, the concavity check's
+lambda = 0 row plus one), first order at a resolution other than the default
 (`nuclear-motion he-moving --quad-points 512`), and `coeffs` on seven system documents written into the input directory:
 six with one value the library's number rule refuses (a boolean mass, a
 string charge, a string lambda, an rc_bohr of 1e999, which JSON reads as
@@ -68,6 +70,8 @@ EXTRA = (
     ["ci-scan", "he-clamped", "--nmax", "0"],
     ["ci-scan", "he-clamped", "--nmax", "3"],
     ["ci-scan", "he-clamped", "--nmax", "4"],
+    ["ci-scan", "he-clamped", "--steps", "1"],
+    ["ci-scan", "he-clamped", "--steps", "1", "--format", "json"],
     ["nuclear-motion", "he-moving", "--quad-points", "512"],
 )
 # one electron in a box of lambda 1; each document changes one value of it
