@@ -11,11 +11,12 @@ np.triu_indices(nmax) orders them. In this orthonormal basis
     H(lambda) = diag(T) + lambda W,  T_nm = (n^2 + m^2) pi^2 / 2,
 
 where W collects -Z times the one-particle 1/r couplings and the electron
-pair repulsion through monopole Slater integrals. W is gathered, upper
-triangle first and then mirrored so it is exactly symmetric, from the
-checked s-wave block `coulomb.s_wave_block(nmax, points)`: index arrays
-from np.triu_indices(nmax), a band of rows at a time, pick each central
-and Slater integral. Nothing keeps the block, so it is freed once W is
+pair repulsion through monopole Slater integrals. W is gathered from the
+checked s-wave block `coulomb.s_wave_block(nmax, points)` one mode group
+at a time: the rows of the configurations (n, m) that share their first
+mode n, against every column from the group's first row on, are written
+through a slice and mirrored through its transpose, so W is exactly
+symmetric. Nothing keeps the block, so it is freed once W is
 gathered, and a second W at the same nmax computes the integrals again.
 The ground eigenvalue is a
 variational upper bound on the true ground energy within the subspace, and
@@ -98,8 +99,6 @@ _NORM_LIMIT = RESIDUAL_TOL / (10.0 * np.finfo(float).eps)
 _CONCAVITY_RTOL = 1e-12
 # pair comparisons held in memory at once by the concavity check
 _CONCAVITY_BLOCK = 1 << 16
-# configuration rows of W gathered at once: at most 32 x 1,176 entries at nmax 48
-_W_BAND_ROWS = 32
 # rows and columns of the tiles in which the Cholesky tier factors H in place:
 # the panel update's scratch is at most 64 x 1,175 entries at nmax 48
 _CHOLESKY_TILE = 64
@@ -132,19 +131,18 @@ def _interaction_matrix(z: float, nmax: int, points: int) -> np.ndarray:
     central, slater = s_wave_block(nmax, points)
     pair = mode_pair_index(nmax)
     # 0-based modes: row i of W is configuration (n, m), column j is (p, q)
-    config = np.column_stack(np.triu_indices(nmax))
-    norm = np.where(config[:, 0] == config[:, 1], 0.5, 1.0 / math.sqrt(2.0))
-    size = len(config)
-    w = np.empty((size, size))
-    for start in range(0, size, _W_BAND_ROWS):
-        # the upper triangle of a band of rows; every entry is the same
-        # elementwise expression of its own (i, j), so the band changes no bit
-        i, j = np.nonzero(np.arange(start, min(start + _W_BAND_ROWS, size))[:, None]
-                          <= np.arange(size))
-        i += start
-        n, m = config[i].T
-        p, q = config[j].T
-        pre = 2.0 * norm[i] * norm[j]
+    first, second = np.triu_indices(nmax)
+    norm = np.where(first == second, 0.5, 1.0 / math.sqrt(2.0))
+    w = np.empty((len(first), len(first)))
+    for n in range(nmax):
+        # the rows of mode group n, configurations (n, n) to (n, nmax - 1), against
+        # every column from the group's first row on; the transposed write mirrors
+        # them. The group's own lower triangle is computed too, then overwritten by
+        # the mirror with the same bits: central and slater are exactly symmetric,
+        # swapping (i, j) swaps only the third and fourth terms of att, which are
+        # both nonzero only on the diagonal (n = m = p = q), and 2 a b is 2 b a
+        start, stop = pair[n, n], pair[n, n] + nmax - n
+        m, p, q = second[start:stop, None], first[start:], second[start:]
         att = (
             np.where(m == q, central[n, p], 0.0)
             + np.where(n == p, central[m, q], 0.0)
@@ -153,7 +151,8 @@ def _interaction_matrix(z: float, nmax: int, points: int) -> np.ndarray:
         )
         # coordinate 1 couples u_n u_p (or u_n u_q), coordinate 2 the other two
         rep = slater[pair[n, p], pair[m, q]] + slater[pair[n, q], pair[m, p]]
-        w[i, j] = w[j, i] = pre * (-z * att + rep)
+        w[start:stop, start:] = 2.0 * norm[start:stop, None] * norm[start:] * (-z * att + rep)
+        w[start:, start:stop] = w[start:stop, start:].T
     return w
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 from .errors import ValidationError, integer, number, of_type, real
@@ -207,7 +209,12 @@ def system_from_dict(data: dict) -> SystemDefinition:
 def load_system(path: str) -> SystemDefinition:
     """Read a system JSON file of at most MAX_SYSTEM_FILE_BYTES; parse errors report line and column."""
     try:
-        with open(path, "rb") as fh:
+        # a FIFO without a writer would block a plain open; it is refused once open,
+        # and anything else, a terminal too, is then read blocking to its end
+        with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+            if stat.S_ISFIFO(os.fstat(fh.fileno()).st_mode):
+                raise ValidationError(f"system file {path} is a named pipe, not a file")
+            os.set_blocking(fh.fileno(), True)
             raw = fh.read(MAX_SYSTEM_FILE_BYTES + 1)
     except OSError as exc:
         raise ValidationError(f"cannot read system file {path}: {exc}") from None

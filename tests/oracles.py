@@ -10,19 +10,19 @@ whole triangle grid at once (`triangle_grid`, `integrate_triangular` and
 time), and the symmetrized CI matrix from a brute-force product-basis
 projection, whose Coulomb entries are read one by one from the checked
 s-wave block (`coulomb.s_wave_block`, its Slater matrix through
-`mode_pair_index`). Three exceptions pin the bits of a streamed or
-banded production path instead, by doing the same operations on the whole
-array at once: `s_wave_block_whole_grid` (the block's batched inner grid),
+`mode_pair_index`). Three exceptions pin the bits of a streamed or banded
+production path instead, by doing the same operations on the whole array at
+once: `s_wave_block_whole_grid` (the block's batched inner grid),
 `closed_forms` (the block check's bands of exact Slater rows) and
-`interaction_matrix_whole` (the banded gather of W). `cholesky_verdict` is
-LAPACK's verdict on a whole matrix, the reference for the CI's tiled
-in-place factorization; `concavity_failure` is the CI scan's all-pairs
-concavity check on the whole matrix at once, the reference for its check a
-block of rows at a time. `curve_columns` is the energy curve as three lists
-grown one row at a time, the reference for the curve's float64 columns.
-`json_document` is the CLI's JSON output as the standard library's encoder
-prints a document built whole. `NOT_NUMBERS` lists values that no entry
-point may take as a number, though float() takes some of them.
+`interaction_matrix_whole` (the gather of W one mode group at a time).
+`cholesky_verdict` is LAPACK's verdict on a whole matrix, the reference for
+the CI's tiled in-place factorization; `concavity_failure` is the CI scan's
+all-pairs concavity check on the whole matrix at once, the reference for its
+check a block of rows at a time. `curve_columns` is the energy curve as
+three lists grown one row at a time, the reference for the curve's float64
+columns. `json_document` is the CLI's JSON output as the standard library's
+encoder prints a document built whole. `NOT_NUMBERS` lists values that no
+entry point may take as a number, though float() takes some of them.
 """
 
 import itertools
@@ -214,7 +214,7 @@ def closed_forms(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def interaction_matrix_whole(z: float, nmax: int) -> np.ndarray:
-    """W gathered for the whole upper triangle at once, as `CiProblem.interaction` does band by band."""
+    """W gathered for the whole upper triangle at once, as `CiProblem.interaction` does one mode group at a time."""
     central, slater = coulomb.s_wave_block(nmax)
     pair = coulomb.mode_pair_index(nmax)
     # 0-based modes of each configuration {n, m}, ordered by n and then m

@@ -92,9 +92,9 @@ class TestMatrixAssembly:
         oracle = product_basis_hamiltonian(nmax, z, lam)
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
-    @pytest.mark.parametrize("nmax", [1, 2, 12, 24, 48])
-    def test_banded_gather_is_bit_identical_to_whole_triangle(self, nmax):
-        for z in (1.0, 2.0, 3.0, 4.0):
+    @pytest.mark.parametrize("nmax", [1, 2, 3, 12, 24, 33, 40, 48])
+    def test_group_gather_is_bit_identical_to_whole_triangle(self, nmax):
+        for z in (1.0, 2.0, 2.5, 3.0, 4.0):
             np.testing.assert_array_equal(CiProblem(z, nmax).interaction,
                                           interaction_matrix_whole(z, nmax))
 

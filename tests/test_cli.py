@@ -600,6 +600,16 @@ class TestArgumentAndInputErrors:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == f"error: system file /dev/zero is longer than {MAX_SYSTEM_FILE_BYTES} bytes\n"
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_named_pipe_system_file_exits_2_with_one_line(self, tmp_path):
+        # a FIFO that no process writes to blocked the read forever
+        path = tmp_path / "fifo.json"
+        os.mkfifo(path)
+        argv, env = cli_process(["coeffs", str(path)])
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: system file {path} is a named pipe, not a file\n"
+
     @pytest.mark.parametrize("reference", [0, 1])
     def test_heavy_degenerate_partner_exits_2_for_any_reference(self, capsys, tmp_path, reference):
         masses = (1.0, 7.0, 1.8e16)

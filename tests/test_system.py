@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -216,6 +218,25 @@ class TestDictAndFileLoading:
         path = tmp_path / "system.json"
         path.write_text(json.dumps(self.good_payload()))
         system = load_system(path)
+        assert system.particles[2].clamped is True
+
+    @pytest.mark.skipif(not hasattr(os, "openpty"), reason="no terminals on this platform")
+    def test_load_system_reads_a_terminal_to_its_end(self):
+        # opened without blocking, so a named pipe cannot hang the open; a terminal
+        # is still read blocking to end of file, not cut short at its first line
+        text = json.dumps(self.good_payload(), indent=1).encode()
+        head, tail = text[: len(text) // 2], text[len(text) // 2:]
+        leader, follower = os.openpty()
+        # the second half and end of file (^D) come while the file is being read
+        later = threading.Timer(0.3, os.write, (leader, tail + b"\n\x04"))
+        try:
+            os.write(leader, head + b"\n")
+            later.start()
+            system = load_system(os.ttyname(follower))
+        finally:
+            later.join()
+            os.close(leader)
+            os.close(follower)
         assert system.particles[2].clamped is True
 
     def test_load_system_missing_file(self, tmp_path):

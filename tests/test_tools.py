@@ -23,14 +23,15 @@ def compare():
 
 def test_compare_builds_every_benchmark_invocation(compare, tmp_path):
     cases = compare.invocations(str(tmp_path))
-    assert len(cases) == 160
+    assert len(cases) == 162
     assert ["nuclear-motion", "he-moving", "--quad-points", "512"] in [a for _, a in cases]
     commands = [args[0] for _, args in cases]
-    assert commands.count("ci-scan") == 13 + 3 * 8
+    assert commands.count("ci-scan") == 14 + 3 * 8
     assert ["ci-scan", "he-clamped", "--nmax", "49"] in [a for _, a in cases]
     assert ["ci-scan", "he-clamped", "--nmax", "0"] in [a for _, a in cases]
-    # one system document for each refused number and a degenerate one, each run by `coeffs`
-    assert [(str(tmp_path), ["coeffs", name]) for name in compare.DOCUMENTS] == cases[-7:]
+    # one system document for each refused number, a degenerate one and one at a fractional
+    # charge, each run by `coeffs`
+    assert [(str(tmp_path), ["coeffs", name]) for name in compare.DOCUMENTS] == cases[-8:]
     doc = {name: json.loads((tmp_path / name).read_text()) for name in compare.DOCUMENTS}
     assert doc["mass-true.json"]["particles"][0]["mass"] is True
     assert doc["charge-text.json"]["particles"][0]["charge"] == "2"
@@ -39,6 +40,8 @@ def test_compare_builds_every_benchmark_invocation(compare, tmp_path):
     assert type(doc["reference-float.json"]["reference"]) is float
     assert doc["reference-true.json"]["reference"] is True
     assert [p["mass"] for p in doc["degenerate.json"]["particles"]] == [1, 7, 1.8e16]
+    assert doc["z-fraction.json"]["particles"][2] == {"mass": 9000, "charge": 2.5, "clamped": True}
+    assert ["ci-scan", "z-fraction.json", "--nmax", "12"] in [a for _, a in cases]
     assert ["ci-scan", "he-clamped", "--nmax", "10", "--quad-points", "16"] in [a for _, a in cases]
     assert ["curve", "he-clamped", "--steps", "10000", "--format", "json"] in [a for _, a in cases]
     assert ["coeffs", "--help"] in [a for _, a in cases]
