@@ -492,13 +492,17 @@ class CiProblem:
         """max(T) + lambda max_i sum_j |W_ij|, an upper bound on ||H(lambda)||_2."""
         return float(self.kinetic.max()) + lam * float(np.abs(self.interaction).sum(axis=1).max())
 
-    def _ground_states(self, lams) -> Iterator[tuple[float, np.ndarray, float]]:
-        """The certified ground state at each lambda of a checked grid, one at a time."""
+    def _ground_states(self, lams, grid: str) -> Iterator[tuple[float, np.ndarray, float]]:
+        """The certified ground state at each lambda of a checked grid, one at a time.
+
+        `grid` names the grid's values in the range error, so that a fit grid
+        the caller never gave is not reported as theirs.
+        """
         top = float(np.max(lams))
         bound = self._norm_bound(top)
         if not bound <= _NORM_LIMIT:
             raise ValidationError(
-                f"lambda = {top:.6g} is outside the CI solver's range: its bound "
+                f"{grid} = {top:.6g} is outside the CI solver's range: its bound "
                 f"max(T) + lambda max_i sum_j |W_ij| = {bound:.3e} on ||H||_2 exceeds "
                 f"RESIDUAL_TOL / (10 eps) = {_NORM_LIMIT:.3e}"
             )
@@ -533,7 +537,7 @@ class CiProblem:
         energy, slope, residual = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
         overlap0 = np.empty(len(lams))
         energy[0], slope[0], residual[0] = self.kinetic[0], w[0, 0], 0.0
-        for row, (e, c, r) in enumerate(self._ground_states(lams), 1):
+        for row, (e, c, r) in enumerate(self._ground_states(lams, "lambda"), 1):
             energy[row], slope[row], residual[row] = e, c @ (w @ c), r
             # |c_11| can exceed 1 by rounding in the normalized eigenvector
             overlap0[row - 1] = min(abs(float(c[0])), 1.0)
@@ -560,8 +564,8 @@ class CiProblem:
         grid = EPS2_FIT_GRID
         eps0 = self.kinetic[0]
         eps1 = self.interaction[0, 0]
-        remainders = np.array([energy - eps0 - eps1 * lam
-                               for lam, (energy, _, _) in zip(grid, self._ground_states(grid))])
+        states = self._ground_states(grid, "the eps2 fit grid's lambda")
+        remainders = np.array([energy - eps0 - eps1 * lam for lam, (energy, _, _) in zip(grid, states)])
         design = np.column_stack([grid**2, grid**3])
         fitted = float(np.linalg.lstsq(design, remainders, rcond=None)[0][0])
         reference = self.second_order_sum_over_states()

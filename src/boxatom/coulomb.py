@@ -13,17 +13,19 @@ cumulative inner profiles I[k] = int_0^r1 u_b u_d over mode pairs
 k = (a <= c), the central matrix is the row sum of O and the Slater matrix
 is O I^T + I O^T. I is filled in batches of 8 outer nodes, each batch from
 its own rows of the inner grid (nodes r1 x_j and weights r1 w_j on [0, r1]),
-written into the same two 8 x nmax x points scratch arrays, so no
+written into the same two nmax x 8 x points scratch arrays, so no
 points x points array exists at any time; a row's products do not depend on
 the batch it is in, so the batch size changes no bit. The mode profiles
-u_n(r) = sqrt(2) sin(n pi r) take one sine per node, and one cosine per node
-when nmax > 1; the rest follow from the Chebyshev recurrence
-u_{n+1} = 2 cos(pi r) u_n - u_{n-1} (DLMF 18.5(i)). A rounding error made
-at step j reaches u_n multiplied by U_{n-j-1}(cos pi r), at most n - j in
-size, and one in cos(pi r) by about sin(pi r) U'_{n-1}, at most of order n^2;
-so u_n stays within O(n^2 eps) of the sine, measured at most 0.97 n^2 eps
-for n <= 48 on the 200- and 512-point grids, far inside the 1e-9 check
-below. u_1 is the sine itself, so the nmax-1 block keeps its bits.
+u_n(r) = sqrt(2) sin(n pi r), outer and inner alike, hold the mode on
+their first axis, so u_n is one contiguous slab. They take one sine per
+node, and one cosine per node when nmax > 1; the rest follow from the
+Chebyshev recurrence u_{n+1} = 2 cos(pi r) u_n - u_{n-1} (DLMF 18.5(i)),
+which steps through whole slabs. A rounding error made at step j reaches
+u_n multiplied by U_{n-j-1}(cos pi r), at most n - j in size, and one in
+cos(pi r) by about sin(pi r) U'_{n-1}, at most of order n^2; so u_n stays
+within O(n^2 eps) of the sine, measured at most 0.97 n^2 eps for n <= 48
+on the 200- and 512-point grids, far inside the 1e-9 check below. u_1 is
+the sine itself, so the nmax-1 block keeps its bits.
 
 Every s-wave integral is also known exactly. With
 p = |a-c| and q = a+c, u_a u_c = cos(p pi r) - cos(q pi r), so
@@ -69,7 +71,7 @@ AGREEMENT_TOL = 1e-9
 # Slater matrix; a block grows as nmax^4
 MAX_NMAX = 48
 # outer nodes per inner-profile batch in s_wave_block: its scratch memory is
-# two 8 x nmax x points arrays, allocated once per block (0.39 MB each at
+# two nmax x 8 x points arrays, allocated once per block (0.39 MB each at
 # nmax 12 and 512 points, 0.61 MB at nmax 48 and 200 points), and no
 # points x points array outlives one batch
 _BLOCK_ROWS = 8
@@ -184,26 +186,26 @@ def _worst_gap(value: np.ndarray, exact_rows, band: int) -> tuple[int, int, floa
 
 
 def _s_wave_profiles(r: np.ndarray, nmax: int, out: np.ndarray | None = None) -> np.ndarray:
-    """u_n(r) = sqrt(2) sin(n pi r), n = 1..nmax, on a new second-to-last axis, by recurrence.
+    """u_n(r) = sqrt(2) sin(n pi r), n = 1..nmax, on a new first axis, by recurrence.
 
-    Written into `out` when it is given, an array of shape
-    r.shape[:-1] + (nmax, r.shape[-1]).
+    Written into `out` when it is given, an array of shape (nmax,) + r.shape;
+    u_n is the slab out[n - 1].
     """
     if out is None:
-        out = np.empty(r.shape[:-1] + (nmax, r.shape[-1]))
+        out = np.empty((nmax,) + r.shape)
     # in place, so that at most one node-sized array lives beside the profiles
     twice_cos = np.multiply(np.pi, r)
-    np.sin(twice_cos, out=out[..., 0, :])
-    out[..., 0, :] *= math.sqrt(2.0)
+    np.sin(twice_cos, out=out[0])
+    out[0] *= math.sqrt(2.0)
     if nmax == 1:
         return out
     np.cos(twice_cos, out=twice_cos)
     twice_cos *= 2.0
     previous = 0.0
     for n in range(1, nmax):
-        np.multiply(twice_cos, out[..., n - 1, :], out=out[..., n, :])
-        out[..., n, :] -= previous
-        previous = out[..., n - 1, :]
+        np.multiply(twice_cos, out[n - 1], out=out[n])
+        out[n] -= previous
+        previous = out[n - 1]
     return out
 
 
@@ -214,20 +216,25 @@ def _inner_profiles(r1: np.ndarray, w1: np.ndarray, nmax: int) -> np.ndarray:
     scratch arrays, which are freed on return.
     """
     first, second = np.triu_indices(nmax)
-    points = len(r1)
-    inner = np.empty((len(first), points))
-    u = np.empty((_BLOCK_ROWS, nmax, points))  # (row, mode, node)
+    inner = np.empty((len(first), len(r1)))
+    u = np.empty((nmax, _BLOCK_ROWS, len(r1)))  # (mode, row, node)
     weighted = np.empty_like(u)
+    # the same two arrays seen row first: per row, a (mode, node) and a (node, mode) matrix
+    by_row, by_node = weighted.transpose(1, 0, 2), u.transpose(1, 2, 0)
     products = np.empty((_BLOCK_ROWS, nmax, nmax))
-    for start in range(0, points, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        size = len(r1[rows])
+    for start in range(0, len(r1), _BLOCK_ROWS):
+        batch = r1[start:start + _BLOCK_ROWS]
+        size = len(batch)
         # these rows of the inner grid are the products that the tests'
-        # whole-grid oracles.triangle_grid forms for them, so they have its bits
-        _s_wave_profiles(np.outer(r1[rows], r1), nmax, out=u[:size])
-        np.multiply(np.outer(r1[rows], w1)[:, None, :], u[:size], out=weighted[:size])
-        np.matmul(weighted[:size], u[:size].transpose(0, 2, 1), out=products[:size])
-        inner[:, rows] = products[:size, first, second].T
+        # whole-grid oracles.triangle_grid forms for them, so they have its
+        # bits. The mode-first layout keeps them too: every profile and
+        # weighted entry is the same IEEE operation on the same operands
+        # wherever it is stored, and each row's matmul gets the same two
+        # matrices, whatever their leading dimension (_BLOCK_ROWS * points)
+        _s_wave_profiles(np.outer(batch, r1), nmax, out=u[:, :size])
+        np.multiply(np.outer(batch, w1), u[:, :size], out=weighted[:, :size])
+        np.matmul(by_row[:size], by_node[:size], out=products[:size])
+        inner[:, start:start + size] = products[:size, first, second].T
     return inner
 
 

@@ -186,8 +186,8 @@ def s_wave_block_whole_grid(points: int, nmax: int) -> tuple[np.ndarray, np.ndar
     first, second = np.triu_indices(nmax)
     values = coulomb._s_wave_profiles(r1, nmax)
     outer = w1 * values[first] * values[second] / r1
-    u = coulomb._s_wave_profiles(r2, nmax)  # (row, mode, node)
-    products = (w2[:, None, :] * u) @ u.transpose(0, 2, 1)
+    u = coulomb._s_wave_profiles(r2, nmax)  # (mode, row, node)
+    products = (w2 * u).transpose(1, 0, 2) @ u.transpose(1, 2, 0)
     inner = np.empty_like(outer)
     inner[:, :] = products[:, first, second].T
     central = np.empty((nmax, nmax))

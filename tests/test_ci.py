@@ -712,6 +712,11 @@ class TestSecondOrder:
         with pytest.raises(ValidationError, match="nmax >= 4"):
             CiProblem(2.0, 3).second_order_estimate()
 
+    def test_fit_grid_out_of_range_names_the_fit_grid(self):
+        # the range error names the grid the fit chose, not a lambda the caller gave
+        with pytest.raises(ValidationError, match="eps2 fit grid's lambda = 0.2 is outside"):
+            CiProblem(1e5, 4).second_order_estimate()
+
     def test_fit_design_is_well_conditioned(self):
         # the fixed grid's design [lambda^2, lambda^3] is why the fit needs no rank check
         grid = ci.EPS2_FIT_GRID

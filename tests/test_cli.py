@@ -482,6 +482,20 @@ class TestCiScan:
         assert code == 2
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_fit_grid_out_of_range_names_the_fit_grid(self, capsys, tmp_path):
+        # the scan at lambda 1e-9 passes; the eps2 fit's own grid reaches lambda = 0.2,
+        # where a nuclear charge of 1e5 puts ||H|| beyond the solver's range
+        path = tmp_path / "heavy-charge.json"
+        path.write_text(json.dumps({
+            "particles": [{"mass": 1.0, "charge": -1.0}, {"mass": 1.0, "charge": -1.0},
+                          {"mass": 5.0, "charge": 1e5, "clamped": True}],
+            "reference": 0, "lam": 1.0}), encoding="utf-8")
+        code, out, err = run(capsys, "ci-scan", str(path), "--nmax", "4", "--lambda-min", "1e-9",
+                             "--lambda-max", "1e-9", "--steps", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: the eps2 fit grid's lambda = 0.2 is outside")
+        assert len(err.splitlines()) == 1
+
 
 @pytest.mark.parametrize("args,builds", [
     (("coeffs", "he-clamped"), [(200, 1)]),
@@ -798,6 +812,62 @@ def test_fuzzed_grid_flags_exit_0_2_or_3_with_one_error_line(command, flags):
     if code == 0:
         assert err.getvalue() == ""
     else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n")
+
+
+# any JSON value nested two deep, and keys that are field names, non-ASCII,
+# control characters or a field name with a line break
+DOCUMENT_KEYS = st.one_of(
+    st.sampled_from(["particles", "reference", "rc_bohr", "lam", "mass", "charge", "clamped",
+                     "\u00e9", "\x00", "mass\n"]),
+    st.text(max_size=4),
+)
+DOCUMENT_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**400, 10**400),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+)
+
+
+def document_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(DOCUMENT_KEYS, inner, max_size=3)
+
+
+DOCUMENT_VALUES = DOCUMENT_SCALARS | document_containers(
+    DOCUMENT_SCALARS | document_containers(DOCUMENT_SCALARS))
+
+
+@st.composite
+def fuzz_document(draw):
+    """An accepted helium-like document with up to two values replaced or added."""
+    nucleus = {"mass": 7296.3, "charge": 2.0, "clamped": draw(st.booleans())}
+    electrons = [{"mass": 1.0, "charge": -1.0} for _ in range(2)]
+    doc = {"particles": [*electrons, nucleus], "reference": 0,
+           draw(st.sampled_from(["rc_bohr", "lam"])): 1.0}
+    # a top-level field or a field of one particle
+    for target in draw(st.lists(st.sampled_from([doc, *doc["particles"]]), max_size=2)):
+        target[draw(DOCUMENT_KEYS)] = draw(DOCUMENT_VALUES)
+    return doc
+
+
+@pytest.mark.filterwarnings("error")  # a leaked warning would be a second line
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=fuzz_document(), ensure_ascii=st.booleans(),
+       command=st.sampled_from([["coeffs"], ["curve"], ["nuclear-motion"],
+                                ["ci-scan", "--nmax", "4", "--steps", "3"]]))
+def test_fuzzed_system_documents_exit_0_2_or_3_with_one_error_line(doc, ensure_ascii, command):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle, ensure_ascii=ensure_ascii)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], path, *command[1:]])
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert err.getvalue().endswith("\n")
 

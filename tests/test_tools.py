@@ -23,12 +23,14 @@ def compare():
 
 def test_compare_builds_every_benchmark_invocation(compare, tmp_path):
     cases = compare.invocations(str(tmp_path))
-    assert len(cases) == 162
+    assert len(cases) == 163
     assert ["nuclear-motion", "he-moving", "--quad-points", "512"] in [a for _, a in cases]
     commands = [args[0] for _, args in cases]
-    assert commands.count("ci-scan") == 14 + 3 * 8
+    assert commands.count("ci-scan") == 15 + 3 * 8
     assert ["ci-scan", "he-clamped", "--nmax", "49"] in [a for _, a in cases]
     assert ["ci-scan", "he-clamped", "--nmax", "0"] in [a for _, a in cases]
+    # 333 nodes end the s-wave block's inner sweep in a partial batch
+    assert ["ci-scan", "he-clamped", "--nmax", "12", "--quad-points", "333"] in [a for _, a in cases]
     # one system document for each refused number, a degenerate one and one at a fractional
     # charge, each run by `coeffs`
     assert [(str(tmp_path), ["coeffs", name]) for name in compare.DOCUMENTS] == cases[-8:]

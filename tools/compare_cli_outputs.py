@@ -24,14 +24,16 @@ nmax >= 4, and `--nmax 4`, the smallest scan with a fit), the one-row scan
 (`ci-scan he-clamped --steps 1` in CSV and in JSON, the concavity check's
 lambda = 0 row plus one), first order at a resolution other than the default
 (`nuclear-motion he-moving --quad-points 512`), a scan at a fractional
-nuclear charge (`ci-scan z-fraction.json --nmax 12`), and `coeffs` on eight
-system documents written into the input directory: six with one value the
-library's number rule refuses (a boolean mass, a string charge, a string
-lambda, an rc_bohr of 1e999, which JSON reads as inf, and a float and a
-boolean reference), one whose ground occupation is degenerate (masses 1, 7
-and 1.8e16, which first order refuses), all seven of which exit 2, and
-z-fraction.json, two electrons around a clamped nucleus of charge 2.5 at
-lambda 1, which exits 0 under `coeffs` and `ci-scan`. Each runs
+nuclear charge (`ci-scan z-fraction.json --nmax 12`), a scan whose s-wave
+block ends in a partial batch of the inner sweep, 333 nodes being no whole
+number of its 8-node batches (`ci-scan he-clamped --nmax 12 --quad-points
+333`), and `coeffs` on eight system documents written into the input
+directory: six with one value the library's number rule refuses (a boolean
+mass, a string charge, a string lambda, an rc_bohr of 1e999, which JSON reads
+as inf, and a float and a boolean reference), one whose ground occupation is
+degenerate (masses 1, 7 and 1.8e16, which first order refuses), all seven of
+which exit 2, and z-fraction.json, two electrons around a clamped nucleus of
+charge 2.5 at lambda 1, which exits 0 under `coeffs` and `ci-scan`. Each runs
 as `python -m boxatom.cli`, one at a time, once against the working tree's
 `src` and once against BASE_REV's, in the same directory with the same input
 files.
@@ -77,6 +79,7 @@ EXTRA = (
     ["ci-scan", "he-clamped", "--steps", "1", "--format", "json"],
     ["nuclear-motion", "he-moving", "--quad-points", "512"],
     ["ci-scan", "z-fraction.json", "--nmax", "12"],
+    ["ci-scan", "he-clamped", "--nmax", "12", "--quad-points", "333"],
 )
 # one electron in a box of lambda 1; each document changes one value of it
 ELECTRON = '{"particles": [{"mass": 1, "charge": -1}], "reference": 0, "lam": 1.0}'
