@@ -70,14 +70,13 @@ however long the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
 from .coulomb import DEFAULT_POINTS, check_nmax, check_points, mode_pair_index, s_wave_block
-from .errors import ConvergenceError, ValidationError, real, reals
+from .errors import ConvergenceError, Record, ValidationError, real, reals
 
 RESIDUAL_TOL = 1e-10
 # the small-lambda grid of the second-order fit; its design [lambda^2, lambda^3]
@@ -457,8 +456,7 @@ def _check_concavity(lam: np.ndarray, energy: np.ndarray, slope: np.ndarray,
                 )
 
 
-@dataclass(frozen=True, eq=False)
-class CiProblem:
+class CiProblem(Record, eq=False):
     """H(lambda) = diag(T) + lambda W for one charge, nmax and quadrature resolution.
 
     T and W are built on first use and then shared, so a scan, an eps2 fit
@@ -467,14 +465,13 @@ class CiProblem:
     scan updates, so threads should not share one problem.
     """
 
-    z: float
-    nmax: int
-    points: int = DEFAULT_POINTS
+    # the __dict__ slot holds the cached properties
+    __slots__ = ("z", "nmax", "points", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", _charge(self.z))
-        object.__setattr__(self, "nmax", check_nmax(self.nmax))
-        object.__setattr__(self, "points", check_points(self.points))
+    def __init__(self, z: float, nmax: int, points: int = DEFAULT_POINTS):
+        self.z = _charge(z)
+        self.nmax = check_nmax(nmax)
+        self.points = check_points(points)
 
     @cached_property
     def kinetic(self) -> np.ndarray:

@@ -17,14 +17,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from . import ci
 from .coulomb import DEFAULT_POINTS, MAX_POINTS, MIN_POINTS, check_nmax, check_points
-from .errors import ConvergenceError, ValidationError, real
+from .errors import ConvergenceError, Record, ValidationError, real
 from .perturbation import (
     PerturbationCoefficients,
     energy_curve,
@@ -34,6 +33,7 @@ from .perturbation import (
 )
 from .system import (
     DimensionlessSystem,
+    Particle,
     SystemDefinition,
     helium_system,
     load_system,
@@ -49,19 +49,16 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    system_path: str
-    lambda_min: float
-    lambda_max: float
-    steps: int
-    quadrature_points: int
-    ci_nmax: int
-    output_format: str
-    output_path: str | None
+class RunConfig(Record):
+    __slots__ = ("command", "system_path", "lambda_min", "lambda_max", "steps",
+                 "quadrature_points", "ci_nmax", "output_format", "output_path")
 
-    def __post_init__(self):
+    def __init__(self, command: str, system_path: str, lambda_min: float, lambda_max: float, steps: int,
+                 quadrature_points: int, ci_nmax: int, output_format: str, output_path: str | None):
+        self.command, self.system_path = command, system_path
+        self.lambda_min, self.lambda_max, self.steps = lambda_min, lambda_max, steps
+        self.quadrature_points, self.ci_nmax = quadrature_points, ci_nmax
+        self.output_format, self.output_path = output_format, output_path
         if not 1 <= self.steps <= MAX_STEPS:
             raise ValidationError(f"steps must lie in [1, {MAX_STEPS}], got {self.steps}")
         for name, value in (("lambda-min", self.lambda_min), ("lambda-max", self.lambda_max)):
@@ -80,8 +77,7 @@ class RunConfig:
         return np.linspace(self.lambda_min, self.lambda_max, self.steps)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """What one command prints, stated once; `write_report` writes it as CSV or JSON.
 
     JSON lists `rows` under `rows_name`, one object per row keyed by `columns`;
@@ -91,11 +87,13 @@ class Report:
     `sections`.
     """
 
-    meta: list[tuple[str, object]]
-    columns: tuple[str, ...] = ()
-    rows: Iterable[Sequence[object]] = ()
-    rows_name: str = "rows"
-    sections: dict[str, Report] = field(default_factory=dict)
+    __slots__ = ("meta", "columns", "rows", "rows_name", "sections")
+
+    def __init__(self, meta: list[tuple[str, object]], columns: tuple[str, ...] = (),
+                 rows: Iterable[Sequence[object]] = (), rows_name: str = "rows",
+                 sections: dict[str, Report] | None = None):
+        self.meta, self.columns, self.rows, self.rows_name = meta, columns, rows, rows_name
+        self.sections = {} if sections is None else sections
 
 
 def _fmt(value) -> str:
@@ -152,7 +150,8 @@ def write_report(config: RunConfig, report: Report, out: TextIO) -> None:
         ("quadrature_points", config.quadrature_points),
     ]
     if config.output_format == "json":
-        out.writelines(_json_chunks(replace(report, meta=head + report.meta), 0))
+        report = Report(head + report.meta, report.columns, report.rows, report.rows_name, report.sections)
+        out.writelines(_json_chunks(report, 0))
         out.write("\n")
         return
     # JSON nests each section after the report's own metadata; CSV flattens it:
@@ -289,8 +288,9 @@ def _nuclear_variants(definition: SystemDefinition) -> dict[str, SystemDefinitio
 
     def variant(clamped: bool) -> SystemDefinition:
         particles = list(definition.particles)
-        particles[nucleus] = replace(particles[nucleus], clamped=clamped)
-        return replace(definition, particles=tuple(particles))
+        p = particles[nucleus]
+        particles[nucleus] = Particle(p.mass, p.charge, clamped)
+        return SystemDefinition(tuple(particles), definition.reference, definition.rc_bohr, definition.lam)
 
     return {"clamped": variant(True), "moving": variant(False)}
 

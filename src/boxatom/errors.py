@@ -13,6 +13,9 @@ rule is a one-line ValidationError.
 An argument that must be an instance of a package class (a system, a set
 of coefficients, a particle) is checked by `of_type`; a value
 of another type is a one-line ValidationError that names both types.
+
+`Record` is the base of the package's immutable records. It declares them
+without generated code, so importing the package compiles no method.
 """
 
 import contextlib
@@ -35,6 +38,48 @@ class UnsupportedModeError(BoxatomError):
 
 class ConvergenceError(BoxatomError):
     """A numerical result failed its internal accuracy check."""
+
+
+class Record:
+    """An immutable record whose fields are the names in its class's `__slots__`.
+
+    `__init__` sets each field once; any later assignment or deletion is an
+    AttributeError. Two records of the same class are equal, and hash alike,
+    when their fields are, unless the class is declared with ``eq=False`` and
+    keeps identity. A `__dict__` slot, for cached properties, is no field.
+    The repr reads ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        if name not in self._fields or hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _float(value, must: str) -> float:

@@ -30,12 +30,11 @@ DimensionlessSystem belongs names `nondimensionalize`, which makes one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coulomb import DEFAULT_POINTS, check_points, ground_integrals
-from .errors import ValidationError, of_type, reals
+from .errors import Record, ValidationError, of_type, reals
 from .sphere import ModeIndex, mode_energy
 from .system import DimensionlessSystem
 
@@ -43,26 +42,22 @@ _DEGENERACY_RTOL = 1e-9
 _GROUND_MODE = ModeIndex(0, 1)
 
 
-@dataclass(frozen=True)
-class BreakdownTerm:
-    """One labeled contribution: value = prefactor * integral."""
+class BreakdownTerm(Record):
+    """One labeled contribution: value = prefactor * integral; ``kind`` is "kinetic", "pair" or "central"."""
 
-    label: str
-    kind: str  # "kinetic", "pair" or "central"
-    prefactor: float
-    integral: float
-    value: float
+    __slots__ = ("label", "kind", "prefactor", "integral", "value")
+
+    def __init__(self, label: str, kind: str, prefactor: float, integral: float, value: float):
+        self.label, self.kind, self.prefactor, self.integral, self.value = label, kind, prefactor, integral, value
 
 
-@dataclass(frozen=True)
-class PerturbationCoefficients:
+class PerturbationCoefficients(Record):
     """(eps0, eps1) plus the per-term breakdown they sum from."""
 
-    eps0: float
-    eps1: float
-    breakdown: tuple[BreakdownTerm, ...]
+    __slots__ = ("eps0", "eps1", "breakdown")
 
-    def __post_init__(self):
+    def __init__(self, eps0: float, eps1: float, breakdown: tuple[BreakdownTerm, ...]):
+        self.eps0, self.eps1, self.breakdown = eps0, eps1, breakdown
         if not self.eps0 > 0:
             raise ValidationError(f"eps0 must be positive, got {self.eps0}")
         kin = math.fsum(t.value for t in self.breakdown if t.kind == "kinetic")
@@ -74,13 +69,13 @@ class PerturbationCoefficients:
             raise ValidationError("eps1 does not match the interaction breakdown sum")
 
 
-@dataclass(frozen=True)
-class NuclearMotionReport:
+class NuclearMotionReport(Record):
     """Relative coefficient shifts between clamped- and moving-nucleus variants."""
 
-    kinetic_shift: float
-    potential_shift: float
-    dominant: str
+    __slots__ = ("kinetic_shift", "potential_shift", "dominant")
+
+    def __init__(self, kinetic_shift: float, potential_shift: float, dominant: str):
+        self.kinetic_shift, self.potential_shift, self.dominant = kinetic_shift, potential_shift, dominant
 
 
 def _ground_is_degenerate(system: DimensionlessSystem) -> bool:

@@ -6,31 +6,46 @@ MAX_POINTS = 512 nodes, which is also the finest Coulomb table resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError, integer, real, reals
+from .errors import Record, ValidationError, integer, real, reals
 
 MAX_POINTS = 512
+# recurrence steps whose products (2j-1) x are formed at once, one row each
+_RECURRENCE_STEPS = 32
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
+class QuadratureRule(Record, eq=False):
     """Nodes and weights on (-1, 1); ``order`` is the point count."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
+    __slots__ = ("nodes", "weights", "order")
+
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, order: int):
+        self.nodes = nodes
+        self.weights = weights
+        self.order = order
 
 
 def _legendre_and_prev(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (P_n, P_{n-1}) via the three-term recurrence j P_j = (2j-1) x P_{j-1} - (j-1) P_{j-2}
+    # (P_n, P_{n-1}) via the three-term recurrence j P_j = (2j-1) x P_{j-1} - (j-1) P_{j-2}.
+    # The products (2j-1) x come _RECURRENCE_STEPS steps at a time, and P_j
+    # overwrites P_{j-2} in place, each entry through the same operations as
+    # ((2j-1) * x * p - (j-1) * pm1) / j
     p, pm1 = np.ones_like(x), np.zeros_like(x)
-    for j in range(1, n + 1):
-        p, pm1 = ((2 * j - 1) * x * p - (j - 1) * pm1) / j, p
+    scratch = np.empty((_RECURRENCE_STEPS, len(x)))
+    for first in range(1, n + 1, _RECURRENCE_STEPS):
+        steps = range(first, min(first + _RECURRENCE_STEPS, n + 1))
+        rows = np.multiply.outer(np.arange(2 * first - 1, 2 * steps[-1], 2, dtype=float), x,
+                                 out=scratch[:len(steps)])
+        for j, row in zip(steps, rows):
+            row *= p
+            pm1 *= j - 1
+            np.subtract(row, pm1, out=pm1)
+            pm1 /= j
+            p, pm1 = pm1, p
     return p, pm1
 
 

@@ -19,26 +19,28 @@ beyond the float range is a ValidationError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import total_ordering
 
 import numpy as np
 
-from .errors import UnsupportedModeError, ValidationError, integer, real
+from .errors import Record, UnsupportedModeError, ValidationError, integer, real
 
 
-@dataclass(frozen=True, order=True)
-class ModeIndex:
-    """Angular momentum l >= 0 and radial quantum number n >= 1."""
+@total_ordering
+class ModeIndex(Record):
+    """Angular momentum l >= 0 and radial quantum number n >= 1, ordered as the tuple (l, n)."""
 
-    l: int
-    n: int
+    __slots__ = ("l", "n")
 
-    def __post_init__(self):
-        for name, low in (("l", 0), ("n", 1)):
-            value = integer(f"mode {name}", getattr(self, name))
+    def __init__(self, l: int, n: int):
+        for name, value, low in (("l", l, 0), ("n", n, 1)):
+            value = integer(f"mode {name}", value)
             if value < low:
                 raise ValidationError(f"mode {name} must be >= {low}, got {value}")
-            object.__setattr__(self, name, value)
+            setattr(self, name, value)
+
+    def __lt__(self, other):
+        return self._values() < other._values() if other.__class__ is self.__class__ else NotImplemented
 
 
 def _check_order(l) -> None:
@@ -82,13 +84,13 @@ def mode_energy(index: ModeIndex, m_prime: float) -> float:
     return energy
 
 
-@dataclass(frozen=True)
-class RadialMode:
+class RadialMode(Record):
     """Normalized s-wave radial factor u(r) = sqrt(2) sin(n pi r) on [0, 1]."""
 
-    index: ModeIndex
+    __slots__ = ("index",)
 
-    def __post_init__(self):
+    def __init__(self, index: ModeIndex):
+        self.index = index
         if self.index.l != 0:
             raise UnsupportedModeError(f"radial modes are served for l = 0 only; got l = {self.index.l}")
 

@@ -13,9 +13,8 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass
 
-from .errors import ValidationError, integer, number, of_type, real
+from .errors import Record, ValidationError, integer, number, of_type, real
 
 # nuclear mass used for the helium presets, in electron masses
 HELIUM_NUCLEAR_MASS = 7296.300
@@ -30,17 +29,15 @@ MAX_SYSTEM_FILE_BYTES = 1 << 20
 MAX_MAGNITUDE = 1e50
 
 
-@dataclass(frozen=True)
-class Particle:
+class Particle(Record):
     """One particle: mass in electron masses, charge in elementary charges."""
 
-    mass: float
-    charge: float
-    clamped: bool = False
+    __slots__ = ("mass", "charge", "clamped")
 
-    def __post_init__(self):
-        for name in ("mass", "charge"):
-            object.__setattr__(self, name, real(name, getattr(self, name)))
+    def __init__(self, mass: float, charge: float, clamped: bool = False):
+        self.mass = real("mass", mass)
+        self.charge = real("charge", charge)
+        self.clamped = clamped
         if self.mass <= 0:
             raise ValidationError(f"mass must be positive, got {self.mass}")
         for name, value in (("mass", self.mass), ("|charge|", abs(self.charge))):
@@ -50,17 +47,15 @@ class Particle:
             raise ValidationError(f"clamped must be a boolean, got {self.clamped!r}")
 
 
-@dataclass(frozen=True)
-class ScaledParticle:
+class ScaledParticle(Record):
     """Dimensionless particle: m' = m/m1, q' = q/q1."""
 
-    m_prime: float
-    q_prime: float
-    clamped: bool
+    __slots__ = ("m_prime", "q_prime", "clamped")
 
-    def __post_init__(self):
-        for name in ("m_prime", "q_prime"):
-            object.__setattr__(self, name, real(name, getattr(self, name)))
+    def __init__(self, m_prime: float, q_prime: float, clamped: bool):
+        self.m_prime = real("m_prime", m_prime)
+        self.q_prime = real("q_prime", q_prime)
+        self.clamped = clamped
         if self.m_prime <= 0:
             raise ValidationError(f"m_prime must be positive, got {self.m_prime}")
         if not isinstance(self.clamped, bool):
@@ -75,28 +70,25 @@ def _particles(value, kind: type) -> tuple:
         raise ValidationError(f"particles must be a sequence of {kind.__name__}, got {type(value).__name__}") from None
 
 
-@dataclass(frozen=True)
-class SystemDefinition:
+class SystemDefinition(Record):
     """Input system: particles, reference index, box radius.
 
     The radius is given either in bohr (rc_bohr) or directly as the
     dimensionless coupling (lam); exactly one of the two.
     """
 
-    particles: tuple[Particle, ...]
-    reference: int
-    rc_bohr: float | None = None
-    lam: float | None = None
+    __slots__ = ("particles", "reference", "rc_bohr", "lam")
 
-    def __post_init__(self):
-        object.__setattr__(self, "particles", _particles(self.particles, Particle))
+    def __init__(self, particles: tuple[Particle, ...], reference: int,
+                 rc_bohr: float | None = None, lam: float | None = None):
+        self.particles = _particles(particles, Particle)
         if not self.particles:
             raise ValidationError("system needs at least one particle")
         # its own message, which the CLI prints for a system file's reference of 1.0 or true
         try:
-            object.__setattr__(self, "reference", integer("reference", self.reference))
+            self.reference = integer("reference", reference)
         except ValidationError:
-            raise ValidationError(f"reference must be an integer index, got {self.reference!r}") from None
+            raise ValidationError(f"reference must be an integer index, got {reference!r}") from None
         if not 0 <= self.reference < len(self.particles):
             raise ValidationError(
                 f"reference index {self.reference} out of range for {len(self.particles)} particles"
@@ -105,28 +97,25 @@ class SystemDefinition:
             raise ValidationError("reference particle must not be clamped")
         if sum(p.clamped for p in self.particles) > 1:
             raise ValidationError("at most one clamped particle per system")
-        if (self.rc_bohr is None) == (self.lam is None):
+        if (rc_bohr is None) == (lam is None):
             raise ValidationError("give exactly one of rc_bohr or lam")
-        for name in ("rc_bohr", "lam"):
-            value = getattr(self, name)
+        for name, value in (("rc_bohr", rc_bohr), ("lam", lam)):
             if value is not None:
                 value = real(name, value)
                 if value <= 0:
                     raise ValidationError(f"{name} must be positive, got {value}")
-                object.__setattr__(self, name, value)
+            setattr(self, name, value)
 
 
-@dataclass(frozen=True)
-class DimensionlessSystem:
+class DimensionlessSystem(Record):
     """Scaled system: reference particle has m' = q' = 1 exactly."""
 
-    particles: tuple[ScaledParticle, ...]
-    lam: float
-    length_scale_a: float
-    energy_prefactor: float
+    __slots__ = ("particles", "lam", "length_scale_a", "energy_prefactor")
 
-    def __post_init__(self):
-        object.__setattr__(self, "particles", _particles(self.particles, ScaledParticle))
+    def __init__(self, particles: tuple[ScaledParticle, ...], lam: float,
+                 length_scale_a: float, energy_prefactor: float):
+        self.particles = _particles(particles, ScaledParticle)
+        self.lam, self.length_scale_a, self.energy_prefactor = lam, length_scale_a, energy_prefactor
         scales = [number(name, getattr(self, name)) for name in ("lam", "length_scale_a", "energy_prefactor")]
         if not all(0 < x < math.inf for x in scales):
             raise ValidationError("lam, length scale and energy prefactor must be positive and finite")

@@ -10,11 +10,13 @@ whole triangle grid at once (`triangle_grid`, `integrate_triangular` and
 time), and the symmetrized CI matrix from a brute-force product-basis
 projection, whose Coulomb entries are read one by one from the checked
 s-wave block (`coulomb.s_wave_block`, its Slater matrix through
-`mode_pair_index`). Three exceptions pin the bits of a streamed or banded
+`mode_pair_index`). Four exceptions pin the bits of a streamed or banded
 production path instead, by doing the same operations on the whole array at
 once: `s_wave_block_whole_grid` (the block's batched inner grid),
-`closed_forms` (the block check's bands of exact Slater rows) and
-`interaction_matrix_whole` (the gather of W one mode group at a time).
+`closed_forms` (the block check's bands of exact Slater rows),
+`interaction_matrix_whole` (the gather of W one mode group at a time) and
+`legendre_and_prev` (the Gauss-Legendre recurrence, whose products
+(2j-1) x the package forms in blocks of steps, stepping in place).
 `cholesky_verdict` is LAPACK's verdict on a whole matrix, the reference for
 the CI's tiled in-place factorization; `concavity_failure` is the CI scan's
 all-pairs concavity check on the whole matrix at once, the reference for its
@@ -116,6 +118,14 @@ def s_wave_ground_is_degenerate(weights, rel_tol: float) -> bool:
         if 2 in ns and abs(energy - ground) <= rel_tol * ground:
             return True
     return False
+
+
+def legendre_and_prev(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n, P_{n-1}) at x, each step a new array; the package forms (2j-1) x in blocks and steps in place."""
+    p, pm1 = np.ones_like(x), np.zeros_like(x)
+    for j in range(1, n + 1):
+        p, pm1 = ((2 * j - 1) * x * p - (j - 1) * pm1) / j, p
+    return p, pm1
 
 
 def bisect(f, a: float, b: float, tol: float = 1e-13) -> float:

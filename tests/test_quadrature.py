@@ -7,7 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from boxatom import gauss_legendre, integrate, quadrature
 from boxatom.errors import ValidationError
 
-from oracles import cin_series, integrate_square, integrate_triangular, triangle_grid
+from oracles import cin_series, integrate_square, integrate_triangular, legendre_and_prev, triangle_grid
 
 
 def test_one_point_rule():
@@ -64,6 +64,17 @@ def test_rules_are_cached_and_frozen():
     assert gauss_legendre(64) is rule
     with pytest.raises(ValueError):
         rule.nodes[0] = 0.0
+
+
+def test_rules_match_the_recurrence_one_step_at_a_time(monkeypatch):
+    # the blocked in-place recurrence keeps every bit of every rule the package serves
+    build = quadrature._gauss_legendre.__wrapped__
+    rules = [build(n) for n in range(1, quadrature.MAX_POINTS + 1)]
+    monkeypatch.setattr(quadrature, "_legendre_and_prev", legendre_and_prev)
+    for n, rule in enumerate(rules, 1):
+        reference = build(n)
+        assert np.array_equal(rule.nodes, reference.nodes), n
+        assert np.array_equal(rule.weights, reference.weights), n
 
 
 @pytest.mark.parametrize("bad", [0, -3, 1025, 2.5, True])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -154,7 +153,7 @@ class TestRadialModes:
         u = build_radial_mode(ModeIndex(0, 2))
         assert isinstance(u, RadialMode)
         assert u == RadialMode(ModeIndex(0, 2))
-        assert [f.name for f in dataclasses.fields(u)] == ["index"]
+        assert type(u).__slots__ == ("index",)
 
 
 class TestUnsupportedOrders:
