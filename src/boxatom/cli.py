@@ -1,7 +1,9 @@
 """Command-line front end: system definitions in, coefficient tables out.
 
-Each command builds one `Report`, which `write_report` writes as CSV or JSON
-to stdout or the `-o` file, row by row as it is formatted.
+The arguments are parsed once, by argparse, and checked once, by
+`_check_args`, before any system file is read; each command then reads the
+parsed namespace. Each command builds one `Report`, which `write_report`
+writes as CSV or JSON to stdout or the `-o` file, row by row as it is formatted.
 Numbers are printed with 10 significant digits; CSV output carries
 `# key=value` metadata lines ahead of the column header so a file stays
 reproducible on its own. Exit codes: 0 success, 2 validation error
@@ -33,7 +35,7 @@ from .perturbation import (
 )
 from .system import (
     DimensionlessSystem,
-    Particle,
+    ScaledParticle,
     SystemDefinition,
     helium_system,
     load_system,
@@ -47,34 +49,6 @@ PRESETS = {
     "he-clamped": lambda: helium_system(clamped_nucleus=True),
     "he-moving": lambda: helium_system(clamped_nucleus=False),
 }
-
-
-class RunConfig(Record):
-    __slots__ = ("command", "system_path", "lambda_min", "lambda_max", "steps",
-                 "quadrature_points", "ci_nmax", "output_format", "output_path")
-
-    def __init__(self, command: str, system_path: str, lambda_min: float, lambda_max: float, steps: int,
-                 quadrature_points: int, ci_nmax: int, output_format: str, output_path: str | None):
-        self.command, self.system_path = command, system_path
-        self.lambda_min, self.lambda_max, self.steps = lambda_min, lambda_max, steps
-        self.quadrature_points, self.ci_nmax = quadrature_points, ci_nmax
-        self.output_format, self.output_path = output_format, output_path
-        if not 1 <= self.steps <= MAX_STEPS:
-            raise ValidationError(f"steps must lie in [1, {MAX_STEPS}], got {self.steps}")
-        for name, value in (("lambda-min", self.lambda_min), ("lambda-max", self.lambda_max)):
-            real(name, value)
-        if self.lambda_min <= 0:
-            raise ValidationError(f"lambda-min must be positive, got {self.lambda_min}")
-        if self.lambda_max < self.lambda_min:
-            raise ValidationError(
-                f"lambda-max {self.lambda_max} is below lambda-min {self.lambda_min}"
-            )
-        check_points(self.quadrature_points)
-        check_nmax(self.ci_nmax)
-
-    @property
-    def lambda_grid(self) -> np.ndarray:
-        return np.linspace(self.lambda_min, self.lambda_max, self.steps)
 
 
 class Report(Record):
@@ -139,17 +113,17 @@ def _json_chunks(report: Report, depth: int) -> Iterator[str]:
     yield "{}" if opener == "{" else "\n" + "  " * depth + "}"
 
 
-def write_report(config: RunConfig, report: Report, out: TextIO) -> None:
+def write_report(args: argparse.Namespace, report: Report, out: TextIO) -> None:
     """Write the report to `out` as a CSV or JSON document, after the shared run head.
 
     Each row is formatted and written in turn, so no whole document is held.
     """
     head = [
-        ("command", config.command),
-        ("system", config.system_path),
-        ("quadrature_points", config.quadrature_points),
+        ("command", args.command),
+        ("system", args.system),
+        ("quadrature_points", args.quad_points),
     ]
-    if config.output_format == "json":
+    if args.format == "json":
         report = Report(head + report.meta, report.columns, report.rows, report.rows_name, report.sections)
         out.writelines(_json_chunks(report, 0))
         out.write("\n")
@@ -197,9 +171,9 @@ def _breakdown_report(coeffs: PerturbationCoefficients, *meta: tuple[str, object
     )
 
 
-def cmd_coeffs(config: RunConfig) -> Report:
-    system = nondimensionalize(_resolve_system(config.system_path))
-    coeffs = epsilon1(system, config.quadrature_points)
+def cmd_coeffs(args: argparse.Namespace) -> Report:
+    system = nondimensionalize(_resolve_system(args.system))
+    coeffs = epsilon1(system, args.quad_points)
     return _breakdown_report(
         coeffs,
         ("lambda", system.lam),
@@ -208,10 +182,11 @@ def cmd_coeffs(config: RunConfig) -> Report:
     )
 
 
-def cmd_curve(config: RunConfig) -> Report:
-    system = nondimensionalize(_resolve_system(config.system_path))
-    coeffs = epsilon1(system, config.quadrature_points)
-    lams, rc_bohr, energy = energy_curve(system, coeffs, config.lambda_grid)
+def cmd_curve(args: argparse.Namespace) -> Report:
+    system = nondimensionalize(_resolve_system(args.system))
+    coeffs = epsilon1(system, args.quad_points)
+    grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
+    lams, rc_bohr, energy = energy_curve(system, coeffs, grid)
     return Report(
         meta=[
             ("a_bohr", system.length_scale_a),
@@ -247,22 +222,18 @@ def _ci_charge(system: DimensionlessSystem) -> float:
     return z
 
 
-def cmd_ci_scan(config: RunConfig) -> Report:
-    if config.ci_nmax < ci.EPS2_MIN_NMAX:
-        raise ValidationError(
-            f"ci-scan needs nmax >= {ci.EPS2_MIN_NMAX} for the second-order estimate, got {config.ci_nmax}"
-        )
-    system = nondimensionalize(_resolve_system(config.system_path))
+def cmd_ci_scan(args: argparse.Namespace) -> Report:
+    system = nondimensionalize(_resolve_system(args.system))
     z = _ci_charge(system)
-    coeffs = epsilon1(system, config.quadrature_points)
-    problem = ci.CiProblem(z, config.ci_nmax, config.quadrature_points)
+    coeffs = epsilon1(system, args.quad_points)
+    problem = ci.CiProblem(z, args.nmax, args.quad_points)
     # ascending, as the scan requires, since lambda_min <= lambda_max
-    grid = config.lambda_grid
+    grid = np.linspace(args.lambda_min, args.lambda_max, args.steps)
     energy, overlap0, _ = problem.scan(grid)
     eps2 = problem.second_order_estimate()
     return Report(
         meta=[
-            ("nmax", config.ci_nmax),
+            ("nmax", args.nmax),
             ("z", z),
             ("eps0", coeffs.eps0),
             ("eps1", coeffs.eps1),
@@ -274,8 +245,8 @@ def cmd_ci_scan(config: RunConfig) -> Report:
     )
 
 
-def _nuclear_variants(definition: SystemDefinition) -> dict[str, SystemDefinition]:
-    system = nondimensionalize(definition)
+def _nuclear_variants(system: DimensionlessSystem) -> dict[str, DimensionlessSystem]:
+    """The system with its nucleus clamped and free; the scaling does not read `clamped`."""
     heavy = [i for i, p in enumerate(system.particles) if abs(p.q_prime) > 1.0]
     if len(heavy) != 1:
         raise ValidationError(
@@ -283,22 +254,19 @@ def _nuclear_variants(definition: SystemDefinition) -> dict[str, SystemDefinitio
             f"found {len(heavy)}"
         )
     nucleus = heavy[0]
-    if nucleus == definition.reference:
-        raise ValidationError("reference particle cannot be the nucleus")
 
-    def variant(clamped: bool) -> SystemDefinition:
-        particles = list(definition.particles)
+    def variant(clamped: bool) -> DimensionlessSystem:
+        particles = list(system.particles)
         p = particles[nucleus]
-        particles[nucleus] = Particle(p.mass, p.charge, clamped)
-        return SystemDefinition(tuple(particles), definition.reference, definition.rc_bohr, definition.lam)
+        particles[nucleus] = ScaledParticle(p.m_prime, p.q_prime, clamped)
+        return DimensionlessSystem(tuple(particles), system.lam, system.length_scale_a, system.energy_prefactor)
 
     return {"clamped": variant(True), "moving": variant(False)}
 
 
-def cmd_nuclear_motion(config: RunConfig) -> Report:
-    variants = _nuclear_variants(_resolve_system(config.system_path))
-    coeffs = {name: epsilon1(nondimensionalize(definition), config.quadrature_points)
-              for name, definition in variants.items()}
+def cmd_nuclear_motion(args: argparse.Namespace) -> Report:
+    variants = _nuclear_variants(nondimensionalize(_resolve_system(args.system)))
+    coeffs = {name: epsilon1(system, args.quad_points) for name, system in variants.items()}
     report = nuclear_motion_report(coeffs["clamped"], coeffs["moving"])
     return Report(
         meta=[
@@ -344,68 +312,75 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
 
-    def add_grid(p: argparse.ArgumentParser, lo: float, hi: float, steps: int) -> None:
-        p.add_argument("--lambda-min", type=float, default=lo)
-        p.add_argument("--lambda-max", type=float, default=hi)
-        p.add_argument("--steps", type=int, default=steps)
+    def add_grid(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--lambda-min", type=float, default=0.1)
+        p.add_argument("--lambda-max", type=float, default=2.0)
+        p.add_argument("--steps", type=int, default=20)
 
     add_common(sub.add_parser("coeffs", help="expansion coefficients and breakdown"))
     curve = sub.add_parser("curve", help="physical energy curve over a lambda grid")
     add_common(curve)
-    add_grid(curve, 0.1, 2.0, 20)
+    add_grid(curve)
     scan = sub.add_parser("ci-scan", help="variational CI energies and overlaps over a grid")
     add_common(scan)
-    add_grid(scan, 0.1, 2.0, 20)
+    add_grid(scan)
     scan.add_argument("--nmax", type=int, default=8, help="radial basis cutoff (default 8)")
     add_common(sub.add_parser("nuclear-motion", help="clamped vs moving nucleus comparison"))
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        system_path=args.system,
-        lambda_min=getattr(args, "lambda_min", 1.0),
-        lambda_max=getattr(args, "lambda_max", 1.0),
-        steps=getattr(args, "steps", 1),
-        quadrature_points=args.quad_points,
-        ci_nmax=getattr(args, "nmax", 8),
-        output_format=args.format,
-        output_path=args.output,
-    )
+def _check_args(args: argparse.Namespace) -> None:
+    """The checks argparse does not make, for the flags the command has, in this order."""
+    if hasattr(args, "steps"):
+        if not 1 <= args.steps <= MAX_STEPS:
+            raise ValidationError(f"steps must lie in [1, {MAX_STEPS}], got {args.steps}")
+        for name, value in (("lambda-min", args.lambda_min), ("lambda-max", args.lambda_max)):
+            real(name, value)
+        if args.lambda_min <= 0:
+            raise ValidationError(f"lambda-min must be positive, got {args.lambda_min}")
+        if args.lambda_max < args.lambda_min:
+            raise ValidationError(f"lambda-max {args.lambda_max} is below lambda-min {args.lambda_min}")
+    check_points(args.quad_points)
+    if hasattr(args, "nmax"):
+        check_nmax(args.nmax)
+        if args.nmax < ci.EPS2_MIN_NMAX:
+            raise ValidationError(
+                f"ci-scan needs nmax >= {ci.EPS2_MIN_NMAX} for the second-order estimate, got {args.nmax}"
+            )
 
 
-def _write(config: RunConfig, report: Report) -> None:
+def _write(args: argparse.Namespace, report: Report) -> None:
     """Write the report to the -o file, or else to stdout; a failed write is a ValidationError."""
-    path = config.output_path
+    path = args.output
     try:
         if path is not None:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                write_report(config, report, fh)
+            # a system path that is not UTF-8 is written as the bytes stdout prints by default
+            with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+                write_report(args, report, fh)
         elif sys.stdout is None:  # the process started with its stdout closed
             raise ValidationError("cannot write stdout: it is closed")
         else:
-            write_report(config, report, sys.stdout)
+            write_report(args, report, sys.stdout)
             sys.stdout.flush()
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # UnicodeEncodeError: stdout cannot encode the system path
         if path is None:
             # the interpreter flushes stdout again at exit; what is left in its
-            # buffer then goes to the null device instead of failing a second time
+            # buffer then goes to the null device instead of failing a second
+            # time or ending a partial document
             # (https://docs.python.org/3/library/signal.html#note-on-sigpipe)
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         where = "stdout" if path is None else path
-        raise ValidationError(f"cannot write {where}: {exc.strerror or exc}") from None
+        raise ValidationError(f"cannot write {where}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        _check_args(args)
         # every value is computed, and every input checked, before the first byte is written
-        _write(config, _COMMANDS[config.command](config))
+        _write(args, _COMMANDS[args.command](args))
     except (ValidationError, ConvergenceError) as exc:
         sys.stderr.write(_error_line(exc))
         return 3 if isinstance(exc, ConvergenceError) else 2

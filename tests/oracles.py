@@ -295,10 +295,10 @@ def curve_columns(system, coeffs, lambdas) -> list:
     return columns
 
 
-def json_document(config, report) -> str:
+def json_document(command: str, system: str, quadrature_points: int, report) -> str:
     """`json.dumps(doc, indent=2)` of a CLI report, its whole document built first.
 
-    The run head comes first, then the report's metadata, then its rows (one
+    The run head, the three arguments, comes first, then the report's metadata, then its rows (one
     object per row keyed by the columns) and its sections, nested the same
     way. Floats are cut to the 10 significant digits the CSV prints.
     """
@@ -313,6 +313,5 @@ def json_document(config, report) -> str:
             doc[name] = obj(section)
         return doc
 
-    head = {"command": config.command, "system": config.system_path,
-            "quadrature_points": config.quadrature_points}
+    head = {"command": command, "system": system, "quadrature_points": quadrature_points}
     return json.dumps(head | obj(report), indent=2) + "\n"

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -16,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxatom import ci, cli, coulomb, perturbation, sphere
-from boxatom.cli import RunConfig, main
+from boxatom.cli import main
 from boxatom.errors import ConvergenceError, ValidationError
 from boxatom.perturbation import epsilon1
-from boxatom.system import MAX_PARTICLES, MAX_SYSTEM_FILE_BYTES
+from boxatom.system import MAX_PARTICLES, MAX_SYSTEM_FILE_BYTES, nondimensionalize, system_from_dict
 from oracles import json_document
 
 
@@ -125,6 +126,20 @@ class TestCoeffs:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and str(target) in err
         assert not target.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_undecodable_system_path_is_written(self, capsys, tmp_path, fmt):
+        # argv reads a byte that is not UTF-8 as a lone surrogate; the file holds the byte, as
+        # stdout prints it by default, and JSON escapes the surrogate
+        system = tmp_path / os.fsdecode(b"sys\xff.json")
+        system.write_text(json.dumps(TWO_ELECTRONS))
+        target = tmp_path / f"out.{fmt}"
+        code, out, err = run(capsys, "coeffs", str(system), "--format", fmt, "-o", str(target))
+        assert code == 0 and out == "" and err == ""
+        if fmt == "csv":
+            assert target.read_bytes().splitlines()[1] == b"# system=" + os.fsencode(system)
+        else:
+            assert json.loads(target.read_text())["system"] == str(system)
 
     def test_file_output_matches_stdout(self, capsys, tmp_path):
         _, stdout_text, _ = run(capsys, "coeffs", "he-clamped")
@@ -255,18 +270,17 @@ class TestStreamedOutput:
         argv = [*(str(tmp_path / PAIR) if arg == PAIR else arg for arg in args), "--format", "json"]
         code, out, err = run(capsys, *argv)
         assert code == 0 and err == ""
-        config = cli._config_from_args(cli._build_parser().parse_args(argv))
-        assert out == json_document(config, cli._COMMANDS[config.command](config))
+        parsed = cli._build_parser().parse_args(argv)
+        assert out == json_document(parsed.command, parsed.system, parsed.quad_points,
+                                    cli._COMMANDS[parsed.command](parsed))
 
     @settings(max_examples=200, deadline=None)
     @given(report=reports())
     def test_any_report_matches_json_dumps(self, report):
-        config = RunConfig(command="coeffs", system_path="x\u00e9\"", lambda_min=1.0, lambda_max=1.0,
-                           steps=1, quadrature_points=200, ci_nmax=8, output_format="json",
-                           output_path=None)
+        args = argparse.Namespace(command="coeffs", system="x\u00e9\"", quad_points=200, format="json")
         out = io.StringIO()
-        cli.write_report(config, report, out)
-        assert out.getvalue() == json_document(config, report)
+        cli.write_report(args, report, out)
+        assert out.getvalue() == json_document("coeffs", "x\u00e9\"", 200, report)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_long_curve_file_matches_stdout(self, capsys, tmp_path, fmt):
@@ -346,6 +360,17 @@ class TestStdoutFailure:
             done = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
         self.assert_one_line(done.returncode, done.stderr, "No space left on device")
 
+    @pytest.mark.parametrize("encoding, name", [("utf-8:strict", b"sys\xff.json"), ("ascii", "\u00e9.json".encode())],
+                             ids=["utf-8-strict", "ascii"])
+    def test_stdout_that_cannot_encode_the_system_path(self, tmp_path, encoding, name):
+        (tmp_path / os.fsdecode(name)).write_text(json.dumps(TWO_ELECTRONS))
+        argv, env = cli_process(["coeffs", os.fsdecode(name)])
+        done = subprocess.run(argv, env=dict(env, PYTHONIOENCODING=encoding), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        codec = encoding.split(":")[0]
+        assert done.returncode == 2 and done.stderr.count("\n") == 1
+        assert done.stderr.startswith(f"error: cannot write stdout: '{codec}' codec can't encode character")
+
     def test_closed_stdout(self):
         argv, env = cli_process(["coeffs", "he-clamped"])
         # the shell's `>&-` starts the process with no file descriptor 1
@@ -391,10 +416,9 @@ class TestCiScan:
 
     def test_nmax_above_bound_rejected(self):
         # validator only: a scan this large is never started
+        args = cli._build_parser().parse_args(["ci-scan", "he-clamped", "--nmax", str(coulomb.MAX_NMAX + 1)])
         with pytest.raises(ValidationError, match="nmax"):
-            RunConfig(command="ci-scan", system_path="he-clamped", lambda_min=0.1,
-                      lambda_max=2.0, steps=20, quadrature_points=200,
-                      ci_nmax=coulomb.MAX_NMAX + 1, output_format="csv", output_path=None)
+            cli._check_args(args)
 
     def test_scan_computes_block_once(self, capsys, monkeypatch):
         # the W builds of a scan share one checked block: one profile build on
@@ -535,6 +559,18 @@ class TestNuclearMotion:
         assert doc["clamped"]["eps1"] == pytest.approx(-7.9645404, abs=1e-6)
         assert doc["moving"]["eps1"] == pytest.approx(-5.3582195, abs=1e-6)
 
+    def test_variants_match_the_scaled_flagged_definitions(self):
+        # the variants re-flag the scaled nucleus; scaling a definition whose nucleus carries
+        # the flag gives the same floats, here with a muon as the reference
+        data = json.loads((GOLDEN / "muonic-lithium.json").read_text())
+        data["reference"] = 3
+
+        def scaled(clamped):
+            data["particles"][4]["clamped"] = clamped
+            return nondimensionalize(system_from_dict(data))
+
+        assert cli._nuclear_variants(scaled(False)) == {"clamped": scaled(True), "moving": scaled(False)}
+
     def test_clamped_preset_also_works(self, capsys):
         # the command derives both variants regardless of the preset's flag
         code, out, _ = run(capsys, "nuclear-motion", "he-clamped")
@@ -547,6 +583,24 @@ class TestNuclearMotion:
         path.write_text(json.dumps(TWO_ELECTRONS))
         code, _, err = run(capsys, "nuclear-motion", str(path))
         assert code == 2 and "error:" in err
+
+
+# two bad values each, the first of them caught by the check that comes first
+CHECK_ORDER = [
+    (["curve", "he-clamped", "--steps", "0", "--lambda-min", "nan"], "steps must lie in [1, 10000], got 0"),
+    (["curve", "he-clamped", "--lambda-min", "inf", "--lambda-max", "nan"], "lambda-min must be finite, got inf"),
+    (["curve", "he-clamped", "--lambda-max", "inf", "--lambda-min", "-1"], "lambda-max must be finite, got inf"),
+    (["curve", "he-clamped", "--lambda-min", "-1", "--lambda-max", "-2"], "lambda-min must be positive, got -1.0"),
+    (["curve", "he-clamped", "--lambda-min", "2", "--lambda-max", "1", "--quad-points", "15"],
+     "lambda-max 1.0 is below lambda-min 2.0"),
+    (["ci-scan", "he-clamped", "--nmax", "49", "--steps", "0"], "steps must lie in [1, 10000], got 0"),
+    (["ci-scan", "he-clamped", "--quad-points", "15", "--nmax", "49"],
+     "quadrature points must lie in [16, 512], got 15"),
+    (["ci-scan", "he-moving", "--nmax", "3"], "ci-scan needs nmax >= 4 for the second-order estimate, got 3"),
+    (["coeffs", "no-such.json", "--quad-points", "513"], "quadrature points must lie in [16, 512], got 513"),
+    (["coeffs", "he-clamped", "--quad-points", "15", "-o", "no-such-dir/out.csv"],
+     "quadrature points must lie in [16, 512], got 15"),
+]
 
 
 class TestArgumentAndInputErrors:
@@ -687,17 +741,21 @@ class TestArgumentAndInputErrors:
 
     def test_steps_bound(self):
         # validator only: no grid of that size is ever built
-        def config(steps):
-            return RunConfig(command="curve", system_path="he-clamped", lambda_min=0.1,
-                             lambda_max=2.0, steps=steps, quadrature_points=200,
-                             ci_nmax=8, output_format="csv", output_path=None)
+        def check(steps):
+            cli._check_args(cli._build_parser().parse_args(["curve", "he-clamped", "--steps", str(steps)]))
 
-        assert len(config(cli.MAX_STEPS).lambda_grid) == cli.MAX_STEPS
+        check(cli.MAX_STEPS)
         assert cli.MAX_STEPS >= 4000  # the longest curve the benchmark asks for
         with pytest.raises(ValidationError, match="steps"):
-            config(cli.MAX_STEPS + 1)
+            check(cli.MAX_STEPS + 1)
         with pytest.raises(ValidationError, match="steps"):
-            config(10**12)
+            check(10**12)
+
+    @pytest.mark.parametrize("args, message", CHECK_ORDER, ids=[" ".join(a) for a, _ in CHECK_ORDER])
+    def test_first_failing_check_is_named(self, capsys, args, message):
+        # every argument is checked in one fixed order, before any system file is read
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):

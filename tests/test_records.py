@@ -21,14 +21,12 @@ from boxatom import (
     nondimensionalize,
     nuclear_motion_report,
 )
-from boxatom.cli import Report, RunConfig
+from boxatom.cli import Report
 
 
 def _records():
     clamped = epsilon1(nondimensionalize(helium_system(clamped_nucleus=True)))
     moving = epsilon1(nondimensionalize(helium_system(clamped_nucleus=False)))
-    config = RunConfig(command="coeffs", system_path="he-clamped", lambda_min=1.0, lambda_max=1.0, steps=1,
-                       quadrature_points=200, ci_nmax=8, output_format="csv", output_path=None)
     return {
         "QuadratureRule": (gauss_legendre(4), ("nodes", "weights", "order")),
         "ModeIndex": (ModeIndex(0, 2), ("l", "n")),
@@ -44,8 +42,6 @@ def _records():
         "NuclearMotionReport": (nuclear_motion_report(clamped, moving),
                                 ("kinetic_shift", "potential_shift", "dominant")),
         "CiProblem": (CiProblem(2.0, 4), ("z", "nmax", "points")),
-        "RunConfig": (config, ("command", "system_path", "lambda_min", "lambda_max", "steps",
-                               "quadrature_points", "ci_nmax", "output_format", "output_path")),
         "Report": (Report(meta=[("eps0", 1.0)]), ("meta", "columns", "rows", "rows_name", "sections")),
     }
 
@@ -61,7 +57,7 @@ def _copy(record, names):
 
 
 def test_every_record_is_covered():
-    assert len(RECORDS) == 13
+    assert len(RECORDS) == 12
     assert {type(record).__name__ for record, _ in RECORDS.values()} == set(RECORDS)
 
 

@@ -24,7 +24,7 @@ from boxatom import (
 )
 from boxatom.cli import main
 from boxatom.errors import ValidationError
-from boxatom.system import MAX_PARTICLES
+from boxatom.system import MAX_MAGNITUDE, MAX_PARTICLES
 
 
 def electron():
@@ -97,6 +97,16 @@ class TestNondimensionalize:
         assert dim.length_scale_a == pytest.approx(1.0 / 206.768, rel=1e-15)
         assert dim.energy_prefactor == pytest.approx(206.768, rel=1e-15)
         assert dim.lam == pytest.approx(206.768, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mass=st.floats(1 / MAX_MAGNITUDE, MAX_MAGNITUDE), charge=st.floats(1 / MAX_MAGNITUDE, MAX_MAGNITUDE),
+           negative=st.booleans())
+    def test_reference_scales_to_exactly_one(self, mass, charge, negative):
+        # x / x is exactly 1.0 for every finite nonzero x, so nuclear-motion's |q'| > 1
+        # never picks the reference as the nucleus
+        reference = Particle(mass=mass, charge=-charge if negative else charge)
+        dim = nondimensionalize(SystemDefinition(particles=(electron(), reference), reference=1, lam=1.0))
+        assert dim.particles[1].m_prime == dim.particles[1].q_prime == 1.0
 
     def test_lambda_given_directly(self):
         system = SystemDefinition(particles=(electron(),), reference=0, lam=0.3)

@@ -23,17 +23,19 @@ def compare():
 
 def test_compare_builds_every_benchmark_invocation(compare, tmp_path):
     cases = compare.invocations(str(tmp_path))
-    assert len(cases) == 163
+    assert len(cases) == 172
     assert ["nuclear-motion", "he-moving", "--quad-points", "512"] in [a for _, a in cases]
     commands = [args[0] for _, args in cases]
-    assert commands.count("ci-scan") == 15 + 3 * 8
+    assert commands.count("ci-scan") == 17 + 3 * 8
     assert ["ci-scan", "he-clamped", "--nmax", "49"] in [a for _, a in cases]
     assert ["ci-scan", "he-clamped", "--nmax", "0"] in [a for _, a in cases]
     # 333 nodes end the s-wave block's inner sweep in a partial batch
     assert ["ci-scan", "he-clamped", "--nmax", "12", "--quad-points", "333"] in [a for _, a in cases]
-    # one system document for each refused number, a degenerate one and one at a fractional
-    # charge, each run by `coeffs`
-    assert [(str(tmp_path), ["coeffs", name]) for name in compare.DOCUMENTS] == cases[-8:]
+    # one system document for each refused number, a degenerate one, one at a fractional
+    # charge and two that nuclear-motion refuses, each run by `coeffs`
+    assert [(str(tmp_path), ["coeffs", name]) for name in compare.DOCUMENTS] == cases[-12:-2]
+    assert cases[-2:] == [(str(tmp_path), ["nuclear-motion", "clamped-light.json"]),
+                          (str(tmp_path), ["nuclear-motion", "heavy-reference.json"])]
     doc = {name: json.loads((tmp_path / name).read_text()) for name in compare.DOCUMENTS}
     assert doc["mass-true.json"]["particles"][0]["mass"] is True
     assert doc["charge-text.json"]["particles"][0]["charge"] == "2"
@@ -43,14 +45,25 @@ def test_compare_builds_every_benchmark_invocation(compare, tmp_path):
     assert doc["reference-true.json"]["reference"] is True
     assert [p["mass"] for p in doc["degenerate.json"]["particles"]] == [1, 7, 1.8e16]
     assert doc["z-fraction.json"]["particles"][2] == {"mass": 9000, "charge": 2.5, "clamped": True}
+    assert [p.get("clamped", False) for p in doc["clamped-light.json"]["particles"]] == [False, True, False]
+    assert [p["charge"] for p in doc["heavy-reference.json"]["particles"]] == [-3, -1, 2]
+    assert doc["heavy-reference.json"]["reference"] == 0
+    # the check order: each of these has two bad values
+    for args in (["curve", "he-clamped", "--steps", "0", "--lambda-min", "nan"],
+                 ["curve", "he-clamped", "--lambda-min", "inf", "--quad-points", "15"],
+                 ["ci-scan", "he-clamped", "--quad-points", "15", "--nmax", "49"],
+                 ["ci-scan", "no-such.json", "--nmax", "3"],
+                 ["coeffs", "he-clamped", "--quad-points", "15", "-o", "no-such-dir/out.csv"]):
+        assert args in [a for _, a in cases]
     assert ["ci-scan", "z-fraction.json", "--nmax", "12"] in [a for _, a in cases]
     assert ["ci-scan", "he-clamped", "--nmax", "10", "--quad-points", "16"] in [a for _, a in cases]
     assert ["curve", "he-clamped", "--steps", "10000", "--format", "json"] in [a for _, a in cases]
     assert ["coeffs", "--help"] in [a for _, a in cases]
     assert ["curve", "he-clamped", "--format", "json", "-o", "/dev/full"] in [a for _, a in cases]
-    # every input file a case names exists in the directory it runs in (`--help` names none)
+    # every input file a case names exists in the directory it runs in (`--help` names none,
+    # and no-such.json is missing on purpose: the nmax check comes before the file is read)
     for cwd, args in cases:
-        assert (args[1] == "--help" or args[1] in compare.workloads.PRESETS
+        assert (args[1] in ("--help", "no-such.json") or args[1] in compare.workloads.PRESETS
                 or os.path.isfile(os.path.join(cwd, args[1])))
 
 

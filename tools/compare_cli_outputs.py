@@ -27,13 +27,22 @@ lambda = 0 row plus one), first order at a resolution other than the default
 nuclear charge (`ci-scan z-fraction.json --nmax 12`), a scan whose s-wave
 block ends in a partial batch of the inner sweep, 333 nodes being no whole
 number of its 8-node batches (`ci-scan he-clamped --nmax 12 --quad-points
-333`), and `coeffs` on eight system documents written into the input
-directory: six with one value the library's number rule refuses (a boolean
-mass, a string charge, a string lambda, an rc_bohr of 1e999, which JSON reads
-as inf, and a float and a boolean reference), one whose ground occupation is
-degenerate (masses 1, 7 and 1.8e16, which first order refuses), all seven of
-which exit 2, and z-fraction.json, two electrons around a clamped nucleus of
-charge 2.5 at lambda 1, which exits 0 under `coeffs` and `ci-scan`. Each runs
+333`), five invocations with two bad values each, which exit 2 with the
+message of the check that comes first (`curve he-clamped --steps 0
+--lambda-min nan`, `curve he-clamped --lambda-min inf --quad-points 15`,
+`ci-scan he-clamped --quad-points 15 --nmax 49`, `ci-scan no-such.json
+--nmax 3` and `coeffs he-clamped --quad-points 15 -o no-such-dir/out.csv`),
+and `coeffs` on ten system documents written into the input directory: six
+with one value the library's number rule refuses (a boolean mass, a string
+charge, a string lambda, an rc_bohr of 1e999, which JSON reads as inf, and a
+float and a boolean reference), one whose ground occupation is degenerate
+(masses 1, 7 and 1.8e16, which first order refuses), all seven of which exit
+2, z-fraction.json, two electrons around a clamped nucleus of charge 2.5 at
+lambda 1, which exits 0 under `coeffs` and `ci-scan`, and two that exit 0
+under `coeffs` and 2 under `nuclear-motion`: clamped-light.json, a clamped
+electron beside a free nucleus of charge 2, whose clamped variant holds two
+clamped particles, and heavy-reference.json, whose reference of charge -3
+leaves no particle with |q'| > 1. Each runs
 as `python -m boxatom.cli`, one at a time, once against the working tree's
 `src` and once against BASE_REV's, in the same directory with the same input
 files.
@@ -80,6 +89,12 @@ EXTRA = (
     ["nuclear-motion", "he-moving", "--quad-points", "512"],
     ["ci-scan", "z-fraction.json", "--nmax", "12"],
     ["ci-scan", "he-clamped", "--nmax", "12", "--quad-points", "333"],
+    # two bad values each: the message names the check that comes first
+    ["curve", "he-clamped", "--steps", "0", "--lambda-min", "nan"],
+    ["curve", "he-clamped", "--lambda-min", "inf", "--quad-points", "15"],
+    ["ci-scan", "he-clamped", "--quad-points", "15", "--nmax", "49"],
+    ["ci-scan", "no-such.json", "--nmax", "3"],
+    ["coeffs", "he-clamped", "--quad-points", "15", "-o", "no-such-dir/out.csv"],
 )
 # one electron in a box of lambda 1; each document changes one value of it
 ELECTRON = '{"particles": [{"mass": 1, "charge": -1}], "reference": 0, "lam": 1.0}'
@@ -96,6 +111,12 @@ DOCUMENTS = {
     # two electrons around a clamped nucleus of fractional charge, for -Z W at a non-integer Z
     "z-fraction.json": ('{"particles": [{"mass": 1, "charge": -1}, {"mass": 1, "charge": -1}, '
                         '{"mass": 9000, "charge": 2.5, "clamped": true}], "reference": 0, "lam": 1.0}'),
+    # a clamped electron beside a free nucleus, so clamping the nucleus clamps two particles
+    "clamped-light.json": ('{"particles": [{"mass": 1, "charge": -1}, {"mass": 1, "charge": -1, "clamped": true}, '
+                           '{"mass": 7296.3, "charge": 2}], "reference": 0, "lam": 1.0}'),
+    # a reference of charge -3 leaves every |q'| <= 1, so no particle is the nucleus
+    "heavy-reference.json": ('{"particles": [{"mass": 1, "charge": -3}, {"mass": 1, "charge": -1}, '
+                             '{"mass": 7296.3, "charge": 2}], "reference": 0, "lam": 1.0}'),
 }
 
 
@@ -116,7 +137,8 @@ def invocations(workdir: str) -> list[tuple[str, list[str]]]:
         with open(os.path.join(workdir, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     return (cases + [(workdir, list(args)) for args in EXTRA]
-            + [(workdir, ["coeffs", name]) for name in DOCUMENTS])
+            + [(workdir, ["coeffs", name]) for name in DOCUMENTS]
+            + [(workdir, ["nuclear-motion", name]) for name in ("clamped-light.json", "heavy-reference.json")])
 
 
 def run_cli(src: str, cwd: str, args: list[str]) -> tuple[int, bytes, bytes]:
