@@ -25,7 +25,7 @@ the coefficient of |11> is the overlap with the free-particle ground state.
 `CiProblem(z, nmax, points)` is the library's one way to solve the CI
 problem, and the one the CLI runs: its `scan`, `second_order_estimate` and
 `second_order_sum_over_states` share one W, checked once to be finite and
-exactly symmetric; the eps2 fit runs on the one grid EPS2_FIT_GRID.
+exactly symmetric; the eps2 fit is a scan of EPS2_FIT_GRID * min(1, 4 / Z).
 `ground_state(build_hamiltonian(z, lam, nmax, points))` solves one lambda
 densely; it is the reference the certified solver is
 tested against. A lambda whose bound max(T) + lambda max_i sum_j |W_ij| on
@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -79,8 +78,8 @@ from .coulomb import DEFAULT_POINTS, check_nmax, check_points, mode_pair_index, 
 from .errors import ConvergenceError, Record, ValidationError, real, reals
 
 RESIDUAL_TOL = 1e-10
-# the small-lambda grid of the second-order fit; its design [lambda^2, lambda^3]
-# has rank 2 and condition number 35.5
+# the small-lambda grid of the second-order fit at Z <= 4, scaled by 4 / Z above;
+# its design [lambda^2, lambda^3], never scaled, has rank 2 and condition number 35.5
 EPS2_FIT_GRID = np.linspace(0.02, 0.2, 10)
 EPS2_FIT_GRID.setflags(write=False)
 # the smallest nmax the fit runs at
@@ -489,27 +488,6 @@ class CiProblem(Record, eq=False):
         """max(T) + lambda max_i sum_j |W_ij|, an upper bound on ||H(lambda)||_2."""
         return float(self.kinetic.max()) + lam * float(np.abs(self.interaction).sum(axis=1).max())
 
-    def _ground_states(self, lams, grid: str) -> Iterator[tuple[float, np.ndarray, float]]:
-        """The certified ground state at each lambda of a checked grid, one at a time.
-
-        `grid` names the grid's values in the range error, so that a fit grid
-        the caller never gave is not reported as theirs.
-        """
-        top = float(np.max(lams))
-        bound = self._norm_bound(top)
-        if not bound <= _NORM_LIMIT:
-            raise ValidationError(
-                f"{grid} = {top:.6g} is outside the CI solver's range: its bound "
-                f"max(T) + lambda max_i sum_j |W_ij| = {bound:.3e} on ||H||_2 exceeds "
-                f"RESIDUAL_TOL / (10 eps) = {_NORM_LIMIT:.3e}"
-            )
-        # the floor is certified at the largest lambda first; its chord from 0 covers the rest
-        self._floor.reach(top)
-        # start from |11>, then from the previous lambda's subspace
-        subspace = _Subspace(self.kinetic, self.interaction, np.eye(1, len(self.kinetic))[0])
-        for lam in map(float, lams):
-            yield _certified_ground_state(lam, subspace, self._floor)
-
     def scan(self, lambdas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(energy, overlap0, residual) over an ascending positive lambda grid.
 
@@ -528,13 +506,26 @@ class CiProblem(Record, eq=False):
                 raise ValidationError(f"lambda values must be positive, got {x!r}")
         if np.any(lams[1:] < lams[:-1]):
             raise ValidationError("lambda grid must be sorted ascending")
+        top = float(lams[-1])
+        bound = self._norm_bound(top)
+        if not bound <= _NORM_LIMIT:
+            raise ValidationError(
+                f"lambda = {top:.6g} is outside the CI solver's range: its bound "
+                f"max(T) + lambda max_i sum_j |W_ij| = {bound:.3e} on ||H||_2 exceeds "
+                f"RESIDUAL_TOL / (10 eps) = {_NORM_LIMIT:.3e}"
+            )
+        # the floor is certified at the largest lambda first; its chord from 0 covers the rest
+        self._floor.reach(top)
         w = self.interaction
+        # start from |11>, then from the previous lambda's subspace
+        subspace = _Subspace(self.kinetic, w, np.eye(1, len(self.kinetic))[0])
         # lambda = 0 joins as an exact row: |11>, energy T_11 = eps0, slope W_11 = eps1
         lam = np.concatenate(([0.0], lams))
         energy, slope, residual = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
         overlap0 = np.empty(len(lams))
         energy[0], slope[0], residual[0] = self.kinetic[0], w[0, 0], 0.0
-        for row, (e, c, r) in enumerate(self._ground_states(lams, "lambda"), 1):
+        for row, x in enumerate(map(float, lams), 1):
+            e, c, r = _certified_ground_state(x, subspace, self._floor)
             energy[row], slope[row], residual[row] = e, c @ (w @ c), r
             # |c_11| can exceed 1 by rounding in the normalized eigenvector
             overlap0[row - 1] = min(abs(float(c[0])), 1.0)
@@ -550,23 +541,27 @@ class CiProblem(Record, eq=False):
     def second_order_estimate(self) -> float:
         """s-wave-limited second-order coefficient from a small-lambda fit.
 
-        Fits eps_CI(lambda) - eps0 - eps1*lambda on EPS2_FIT_GRID against
-        {lambda^2, lambda^3} and returns the lambda^2 coefficient. The value
-        is a partial (s-limited) sum of the true second-order coefficient:
-        l > 0 pair excitations are outside the basis. It must agree with the
-        in-subspace sum-over-states value within 2%, else ConvergenceError.
+        Fits eps_CI(lambda) - eps0 - eps1*lambda against {lambda^2, lambda^3}
+        and returns the lambda^2 coefficient. The energies are a `scan` of
+        EPS2_FIT_GRID * min(1, 4 / Z), so they pass its concavity check; at
+        the grid's top, lambda W does not grow with Z, so its ||H||_2 bound
+        stays inside the solver's range. The value is a partial (s-limited)
+        sum of the true second-order coefficient: l > 0 pair excitations are
+        outside the basis. It must agree with the in-subspace sum-over-states
+        value within 2%, else ConvergenceError.
         """
         if self.nmax < EPS2_MIN_NMAX:
             raise ValidationError(f"second-order estimate needs nmax >= {EPS2_MIN_NMAX}, got {self.nmax}")
-        grid = EPS2_FIT_GRID
-        eps0 = self.kinetic[0]
-        eps1 = self.interaction[0, 0]
-        states = self._ground_states(grid, "the eps2 fit grid's lambda")
-        remainders = np.array([energy - eps0 - eps1 * lam for lam, (energy, _, _) in zip(grid, states)])
-        design = np.column_stack([grid**2, grid**3])
-        fitted = float(np.linalg.lstsq(design, remainders, rcond=None)[0][0])
+        # the design stays on the unscaled grid: on the scaled one lstsq's default
+        # rcond drops the lambda^3 column from Z ~ 1e14
+        scale = min(1.0, 4.0 / self.z)
+        lams = EPS2_FIT_GRID * scale
+        remainders = self.scan(lams)[0] - self.kinetic[0] - self.interaction[0, 0] * lams
+        design = np.column_stack([EPS2_FIT_GRID**2, EPS2_FIT_GRID**3])
+        fitted = float(np.linalg.lstsq(design, remainders, rcond=None)[0][0]) / scale / scale
         reference = self.second_order_sum_over_states()
-        if abs(fitted - reference) > 0.02 * abs(reference):
+        # eps2 grows as Z^2, so beyond Z ~ 1e154 both overflow and the nan fails here
+        if not abs(fitted - reference) <= 0.02 * abs(reference):
             raise ConvergenceError(
                 f"second-order fit {fitted:.6e} and sum-over-states {reference:.6e} "
                 "disagree beyond 2%"

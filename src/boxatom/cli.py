@@ -139,7 +139,9 @@ def write_report(args: argparse.Namespace, report: Report, out: TextIO) -> None:
     if report.sections:
         columns = ("variant", *next(iter(report.sections.values())).columns)
         rows = ((name, *row) for name, section in report.sections.items() for row in section.rows)
-    out.writelines(f"# {key}={_fmt(value)}\n" for key, value in meta)
+    # one write, so a head that `out` cannot encode fails before any of it is
+    # written, also to an unbuffered stdout
+    out.write("".join(f"# {key}={_fmt(value)}\n" for key, value in meta))
     # term labels contain commas, so rows go through a real CSV writer
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)

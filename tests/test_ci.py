@@ -689,6 +689,10 @@ class TestNormBound:
             assert np.linalg.norm(h, 2) <= problem._norm_bound(lam)
 
 
+# nuclear charges above 4, where the eps2 fit grid shrinks as 4 / Z
+FIT_CHARGES = (5.0, 8.0, 9.0, 10.0, 20.0, 100.0, 1e5, 1e20, 1e100)
+
+
 class TestSecondOrder:
     def test_fit_agrees_with_sum_over_states(self):
         nmax = 8
@@ -712,10 +716,28 @@ class TestSecondOrder:
         with pytest.raises(ValidationError, match="nmax >= 4"):
             CiProblem(2.0, 3).second_order_estimate()
 
-    def test_fit_grid_out_of_range_names_the_fit_grid(self):
-        # the range error names the grid the fit chose, not a lambda the caller gave
-        with pytest.raises(ValidationError, match="eps2 fit grid's lambda = 0.2 is outside"):
-            CiProblem(1e5, 4).second_order_estimate()
+    @pytest.mark.parametrize("nmax", [4, 16, 48])
+    @pytest.mark.parametrize("z", FIT_CHARGES)
+    def test_fit_follows_the_sum_over_states_at_every_charge(self, z, nmax):
+        # on the fixed grid, Z = 9 missed the 2% gate and Z = 1e5 left the solver's range
+        problem = CiProblem(z, nmax)
+        fit, sos = problem.second_order_estimate(), problem.second_order_sum_over_states()
+        # the gate is 2%; every gap here is below 0.5%
+        assert abs(fit - sos) <= 0.005 * abs(sos)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+    @pytest.mark.parametrize("z", [1e160, 1e200])
+    def test_overflowing_eps2_is_a_convergence_error(self, z):
+        # eps2 grows as Z^2: beyond Z ~ 1e154 the fit and the sum over states overflow,
+        # and from Z ~ 1e162 the fit grid's scale squared underflows to 0
+        with pytest.raises(ConvergenceError, match="disagree beyond 2%"):
+            CiProblem(z, 4).second_order_estimate()
+
+    @pytest.mark.parametrize("z", (1e-3, 0.5, 1.0, 2.0, 4.0) + FIT_CHARGES)
+    def test_fit_grid_top_stays_in_range_at_every_charge(self, z):
+        # lambda W at the top of EPS2_FIT_GRID * min(1, 4 / Z) does not grow with Z
+        problem = CiProblem(z, 48)
+        assert problem._norm_bound(ci.EPS2_FIT_GRID[-1] * min(1.0, 4.0 / z)) < 2.3e4 < ci._NORM_LIMIT
 
     def test_fit_design_is_well_conditioned(self):
         # the fixed grid's design [lambda^2, lambda^3] is why the fit needs no rank check

@@ -371,6 +371,20 @@ class TestStdoutFailure:
         assert done.returncode == 2 and done.stderr.count("\n") == 1
         assert done.stderr.startswith(f"error: cannot write stdout: '{codec}' codec can't encode character")
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["coeffs", "nuclear-motion"])
+    def test_head_that_cannot_be_encoded_writes_nothing(self, tmp_path, command, unbuffered):
+        # an unbuffered stdout wrote the first head line before the encoding failed
+        (tmp_path / "\u00e9.json").write_text(json.dumps(crowd(3)))
+        argv, env = cli_process([command, "\u00e9.json"])
+        env = dict(env, PYTHONIOENCODING="ascii")
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        done = subprocess.run(argv, env=env, cwd=tmp_path, capture_output=True, timeout=60)
+        assert done.returncode == 2 and done.stdout == b""
+        assert done.stderr.startswith(b"error: cannot write stdout: 'ascii' codec") and done.stderr.count(b"\n") == 1
+
     def test_closed_stdout(self):
         argv, env = cli_process(["coeffs", "he-clamped"])
         # the shell's `>&-` starts the process with no file descriptor 1
@@ -506,9 +520,9 @@ class TestCiScan:
         assert code == 2
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
-    def test_fit_grid_out_of_range_names_the_fit_grid(self, capsys, tmp_path):
-        # the scan at lambda 1e-9 passes; the eps2 fit's own grid reaches lambda = 0.2,
-        # where a nuclear charge of 1e5 puts ||H|| beyond the solver's range
+    def test_large_charge_fits_eps2(self, capsys, tmp_path):
+        # the fixed fit grid reached lambda = 0.2, where a nuclear charge of 1e5 put
+        # ||H|| beyond the solver's range; the grid now shrinks as 4 / Z
         path = tmp_path / "heavy-charge.json"
         path.write_text(json.dumps({
             "particles": [{"mass": 1.0, "charge": -1.0}, {"mass": 1.0, "charge": -1.0},
@@ -516,9 +530,24 @@ class TestCiScan:
             "reference": 0, "lam": 1.0}), encoding="utf-8")
         code, out, err = run(capsys, "ci-scan", str(path), "--nmax", "4", "--lambda-min", "1e-9",
                              "--lambda-max", "1e-9", "--steps", "1")
-        assert code == 2 and out == ""
-        assert err.startswith("error: the eps2 fit grid's lambda = 0.2 is outside")
-        assert len(err.splitlines()) == 1
+        assert code == 0 and err == ""
+        meta, _ = parse_csv(out)
+        assert out.count("# s_limited_eps2=") == 1
+        sos = ci.CiProblem(1e5, 4).second_order_sum_over_states()
+        assert float(meta["s_limited_eps2"]) == pytest.approx(sos, rel=0.005)
+
+    def test_scan_and_fit_each_pass_the_concavity_check(self, capsys, monkeypatch):
+        rows = []
+        check_concavity = ci._check_concavity
+
+        def recorded(lam, *rest):
+            rows.append(len(lam))
+            check_concavity(lam, *rest)
+
+        monkeypatch.setattr(ci, "_check_concavity", recorded)
+        code, _, _ = run(capsys, "ci-scan", "he-clamped", "--nmax", "6", "--steps", "5")
+        # each grid plus its lambda = 0 row: the scan's 5 points, then the fit's 10
+        assert code == 0 and rows == [6, 11]
 
 
 @pytest.mark.parametrize("args,builds", [

@@ -23,17 +23,17 @@ def compare():
 
 def test_compare_builds_every_benchmark_invocation(compare, tmp_path):
     cases = compare.invocations(str(tmp_path))
-    assert len(cases) == 172
+    assert len(cases) == 178
     assert ["nuclear-motion", "he-moving", "--quad-points", "512"] in [a for _, a in cases]
     commands = [args[0] for _, args in cases]
-    assert commands.count("ci-scan") == 17 + 3 * 8
+    assert commands.count("ci-scan") == 20 + 3 * 8
     assert ["ci-scan", "he-clamped", "--nmax", "49"] in [a for _, a in cases]
     assert ["ci-scan", "he-clamped", "--nmax", "0"] in [a for _, a in cases]
     # 333 nodes end the s-wave block's inner sweep in a partial batch
     assert ["ci-scan", "he-clamped", "--nmax", "12", "--quad-points", "333"] in [a for _, a in cases]
     # one system document for each refused number, a degenerate one, one at a fractional
-    # charge and two that nuclear-motion refuses, each run by `coeffs`
-    assert [(str(tmp_path), ["coeffs", name]) for name in compare.DOCUMENTS] == cases[-12:-2]
+    # charge, two that nuclear-motion refuses and three large charges, each run by `coeffs`
+    assert [(str(tmp_path), ["coeffs", name]) for name in compare.DOCUMENTS] == cases[-15:-2]
     assert cases[-2:] == [(str(tmp_path), ["nuclear-motion", "clamped-light.json"]),
                           (str(tmp_path), ["nuclear-motion", "heavy-reference.json"])]
     doc = {name: json.loads((tmp_path / name).read_text()) for name in compare.DOCUMENTS}
@@ -48,6 +48,14 @@ def test_compare_builds_every_benchmark_invocation(compare, tmp_path):
     assert [p.get("clamped", False) for p in doc["clamped-light.json"]["particles"]] == [False, True, False]
     assert [p["charge"] for p in doc["heavy-reference.json"]["particles"]] == [-3, -1, 2]
     assert doc["heavy-reference.json"]["reference"] == 0
+    # the eps2 fit grid shrinks as 4 / Z above Z = 4
+    for name, charge in (("z-8.json", 8), ("z-10.json", 10), ("z-1e20.json", 1e20)):
+        assert doc[name]["particles"][2] == {"mass": 1e6, "charge": charge, "clamped": True}
+    for args in (["ci-scan", "z-8.json", "--nmax", "8", "--steps", "3"],
+                 ["ci-scan", "z-10.json", "--nmax", "8", "--steps", "3"],
+                 ["ci-scan", "z-1e20.json", "--nmax", "8", "--steps", "3",
+                  "--lambda-min", "1e-22", "--lambda-max", "1e-21"]):
+        assert args in [a for _, a in cases]
     # the check order: each of these has two bad values
     for args in (["curve", "he-clamped", "--steps", "0", "--lambda-min", "nan"],
                  ["curve", "he-clamped", "--lambda-min", "inf", "--quad-points", "15"],

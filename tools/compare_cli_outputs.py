@@ -32,8 +32,14 @@ message of the check that comes first (`curve he-clamped --steps 0
 --lambda-min nan`, `curve he-clamped --lambda-min inf --quad-points 15`,
 `ci-scan he-clamped --quad-points 15 --nmax 49`, `ci-scan no-such.json
 --nmax 3` and `coeffs he-clamped --quad-points 15 -o no-such-dir/out.csv`),
-and `coeffs` on ten system documents written into the input directory: six
-with one value the library's number rule refuses (a boolean mass, a string
+`ci-scan --nmax 8 --steps 3` at nuclear charges 8, 10 and 1e20 (`z-8.json`,
+`z-10.json` and `z-1e20.json`, two electrons around a clamped nucleus of
+mass 1e6 at lambda 1; the last scans lambda 1e-22 to 1e-21, inside the
+solver's range at that charge), whose s_limited_eps2 comes from a fit grid
+that shrinks as 4 / Z: against any revision from before that grid they
+differ (the fixed grid printed another s_limited_eps2 at Z = 8 and exited 3
+and 2 at the other two), and `coeffs` on thirteen system documents written
+into the input directory: six with one value the library's number rule refuses (a boolean mass, a string
 charge, a string lambda, an rc_bohr of 1e999, which JSON reads as inf, and a
 float and a boolean reference), one whose ground occupation is degenerate
 (masses 1, 7 and 1.8e16, which first order refuses), all seven of which exit
@@ -42,7 +48,8 @@ lambda 1, which exits 0 under `coeffs` and `ci-scan`, and two that exit 0
 under `coeffs` and 2 under `nuclear-motion`: clamped-light.json, a clamped
 electron beside a free nucleus of charge 2, whose clamped variant holds two
 clamped particles, and heavy-reference.json, whose reference of charge -3
-leaves no particle with |q'| > 1. Each runs
+leaves no particle with |q'| > 1, and the three large charges above, which
+exit 0. Each runs
 as `python -m boxatom.cli`, one at a time, once against the working tree's
 `src` and once against BASE_REV's, in the same directory with the same input
 files.
@@ -95,9 +102,16 @@ EXTRA = (
     ["ci-scan", "he-clamped", "--quad-points", "15", "--nmax", "49"],
     ["ci-scan", "no-such.json", "--nmax", "3"],
     ["coeffs", "he-clamped", "--quad-points", "15", "-o", "no-such-dir/out.csv"],
+    # nuclear charges above 4, where the eps2 fit grid shrinks as 4 / Z
+    ["ci-scan", "z-8.json", "--nmax", "8", "--steps", "3"],
+    ["ci-scan", "z-10.json", "--nmax", "8", "--steps", "3"],
+    ["ci-scan", "z-1e20.json", "--nmax", "8", "--steps", "3", "--lambda-min", "1e-22", "--lambda-max", "1e-21"],
 )
 # one electron in a box of lambda 1; each document changes one value of it
 ELECTRON = '{"particles": [{"mass": 1, "charge": -1}], "reference": 0, "lam": 1.0}'
+# two electrons around a clamped nucleus whose charge each document sets
+ION = ('{"particles": [{"mass": 1, "charge": -1}, {"mass": 1, "charge": -1}, '
+       '{"mass": 1e6, "charge": CHARGE, "clamped": true}], "reference": 0, "lam": 1.0}')
 DOCUMENTS = {
     "mass-true.json": ELECTRON.replace('"mass": 1', '"mass": true'),
     "charge-text.json": ELECTRON.replace('"charge": -1', '"charge": "2"'),
@@ -117,6 +131,10 @@ DOCUMENTS = {
     # a reference of charge -3 leaves every |q'| <= 1, so no particle is the nucleus
     "heavy-reference.json": ('{"particles": [{"mass": 1, "charge": -3}, {"mass": 1, "charge": -1}, '
                              '{"mass": 7296.3, "charge": 2}], "reference": 0, "lam": 1.0}'),
+    # charges where the eps2 fit grid shrinks as 4 / Z
+    "z-8.json": ION.replace("CHARGE", "8"),
+    "z-10.json": ION.replace("CHARGE", "10"),
+    "z-1e20.json": ION.replace("CHARGE", "1e20"),
 }
 
 
