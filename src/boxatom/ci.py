@@ -534,9 +534,10 @@ class CiProblem(Record, eq=False):
 
     def second_order_sum_over_states(self) -> float:
         """In-subspace sum-over-states eps2 = sum_k |W_k0|^2 / (T_0 - T_k)."""
-        # only configuration (1,1) has n^2+m^2 = 2, so no vanishing denominators
-        kinetic, interaction = self.kinetic, self.interaction
-        return float(np.sum(interaction[1:, 0] ** 2 / (kinetic[0] - kinetic[1:])))
+        # only configuration (1,1) has n^2+m^2 = 2, so no vanishing denominators;
+        # beyond Z ~ 1e154 W_k0^2 overflows to inf, which the fit's 2% gate refuses
+        with np.errstate(over="ignore"):
+            return float(np.sum(self.interaction[1:, 0] ** 2 / (self.kinetic[0] - self.kinetic[1:])))
 
     def second_order_estimate(self) -> float:
         """s-wave-limited second-order coefficient from a small-lambda fit.

@@ -164,27 +164,6 @@ def _closed_form_rows(p: np.ndarray, q: np.ndarray):
     return rows
 
 
-def _worst_gap(value: np.ndarray, exact_rows, band: int) -> tuple[int, int, float]:
-    """(i, j, exact[i, j]) of the entry np.argmax(|value - exact|) names, `band` rows at a time.
-
-    exact_rows(rows) gives those rows of the exact matrix, so the whole of it
-    is never built. As with np.argmax, the first NaN wins, and otherwise the
-    first of equal gaps.
-    """
-    columns = value.shape[1]
-    worst, found = -1.0, None
-    for start in range(0, len(value), band):
-        rows = slice(start, start + band)
-        exact = exact_rows(rows)
-        gap = np.abs(value[rows] - exact)
-        k = int(np.argmax(gap))
-        if gap.flat[k] > worst or math.isnan(gap.flat[k]):
-            worst, found = gap.flat[k], (start + k // columns, k % columns, float(exact.flat[k]))
-            if math.isnan(worst):
-                break
-    return found
-
-
 def _s_wave_profiles(r: np.ndarray, nmax: int, out: np.ndarray | None = None) -> np.ndarray:
     """u_n(r) = sqrt(2) sin(n pi r), n = 1..nmax, on a new first axis, by recurrence.
 
@@ -263,19 +242,36 @@ def _quadrature_block(points: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     return central, half + half.T
 
 
-def _checked(points: int, what, value: float, reference: float) -> float:
-    gap = abs(value - reference)
-    if not gap <= AGREEMENT_TOL:
+def _check(points: int, value: np.ndarray, exact_rows, name) -> None:
+    """Raise ConvergenceError unless every entry of value lies within AGREEMENT_TOL of the exact matrix.
+
+    exact_rows(rows) gives those rows of the exact matrix, compared
+    _CHECK_ROWS at a time, so the whole of it is never built. The worst
+    entry is the one np.argmax(|value - exact|) names: the first NaN, and
+    otherwise the first of equal gaps. name(i, j) labels it, and is called
+    only when it fails.
+    """
+    columns = value.shape[1]
+    worst, at = -1.0, 0
+    for start in range(0, len(value), _CHECK_ROWS):
+        rows = slice(start, start + _CHECK_ROWS)
+        gap = np.abs(value[rows] - exact_rows(rows))
+        k = int(np.argmax(gap))
+        if gap.flat[k] > worst or math.isnan(gap.flat[k]):
+            worst, at = float(gap.flat[k]), start * columns + k
+            if math.isnan(worst):
+                break
+    # the worst entry passes only if every entry does
+    if not worst <= AGREEMENT_TOL:
         advice = (
             f"try {min(2 * points, MAX_POINTS)} quadrature points"
             if points < MAX_POINTS
             else f"{MAX_POINTS} quadrature points is the most a table supports"
         )
         raise ConvergenceError(
-            f"{what} at {points} quadrature points differs from its closed form "
-            f"by {gap:.3e} (tolerance {AGREEMENT_TOL:.0e}); {advice}"
+            f"{name(*divmod(at, columns))} at {points} quadrature points differs from its closed form "
+            f"by {worst:.3e} (tolerance {AGREEMENT_TOL:.0e}); {advice}"
         )
-    return value
 
 
 def s_wave_block(nmax: int, points: int = DEFAULT_POINTS) -> tuple[np.ndarray, np.ndarray]:
@@ -293,16 +289,14 @@ def s_wave_block(nmax: int, points: int = DEFAULT_POINTS) -> tuple[np.ndarray, n
     _, cin = _si_cin_pi()
     central = np.empty((nmax, nmax))
     central[first, second] = central[second, first] = cin[q] - cin[p]
-    modes = list(range(1, nmax + 1))
-    pairs = list(zip((first + 1).tolist(), (second + 1).tolist()))
-    for what, labels, value, exact_rows in (
-        ("central_expectation for modes", modes, block[0], central.__getitem__),
-        ("Slater integral for mode pairs", pairs, block[1], _closed_form_rows(p, q)),
-    ):
-        # the worst entry passes only if every entry does
-        i, j, exact = _worst_gap(value, exact_rows, _CHECK_ROWS)
-        _checked(points, f"{what} {labels[i]} and {labels[j]} (nmax={nmax} block)",
-                 float(value[i, j]), exact)
+
+    def pair(k):
+        return int(first[k]) + 1, int(second[k]) + 1
+
+    _check(points, block[0], central.__getitem__,
+           lambda i, j: f"central_expectation for modes {i + 1} and {j + 1} (nmax={nmax} block)")
+    _check(points, block[1], _closed_form_rows(p, q),
+           lambda i, j: f"Slater integral for mode pairs {pair(i)} and {pair(j)} (nmax={nmax} block)")
     for array in block:
         array.setflags(write=False)
     return block

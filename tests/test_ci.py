@@ -725,7 +725,6 @@ class TestSecondOrder:
         # the gate is 2%; every gap here is below 0.5%
         assert abs(fit - sos) <= 0.005 * abs(sos)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
     @pytest.mark.parametrize("z", [1e160, 1e200])
     def test_overflowing_eps2_is_a_convergence_error(self, z):
         # eps2 grows as Z^2: beyond Z ~ 1e154 the fit and the sum over states overflow,

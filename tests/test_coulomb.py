@@ -307,6 +307,22 @@ class TestClosedForms:
         message = str(err.value)
         assert label in message and "closed form" in message and "nmax=8" in message
 
+    def test_block_check_at_the_largest_rule_advises_no_more_points(self, monkeypatch):
+        build = coulomb._quadrature_block
+
+        def tampered(points, nmax):
+            block = build(points, nmax)
+            block[1][3, 7] += 1e-8
+            return block
+
+        monkeypatch.setattr(coulomb, "_quadrature_block", tampered)
+        with pytest.raises(ConvergenceError) as err:
+            s_wave_block(8, 512)
+        assert str(err.value) == (
+            "Slater integral for mode pairs (1, 4) and (1, 8) (nmax=8 block) at 512 quadrature points "
+            "differs from its closed form by 1.000e-08 (tolerance 1e-09); "
+            "512 quadrature points is the most a table supports")
+
     @pytest.mark.parametrize("rows", [coulomb._CHECK_ROWS, 5])
     @pytest.mark.parametrize("case,entry", [
         ("last band", (77, 3)),
@@ -329,17 +345,18 @@ class TestClosedForms:
             for i, j in ((2, 40), (77, 1)):
                 slater[i, j] = exact[i, j] + 2.0**-20
         gap = np.abs(slater - exact)
-        i, j = np.unravel_index(np.argmax(gap), gap.shape)
-        assert (i, j) == entry
-        pairs = list(zip((first + 1).tolist(), (second + 1).tolist()))
-        with pytest.raises(ConvergenceError) as want:
-            coulomb._checked(200, f"Slater integral for mode pairs {pairs[i]} and {pairs[j]} (nmax={nmax} block)",
-                             float(slater[i, j]), float(exact[i, j]))
+        assert np.unravel_index(np.argmax(gap), gap.shape) == entry
         monkeypatch.setattr(coulomb, "_CHECK_ROWS", rows)
         monkeypatch.setattr(coulomb, "_quadrature_block", lambda points, n: (central, slater))
         with pytest.raises(ConvergenceError) as got:
             s_wave_block(nmax, 200)
-        assert str(got.value) == str(want.value)
+        # the pairs of the whole-matrix argmax, and its gap
+        pairs, by = {"last band": ("(12, 12) and (1, 4)", "1.000e-08"),
+                     "nan": ("(11, 12) and (1, 6)", "nan"),
+                     "tie": ("(1, 3) and (4, 11)", "9.537e-07")}[case]
+        assert str(got.value) == (
+            f"Slater integral for mode pairs {pairs} (nmax=12 block) at 200 quadrature points "
+            f"differs from its closed form by {by} (tolerance 1e-09); try 400 quadrature points")
 
     @pytest.mark.parametrize("method,call", [
         ("central", lambda: ground_integrals(200)[0]),

@@ -23,10 +23,10 @@ def compare():
 
 def test_compare_builds_every_benchmark_invocation(compare, tmp_path):
     cases = compare.invocations(str(tmp_path))
-    assert len(cases) == 178
+    assert len(cases) == 179
     assert ["nuclear-motion", "he-moving", "--quad-points", "512"] in [a for _, a in cases]
     commands = [args[0] for _, args in cases]
-    assert commands.count("ci-scan") == 20 + 3 * 8
+    assert commands.count("ci-scan") == 21 + 3 * 8
     assert ["ci-scan", "he-clamped", "--nmax", "49"] in [a for _, a in cases]
     assert ["ci-scan", "he-clamped", "--nmax", "0"] in [a for _, a in cases]
     # 333 nodes end the s-wave block's inner sweep in a partial batch
@@ -64,7 +64,9 @@ def test_compare_builds_every_benchmark_invocation(compare, tmp_path):
                  ["coeffs", "he-clamped", "--quad-points", "15", "-o", "no-such-dir/out.csv"]):
         assert args in [a for _, a in cases]
     assert ["ci-scan", "z-fraction.json", "--nmax", "12"] in [a for _, a in cases]
+    # 16 points fail the block check: the central one at nmax 10, the Slater one at nmax 4
     assert ["ci-scan", "he-clamped", "--nmax", "10", "--quad-points", "16"] in [a for _, a in cases]
+    assert ["ci-scan", "he-clamped", "--nmax", "4", "--quad-points", "16"] in [a for _, a in cases]
     assert ["curve", "he-clamped", "--steps", "10000", "--format", "json"] in [a for _, a in cases]
     assert ["coeffs", "--help"] in [a for _, a in cases]
     assert ["curve", "he-clamped", "--format", "json", "-o", "/dev/full"] in [a for _, a in cases]

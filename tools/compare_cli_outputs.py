@@ -4,55 +4,12 @@
 
 BASE_REV is a revision of the checkout that holds this script; `git archive`
 extracts it into a temporary directory. The invocations are the benchmark's,
-built by `perfbench/workloads.py`: the quick, ci-scan and ci-fine workloads for seeds
-1-3, plus `ci-scan he-clamped --nmax 40`, `ci-scan he-clamped --nmax 10
---quad-points 16` (which exits 3), the largest block and W (`--nmax 48
---lambda-max 50`), strong coupling that reaches the per-point Cholesky tier
-(`--nmax 24 --lambda-min 100 --lambda-max 200`), the same tier on H and
-H_QQ of 561 and 560 rows, neither a whole number of the factorization's
-64-row tiles (`--nmax 33 --lambda-min 50 --lambda-max 120`), the longest outputs,
-`curve he-clamped --steps 10000` in CSV and in JSON, the scans where what a
-row keeps outweighs W (`ci-scan he-clamped --nmax 24 --steps 10000` and
-`--nmax 48 --steps 2000`), the quadrature bound
-check on either side (`coeffs he-clamped --quad-points 15` and `513`, which
-exit 2), `coeffs --help`, which prints the default resolution, and two `-o`
-files that cannot be written (`coeffs he-clamped -o no-such-dir/out.csv` and
-`curve he-clamped --format json -o /dev/full`, which exit 2), nmax on
-either side of its bounds (`ci-scan he-clamped --nmax 49` and `--nmax 0`),
-the smallest CI bases (`--nmax 3`, which exits 2 since the eps2 fit needs
-nmax >= 4, and `--nmax 4`, the smallest scan with a fit), the one-row scan
-(`ci-scan he-clamped --steps 1` in CSV and in JSON, the concavity check's
-lambda = 0 row plus one), first order at a resolution other than the default
-(`nuclear-motion he-moving --quad-points 512`), a scan at a fractional
-nuclear charge (`ci-scan z-fraction.json --nmax 12`), a scan whose s-wave
-block ends in a partial batch of the inner sweep, 333 nodes being no whole
-number of its 8-node batches (`ci-scan he-clamped --nmax 12 --quad-points
-333`), five invocations with two bad values each, which exit 2 with the
-message of the check that comes first (`curve he-clamped --steps 0
---lambda-min nan`, `curve he-clamped --lambda-min inf --quad-points 15`,
-`ci-scan he-clamped --quad-points 15 --nmax 49`, `ci-scan no-such.json
---nmax 3` and `coeffs he-clamped --quad-points 15 -o no-such-dir/out.csv`),
-`ci-scan --nmax 8 --steps 3` at nuclear charges 8, 10 and 1e20 (`z-8.json`,
-`z-10.json` and `z-1e20.json`, two electrons around a clamped nucleus of
-mass 1e6 at lambda 1; the last scans lambda 1e-22 to 1e-21, inside the
-solver's range at that charge), whose s_limited_eps2 comes from a fit grid
-that shrinks as 4 / Z: against any revision from before that grid they
-differ (the fixed grid printed another s_limited_eps2 at Z = 8 and exited 3
-and 2 at the other two), and `coeffs` on thirteen system documents written
-into the input directory: six with one value the library's number rule refuses (a boolean mass, a string
-charge, a string lambda, an rc_bohr of 1e999, which JSON reads as inf, and a
-float and a boolean reference), one whose ground occupation is degenerate
-(masses 1, 7 and 1.8e16, which first order refuses), all seven of which exit
-2, z-fraction.json, two electrons around a clamped nucleus of charge 2.5 at
-lambda 1, which exits 0 under `coeffs` and `ci-scan`, and two that exit 0
-under `coeffs` and 2 under `nuclear-motion`: clamped-light.json, a clamped
-electron beside a free nucleus of charge 2, whose clamped variant holds two
-clamped particles, and heavy-reference.json, whose reference of charge -3
-leaves no particle with |q'| > 1, and the three large charges above, which
-exit 0. Each runs
-as `python -m boxatom.cli`, one at a time, once against the working tree's
-`src` and once against BASE_REV's, in the same directory with the same input
-files.
+built by `perfbench/workloads.py` for the quick, ci-scan and ci-fine
+workloads and seeds 1-3, plus every EXTRA entry, `coeffs` on every DOCUMENTS
+entry and `nuclear-motion` on two of them; a comment beside each says what
+it covers. Each runs as `python -m boxatom.cli`, one at a time, once against
+the working tree's `src` and once against BASE_REV's, in the same directory
+with the same input files.
 
 Exit status: 0 when every stdout, stderr and exit code is byte-identical,
 1 when any differs (each difference is listed), 2 when BASE_REV cannot be
@@ -73,28 +30,45 @@ import workloads  # noqa: E402  (perfbench/ is not a package)
 
 SEEDS = (1, 2, 3)
 EXTRA = (
+    # nmax 40, the largest basis that the ROADMAP times
     ["ci-scan", "he-clamped", "--nmax", "40"],
+    # 16 points fail the block check, exit 3: the central check at nmax 10, the Slater check at nmax 4
     ["ci-scan", "he-clamped", "--nmax", "10", "--quad-points", "16"],
+    ["ci-scan", "he-clamped", "--nmax", "4", "--quad-points", "16"],
+    # the largest block and W
     ["ci-scan", "he-clamped", "--nmax", "48", "--lambda-max", "50"],
+    # strong coupling that reaches the per-point Cholesky tier
     ["ci-scan", "he-clamped", "--nmax", "24", "--lambda-min", "100", "--lambda-max", "200"],
+    # the same tier on H and H_QQ of 561 and 560 rows, neither a whole number of 64-row tiles
     ["ci-scan", "he-clamped", "--nmax", "33", "--lambda-min", "50", "--lambda-max", "120"],
+    # scans where what a row keeps outweighs W
     ["ci-scan", "he-clamped", "--nmax", "24", "--steps", "10000"],
     ["ci-scan", "he-clamped", "--nmax", "48", "--steps", "2000"],
+    # the longest outputs, in CSV and in JSON
     ["curve", "he-clamped", "--steps", "10000"],
     ["curve", "he-clamped", "--steps", "10000", "--format", "json"],
+    # the quadrature bound on either side, exit 2
     ["coeffs", "he-clamped", "--quad-points", "15"],
     ["coeffs", "he-clamped", "--quad-points", "513"],
+    # prints the default resolution
     ["coeffs", "--help"],
+    # -o files that cannot be written, exit 2
     ["coeffs", "he-clamped", "-o", "no-such-dir/out.csv"],
     ["curve", "he-clamped", "--format", "json", "-o", "/dev/full"],
+    # nmax on either side of its bounds, exit 2
     ["ci-scan", "he-clamped", "--nmax", "49"],
     ["ci-scan", "he-clamped", "--nmax", "0"],
+    # the smallest bases: the eps2 fit needs nmax >= 4, so 3 exits 2
     ["ci-scan", "he-clamped", "--nmax", "3"],
     ["ci-scan", "he-clamped", "--nmax", "4"],
+    # one row, plus the lambda = 0 row of the concavity check, in CSV and in JSON
     ["ci-scan", "he-clamped", "--steps", "1"],
     ["ci-scan", "he-clamped", "--steps", "1", "--format", "json"],
+    # first order at a resolution other than the default
     ["nuclear-motion", "he-moving", "--quad-points", "512"],
+    # -Z W at a fractional nuclear charge
     ["ci-scan", "z-fraction.json", "--nmax", "12"],
+    # 333 nodes end the block's inner sweep in a partial batch of 8
     ["ci-scan", "he-clamped", "--nmax", "12", "--quad-points", "333"],
     # two bad values each: the message names the check that comes first
     ["curve", "he-clamped", "--steps", "0", "--lambda-min", "nan"],
@@ -102,7 +76,10 @@ EXTRA = (
     ["ci-scan", "he-clamped", "--quad-points", "15", "--nmax", "49"],
     ["ci-scan", "no-such.json", "--nmax", "3"],
     ["coeffs", "he-clamped", "--quad-points", "15", "-o", "no-such-dir/out.csv"],
-    # nuclear charges above 4, where the eps2 fit grid shrinks as 4 / Z
+    # nuclear charges above 4, where the eps2 fit grid shrinks as 4 / Z; the
+    # 1e20 scan's own grid is moved into the solver's range at that charge.
+    # Against a revision with the fixed fit grid they differ: it printed
+    # another s_limited_eps2 at Z = 8 and exited 3 and 2 at the other two
     ["ci-scan", "z-8.json", "--nmax", "8", "--steps", "3"],
     ["ci-scan", "z-10.json", "--nmax", "8", "--steps", "3"],
     ["ci-scan", "z-1e20.json", "--nmax", "8", "--steps", "3", "--lambda-min", "1e-22", "--lambda-max", "1e-21"],
@@ -113,13 +90,15 @@ ELECTRON = '{"particles": [{"mass": 1, "charge": -1}], "reference": 0, "lam": 1.
 ION = ('{"particles": [{"mass": 1, "charge": -1}, {"mass": 1, "charge": -1}, '
        '{"mass": 1e6, "charge": CHARGE, "clamped": true}], "reference": 0, "lam": 1.0}')
 DOCUMENTS = {
+    # one value each that the library's number rule refuses, exit 2 (JSON reads 1e999 as inf)
     "mass-true.json": ELECTRON.replace('"mass": 1', '"mass": true'),
     "charge-text.json": ELECTRON.replace('"charge": -1', '"charge": "2"'),
     "lam-text.json": ELECTRON.replace('"lam": 1.0', '"lam": "1.0"'),
     "rc-bohr-inf.json": ELECTRON.replace('"lam": 1.0', '"rc_bohr": 1e999'),
     "reference-float.json": ELECTRON.replace('"reference": 0', '"reference": 1.0'),
     "reference-true.json": ELECTRON.replace('"reference": 0', '"reference": true'),
-    # a particle so heavy that its n = 2 mode leaves the ground occupation degenerate
+    # a particle so heavy that its n = 2 mode leaves the ground occupation degenerate,
+    # which first order refuses, exit 2
     "degenerate.json": ('{"particles": [{"mass": 1, "charge": -1}, {"mass": 7, "charge": -1}, '
                         '{"mass": 1.8e16, "charge": -1}], "reference": 0, "rc_bohr": 0.5}'),
     # two electrons around a clamped nucleus of fractional charge, for -Z W at a non-integer Z
@@ -131,7 +110,7 @@ DOCUMENTS = {
     # a reference of charge -3 leaves every |q'| <= 1, so no particle is the nucleus
     "heavy-reference.json": ('{"particles": [{"mass": 1, "charge": -3}, {"mass": 1, "charge": -1}, '
                              '{"mass": 7296.3, "charge": 2}], "reference": 0, "lam": 1.0}'),
-    # charges where the eps2 fit grid shrinks as 4 / Z
+    # charges where the eps2 fit grid shrinks as 4 / Z, exit 0
     "z-8.json": ION.replace("CHARGE", "8"),
     "z-10.json": ION.replace("CHARGE", "10"),
     "z-1e20.json": ION.replace("CHARGE", "1e20"),
@@ -156,6 +135,7 @@ def invocations(workdir: str) -> list[tuple[str, list[str]]]:
             fh.write(text)
     return (cases + [(workdir, list(args)) for args in EXTRA]
             + [(workdir, ["coeffs", name]) for name in DOCUMENTS]
+            # both exit 0 under `coeffs` and 2 under `nuclear-motion`
             + [(workdir, ["nuclear-motion", name]) for name in ("clamped-light.json", "heavy-reference.json")])
 
 
