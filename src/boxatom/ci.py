@@ -38,7 +38,8 @@ previous lambda's whole subspace. H V = T V + lambda W V, so moving to the
 next lambda costs no product with W. A pair (theta, c) is kept only if its
 residual r, recomputed as T c + lambda (W c) - theta c, meets RESIDUAL_TOL,
 and only if the first of three tiers that succeeds proves it is the ground
-state:
+state. That one W c also gives the pair's Hellmann-Feynman slope c^T W c, so
+the slope costs no product with W of its own. The tiers are:
 
 1. The interlacing floor. Let Q be every configuration but |11> and
    f(lambda) = lambda_min(H_QQ(lambda)). By Cauchy interlacing
@@ -63,8 +64,8 @@ makes no copy of H. Scan energies must also be concave in
 lambda, checked against the Hellmann-Feynman tangent of every row, a block
 of _CONCAVITY_BLOCK pairs at a time. `CiProblem.scan` returns the energy,
 overlap0 and residual columns only once that check has passed; it drops each
-vector once its overlap and slope are read, so it holds five floats per row
-however long the grid.
+vector once its overlap is read, so it holds five floats per row however
+long the grid.
 """
 
 from __future__ import annotations
@@ -394,15 +395,17 @@ class _InterlacingFloor:
 
 
 def _certified_ground_state(lam: float, subspace: _Subspace,
-                            floor: _InterlacingFloor) -> tuple[float, np.ndarray, float]:
-    """Ground state of H = diag(T) + lam W by Davidson from the subspace.
+                            floor: _InterlacingFloor) -> tuple[float, np.ndarray, float, float]:
+    """(energy, c, residual, slope) of H = diag(T) + lam W, by Davidson from the subspace.
 
     The pair must meet RESIDUAL_TOL, recomputed as T c + lam (W c) - theta c,
     and then pass the floor or the Cholesky tier of the module docstring;
-    otherwise the dense `ground_state(H)` solves the point. A pair that
-    misses RESIDUAL_TOL gets one more Davidson run started from it alone: a
-    long subspace can hold the residual above the tolerance by rounding, or
-    be full. The subspace is left to start the next lambda from.
+    otherwise the dense `ground_state(H)` solves the point. The
+    Hellmann-Feynman slope c^T W c reads the W c of that recheck, or, on the
+    dense path, one product with W. A pair that misses RESIDUAL_TOL gets one
+    more Davidson run started from it alone: a long subspace can hold the
+    residual above the tolerance by rounding, or be full. The subspace is
+    left to start the next lambda from.
     """
     kinetic, w = subspace.kinetic, subspace.w
     for _ in range(2):
@@ -413,19 +416,20 @@ def _certified_ground_state(lam: float, subspace: _Subspace,
         coeff = coeff / np.linalg.norm(coeff)
         if coeff[0] < 0:
             coeff = -coeff
-        residual = float(np.linalg.norm(kinetic * coeff + lam * (w @ coeff) - energy * coeff))
+        image = w @ coeff
+        residual = float(np.linalg.norm(kinetic * coeff + lam * image - energy * coeff))
         if residual <= RESIDUAL_TOL:
             delta = _certificate_shift(energy)
             if floor.exceeds(lam, energy + residual + delta) or _no_eigenvalue_below(
                 kinetic, lam, w, energy - delta
             ):
                 coeff.setflags(write=False)
-                return energy, coeff, residual
+                return energy, coeff, residual, coeff @ image
             break
         subspace.restart(coeff)
     energy, coeff, residual = ground_state(_hamiltonian(kinetic, lam, w))
     subspace.restart(coeff)
-    return energy, coeff, residual
+    return energy, coeff, residual, coeff @ (w @ coeff)
 
 
 def _check_concavity(lam: np.ndarray, energy: np.ndarray, slope: np.ndarray,
@@ -493,10 +497,11 @@ class CiProblem(Record, eq=False):
 
         Three float64 arrays in grid order: the ground energy, the overlap
         |c_11| with the free-particle ground state and the eigenpair
-        residual. Each vector is dropped once its overlap and its
-        Hellmann-Feynman slope c^T W c are read, so a row holds five floats,
-        and the arrays are returned only once the scan has passed the
-        concavity check.
+        residual. Each point's Hellmann-Feynman slope c^T W c comes with its
+        pair from `_certified_ground_state`, so the scan forms no product
+        with W of its own. Each vector is dropped once its overlap is read,
+        so a row holds five floats, and the arrays are returned only once
+        the scan has passed the concavity check.
         """
         lams = reals("lambda values", lambdas)
         if not len(lams):
@@ -525,8 +530,7 @@ class CiProblem(Record, eq=False):
         overlap0 = np.empty(len(lams))
         energy[0], slope[0], residual[0] = self.kinetic[0], w[0, 0], 0.0
         for row, x in enumerate(map(float, lams), 1):
-            e, c, r = _certified_ground_state(x, subspace, self._floor)
-            energy[row], slope[row], residual[row] = e, c @ (w @ c), r
+            energy[row], c, residual[row], slope[row] = _certified_ground_state(x, subspace, self._floor)
             # |c_11| can exceed 1 by rounding in the normalized eigenvector
             overlap0[row - 1] = min(abs(float(c[0])), 1.0)
         _check_concavity(lam, energy, slope, residual)

@@ -100,18 +100,13 @@ def check_points(points) -> int:
 def mode_pair_index(nmax: int) -> np.ndarray:
     """Row of the s-wave Slater matrix for each mode pair: index[a-1, c-1] = index[c-1, a-1].
 
-    Pairs a <= c are numbered in np.triu_indices(nmax) order. The array is
-    shared and read-only.
+    Pairs a <= c are numbered in np.triu_indices(nmax) order. Each call
+    builds a new array; a W build reads one.
     """
-    return _mode_pair_index(check_nmax(nmax))
-
-
-@lru_cache(maxsize=None)
-def _mode_pair_index(nmax: int) -> np.ndarray:
+    nmax = check_nmax(nmax)
     first, second = np.triu_indices(nmax)
     index = np.empty((nmax, nmax), dtype=np.intp)
     index[first, second] = index[second, first] = np.arange(len(first))
-    index.setflags(write=False)
     return index
 
 
@@ -237,8 +232,10 @@ def _quadrature_block(points: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     inner = _inner_profiles(r1, w1, nmax)
     central = np.empty((nmax, nmax))
     central[first, second] = central[second, first] = outer.sum(axis=1)
-    # O I^T + I O^T written as A + A^T, which is exactly symmetric
+    # O I^T + I O^T written as A + A^T, which is exactly symmetric; the
+    # profiles are freed first, so they do not live beside the sum
     half = outer @ inner.T
+    del outer, inner
     return central, half + half.T
 
 

@@ -68,13 +68,13 @@ def _gauss_legendre(n: int) -> QuadratureRule:
     k = np.arange(1, m + 1, dtype=float)
     x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
     if n % 2:
-        x[-1] = 0.0  # center node is an exact root for odd n
+        # the center node is an exact root for odd n: P_n(0) is exactly +-0,
+        # so Newton's step there is +-0 and the node stays 0.0
+        x[-1] = 0.0
     for _ in range(100):
         p, pm1 = _legendre_and_prev(n, x)
         dx = p / _legendre_derivative(n, x, p, pm1)
         x = x - dx
-        if n % 2:
-            x[-1] = 0.0
         if np.all(np.abs(dx) < 1e-15):
             break
     else:
@@ -84,13 +84,12 @@ def _gauss_legendre(n: int) -> QuadratureRule:
     dp = _legendre_derivative(n, x, p, pm1)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
 
+    # the mirror half; for odd n it leaves out the center node
+    tail = slice(-1 - n % 2, None, -1)
+    nodes = np.concatenate([-x, x[tail]])
+    weights = np.concatenate([w, w[tail]])
     if n % 2:
-        nodes = np.concatenate([-x, x[-2::-1]])
         nodes[m - 1] = 0.0  # avoid -0.0 at the center
-        weights = np.concatenate([w, w[-2::-1]])
-    else:
-        nodes = np.concatenate([-x, x[::-1]])
-        weights = np.concatenate([w, w[::-1]])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights, order=n)

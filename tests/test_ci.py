@@ -342,7 +342,7 @@ class TestCertifiedGroundState:
         assert not ci._no_eigenvalue_below(np.zeros(len(h)), 1.0, h, energy - delta)
         dense = []
         monkeypatch.setattr(ci, "ground_state", lambda m: dense.append(m) or ground_state(m))
-        got, _, _ = ci._certified_ground_state(1.0, self._subspace(h, start), self._floor(h))
+        got, _, _, _ = ci._certified_ground_state(1.0, self._subspace(h, start), self._floor(h))
         assert len(dense) == 1
         assert got == ground_state(h)[0]
         assert got == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
@@ -434,7 +434,7 @@ class TestCertifiedGroundState:
         h = self._block_diagonal()
         start = np.zeros(8)
         start[:4] = 0.5
-        energy, _, residual = ci._certified_ground_state(1.0, self._subspace(h, start), self._floor(h))
+        energy, _, residual, _ = ci._certified_ground_state(1.0, self._subspace(h, start), self._floor(h))
         assert len(starts) == 2
         np.testing.assert_array_equal(starts[1], (found[0][1] / np.linalg.norm(found[0][1]))[:, None])
         assert energy == ground_state(h)[0] and residual <= 1e-10
@@ -456,10 +456,12 @@ class TestCertifiedGroundState:
                             lambda *a: cholesky_verdicts.append(no_eigenvalue_below(*a)) or cholesky_verdicts[-1])
         monkeypatch.setattr(ci, "ground_state", lambda m: dense.append(m) or ground_state(m))
         subspace = ci._Subspace(problem.kinetic, problem.interaction, vectors[:, 1])
-        energy, coeff, residual = ci._certified_ground_state(lam, subspace, problem._floor)
+        energy, coeff, residual, slope = ci._certified_ground_state(lam, subspace, problem._floor)
         # the first Cholesky certifies the floor's knot at lambda = 1, the second rejects the pair
         assert floor_verdicts == [False] and cholesky_verdicts == [True, False] and len(dense) == 1
         assert energy == pytest.approx(values[0], abs=1e-10) and residual <= 1e-10
+        # the dense pair's Hellmann-Feynman slope
+        assert slope == coeff @ (problem.interaction @ coeff)
         assert values[0] < problem._floor.knots[lam] < values[1]
 
     @pytest.mark.parametrize("nmax", [4, 8, 12, 24])
@@ -481,6 +483,31 @@ class TestCertifiedGroundState:
         problem = CiProblem(2.0, 40)
         assert len(problem.scan(np.linspace(0.1, 2.0, 20))[0]) == 20
         assert problem.second_order_estimate() < 0.0
+
+    def test_a_certified_point_forms_one_product_with_w(self, monkeypatch):
+        # the residual recheck's W c also gives the Hellmann-Feynman slope, so
+        # beyond Davidson's columns, in the scan's subspace and the floor's, a
+        # certified point multiplies W by a vector once
+        products, columns = [], []
+
+        class CountingW(np.ndarray):
+            def __matmul__(self, other):
+                # matrix-vector products only: the Cholesky tier's panel products are views of H
+                if np.ndim(other) == 1:
+                    products.append(1)
+                return np.asarray(self) @ other
+
+        def forbidden(matrix):
+            raise AssertionError("dense fallback used")
+
+        append = ci._Subspace.append
+        monkeypatch.setattr(ci._Subspace, "append", lambda self, v: columns.append(1) or append(self, v))
+        monkeypatch.setattr(ci, "ground_state", forbidden)
+        problem = CiProblem(2.0, 12)
+        problem.__dict__["interaction"] = problem.interaction.view(CountingW)
+        grid = np.linspace(0.1, 3.0, 20)
+        assert len(problem.scan(grid)[0]) == 20
+        assert len(products) - len(columns) == len(grid)
 
     def test_strong_coupling_scan_is_certified_without_dense_fallback(self, monkeypatch):
         # at Z = 1 and lambda 35-70 the nmax-24 Hamiltonian is far from
@@ -523,7 +550,7 @@ class TestCertifiedGroundState:
             values, vectors = np.linalg.eigh(matrix)
             coeff = vectors[:, 1] * np.sign(vectors[0, 1])
             residual = float(np.linalg.norm(matrix @ coeff - values[1] * coeff))
-            return float(values[1]), coeff, residual
+            return float(values[1]), coeff, residual, coeff @ (subspace.w @ coeff)
 
         monkeypatch.setattr(ci, "_certified_ground_state", excited_third_row)
         with pytest.raises(ConvergenceError, match="concave"):
@@ -535,8 +562,8 @@ class TestCertifiedGroundState:
         certified = ci._certified_ground_state
 
         def raised(lam, subspace, floor):
-            energy, coeff, residual = certified(lam, subspace, floor)
-            return energy + 0.5, coeff, residual
+            energy, coeff, residual, slope = certified(lam, subspace, floor)
+            return energy + 0.5, coeff, residual, slope
 
         monkeypatch.setattr(ci, "_certified_ground_state", raised)
         with pytest.raises(ConvergenceError, match="tangent at lambda = 0"):

@@ -489,10 +489,10 @@ class TestCiScan:
 
         def raise_one_row(lam, subspace, floor):
             rows.append(lam)
-            energy, coeff, residual = certified(lam, subspace, floor)
+            energy, coeff, residual, slope = certified(lam, subspace, floor)
             if len(rows) == raised:
                 energy += 0.5
-            return energy, coeff, residual
+            return energy, coeff, residual, slope
 
         monkeypatch.setattr(ci, "_certified_ground_state", raise_one_row)
         code, out, err = run(capsys, "ci-scan", "he-clamped", "--nmax", "6", "--lambda-min", "0.1",

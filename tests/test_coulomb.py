@@ -271,7 +271,7 @@ class TestClosedForms:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 26 * 2**20
+        assert peak <= 22 * 2**20
 
     @pytest.mark.parametrize("nmax", [1, 2, 12, 48])
     def test_closed_form_bands_are_bit_identical_to_the_whole_matrix(self, nmax):
@@ -406,22 +406,25 @@ class TestSingleFromBlock:
         assert ground_integrals(512) is ground_integrals(np.int64(512))
         assert built == [(512, 1)]
 
-    def test_mode_pair_index_is_shared_and_read_only(self):
+    def test_mode_pair_index_numbers_pairs_in_triu_order(self):
         index = mode_pair_index(5)
-        assert mode_pair_index(5) is index
-        with pytest.raises(ValueError):
-            index[0, 0] = 1
+        first, second = np.triu_indices(5)
+        np.testing.assert_array_equal(index[first, second], np.arange(15))
+        np.testing.assert_array_equal(index, index.T)
+        # every call builds its own table, so writing one leaves the next as built
+        index[0, 0] = 1
+        np.testing.assert_array_equal(mode_pair_index(5)[first, second], np.arange(15))
 
     @pytest.mark.parametrize("bad", [coulomb.MAX_NMAX + 1, 0, True, 2.0, pytest.param(np.True_, id="numpy-True")])
     def test_mode_pair_index_checks_nmax(self, bad):
-        # cached entries must not answer True, 2.0 or np.True_
+        # the same sizes as ints and numpy ints are accepted; True, 2.0 and np.True_ are not
         mode_pair_index(1), mode_pair_index(2), mode_pair_index(np.int64(1)), mode_pair_index(np.int64(2))
         with pytest.raises(ValidationError, match="nmax"):
             mode_pair_index(bad)
 
     @pytest.mark.parametrize("bad", [[4], np.array([4]), np.array(4)], ids=["list", "array", "0-d-array"])
     def test_mode_pair_index_checks_before_its_cache(self, bad):
-        # checked before the cache, which would raise a bare TypeError for an unhashable argument
+        # checked before any table is sized, with the one-line message of an integer argument
         with pytest.raises(ValidationError, match="^nmax must be an integer, got [^\n]+$"):
             mode_pair_index(bad)
 

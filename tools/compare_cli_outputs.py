@@ -44,6 +44,8 @@ EXTRA = (
     # scans where what a row keeps outweighs W
     ["ci-scan", "he-clamped", "--nmax", "24", "--steps", "10000"],
     ["ci-scan", "he-clamped", "--nmax", "48", "--steps", "2000"],
+    # the north star's long scan at nmax 40
+    ["ci-scan", "he-clamped", "--nmax", "40", "--steps", "3000"],
     # the longest outputs, in CSV and in JSON
     ["curve", "he-clamped", "--steps", "10000"],
     ["curve", "he-clamped", "--steps", "10000", "--format", "json"],
