@@ -187,6 +187,11 @@ def _checked_matrix(matrix: np.ndarray) -> np.ndarray:
     return h
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def ground_state(matrix: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Lowest eigenpair (energy, coefficients, residual) of a symmetric matrix.
 
@@ -355,19 +360,8 @@ class _InterlacingFloor:
 
     def chord(self, lam: float) -> float:
         """The certified floor at lam, or -inf beyond the last knot."""
-        left = max(x for x in self.knots if x <= lam)
-        right = min((x for x in self.knots if x >= lam), default=None)
-        if right is None:
-            return -math.inf
-        if right == left:
-            return self.knots[lam]
-        t = (lam - left) / (right - left)
-        return (1.0 - t) * self.knots[left] + t * self.knots[right]
-
-    def reach(self, lam: float) -> None:
-        """Certify a knot at lam unless one lies at or beyond it."""
-        if self.knots and max(self.knots) < lam:
-            self.certify(lam)
+        xs = sorted(self.knots)
+        return float(np.interp(lam, xs, [self.knots[x] for x in xs], right=-math.inf))
 
     def certify(self, lam: float) -> None:
         """Try to add a knot at lam; a failed attempt is not repeated."""
@@ -423,7 +417,6 @@ def _certified_ground_state(lam: float, subspace: _Subspace,
             if floor.exceeds(lam, energy + residual + delta) or _no_eigenvalue_below(
                 kinetic, lam, w, energy - delta
             ):
-                coeff.setflags(write=False)
                 return energy, coeff, residual, coeff @ image
             break
         subspace.restart(coeff)
@@ -464,8 +457,10 @@ class CiProblem(Record, eq=False):
 
     T and W are built on first use and then shared, so a scan, an eps2 fit
     and a sum over states on one problem assemble W once; the fit also
-    reuses the scan's interlacing knots. The knots are solver state that a
-    scan updates, so threads should not share one problem.
+    reuses the scan's interlacing knots. T and W are read-only, since every
+    scan and the knots proven on them share them: an edited W would leave
+    the knots claiming bounds it no longer has. The knots are solver state
+    that a scan updates, so threads should not share one problem.
     """
 
     # the __dict__ slot holds the cached properties
@@ -478,11 +473,11 @@ class CiProblem(Record, eq=False):
 
     @cached_property
     def kinetic(self) -> np.ndarray:
-        return _kinetic_diagonal(self.nmax)
+        return _read_only(_kinetic_diagonal(self.nmax))
 
     @cached_property
     def interaction(self) -> np.ndarray:
-        return _checked_matrix(_interaction_matrix(self.z, self.nmax, self.points))
+        return _read_only(_checked_matrix(_interaction_matrix(self.z, self.nmax, self.points)))
 
     @cached_property
     def _floor(self) -> _InterlacingFloor:
@@ -519,8 +514,9 @@ class CiProblem(Record, eq=False):
                 f"max(T) + lambda max_i sum_j |W_ij| = {bound:.3e} on ||H||_2 exceeds "
                 f"RESIDUAL_TOL / (10 eps) = {_NORM_LIMIT:.3e}"
             )
-        # the floor is certified at the largest lambda first; its chord from 0 covers the rest
-        self._floor.reach(top)
+        # the floor is certified at the largest lambda first; its chord from 0 covers the rest.
+        # The chord is -inf beyond the last knot, so this certifies top unless a knot lies there
+        self._floor.exceeds(top, -math.inf)
         w = self.interaction
         # start from |11>, then from the previous lambda's subspace
         subspace = _Subspace(self.kinetic, w, np.eye(1, len(self.kinetic))[0])

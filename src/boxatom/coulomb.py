@@ -274,7 +274,7 @@ def _check(points: int, value: np.ndarray, exact_rows, name) -> None:
 def s_wave_block(nmax: int, points: int = DEFAULT_POINTS) -> tuple[np.ndarray, np.ndarray]:
     """Every s-wave integral of modes 1..nmax by the points-point rule, built and checked on each call.
 
-    Returns read-only (C, R): C[a-1, c-1] = int u_a u_c / r dr, and
+    Returns (C, R): C[a-1, c-1] = int u_a u_c / r dr, and
     R[k, k'] = R0(ab;cd) for mode pairs k = (a, c), k' = (b, d) numbered
     as in mode_pair_index(nmax). Both are quadrature values; every entry
     must lie within 1e-9 of its Si/Cin closed form. Nothing keeps either.
@@ -294,8 +294,6 @@ def s_wave_block(nmax: int, points: int = DEFAULT_POINTS) -> tuple[np.ndarray, n
            lambda i, j: f"central_expectation for modes {i + 1} and {j + 1} (nmax={nmax} block)")
     _check(points, block[1], _closed_form_rows(p, q),
            lambda i, j: f"Slater integral for mode pairs {pair(i)} and {pair(j)} (nmax={nmax} block)")
-    for array in block:
-        array.setflags(write=False)
     return block
 
 

@@ -1,7 +1,9 @@
 import math
 import re
+import sys
 import tracemalloc
 import weakref
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -305,6 +307,15 @@ class TestScan:
                                                  rel=1e-12, abs=0)
         again = CiProblem(2.0, nmax).scan(self.GRID)
         assert all(np.array_equal(a, b) for a, b in zip(columns, again, strict=True))
+
+    def test_shared_kinetic_and_interaction_are_read_only(self):
+        # every scan, the fit and the floor's proven knots share T and W, so an
+        # edited W would leave a knot claiming a bound the new W does not have
+        problem = CiProblem(2.0, 6)
+        with pytest.raises(ValueError):
+            problem.kinetic[0] = 0.0
+        with pytest.raises(ValueError):
+            problem.interaction[1:, 1:] *= 3.0
 
 
 class TestCertifiedGroundState:
@@ -668,6 +679,74 @@ class TestInterlacingFloor:
         problem.second_order_estimate()
         assert problem._floor.knots == knots and 2.0 in knots
 
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = {"_davidson": 0, "_no_eigenvalue_below": 0}
+        for name in calls:
+            original = getattr(ci, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(ci, name, counted)
+        return calls
+
+    def test_a_failed_knot_is_not_tried_again(self, monkeypatch):
+        # H_QQ = lam diag(3, 1, 2) and the floor starts from its first configuration,
+        # an excited eigenvector: Davidson stops there at theta = 3 lam at once, and
+        # the Cholesky of H_QQ below it fails on the eigenvalue lam
+        h = np.diag([0.0, 3.0, 1.0, 2.0])
+        floor = ci._InterlacingFloor(np.zeros(len(h)), h)
+        calls = self._counted(monkeypatch)
+        assert not floor.exceeds(1.0, 0.5)
+        assert calls == {"_davidson": 1, "_no_eigenvalue_below": 1}
+        assert floor.knots == {0.0: 0.0} and floor.failed == {1.0}
+        # asking again at the failed lambda costs no Davidson run and no Cholesky
+        assert not floor.exceeds(1.0, 0.5)
+        assert not floor.exceeds(1.0, -math.inf)
+        assert calls == {"_davidson": 1, "_no_eigenvalue_below": 1}
+
+    def test_the_top_is_certified_only_beyond_the_last_knot(self, monkeypatch):
+        # exceeds(top, -inf) is what a scan asks first: the chord is -inf beyond the
+        # last knot, so it certifies one knot at top unless a knot lies at or beyond it
+        floor = CiProblem(2.0, 6)._floor
+        calls = self._counted(monkeypatch)
+        for top, certified in ((1.0, 1), (1.0, 0), (0.5, 0), (2.0, 1)):
+            before = calls["_no_eigenvalue_below"]
+            assert floor.exceeds(top, -math.inf)
+            assert calls["_no_eigenvalue_below"] - before == certified
+        assert sorted(floor.knots) == [0.0, 1.0, 2.0] and not floor.failed
+
+
+# subnormal bounds are left out: any float form of the line loses their relative precision
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(knots=st.dictionaries(st.floats(0.0, 500.0), st.floats(-1e4, 1e4, allow_subnormal=False),
+                             min_size=2, max_size=40),
+       t=st.floats(0.0, 1.0))
+def test_chord_is_the_line_between_neighbouring_knots(knots, t):
+    # a one-configuration floor has no knots of its own; these stand in for proven ones
+    floor = ci._InterlacingFloor(np.zeros(1), np.zeros((1, 1)))
+    floor.knots = knots
+    xs = sorted(knots)
+    for x in xs:
+        assert floor.chord(x) == knots[x]
+    assert floor.chord(np.nextafter(xs[-1], math.inf)) == -math.inf
+    assert floor.chord(501.0) == -math.inf
+    for a, b in zip(xs, xs[1:]):
+        x = min(max(a + t * (b - a), a), b)
+        ya, yb = knots[a], knots[b]
+        slope = (Fraction(yb) - Fraction(ya)) / (Fraction(b) - Fraction(a))
+        if abs(slope) > sys.float_info.max:
+            # np.interp forms this slope first, so between knots this close (about
+            # 1e-304 apart for these bounds) the chord is +-inf, not the line
+            continue
+        # the line through both knots at x, in exact arithmetic
+        line = Fraction(ya) + (Fraction(x) - Fraction(a)) * slope
+        got = floor.chord(x)
+        assert math.isfinite(got)
+        assert abs(Fraction(got) - line) <= Fraction(1e-12) * (abs(Fraction(ya)) + abs(Fraction(yb)))
+
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(z=st.floats(0.5, 4.0), nmax=st.integers(4, 16), top=st.floats(1e-3, 3.0),
@@ -676,7 +755,7 @@ def test_floor_never_exceeds_the_second_eigenvalue(z, nmax, top, fraction):
     # every certified knot and every chord value lies below the dense lambda_2
     floor = CiProblem(z, nmax)._floor
     lam = top * fraction
-    floor.reach(top)
+    floor.exceeds(top, -math.inf)
     floor.certify(lam)
     assert top in floor.knots
 

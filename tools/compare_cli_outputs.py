@@ -41,6 +41,9 @@ EXTRA = (
     ["ci-scan", "he-clamped", "--nmax", "24", "--lambda-min", "100", "--lambda-max", "200"],
     # the same tier on H and H_QQ of 561 and 560 rows, neither a whole number of 64-row tiles
     ["ci-scan", "he-clamped", "--nmax", "33", "--lambda-min", "50", "--lambda-max", "120"],
+    # one repeated strong-coupling lambda: every point on the top knot, every point on the
+    # Cholesky tier, and the concavity check at zero spacing
+    ["ci-scan", "he-clamped", "--nmax", "24", "--lambda-min", "150", "--lambda-max", "150", "--steps", "5"],
     # scans where what a row keeps outweighs W
     ["ci-scan", "he-clamped", "--nmax", "24", "--steps", "10000"],
     ["ci-scan", "he-clamped", "--nmax", "48", "--steps", "2000"],
